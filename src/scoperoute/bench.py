@@ -31,6 +31,15 @@ CSV_HEADER = (
 )
 
 
+def _fmt(x: float) -> str:
+    """A cost for reports: ``inf``, an integer, or six significant digits."""
+    if x == INF:
+        return "inf"
+    if x == int(x):
+        return str(int(x))
+    return f"{x:.6g}"
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     query_count: int = 500
@@ -62,19 +71,12 @@ class QueryRecord:
     findings: list[str] = field(default_factory=list)
 
     def csv_row(self) -> str:
-        def num(x: float) -> str:
-            if x == INF:
-                return "inf"
-            if x == int(x):
-                return str(int(x))
-            return f"{x:.6g}"
-
         def ms(x: float | None) -> str:
             return "" if x is None else f"{x:.3f}"
 
         return (
-            f"{self.query},{self.src},{self.dst},{num(self.static_w)},{num(self.static_wstar)},"
-            f"{num(self.simple_wstar)},{num(self.enhanced_wstar)},{self.scanned_static},"
+            f"{self.query},{self.src},{self.dst},{_fmt(self.static_w)},{_fmt(self.static_wstar)},"
+            f"{_fmt(self.simple_wstar)},{_fmt(self.enhanced_wstar)},{self.scanned_static},"
             f"{self.scanned_simple},{self.scanned_enhanced},{self.permits},{self.qc_edges},"
             f"{self.qc_iters},{ms(self.ms_simple)},{ms(self.ms_enhanced)}"
         )

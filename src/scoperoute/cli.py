@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import __version__
-from .bench import BenchConfig, run_benchmark
+from .bench import BenchConfig, _fmt, run_benchmark
 from .detour import (
     derive_closures,
     enhanced_detour_route,
@@ -31,7 +31,7 @@ from .netio import (
     parse_closures,
     save_network,
 )
-from .network import INF, NetworkError, Walk, balance_to_proper
+from .network import NetworkError, Walk, balance_to_proper
 from .search import bidirectional_s_dijkstra, validate_split_admissible
 
 EXIT_OK = 0
@@ -82,14 +82,6 @@ def _print_walk(args, walk: Walk, network, scope, cost: float, permit_edges=()) 
         _emit(args, f"cost {_fmt(cost)}\nedges {' '.join(str(e) for e in walk.edges)}\n")
 
 
-def _fmt(x: float) -> str:
-    if x == INF:
-        return "inf"
-    if x == int(x):
-        return str(int(x))
-    return f"{x:.6g}"
-
-
 def cmd_route(args) -> int:
     nf = _load(args)
     weighting = "updated" if args.updated else "base"
@@ -114,10 +106,15 @@ def cmd_detour(args) -> int:
     if res.walk is None:
         sys.stderr.write("unreachable\n")
         return EXIT_UNREACHABLE
-    if res.klass != "static" and res.context is not None:
+    if res.klass != "static":
+        # Re-check against a freshly built context, never the search's own.
+        closures = (
+            qc_closure(nf.network, nf.scope, None, args.source, args.target)
+            if args.mode == "enhanced"
+            else None
+        )
         ok = validate_simple_detour(
-            res.walk, nf.network, nf.scope, res.context.active,
-            args.source, args.target, res.context,
+            res.walk, nf.network, nf.scope, closures, args.source, args.target
         )
         if not ok:
             sys.stderr.write("internal error: detour failed validation\n")

@@ -46,6 +46,8 @@ from .network import (
 from .search import (
     ScopeSearchResult,
     _edge_pack,
+    _split_exists,
+    _split_minimum,
     bidirectional_s_dijkstra,
     dijkstra,
     s_dijkstra,
@@ -337,22 +339,6 @@ def build_detour_context(
     target: int,
 ) -> DetourContext:
     active = _active_set(network, closures)
-    cache_key = ("ctx", tuple(sorted(active)), source, target, scope.level, scope.nu)
-    cached = network._query_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    ctx = _build_detour_context(network, scope, active, source, target)
-    network._query_cache[cache_key] = ctx
-    return ctx
-
-
-def _build_detour_context(
-    network: RoadNetwork,
-    scope: ScopeMapping,
-    active: frozenset[int],
-    source: int,
-    target: int,
-) -> DetourContext:
     scope.validate(network)
     n = network.vertex_count
     m = network.edge_count
@@ -376,8 +362,8 @@ def _build_detour_context(
     )
     gate_fwd = s_dijkstra(network, scope, source, wg, track_tree=False)
     gate_bwd = s_dijkstra(rev, scope, target, wg, track_tree=False)
-    out_pack = _adjacency_pack(network, scope, reverse=False)
-    in_pack = _adjacency_pack(network, scope, reverse=True)
+    out_pack = _edge_pack(network, scope)
+    in_pack = _edge_pack(rev, scope)
     # An open edge is usable from the start when its tail's gate label
     # passes the budget at the edge's level; towards the target, its head's.
     s_usable = _gate_passes(gate_fwd, network.tails, scope, wg)
@@ -556,33 +542,18 @@ def validate_simple_detour(
     ctx = context or build_detour_context(network, scope, closures, source, target)
     if any(e in ctx.active for e in walk.edges):
         return False
-    k = len(walk.edges)
-    if k == 0:
-        return True
-    vertices = walk.vertices(network)
-    live_t, live_s = _walk_permit_masks(ctx, vertices)
+    live_t, live_s = _walk_permit_masks(ctx, walk.vertices(network))
     top = ctx.scope.top
-    prefix_ok = [False] * k
-    suffix_ok = [False] * k
+    prefix_ok = []
+    suffix_ok = []
     for i, e in enumerate(walk.edges):
         lv = ctx.scope.level[e]
         licensed = lv < top and (
             (live_t[i] >> lv) & 1 or (live_s[i + 1] >> lv) & 1
         )
-        prefix_ok[i] = licensed or ctx.s_usable[e]
-        suffix_ok[i] = licensed or ctx.t_usable[e]
-    feasible_suffix = True
-    suffix_from = [True] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        feasible_suffix = feasible_suffix and suffix_ok[i]
-        suffix_from[i] = feasible_suffix
-    feasible_prefix = True
-    for j in range(k + 1):
-        if j > 0:
-            feasible_prefix = feasible_prefix and prefix_ok[j - 1]
-        if feasible_prefix and suffix_from[j]:
-            return True
-    return False
+        prefix_ok.append(licensed or ctx.s_usable[e])
+        suffix_ok.append(licensed or ctx.t_usable[e])
+    return _split_exists(prefix_ok, suffix_ok)
 
 
 @dataclass
@@ -850,28 +821,6 @@ class DetourResult:
         return self.walk is not None
 
 
-def _static_from_runs(ctx: DetourContext) -> tuple[Walk | None, float]:
-    """Split-minimal static walk recovered from the drained discovery runs.
-
-    Valid when the discovery weighting equals the base weighting (no soft
-    increases); uses the same meeting tie rule as the bidirectional search.
-    """
-    fwd, bwd = ctx.rec_fwd, ctx.rec_bwd
-    best = INF
-    meeting = None
-    for v in range(ctx.network.vertex_count):
-        c = fwd.dist[v] + bwd.dist[v]
-        if c < best:
-            best = c
-            meeting = v
-    if meeting is None or best == INF:
-        return None, INF
-    prefix = fwd.walk_to(meeting)
-    suffix_rev = bwd.walk_to(meeting)
-    assert prefix is not None and suffix_rev is not None
-    return Walk(ctx.source, prefix.edges + tuple(reversed(suffix_rev.edges))), best
-
-
 def _route(
     network: RoadNetwork,
     scope: ScopeMapping,
@@ -887,19 +836,19 @@ def _route(
     res.qc_added = qc_added
     ctx = build_detour_context(network, scope, active, source, target)
     res.context = ctx
+    # With hard closures only, the record runs use the base weights, so
+    # their split minimum is the static optimum.
     if ctx.pure_hard:
-        static_walk, static_cost = _static_from_runs(ctx)
-        res.scanned_static = ctx.rec_fwd.scanned_count + ctx.rec_bwd.scanned_count
+        static = _split_minimum(ctx.rec_fwd, ctx.rec_bwd)
     else:
         static = bidirectional_s_dijkstra(network, scope, source, target, "base")
-        static_walk, static_cost = static.walk, static.cost
-        res.scanned_static = static.scanned_count
-    if static_walk is not None:
-        res.static_walk = static_walk
-        res.static_cost_base = static_cost
-        res.static_cost_updated = static_walk.cost(network, "updated")
+    res.scanned_static = static.scanned_count
+    if static.walk is not None:
+        res.static_walk = static.walk
+        res.static_cost_base = static.cost
+        res.static_cost_updated = static.walk.cost(network, "updated")
         if res.static_cost_updated == res.static_cost_base:
-            res.walk = static_walk
+            res.walk = static.walk
             res.cost_updated = res.static_cost_updated
             res.klass = "static"
             return res
@@ -958,15 +907,6 @@ def enhanced_detour_route(
     )
 
 
-def _adjacency_pack(network: RoadNetwork, scope: ScopeMapping, reverse: bool):
-    """Per-vertex (edge, far-vertex, level) triples; cached on the network.
-
-    Packs are weight-independent, so weight variants produced by
-    ``with_updated_weights`` and their reversals all share them.
-    """
-    return _edge_pack(network.reverse() if reverse else network, scope)
-
-
 def _plain_reach(pack, vertex_count: int, source: int, blocked) -> list[bool]:
     """Vertices reachable from ``source`` over open edges, gates ignored."""
     reached = [False] * vertex_count
@@ -995,37 +935,40 @@ def qc_closure(
     (a dead-end pocket behind the closures); symmetric for the start. The
     structural reading keeps every closure-avoiding walk quasi-closure
     avoiding, which is what makes the enhanced relaxation a true superset
-    of the simple one. Iterates until no edge is added and reports the
-    round count.
+    of the simple one.
+
+    One adding round reaches the fixed point. Take an open edge x -> y that
+    the round keeps: y reaches the target and the start reaches x. Every
+    edge of a walk from y to the target has a head that reaches the target
+    along the rest of the walk, and a tail the start reaches through x -> y
+    and the walk before it; so the round keeps the whole walk, and by the
+    symmetric argument the whole walk from the start to x. After the round
+    x is still reached and y still reaches, and no further edge becomes
+    quasi-closed. ``iterations`` is the number of rounds a fixed-point loop
+    takes: 1 when nothing is added, else 2 (the second round adds nothing).
     """
     base = closures if isinstance(closures, ClosureSet) else None
     active = set(_active_set(network, closures))
     hard = frozenset(active) if base is None else base.hard
     kind = dict(base.kind) if base is not None else {e: "hard" for e in active}
     scope.validate(network)
-    iterations = 0
     n = network.vertex_count
     m = network.edge_count
-    fwd_pack = _adjacency_pack(network, scope, reverse=False)
-    bwd_pack = _adjacency_pack(network, scope, reverse=True)
     tails, heads = network.tails, network.heads
     wstar = network.weight_updated
-    while True:
-        iterations += 1
-        blocked = [e in active or wstar[e] == INF for e in range(m)]
-        t_reach = _plain_reach(bwd_pack, n, target, blocked)
-        s_reach = _plain_reach(fwd_pack, n, source, blocked)
-        added: list[tuple[int, str]] = []
-        for e in range(m):
-            if blocked[e]:
-                continue
-            if not t_reach[heads[e]]:
-                added.append((e, "quasi-t"))
-            elif not s_reach[tails[e]]:
-                added.append((e, "quasi-s"))
-        if not added:
-            break
-        for e, tag in added:
-            active.add(e)
-            kind[e] = tag
-    return ClosureSet(frozenset(active), hard, kind, iterations)
+    blocked = [e in active or wstar[e] == INF for e in range(m)]
+    t_reach = _plain_reach(_edge_pack(network.reverse(), scope), n, target, blocked)
+    s_reach = _plain_reach(_edge_pack(network, scope), n, source, blocked)
+    added = 0
+    for e in range(m):
+        if blocked[e]:
+            continue
+        if not t_reach[heads[e]]:
+            kind[e] = "quasi-t"
+        elif not s_reach[tails[e]]:
+            kind[e] = "quasi-s"
+        else:
+            continue
+        active.add(e)
+        added += 1
+    return ClosureSet(frozenset(active), hard, kind, 2 if added else 1)

@@ -30,7 +30,7 @@ from .network import (
     zero_vector,
 )
 from .detour import _active_set
-from .search import s_dijkstra
+from .search import SettledLabels, s_dijkstra, validate_split_admissible
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -66,39 +66,6 @@ class FullVerdict:
         if self.accepted is None:
             raise SearchBudgetExceeded("verdict is indeterminate")
         return self.accepted
-
-
-def _amended_split_admissible(
-    walk_edges: tuple[int, ...],
-    network: RoadNetwork,
-    scope: ScopeMapping,
-    seeded_sigma: list[tuple[float, ...]],
-    seeded_dist: list[float],
-    rev_sigma: list[tuple[float, ...]],
-    rev_dist: list[float],
-) -> bool:
-    """Split check of one explicit walk against precomputed seeded labels."""
-    nu = scope.nu
-    k = len(walk_edges)
-    ok_f = [False] * k
-    ok_b = [False] * k
-    for i, e in enumerate(walk_edges):
-        u, v = network.tails[e], network.heads[e]
-        lv = scope.level[e]
-        ok_f[i] = seeded_dist[u] < INF and seeded_sigma[u][lv] <= nu[lv]
-        ok_b[i] = rev_dist[v] < INF and rev_sigma[v][lv] <= nu[lv]
-    suffix = [True] * (k + 1)
-    good = True
-    for i in range(k - 1, -1, -1):
-        good = good and ok_b[i]
-        suffix[i] = good
-    good = True
-    for j in range(k + 1):
-        if j > 0:
-            good = good and ok_f[j - 1]
-        if good and suffix[j]:
-            return True
-    return False
 
 
 class _ProbeEngine:
@@ -145,6 +112,8 @@ class _ProbeEngine:
                 best = c
         if best == INF:
             return False, None
+        seeded_labels = SettledLabels(seeded.dist, seeded.sigma)
+        rev_labels = SettledLabels(self.rev.dist, self.rev.sigma)
         # Enumerate all vertex-to-target walks of optimal amended cost and
         # fold the draws to their closure tails.
         state: tuple[float, ...] | None = None
@@ -158,8 +127,9 @@ class _ProbeEngine:
                 raise SearchBudgetExceeded("obstruction probe budget exceeded")
             if at == self.target and cost == best:
                 walk = tuple(edges_taken)
-                if _amended_split_admissible(
-                    walk, net, scope, seeded.sigma, seeded.dist, self.rev.sigma, self.rev.dist
+                if validate_split_admissible(
+                    Walk(vertex, walk), net, scope, vertex, self.target,
+                    forward=seeded_labels, backward=rev_labels,
                 ):
                     draw = zero_vector(scope)
                     for e in walk:

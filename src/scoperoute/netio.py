@@ -15,6 +15,7 @@ byte-stably up to comment lines.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -47,9 +48,12 @@ def _parse_number(token: str, line_no: int) -> float:
     if token == "inf":
         return INF
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(line_no, f"bad number {token!r}") from None
+    if math.isnan(value):
+        raise ParseError(line_no, f"bad number {token!r}")
+    return value
 
 
 def load_network(path: str) -> NetworkFile:

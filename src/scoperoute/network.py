@@ -39,9 +39,6 @@ class RoadNetwork:
     # Structural scratch cache (adjacency packs etc.); shared between weight
     # variants of the same graph, so entries must not depend on weights.
     _aux: dict = field(repr=False, compare=False, default_factory=dict)
-    # Per-instance cache for derived query state that does depend on the
-    # weights (not shared by with_updated_weights).
-    _query_cache: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def edge_count(self) -> int:
@@ -99,6 +96,8 @@ class RoadNetwork:
         for e, value in updates.items():
             if e < 0 or e >= self.edge_count:
                 raise NetworkError(f"unknown edge id {e}")
+            if math.isnan(value):
+                raise NetworkError(f"edge {e}: updated weight is NaN")
             if value < self.weight[e]:
                 raise NetworkError(
                     f"edge {e}: updated weight {value} below base weight {self.weight[e]}"
@@ -114,7 +113,7 @@ class RoadNetwork:
             self._in,
             None,
             self._aux,
-        )  # fresh _query_cache and reverse; weights changed
+        )  # fresh reverse; weights changed
 
 
 def build_network(
@@ -141,7 +140,9 @@ def build_network(
         heads.append(v)
     w = []
     for e, value in enumerate(weights):
-        if value < 0 or math.isnan(value):
+        if math.isnan(value):
+            raise NetworkError(f"edge {e}: weight is NaN")
+        if value < 0:
             raise NetworkError(f"edge {e}: negative weight {value}")
         w.append(float(value))
     if updated_weights is None:
@@ -151,6 +152,8 @@ def build_network(
             raise NetworkError("updated_weights length mismatch")
         wstar = []
         for e, value in enumerate(updated_weights):
+            if math.isnan(value):
+                raise NetworkError(f"edge {e}: updated weight is NaN")
             if value < w[e]:
                 raise NetworkError(f"edge {e}: updated weight {value} below base {w[e]}")
             wstar.append(float(value))
@@ -193,6 +196,8 @@ class ScopeMapping:
         if self.nu[-1] != INF:
             raise NetworkError("last scope value must be inf")
         for i, value in enumerate(self.nu):
+            if math.isnan(value):
+                raise NetworkError(f"scope value nu[{i}] is NaN")
             if value < 0:
                 raise NetworkError(f"scope value nu[{i}] negative")
             if i and value <= self.nu[i - 1]:
@@ -382,32 +387,13 @@ def _strongly_connected_components(vertex_count: int, out_edges) -> list[int]:
     return comp
 
 
-def _edge_subgraph_routing_connected(network: RoadNetwork, edge_ids) -> bool:
-    """True iff every edge can reach every edge by a walk inside the subgraph.
-
-    Equivalent to: all endpoints of subgraph edges lie in one strongly
-    connected component of the subgraph. Vacuously true without edges.
-    """
-    edge_ids = list(edge_ids)
-    if not edge_ids:
-        return True
-    touched = set()
-    adj: dict[int, list[int]] = {}
-    for e in edge_ids:
-        u, v = network.tails[e], network.heads[e]
-        touched.add(u)
-        touched.add(v)
-        adj.setdefault(u, []).append(v)
-    verts = sorted(touched)
-    local = {v: i for i, v in enumerate(verts)}
-    local_adj = [[local[t] for t in adj.get(v, ())] for v in verts]
-    comp = _strongly_connected_components(len(verts), lambda i: local_adj[i])
-    return len(set(comp)) == 1
-
-
 def is_routing_connected(network: RoadNetwork) -> bool:
-    """True iff for every ordered edge pair (e, f) some walk starts with e and ends with f."""
-    return _edge_subgraph_routing_connected(network, range(network.edge_count))
+    """True iff for every ordered edge pair (e, f) some walk starts with e and ends with f.
+
+    Equivalent to: all endpoints of edges lie in one strongly connected
+    component. Vacuously true without edges.
+    """
+    return len(_scc_groups(network, range(network.edge_count))) <= 1
 
 
 def is_proper(network: RoadNetwork, scope: ScopeMapping) -> bool:
@@ -423,7 +409,7 @@ def is_proper(network: RoadNetwork, scope: ScopeMapping) -> bool:
         return False
     for lv in sorted(set(scope.level)):
         sub = [e for e in range(network.edge_count) if scope.level[e] >= lv]
-        if not _edge_subgraph_routing_connected(network, sub):
+        if len(_scc_groups(network, sub)) > 1:
             return False
     return True
 
@@ -478,6 +464,10 @@ def balance_to_proper(network: RoadNetwork, scope: ScopeMapping) -> ScopeMapping
 
 
 def _scc_groups(network: RoadNetwork, edge_ids) -> list[list[int]]:
+    """Vertex groups of the strongly connected components of an edge subgraph.
+
+    Only endpoints of the given edges count; no edges give no groups.
+    """
     edge_ids = list(edge_ids)
     if not edge_ids:
         return []

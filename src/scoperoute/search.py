@@ -15,7 +15,9 @@ brute force and is the ground truth the searches are tested against.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
+from operator import add
 
 from .network import (
     INF,
@@ -31,15 +33,8 @@ from .network import (
 )
 
 
-@dataclass
-class SearchResult:
-    """Labels of one classical Dijkstra run."""
-
-    source: int
-    dist: list[float]
-    parent_edge: list[int | None]
-    scanned_count: int = 0
-    relaxed_count: int = 0
+class _ParentTree:
+    """Walks read off the predecessor tree of a run's ``dist``/``parent_edge`` labels."""
 
     def walk_to(self, target: int) -> Walk | None:
         if self.dist[target] == INF:
@@ -54,6 +49,16 @@ class SearchResult:
         edges.reverse()
         return Walk(self.source, tuple(edges))
 
+
+@dataclass
+class SearchResult(_ParentTree):
+    """Labels of one classical Dijkstra run."""
+
+    source: int
+    dist: list[float]
+    parent_edge: list[int | None]
+    scanned_count: int = 0
+    relaxed_count: int = 0
     _tails: tuple[int, ...] = ()
 
 
@@ -100,7 +105,11 @@ def dijkstra(
 
 
 def _edge_pack(network: RoadNetwork, scope: ScopeMapping):
-    """Per-vertex (edge, head, level) triples, cached on the network."""
+    """Per-vertex (edge, head, level) triples, cached on the network.
+
+    Packs are weight-independent, so weight variants produced by
+    ``with_updated_weights`` and their reversals all share them.
+    """
     key = ("pack", False, scope.level)
     pack = network._aux.get(key)
     if pack is None:
@@ -115,7 +124,7 @@ def _edge_pack(network: RoadNetwork, scope: ScopeMapping):
 
 
 @dataclass
-class ScopeSearchResult:
+class ScopeSearchResult(_ParentTree):
     """Labels of one scope-aware run: distances, draw vectors, tree draws.
 
     ``sigma`` holds the component-wise minimum draw over cheapest admissible
@@ -131,21 +140,87 @@ class ScopeSearchResult:
     tree_sigma: list[tuple[float, ...]]
     scanned_count: int = 0
     relaxed_count: int = 0
-
     _tails: tuple[int, ...] = ()
 
-    def walk_to(self, target: int) -> Walk | None:
-        if self.dist[target] == INF:
-            return None
-        edges: list[int] = []
-        at = target
-        while at != self.source:
-            e = self.parent_edge[at]
-            assert e is not None
-            edges.append(e)
-            at = self._tails[e]
-        edges.reverse()
-        return Walk(self.source, tuple(edges))
+
+def _scope_search(
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    source: int,
+    weighting: str,
+    seed_sigma: tuple[float, ...] | None = None,
+    track_tree: bool = True,
+):
+    """Fresh labels from ``source`` and the stepping search that settles them."""
+    if not (0 <= source < network.vertex_count):
+        raise NetworkError(f"unknown source vertex {source}")
+    scope.validate(network)
+    w = network.weights(weighting) if isinstance(weighting, str) else weighting
+    n = network.vertex_count
+    start_vec = zero_vector(scope) if seed_sigma is None else tuple(seed_sigma)
+    res = ScopeSearchResult(
+        source, [INF] * n, [None] * n, [inf_vector(scope)] * n, [inf_vector(scope)] * n
+    )
+    res._tails = network.tails
+    res.dist[source] = 0.0
+    res.sigma[source] = start_vec
+    res.tree_sigma[source] = start_vec
+    return res, _scope_steps(res, _edge_pack(network, scope), w, scope.nu, track_tree)
+
+
+def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool):
+    """The scope-aware relaxation loop, one settled vertex per step.
+
+    Each step yields the live queue head ``(d, u)``; resuming settles ``u``
+    and relaxes its out-edges. Draining the generator is a full run; the
+    scanned and relaxed counts are written when it finishes or is closed.
+
+    Relaxation of an edge at level ``l`` requires ``sigma[l][tail] <= nu[l]``.
+    A strict distance improvement resets the head's draw vector to the new
+    arrival's; an exact tie merges component-wise minima over the equal-cost
+    arrivals.
+    """
+    dist, parent, sigma, tree = res.dist, res.parent_edge, res.sigma, res.tree_sigma
+    done = [False] * len(dist)
+    heap: list[tuple[float, int]] = [(0.0, res.source)]
+    push = heapq.heappush
+    pop = heapq.heappop
+    scanned = 0
+    relaxed = 0
+    try:
+        while heap:
+            head = pop(heap)
+            d, u = head
+            if done[u] or d > dist[u]:
+                continue
+            yield head
+            done[u] = True
+            scanned += 1
+            sig_u = sigma[u]
+            for e, v, lv in pack[u]:
+                we = w[e]
+                if we == INF:
+                    continue
+                if sig_u[lv] > nu[lv]:
+                    continue
+                nd = d + we
+                dv = dist[v]
+                if nd > dv:
+                    continue
+                arrival = add_draw(sig_u, lv, we)
+                if nd < dv:
+                    dist[v] = nd
+                    parent[v] = e
+                    sigma[v] = arrival
+                    if track_tree:
+                        tree[v] = add_draw(tree[u], lv, we)
+                    relaxed += 1
+                    push(heap, (nd, v))
+                else:
+                    sigma[v] = min_vec(sigma[v], arrival)
+    finally:
+        res.scanned_count = scanned
+        res.relaxed_count = relaxed
 
 
 def s_dijkstra(
@@ -156,68 +231,13 @@ def s_dijkstra(
     seed_sigma: tuple[float, ...] | None = None,
     track_tree: bool = True,
 ) -> ScopeSearchResult:
-    """Scope-aware Dijkstra from ``source``.
+    """Scope-aware Dijkstra from ``source``, run until the queue is empty.
 
-    Relaxation of an edge at level ``l`` requires ``sigma[l][tail] <= nu[l]``.
-    A strict distance improvement resets the head's draw vector to the new
-    arrival's; an exact tie merges component-wise minima over the equal-cost
-    arrivals. ``seed_sigma`` pre-charges the source's budgets; ``track_tree``
-    can be dropped by callers that do not read the predecessor-tree draws.
+    ``seed_sigma`` pre-charges the source's budgets; ``track_tree`` can be
+    dropped by callers that do not read the predecessor-tree draws.
     """
-    if not (0 <= source < network.vertex_count):
-        raise NetworkError(f"unknown source vertex {source}")
-    scope.validate(network)
-    w = network.weights(weighting) if isinstance(weighting, str) else weighting
-    n = network.vertex_count
-    nu = scope.nu
-    level = scope.level
-    dist = [INF] * n
-    parent: list[int | None] = [None] * n
-    sigma: list[tuple[float, ...]] = [inf_vector(scope)] * n
-    tree: list[tuple[float, ...]] = [inf_vector(scope)] * n
-    done = [False] * n
-    start_vec = zero_vector(scope) if seed_sigma is None else tuple(seed_sigma)
-    dist[source] = 0.0
-    sigma[source] = start_vec
-    tree[source] = start_vec
-    res = ScopeSearchResult(source, dist, parent, sigma, tree)
-    res._tails = network.tails
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    pack = _edge_pack(network, scope)
-    push = heapq.heappush
-    pop = heapq.heappop
-    scanned = 0
-    relaxed = 0
-    while heap:
-        d, u = pop(heap)
-        if done[u] or d > dist[u]:
-            continue
-        done[u] = True
-        scanned += 1
-        sig_u = sigma[u]
-        for e, v, lv in pack[u]:
-            we = w[e]
-            if we == INF:
-                continue
-            if sig_u[lv] > nu[lv]:
-                continue
-            nd = d + we
-            dv = dist[v]
-            if nd > dv:
-                continue
-            arrival = add_draw(sig_u, lv, we)
-            if nd < dv:
-                dist[v] = nd
-                parent[v] = e
-                sigma[v] = arrival
-                if track_tree:
-                    tree[v] = add_draw(tree[u], lv, we)
-                relaxed += 1
-                push(heap, (nd, v))
-            else:
-                sigma[v] = min_vec(sigma[v], arrival)
-    res.scanned_count = scanned
-    res.relaxed_count = relaxed
+    res, steps = _scope_search(network, scope, source, weighting, seed_sigma, track_tree)
+    deque(steps, maxlen=0)  # drain
     return res
 
 
@@ -246,6 +266,26 @@ class BidirectionalResult:
         return self.forward.scanned_count + self.backward.scanned_count
 
 
+def _split_minimum(forward: ScopeSearchResult, backward: ScopeSearchResult) -> BidirectionalResult:
+    """The cheapest meeting of a forward run and a reverse run, stitched.
+
+    Minimises ``forward.dist[v] + backward.dist[v]`` over all vertices (the
+    lowest such vertex on ties) and joins the forward tree walk to ``v``
+    with the reversed reverse-tree walk to ``v``. The runs may be partial:
+    only vertices labelled on both sides can meet.
+    """
+    sums = list(map(add, forward.dist, backward.dist))
+    cost = min(sums, default=INF)
+    if cost == INF:
+        return BidirectionalResult(None, INF, None, None, forward, backward)
+    meeting = sums.index(cost)
+    prefix = forward.walk_to(meeting)
+    suffix_rev = backward.walk_to(meeting)
+    assert prefix is not None and suffix_rev is not None
+    walk = Walk(forward.source, prefix.edges + tuple(reversed(suffix_rev.edges)))
+    return BidirectionalResult(walk, cost, meeting, len(prefix.edges), forward, backward)
+
+
 def bidirectional_s_dijkstra(
     network: RoadNetwork,
     scope: ScopeMapping,
@@ -258,101 +298,35 @@ def bidirectional_s_dijkstra(
     reversed network.
 
     The two searches alternate on the smaller queue head and stop once both
-    heads reach the best meeting sum seen. The sum-of-heads rule of plain
-    bidirectional search is unsound here: the prefix and suffix relations
-    are different, so a vertex settled on one side only can still close a
-    cheaper meeting. Requiring each head to pass the best sum guarantees the
-    minimising vertex is settled on both sides, and the result then equals
-    the split minimum of two drained unidirectional runs.
+    heads reach the best meeting sum seen at a settled vertex. The
+    sum-of-heads rule of plain bidirectional search is unsound here: the
+    prefix and suffix relations are different, so a vertex settled on one
+    side only can still close a cheaper meeting. Requiring each head to pass
+    the best sum guarantees the minimising vertex is settled on both sides,
+    and the result then equals the split minimum of two drained
+    unidirectional runs.
     """
-    if not (0 <= source < network.vertex_count):
-        raise NetworkError(f"unknown source vertex {source}")
+    fwd, fwd_steps = _scope_search(network, scope, source, weighting)
     if not (0 <= target < network.vertex_count):
         raise NetworkError(f"unknown target vertex {target}")
-    scope.validate(network)
-    rev = network.reverse()
-    nets = (network, rev)
-    w = network.weights(weighting) if isinstance(weighting, str) else weighting
-    n = network.vertex_count
-    nu = scope.nu
-    level = scope.level
-    runs = []
-    for side, src in enumerate((source, target)):
-        dist = [INF] * n
-        parent: list[int | None] = [None] * n
-        sigma: list[tuple[float, ...]] = [inf_vector(scope)] * n
-        tree: list[tuple[float, ...]] = [inf_vector(scope)] * n
-        dist[src] = 0.0
-        sigma[src] = zero_vector(scope)
-        tree[src] = zero_vector(scope)
-        res = ScopeSearchResult(src, dist, parent, sigma, tree)
-        res._tails = nets[side].tails
-        runs.append(res)
-    heaps: list[list[tuple[float, int]]] = [[(0.0, source)], [(0.0, target)]]
-    done = ([False] * n, [False] * n)
+    bwd, bwd_steps = _scope_search(network.reverse(), scope, target, weighting)
+    runs = (fwd, bwd)
+    steps = (fwd_steps, bwd_steps)
+    heads = [next(fwd_steps, None), next(bwd_steps, None)]
     best = INF
     while True:
-        tops = []
-        for side in (0, 1):
-            heap = heaps[side]
-            while heap and (done[side][heap[0][1]] or heap[0][0] > runs[side].dist[heap[0][1]]):
-                heapq.heappop(heap)
-            tops.append(heap[0][0] if heap else INF)
+        tops = [INF if h is None else h[0] for h in heads]
         if tops[0] >= best and tops[1] >= best:
             break
-        if tops[0] == INF and tops[1] == INF:
-            break
         side = 0 if tops[0] <= tops[1] else 1
-        if tops[side] == INF or (tops[side] >= best and tops[1 - side] < best):
-            side = 1 - side
-        d, u = heapq.heappop(heaps[side])
-        run = runs[side]
-        other = runs[1 - side]
-        done[side][u] = True
-        run.scanned_count += 1
-        if other.dist[u] < INF:
-            best = min(best, d + other.dist[u])
-        net = nets[side]
-        sig_u = run.sigma[u]
-        for e in net.out_edges(u):
-            we = w[e]
-            if we == INF:
-                continue
-            lv = level[e]
-            if sig_u[lv] > nu[lv]:
-                continue
-            v = net.heads[e]
-            nd = d + we
-            if nd > run.dist[v]:
-                continue
-            arrival = add_draw(sig_u, lv, we)
-            if nd < run.dist[v]:
-                run.dist[v] = nd
-                run.parent_edge[v] = e
-                run.sigma[v] = arrival
-                run.tree_sigma[v] = add_draw(run.tree_sigma[u], lv, we)
-                run.relaxed_count += 1
-                heapq.heappush(heaps[side], (nd, v))
-                if other.dist[v] < INF:
-                    best = min(best, nd + other.dist[v])
-            else:
-                run.sigma[v] = min_vec(run.sigma[v], arrival)
-    fwd, bwd = runs
-    best_cost = INF
-    best_vertex: int | None = None
-    for v in range(n):
-        c = fwd.dist[v] + bwd.dist[v]
-        if c < best_cost:
-            best_cost = c
-            best_vertex = v
-    if best_vertex is None or best_cost == INF:
-        return BidirectionalResult(None, INF, None, None, fwd, bwd)
-    prefix = fwd.walk_to(best_vertex)
-    suffix_rev = bwd.walk_to(best_vertex)
-    assert prefix is not None and suffix_rev is not None
-    suffix_edges = tuple(reversed(suffix_rev.edges))
-    walk = Walk(source, prefix.edges + suffix_edges)
-    return BidirectionalResult(walk, best_cost, best_vertex, len(prefix.edges), fwd, bwd)
+        d, u = heads[side]
+        far = runs[1 - side].dist[u]
+        if d + far < best:
+            best = d + far
+        heads[side] = next(steps[side], None)
+    fwd_steps.close()
+    bwd_steps.close()
+    return _split_minimum(fwd, bwd)
 
 
 def validate_s_admissible(
@@ -434,30 +408,28 @@ def validate_split_admissible(
     check_walk(walk, network)
     if walk.start != source or walk.end(network) != target:
         return False
+    rev = network.reverse()
     if forward is None:
         forward = settled_labels(network, scope, source, weighting)
     if backward is None:
-        backward = settled_labels(network.reverse(), scope, target, weighting)
-    k = len(walk.edges)
-    ok_fwd = [False] * k
-    ok_bwd = [False] * k
-    for i, e in enumerate(walk.edges):
-        u, v = network.tails[e], network.heads[e]
-        lv = scope.level[e]
-        ok_fwd[i] = forward.dist[u] < INF and forward.sigma[u][lv] <= scope.nu[lv]
-        ok_bwd[i] = backward.dist[v] < INF and backward.sigma[v][lv] <= scope.nu[lv]
-    suffix_ok = True
-    feasible = [True] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix_ok = suffix_ok and ok_bwd[i]
-        feasible[i] = suffix_ok
-    prefix_ok = True
-    for j in range(k + 1):
-        if j > 0:
-            prefix_ok = prefix_ok and ok_fwd[j - 1]
-        if prefix_ok and feasible[j]:
-            return True
-    return False
+        backward = settled_labels(rev, scope, target, weighting)
+    return _split_exists(
+        [forward.edge_usable(network, scope, e) for e in walk.edges],
+        [backward.edge_usable(rev, scope, e) for e in walk.edges],
+    )
+
+
+def _split_exists(prefix_ok: list[bool], suffix_ok: list[bool]) -> bool:
+    """The split scan shared by the validators.
+
+    Given per-edge flags of a walk (may the edge sit in the prefix, may it
+    sit in the suffix), true iff some split point ``j`` has every edge
+    before ``j`` prefix-ok and every edge from ``j`` on suffix-ok. The
+    latest candidate is the end of the longest prefix-ok run, and it leaves
+    the shortest suffix, so it is the only split worth testing.
+    """
+    j = next((i for i, ok in enumerate(prefix_ok) if not ok), len(prefix_ok))
+    return all(suffix_ok[j:])
 
 
 class BudgetExceeded(RuntimeError):

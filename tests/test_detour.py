@@ -232,6 +232,47 @@ class TestQcClosure:
             assert qc1.edges <= qc_closure(net, scope, big, s, t).edges
 
 
+    def test_single_pass_matches_fixed_point_loop(self):
+        def reach(net, start, blocked, forward):
+            seen = {start}
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for e in net.out_edges(v) if forward else net.in_edges(v):
+                    u = net.heads[e] if forward else net.tails[e]
+                    if e not in blocked and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            return seen
+
+        def fixed_point(net, closed, s, t):
+            closed = set(closed) | {e for e in range(net.edge_count) if net.weight_updated[e] == INF}
+            rounds = 0
+            while True:
+                rounds += 1
+                from_s = reach(net, s, closed, True)
+                to_t = reach(net, t, closed, False)
+                added = {
+                    e for e in range(net.edge_count)
+                    if e not in closed and (net.heads[e] not in to_t or net.tails[e] not in from_s)
+                }
+                if not added:
+                    return closed, rounds
+                closed |= added
+
+        rng = random.Random(33)
+        for _ in range(300):
+            net, scope = random_network(rng, max_vertices=10)
+            pool = list(range(net.edge_count))
+            hard = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+            net = net.with_updated_weights({e: INF for e in hard})
+            s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+            qc = qc_closure(net, scope, None, s, t)
+            expected, rounds = fixed_point(net, hard, s, t)
+            assert qc.edges == frozenset(expected)
+            assert qc.iterations == rounds
+
+
 class TestEnhancedDetour:
     def test_equal_fixed_point_matches_simple(self, permit_fixture):
         net, scope = permit_fixture
@@ -306,8 +347,11 @@ class TestSoftIncreases:
         assert res.walk.edges == (0, 3)
 
 
-def test_context_is_reused_between_calls(permit_fixture):
+def test_context_is_built_fresh_per_call(permit_fixture):
+    # No context is kept on the network between calls; a rebuild agrees.
     net, scope = permit_fixture
     a = build_detour_context(net, scope, None, 0, 3)
     b = build_detour_context(net, scope, None, 0, 3)
-    assert a is b
+    assert a is not b
+    assert a.records == b.records
+    assert (a.s_usable, a.t_usable) == (b.s_usable, b.t_usable)

@@ -8,11 +8,13 @@ from scoperoute import (
     Walk,
     assign_scope_from_categories,
     balance_to_proper,
+    build_network,
     dump_network,
     export_route,
     generate_synthetic,
     is_proper,
     is_routing_connected,
+    make_scope,
     parse_closures,
     parse_network,
 )
@@ -167,3 +169,44 @@ class TestClosureFiles:
     def test_bad_edge_rejected(self, n1):
         with pytest.raises(ParseError, match="line 1"):
             parse_closures("17\n", n1)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda n1: build_network(2, [(0, 1)], [NAN]),
+            NetworkError, "edge 0: weight is NaN", id="base-weight",
+        ),
+        pytest.param(
+            lambda n1: build_network(2, [(0, 1)], [1], updated_weights=[NAN]),
+            NetworkError, "edge 0: updated weight is NaN", id="updated-weight",
+        ),
+        pytest.param(
+            lambda n1: n1.with_updated_weights({1: NAN}),
+            NetworkError, "edge 1: updated weight is NaN", id="weight-update",
+        ),
+        pytest.param(
+            lambda n1: parse_closures("2\n0 nan\n", n1),
+            ParseError, "line 2: bad number 'nan'", id="closure-line",
+        ),
+        pytest.param(
+            lambda n1: make_scope([0], [NAN, INF]),
+            NetworkError, r"nu\[0\] is NaN", id="scope-budget",
+        ),
+        pytest.param(
+            lambda n1: parse_network(N1_TEXT.replace("E 2 3 2 0", "E 2 3 nan 0")),
+            ParseError, "line 6: bad number 'nan'", id="edge-line",
+        ),
+        pytest.param(
+            lambda n1: parse_network(N1_TEXT.replace("0:5", "0:nan")),
+            ParseError, "line 3: bad number 'nan'", id="scope-line",
+        ),
+    ],
+)
+def test_nan_weight_or_budget_rejected(n1, call, error, message):
+    with pytest.raises(error, match=message):
+        call(n1)
