@@ -45,9 +45,7 @@ class BenchConfig:
     query_count: int = 500
     closure_count: int = 50
     seed: int = 1
-    algorithms: tuple[str, ...] = ("static", "simple", "enhanced")
     measure_time: bool = True
-    candidate_factor: int = 2
 
 
 @dataclass
@@ -68,7 +66,6 @@ class QueryRecord:
     ms_simple: float | None = None
     ms_enhanced: float | None = None
     validator_ok: bool = True
-    findings: list[str] = field(default_factory=list)
 
     def csv_row(self) -> str:
         def ms(x: float | None) -> str:
@@ -88,16 +85,9 @@ class BenchReport:
     records: list[QueryRecord]
     findings: list[str] = field(default_factory=list)
 
-    def csv_body(self, include_timing: bool | None = None) -> str:
-        include = self.config.measure_time if include_timing is None else include_timing
-        lines = [CSV_HEADER]
-        for r in self.records:
-            row = r.csv_row()
-            if not include:
-                head, _, _ = row.rsplit(",", 2)
-                row = head + ",,"
-            lines.append(row)
-        return "\n".join(lines) + "\n"
+    def csv_body(self) -> str:
+        """The CSV; the ``ms`` columns are blank when timing is off."""
+        return "\n".join([CSV_HEADER] + [r.csv_row() for r in self.records]) + "\n"
 
     def summary(self) -> str:
         done = [r for r in self.records if r.static_w < INF]
@@ -190,7 +180,7 @@ def _sample_queries(
     wanted = config.query_count
     candidates: list[tuple[int, int, float]] = []
     attempts = 0
-    while len(candidates) < config.candidate_factor * wanted and attempts < 20 * wanted + 100:
+    while len(candidates) < 2 * wanted and attempts < 20 * wanted + 100:
         attempts += 1
         s, t = rng.randrange(n), rng.randrange(n)
         if s == t:
@@ -217,7 +207,6 @@ def run_benchmark(network: RoadNetwork, scope: ScopeMapping, config: BenchConfig
         try:
             _run_query(network, scope, config, idx, record)
         except Exception as exc:  # pragma: no cover - defensive batch boundary
-            record.findings.append(f"query failed: {exc}")
             report.findings.append(f"query {idx}: {exc}")
     for r in report.records:
         if (
@@ -255,28 +244,26 @@ def _run_query(
     record.static_wstar = static.walk.cost(closed_net, "updated")
     record.scanned_static = static.scanned_count
     checks = []
-    if "simple" in config.algorithms:
-        t0 = time.perf_counter()
-        simple = simple_detour_route(closed_net, scope, record.src, record.dst)
-        if config.measure_time:
-            record.ms_simple = (time.perf_counter() - t0) * 1000.0
-        record.simple_wstar = simple.cost_updated
-        record.scanned_simple = simple.scanned_detour_vertices or simple.scanned_static
-        record.permits = simple.permits_issued
-        if simple.walk is not None and simple.klass != "static":
-            checks.append((simple.walk, False))
-    if "enhanced" in config.algorithms:
-        enhanced_net = network.with_updated_weights(updates)
-        t0 = time.perf_counter()
-        enhanced = enhanced_detour_route(enhanced_net, scope, record.src, record.dst)
-        if config.measure_time:
-            record.ms_enhanced = (time.perf_counter() - t0) * 1000.0
-        record.enhanced_wstar = enhanced.cost_updated
-        record.scanned_enhanced = enhanced.scanned_detour_vertices or enhanced.scanned_static
-        record.qc_edges = enhanced.qc_added
-        record.qc_iters = enhanced.qc_iterations
-        if enhanced.walk is not None and enhanced.klass != "static":
-            checks.append((enhanced.walk, True))
+    t0 = time.perf_counter()
+    simple = simple_detour_route(closed_net, scope, record.src, record.dst)
+    if config.measure_time:
+        record.ms_simple = (time.perf_counter() - t0) * 1000.0
+    record.simple_wstar = simple.cost_updated
+    record.scanned_simple = simple.scanned_detour_vertices or simple.scanned_static
+    record.permits = simple.permits_issued
+    if simple.walk is not None and simple.klass != "static":
+        checks.append((simple.walk, False))
+    enhanced_net = network.with_updated_weights(updates)
+    t0 = time.perf_counter()
+    enhanced = enhanced_detour_route(enhanced_net, scope, record.src, record.dst)
+    if config.measure_time:
+        record.ms_enhanced = (time.perf_counter() - t0) * 1000.0
+    record.enhanced_wstar = enhanced.cost_updated
+    record.scanned_enhanced = enhanced.scanned_detour_vertices or enhanced.scanned_static
+    record.qc_edges = enhanced.qc_added
+    record.qc_iters = enhanced.qc_iterations
+    if enhanced.walk is not None and enhanced.klass != "static":
+        checks.append((enhanced.walk, True))
     if checks:
         fresh = network.with_updated_weights(updates)
         for walk, quasi in checks:

@@ -108,22 +108,15 @@ class ObstructionRecord:
     omega: tuple[float, ...] | None = None
 
 
-def _state_level(state: tuple[float, ...], scope: ScopeMapping) -> int:
-    for lv in range(scope.level_count):
-        if state[lv] <= scope.nu[lv]:
-            return lv
-    return scope.top
-
-
 def _vec_sub(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
     return tuple([x - y if x > y else 0.0 for x, y in zip(a, b)])
 
 
 def _segment_level(tail: tuple[float, ...], head: tuple[float, ...], nu, top: int) -> int:
-    """``_state_level`` of ``_vec_sub(tail, head)`` without building the vector.
+    """Lowest level whose budget the draw ``_vec_sub(tail, head)`` is within.
 
-    Budgets are non-negative, so clipping a component at zero never changes
-    whether it is within budget.
+    Computed without building the vector: budgets are non-negative, so
+    clipping a component at zero never changes whether it is within budget.
     """
     for lv in range(top):
         if tail[lv] - head[lv] <= nu[lv]:
@@ -257,14 +250,31 @@ def find_obstructed(
     the blocking spot.
     """
     active = _active_set(network, closures)
+    fwd, bwd, _ = _record_runs(network, scope, active, source, target)
+    return _records_from_runs(network, scope, active, fwd, bwd)
+
+
+def _record_runs(
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    active: frozenset[int],
+    source: int,
+    target: int,
+) -> tuple[ScopeSearchResult, ScopeSearchResult, bool]:
+    """The two drained record searches, and whether they ran on the base weights.
+
+    Closed edges keep their base weight, every other edge its updated one.
+    With hard closures only that weighting is the base weighting, and the
+    runs' split minimum is the static optimum.
+    """
     scope.validate(network)
-    w2 = [
-        network.weight[e] if e in active else network.weight_updated[e]
-        for e in range(network.edge_count)
-    ]
+    base = network.weight
+    w2 = list(network.weight_updated)
+    for e in active:
+        w2[e] = base[e]
     fwd = s_dijkstra(network, scope, source, w2)
     bwd = s_dijkstra(network.reverse(), scope, target, w2)
-    return _records_from_runs(network, scope, active, fwd, bwd)
+    return fwd, bwd, all(map(eq, w2, base))
 
 
 def _records_from_runs(
@@ -287,14 +297,14 @@ def _records_from_runs(
     _tree_records(network, scope, fwd, active, "s", bwd_reached, chosen, finite_only)
     # Reverse tree: closures ahead obstruct for the target.
     _tree_records(network, scope, bwd, active, "t", fwd_reached, chosen, finite_only)
+    # Budgets are non-negative, so the zero state is within level 0.
     zero = zero_vector(scope)
-    zero_level = _state_level(zero, scope)
     for e in sorted(active):
         x, y = network.tails[e], network.heads[e]
         if bwd_reached[y]:
-            _offer(chosen, (x, "t", zero_level), False, zero, e, None)
+            _offer(chosen, (x, "t", 0), False, zero, e, None)
         if fwd_reached[x]:
-            _offer(chosen, (y, "s", zero_level), False, zero, e, None)
+            _offer(chosen, (y, "s", 0), False, zero, e, None)
     records = []
     for key in sorted(chosen):
         vertex, side, level = key
@@ -321,14 +331,9 @@ class DetourContext:
     clean_ent_mask: list[int]
     viable_s_mask: list[int]
     viable_t_mask: list[int]
-    gate_fwd: ScopeSearchResult
-    gate_bwd: ScopeSearchResult
-    rec_fwd: ScopeSearchResult
-    rec_bwd: ScopeSearchResult
     closed_flag: list[bool]
     out_pack: list[tuple[tuple[int, int, int], ...]]
     in_pack: list[tuple[tuple[int, int, int], ...]]
-    pure_hard: bool
 
 
 def build_detour_context(
@@ -339,24 +344,28 @@ def build_detour_context(
     target: int,
 ) -> DetourContext:
     active = _active_set(network, closures)
-    scope.validate(network)
+    rec_fwd, rec_bwd, _ = _record_runs(network, scope, active, source, target)
+    return _context_from_runs(network, scope, active, rec_fwd, rec_bwd)
+
+
+def _context_from_runs(
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    active: frozenset[int],
+    rec_fwd: ScopeSearchResult,
+    rec_bwd: ScopeSearchResult,
+) -> DetourContext:
+    """Everything past the record runs: records, gate runs, usable flags, masks."""
     n = network.vertex_count
     m = network.edge_count
     top = scope.top
-    wstar = network.weight_updated
-    base = network.weight
+    source, target = rec_fwd.source, rec_bwd.source
     closed_flag = [False] * m
+    wg = list(network.weight_updated)
     for e in active:
         closed_flag[e] = True
-    w2 = list(wstar)
-    wg = list(wstar)
-    for e in active:
-        w2[e] = base[e]
         wg[e] = INF
-    pure_hard = all(map(eq, w2, base))
     rev = network.reverse()
-    rec_fwd = s_dijkstra(network, scope, source, w2)
-    rec_bwd = s_dijkstra(rev, scope, target, w2)
     records = _records_from_runs(
         network, scope, active, rec_fwd, rec_bwd, finite_only=True
     )
@@ -398,14 +407,9 @@ def build_detour_context(
         clean_ent_mask,
         viable_s_mask,
         viable_t_mask,
-        gate_fwd,
-        gate_bwd,
-        rec_fwd,
-        rec_bwd,
         closed_flag,
         out_pack,
         in_pack,
-        pure_hard,
     )
 
 
@@ -567,7 +571,6 @@ class _StateSearch:
     (and expanded) there, as ``(carried, owed, cost, permits, key)`` tuples.
     """
 
-    bits: int
     cost: dict[int, float]
     parent: dict[int, tuple[int | None, int | None, str]]
     permits: dict[int, int]
@@ -638,9 +641,7 @@ def _state_search_halves(
         start_live = ctx.rec_t_mask[start] if forward else ctx.rec_s_mask[start]
         start_key = (start << vshift) | (start_live << bits)
         potential = to_target if forward else from_source
-        search = _StateSearch(
-            bits, {start_key: 0.0}, {start_key: (None, None, "start")}, {start_key: 0}
-        )
+        search = _StateSearch({start_key: 0.0}, {start_key: (None, None, "start")}, {start_key: 0})
         searches.append(search)
         heaps.append(
             [(potential[start], 0, start, start_live, 0, 0.0)] if potential[start] < INF else []
@@ -744,57 +745,18 @@ def _state_search_halves(
     return searches[0], searches[1], meeting
 
 
-@dataclass
-class DetourSearchOutcome:
-    walk: Walk | None
-    cost: float
-    permit_edges: tuple[int, ...]
-    scanned: int
-    scanned_vertices: int
-    permits_issued: int
-
-
-def _detour_state_search(ctx: DetourContext) -> DetourSearchOutcome:
-    """Cheapest walk through a compatible pair of forward and reverse states.
-
-    A forward state's owed permits must be covered by the reverse state's
-    carried mask at the meeting vertex and vice versa, which is exactly the
-    cross-split witness condition of the acceptance relation. The pair comes
-    from the join inside ``_state_search_halves``; the walk is stitched from
-    both halves' parent chains.
-    """
-    fwd, bwd, meeting = _state_search_halves(ctx)
-    scanned = fwd.scanned + bwd.scanned
-    scanned_vertices = len(fwd.settled) + len(bwd.settled)
-    issued = fwd.licensed_relaxations + bwd.licensed_relaxations
-    if meeting is None:
-        return DetourSearchOutcome(None, INF, (), scanned, scanned_vertices, issued)
-    rank, key_f, key_b = meeting
+def _unwind(parent: dict, key: int) -> tuple[list[int], list[int]]:
+    """Edges and permit edges of a state's parent chain, from the state back."""
     edges: list[int] = []
     permit_edges: list[int] = []
-    state = key_f
     while True:
-        prev, e, tag = fwd.parent[state]
+        prev, e, tag = parent[key]
         if prev is None:
-            break
+            return edges, permit_edges
         edges.append(e)
         if tag != "plain":
             permit_edges.append(e)
-        state = prev
-    edges.reverse()
-    state = key_b
-    while True:
-        prev, e, tag = bwd.parent[state]
-        if prev is None:
-            break
-        edges.append(e)
-        if tag != "plain":
-            permit_edges.append(e)
-        state = prev
-    walk = Walk(ctx.source, tuple(edges))
-    return DetourSearchOutcome(
-        walk, rank[0], tuple(sorted(set(permit_edges))), scanned, scanned_vertices, issued
-    )
+        key = prev
 
 
 @dataclass
@@ -814,7 +776,6 @@ class DetourResult:
     permits_issued: int = 0
     qc_iterations: int = 0
     qc_added: int = 0
-    context: DetourContext | None = None
 
     @property
     def reachable(self) -> bool:
@@ -831,15 +792,14 @@ def _route(
     qc_iterations: int = 0,
     qc_added: int = 0,
 ) -> DetourResult:
-    res = DetourResult(None, INF, "unreachable")
-    res.qc_iterations = qc_iterations
-    res.qc_added = qc_added
-    ctx = build_detour_context(network, scope, active, source, target)
-    res.context = ctx
+    """The detour steps in order: record runs, static result and early exit,
+    then the rest of the context and the permit-state search."""
+    res = DetourResult(None, INF, "unreachable", qc_iterations=qc_iterations, qc_added=qc_added)
+    rec_fwd, rec_bwd, pure_hard = _record_runs(network, scope, active, source, target)
     # With hard closures only, the record runs use the base weights, so
     # their split minimum is the static optimum.
-    if ctx.pure_hard:
-        static = _split_minimum(ctx.rec_fwd, ctx.rec_bwd)
+    if pure_hard:
+        static = _split_minimum(rec_fwd, rec_bwd)
     else:
         static = bidirectional_s_dijkstra(network, scope, source, target, "base")
     res.scanned_static = static.scanned_count
@@ -852,15 +812,22 @@ def _route(
             res.cost_updated = res.static_cost_updated
             res.klass = "static"
             return res
-    outcome = _detour_state_search(ctx)
-    res.scanned_detour = outcome.scanned
-    res.scanned_detour_vertices = outcome.scanned_vertices
-    res.permits_issued = outcome.permits_issued
-    if outcome.walk is not None and outcome.cost < res.static_cost_updated:
-        res.walk = outcome.walk
-        res.cost_updated = outcome.cost
+    ctx = _context_from_runs(network, scope, active, rec_fwd, rec_bwd)
+    fwd, bwd, meeting = _state_search_halves(ctx)
+    res.scanned_detour = fwd.scanned + bwd.scanned
+    res.scanned_detour_vertices = len(fwd.settled) + len(bwd.settled)
+    res.permits_issued = fwd.licensed_relaxations + bwd.licensed_relaxations
+    if meeting is not None and meeting[0][0] < res.static_cost_updated:
+        # The walk runs along the forward half's parent chain to the
+        # meeting vertex, then back along the reverse half's chain.
+        rank, key_f, key_b = meeting
+        prefix, prefix_permits = _unwind(fwd.parent, key_f)
+        suffix, suffix_permits = _unwind(bwd.parent, key_b)
+        prefix.reverse()
+        res.walk = Walk(source, tuple(prefix + suffix))
+        res.cost_updated = rank[0]
         res.klass = detour_class
-        res.permit_edges = outcome.permit_edges
+        res.permit_edges = tuple(sorted(set(prefix_permits + suffix_permits)))
     elif res.static_walk is not None and res.static_cost_updated < INF:
         res.walk = res.static_walk
         res.cost_updated = res.static_cost_updated

@@ -183,8 +183,6 @@ def validate_full_detour(
     vertices = walk.vertices(network)
     if k == 0:
         return FullVerdict(True, Decomposition((0,), (0,), (), (zero_vector(scope),), (zero_vector(scope),)))
-    nu = scope.nu
-    top = scope.top
 
     try:
         fwd_engine = _ProbeEngine(network, scope, active, target, hop_bound, budget)
@@ -272,9 +270,6 @@ def _try_decomposition(
 ) -> Decomposition | None:
     if len(set(fwd_anchors) & set(rev_anchors)) > 0:
         return None
-    k = len(walk.edges)
-    nu = scope.nu
-    top = scope.top
     slots = _breakpoint_slots(fwd_anchors, rev_anchors)
     choices: list[tuple[int, ...]] = [()]
     for lo, hi in slots:
@@ -353,7 +348,6 @@ def _edges_justified(
 ) -> bool:
     nu = scope.nu
     top = scope.top
-    k = len(walk.edges)
     blocked_f = set(breakpoints) | set(rev_anchors[1:])
     blocked_r = set(breakpoints) | set(fwd_anchors[1:])
     for m, e in enumerate(walk.edges):

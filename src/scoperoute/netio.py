@@ -77,7 +77,7 @@ def parse_network(text: str) -> NetworkFile:
         parts = line.split()
         tag = parts[0]
         if tag == "V":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError(line_no, "expected: V <vertex_count>")
             vertex_count = int(parts[1])
         elif tag == "L":
@@ -114,9 +114,14 @@ def parse_network(text: str) -> NetworkFile:
             edge_labels.append(parts[4])
             categories.append(parts[5] if len(parts) == 6 else None)
         elif tag == "C":
-            if len(parts) != 4:
+            if vertex_count is None:
+                raise ParseError(line_no, "C line before V line")
+            if len(parts) != 4 or not parts[1].isdecimal():
                 raise ParseError(line_no, "expected: C <vertex> <lon> <lat>")
-            coordinates[int(parts[1])] = (
+            vertex = int(parts[1])
+            if vertex >= vertex_count:
+                raise ParseError(line_no, f"vertex out of range: {vertex}")
+            coordinates[vertex] = (
                 _parse_number(parts[2], line_no),
                 _parse_number(parts[3], line_no),
             )

@@ -35,7 +35,6 @@ class RoadNetwork:
     weight_updated: tuple[float, ...]
     _out: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
     _in: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
-    _rev: "RoadNetwork | None" = field(repr=False, compare=False, default=None)
     # Structural scratch cache (adjacency packs etc.); shared between weight
     # variants of the same graph, so entries must not depend on weights.
     _aux: dict = field(repr=False, compare=False, default_factory=dict)
@@ -63,16 +62,14 @@ class RoadNetwork:
     def reverse(self) -> "RoadNetwork":
         """Edge-for-edge reversal; ids and weights are preserved.
 
-        The twin is cached on both networks; they are immutable, so every
-        search needing the reversed graph shares one copy.
+        The reversal shares every tuple of this network, and all reversals of
+        weight variants of one graph share one structural cache, so building
+        it is O(1). It is not kept: a network and its twin referring to each
+        other would leave every dropped copy to the cyclic collector.
         """
-        if self._rev is not None:
-            return self._rev
-        # Reversal swaps the roles of the existing structure; all reversals
-        # of weight variants of one graph share one structural cache.
         rev_aux = self._aux.setdefault("revaux", {})
         rev_aux.setdefault("revaux", self._aux)
-        rev = RoadNetwork(
+        return RoadNetwork(
             self.vertex_count,
             self.heads,
             self.tails,
@@ -80,11 +77,8 @@ class RoadNetwork:
             self.weight_updated,
             self._in,
             self._out,
-            self,
             rev_aux,
         )
-        object.__setattr__(self, "_rev", rev)
-        return rev
 
     def with_updated_weights(self, updates: dict[int, float]) -> "RoadNetwork":
         """Copy of the network with ``w*`` raised on the given edges.
@@ -111,9 +105,8 @@ class RoadNetwork:
             tuple(wstar),
             self._out,
             self._in,
-            None,
             self._aux,
-        )  # fresh reverse; weights changed
+        )
 
 
 def build_network(
@@ -276,14 +269,6 @@ class Walk:
     def end(self, network: RoadNetwork) -> int:
         return network.heads[self.edges[-1]] if self.edges else self.start
 
-    def is_valid(self, network: RoadNetwork) -> bool:
-        at = self.start
-        for e in self.edges:
-            if e < 0 or e >= network.edge_count or network.tails[e] != at:
-                return False
-            at = network.heads[e]
-        return True
-
     def cost(self, network: RoadNetwork, which: str = "base") -> float:
         w = network.weights(which)
         return sum(w[e] for e in self.edges)
@@ -431,7 +416,9 @@ def balance_to_proper(network: RoadNetwork, scope: ScopeMapping) -> ScopeMapping
     if scope.top not in set(level):
         # The unbounded level must be inhabited; promote one shortest cycle.
         seed = min(range(network.edge_count))
-        cycle = _shortest_edge_path(network, network.heads[seed], network.tails[seed])
+        cycle = _shortest_edge_path_between(
+            network, [network.heads[seed]], [network.tails[seed]]
+        ) or []
         for e in [seed] + cycle:
             level[e] = scope.top
     for lv in range(scope.top, 0, -1):
@@ -486,35 +473,6 @@ def _scc_groups(network: RoadNetwork, edge_ids) -> list[list[int]]:
     for i, c in enumerate(comp):
         groups.setdefault(c, []).append(verts[i])
     return list(groups.values())
-
-
-def _shortest_edge_path(network: RoadNetwork, source: int, target: int) -> list[int]:
-    """Fewest-hop edge path source -> target; ties broken by edge id."""
-    if source == target:
-        return []
-    prev: dict[int, int] = {}
-    seen = {source}
-    frontier = [source]
-    while frontier and target not in seen:
-        nxt = []
-        for v in frontier:
-            for e in sorted(network.out_edges(v)):
-                u = network.heads[e]
-                if u not in seen:
-                    seen.add(u)
-                    prev[u] = e
-                    nxt.append(u)
-        frontier = nxt
-    if target not in seen:
-        return []
-    path = []
-    at = target
-    while at != source:
-        e = prev[at]
-        path.append(e)
-        at = network.tails[e]
-    path.reverse()
-    return path
 
 
 def _shortest_edge_path_between(network: RoadNetwork, group_a, group_b):

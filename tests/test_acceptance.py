@@ -113,7 +113,7 @@ class TestCriterion3SimpleDetourOptimality:
                 chosen.update(rng.sample(extra, min(len(extra), rng.randint(0, 2))))
             closed = net.with_updated_weights({e: INF for e in chosen})
             res = simple_detour_route(closed, scope, s, t)
-            ctx = res.context or build_detour_context(closed, scope, None, s, t)
+            ctx = build_detour_context(closed, scope, None, s, t)
             brute = _brute_min_detour(
                 closed, scope, frozenset(chosen), s, t, closed.vertex_count + 4, ctx
             )

@@ -1,6 +1,11 @@
+import gc
 import math
 import random
+import weakref
 
+import pytest
+
+import scoperoute.detour
 from scoperoute import (
     Walk,
     bidirectional_s_dijkstra,
@@ -184,9 +189,7 @@ class TestValidator:
             res = simple_detour_route(closed, scope, s, t)
             if res.walk is not None and res.klass == "simple-detour":
                 assert not set(res.walk.edges) & closed_edges
-                assert validate_simple_detour(
-                    res.walk, closed, scope, None, s, t, res.context
-                )
+                assert validate_simple_detour(res.walk, closed, scope, None, s, t)
 
 
 class TestQcClosure:
@@ -310,9 +313,8 @@ class TestEnhancedDetour:
         assert enhanced.qc_iterations == 2
         assert enhanced.qc_added == 2
         assert set(enhanced.permit_edges) == {4, 5}
-        assert validate_simple_detour(
-            enhanced.walk, net, scope, enhanced.context.active, 0, 4, enhanced.context
-        )
+        qc = qc_closure(net, scope, None, 0, 4)
+        assert validate_simple_detour(enhanced.walk, net, scope, qc, 0, 4)
 
     def test_results_never_cross_active_closures(self):
         rng = random.Random(17)
@@ -325,10 +327,9 @@ class TestEnhancedDetour:
             closed = net.with_updated_weights({e: INF for e in closed_edges})
             res = enhanced_detour_route(closed, scope, s, t)
             if res.walk is not None and res.klass == "enhanced-detour":
-                assert not set(res.walk.edges) & res.context.active
-                assert validate_simple_detour(
-                    res.walk, closed, scope, res.context.active, s, t, res.context
-                )
+                qc = qc_closure(closed, scope, None, s, t)
+                assert not set(res.walk.edges) & qc.edges
+                assert validate_simple_detour(res.walk, closed, scope, qc, s, t)
 
 
 class TestSoftIncreases:
@@ -355,3 +356,37 @@ def test_context_is_built_fresh_per_call(permit_fixture):
     assert a is not b
     assert a.records == b.records
     assert (a.s_usable, a.t_usable) == (b.s_usable, b.t_usable)
+
+
+@pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
+def test_static_exit_runs_only_the_record_searches(n1, n1_scope15, monkeypatch, route):
+    # The early exit needs the two record runs; the gate runs and the rest
+    # of the context are built only when the detour search follows.
+    calls = []
+    real = scoperoute.detour.s_dijkstra
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scoperoute.detour, "s_dijkstra", counting)
+    res = route(n1.with_updated_weights({3: INF}), n1_scope15, 0, 3)
+    assert res.klass == "static"
+    assert calls == [0, 3]
+
+
+def test_closed_copy_freed_by_reference_counting(permit_fixture):
+    # No cycle holds a closed copy (its reversal does not point back), so
+    # it goes as soon as it is dropped, without the cyclic collector.
+    net, scope = permit_fixture
+    closed = net.with_updated_weights({})
+    alive = weakref.ref(closed)
+    gc.disable()
+    try:
+        simple = simple_detour_route(closed, scope, 0, 3)
+        enhanced = enhanced_detour_route(closed, scope, 0, 3)
+        del closed
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert (simple.klass, enhanced.klass) == ("simple-detour", "enhanced-detour")

@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scoperoute import (
     NetworkError,
+    NetworkFile,
     ParseError,
     Walk,
     assign_scope_from_categories,
@@ -59,12 +62,70 @@ class TestParseNetwork:
         with pytest.raises(ParseError):
             parse_network("V 2\nL 0:5 inf:inf\nE 0 1 1 3\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "V 2\nL 0:5 inf:inf\nE 0 1 1 0\nC 7 0 0\n",
+                "line 4: vertex out of range: 7", id="out-of-range",
+            ),
+            pytest.param(
+                "C 0 0 0\nV 2\nL 0:5 inf:inf\nE 0 1 1 0\n",
+                "line 1: C line before V line", id="before-v",
+            ),
+            pytest.param(
+                "V 2\nL 0:5 inf:inf\nC -1 0 0\n", "line 3: expected: C", id="negative",
+            ),
+            pytest.param(
+                "V 2\nL 0:5 inf:inf\nC x 0 0\n", "line 3: expected: C", id="not-a-vertex",
+            ),
+            pytest.param(
+                "V 2\nL 0:5 inf:inf\nC \u00b2 0 0\n", "line 3: expected: C", id="superscript",
+            ),
+            pytest.param("V \u00b2\nL 0:5 inf:inf\n", "line 1: expected: V", id="v-superscript"),
+        ],
+    )
+    def test_bad_vertex_number_rejected(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_network(text)
+
     def test_coordinates_and_categories(self):
         text = "V 2\nL 0:5 inf:inf\nE 0 1 1 inf motorway\nC 0 1.5 2.5\nC 1 2 3\n"
         nf = parse_network(text)
         assert nf.categories == ["motorway"]
         assert nf.coordinates[0] == (1.5, 2.5)
         assert "motorway" in dump_network(nf)
+
+
+_finite = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def network_files(draw):
+    n = draw(st.integers(1, 6))
+    nu = sorted(draw(st.lists(st.floats(0, 1e6), min_size=1, max_size=3, unique=True)))
+    nu.append(INF)
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    m = len(edges)
+    weights = draw(st.lists(st.floats(0, 1e6), min_size=m, max_size=m))
+    levels = draw(st.lists(st.integers(0, len(nu) - 1), min_size=m, max_size=m))
+    categories = draw(
+        st.lists(st.none() | st.text("abxyz_", min_size=1, max_size=6), min_size=m, max_size=m)
+    )
+    coordinates = draw(st.dictionaries(st.integers(0, n - 1), st.tuples(_finite, _finite)))
+    return NetworkFile(
+        build_network(n, edges, weights), make_scope(levels, nu), categories, coordinates
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(network_files())
+def test_dump_parse_roundtrip_property(nf):
+    again = parse_network(dump_network(nf))
+    assert again.network == nf.network
+    assert again.scope == nf.scope
+    assert again.categories == nf.categories
+    assert again.coordinates == nf.coordinates
 
 
 class TestCategories:
