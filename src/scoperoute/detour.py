@@ -48,8 +48,8 @@ from .search import (
     _edge_pack,
     _split_exists,
     _split_minimum,
-    bidirectional_s_dijkstra,
     dijkstra,
+    is_saturated,
     s_dijkstra,
 )
 
@@ -205,7 +205,6 @@ def _tree_records(
             if outer >= 0:
                 meets[outer] = True
     amended_side = "t" if side == "s" else "s"
-    finite = scope.finite_levels()
     saturated: dict[int, bool] = {}
     for v in sorted(crossings):
         if not meets[v]:
@@ -217,9 +216,7 @@ def _tree_records(
         while True:
             sat = saturated.get(at)
             if sat is None:
-                sigma_at = run.sigma[at]
-                sat = all(sigma_at[lv] > nu[lv] for lv in finite)
-                saturated[at] = sat
+                sat = saturated[at] = is_saturated(run.sigma[at], scope)
             if not sat:
                 lv = _segment_level(tp, tree[at], nu, top)
                 if not (finite_only and lv >= top):
@@ -250,31 +247,28 @@ def find_obstructed(
     the blocking spot.
     """
     active = _active_set(network, closures)
-    fwd, bwd, _ = _record_runs(network, scope, active, source, target)
+    fwd, bwd = _drained_runs(network, scope, source, target, _record_weights(network, active))
     return _records_from_runs(network, scope, active, fwd, bwd)
 
 
-def _record_runs(
-    network: RoadNetwork,
-    scope: ScopeMapping,
-    active: frozenset[int],
-    source: int,
-    target: int,
-) -> tuple[ScopeSearchResult, ScopeSearchResult, bool]:
-    """The two drained record searches, and whether they ran on the base weights.
-
-    Closed edges keep their base weight, every other edge its updated one.
-    With hard closures only that weighting is the base weighting, and the
-    runs' split minimum is the static optimum.
-    """
+def _drained_runs(
+    network: RoadNetwork, scope: ScopeMapping, source: int, target: int, weights
+) -> tuple[ScopeSearchResult, ScopeSearchResult]:
+    """Drained scope-aware runs from ``source`` and, reversed, from ``target``."""
     scope.validate(network)
-    base = network.weight
-    w2 = list(network.weight_updated)
+    fwd = s_dijkstra(network, scope, source, weights)
+    bwd = s_dijkstra(network.reverse(), scope, target, weights)
+    return fwd, bwd
+
+
+def _record_weights(network: RoadNetwork, active: frozenset[int]) -> list[float]:
+    """The record searches' weighting: closed edges at their base weight,
+    every other edge at its updated one (the base weighting when every
+    closure is hard)."""
+    weights = list(network.weight_updated)
     for e in active:
-        w2[e] = base[e]
-    fwd = s_dijkstra(network, scope, source, w2)
-    bwd = s_dijkstra(network.reverse(), scope, target, w2)
-    return fwd, bwd, all(map(eq, w2, base))
+        weights[e] = network.weight[e]
+    return weights
 
 
 def _records_from_runs(
@@ -313,9 +307,67 @@ def _records_from_runs(
     return records
 
 
+@dataclass(frozen=True)
+class _Direction:
+    """What one search direction reads, in that direction's network.
+
+    Forwards: the network from the start, permits granted by ``"t"``
+    records; backwards: the reversed network from the target, ``"s"``
+    records. Per vertex, ``pack`` lists the edges to relax, ``grant`` the
+    levels of the records there and ``clean`` the levels at which it is
+    corridor-clean; ``usable`` flags the edges usable from the endpoint.
+    ``viable`` gives the levels at which a clean corridor along this
+    direction's edges leads to a granting record: the other direction's
+    debts read it.
+    """
+
+    pack: list[tuple[tuple[int, int, int], ...]]
+    usable: list[bool]
+    grant: list[int]
+    clean: list[int]
+    viable: list[int]
+
+
+def _direction(
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    endpoint: int,
+    side: str,
+    records: list[ObstructionRecord],
+    weights: list[float],
+    closed_flag: list[bool],
+    active: frozenset[int],
+) -> _Direction:
+    """One direction's tables; ``network`` is reversed for the backward one.
+
+    An open edge is usable when the gate label at its near end, from a run
+    from ``endpoint`` on the open weighting ``weights``, passes the budget
+    at the edge's level.
+    """
+    grant = [0] * network.vertex_count
+    for r in records:
+        if r.side == side and r.level < scope.top:
+            grant[r.vertex] |= 1 << r.level
+    pack = _edge_pack(network, scope)
+    clean = _clean_masks(network, scope, closed_flag, active)
+    gate = s_dijkstra(network, scope, endpoint, weights, track_tree=False)
+    return _Direction(
+        pack,
+        _gate_passes(gate, network.tails, scope, weights),
+        grant,
+        clean,
+        _debt_viability(pack, closed_flag, grant, clean),
+    )
+
+
 @dataclass
 class DetourContext:
-    """Shared precomputation for one (network, closures, s, t) query."""
+    """Shared precomputation for one (network, closures, s, t) query.
+
+    ``weights`` is the open weighting: updated weights, closed edges at
+    infinity. ``closed_flag`` marks the treated-as-closed edges, which a
+    caller's explicit closure set can make differ from the infinite ones.
+    """
 
     network: RoadNetwork
     scope: ScopeMapping
@@ -323,17 +375,10 @@ class DetourContext:
     source: int
     target: int
     records: list[ObstructionRecord]
-    s_usable: list[bool]
-    t_usable: list[bool]
-    rec_t_mask: list[int]
-    rec_s_mask: list[int]
-    clean_dep_mask: list[int]
-    clean_ent_mask: list[int]
-    viable_s_mask: list[int]
-    viable_t_mask: list[int]
+    weights: list[float]
     closed_flag: list[bool]
-    out_pack: list[tuple[tuple[int, int, int], ...]]
-    in_pack: list[tuple[tuple[int, int, int], ...]]
+    forward: _Direction
+    backward: _Direction
 
 
 def build_detour_context(
@@ -344,8 +389,8 @@ def build_detour_context(
     target: int,
 ) -> DetourContext:
     active = _active_set(network, closures)
-    rec_fwd, rec_bwd, _ = _record_runs(network, scope, active, source, target)
-    return _context_from_runs(network, scope, active, rec_fwd, rec_bwd)
+    runs = _drained_runs(network, scope, source, target, _record_weights(network, active))
+    return _context_from_runs(network, scope, active, *runs)
 
 
 def _context_from_runs(
@@ -355,61 +400,19 @@ def _context_from_runs(
     rec_fwd: ScopeSearchResult,
     rec_bwd: ScopeSearchResult,
 ) -> DetourContext:
-    """Everything past the record runs: records, gate runs, usable flags, masks."""
-    n = network.vertex_count
-    m = network.edge_count
-    top = scope.top
+    """Everything past the record runs: records, then both directions' tables."""
     source, target = rec_fwd.source, rec_bwd.source
-    closed_flag = [False] * m
-    wg = list(network.weight_updated)
+    closed_flag = [False] * network.edge_count
+    weights = list(network.weight_updated)
     for e in active:
         closed_flag[e] = True
-        wg[e] = INF
-    rev = network.reverse()
-    records = _records_from_runs(
-        network, scope, active, rec_fwd, rec_bwd, finite_only=True
-    )
-    gate_fwd = s_dijkstra(network, scope, source, wg, track_tree=False)
-    gate_bwd = s_dijkstra(rev, scope, target, wg, track_tree=False)
-    out_pack = _edge_pack(network, scope)
-    in_pack = _edge_pack(rev, scope)
-    # An open edge is usable from the start when its tail's gate label
-    # passes the budget at the edge's level; towards the target, its head's.
-    s_usable = _gate_passes(gate_fwd, network.tails, scope, wg)
-    t_usable = _gate_passes(gate_bwd, network.heads, scope, wg)
-
-    rec_t_mask = [0] * n
-    rec_s_mask = [0] * n
-    for r in records:
-        if r.level >= top:
-            continue
-        if r.side == "t":
-            rec_t_mask[r.vertex] |= 1 << r.level
-        else:
-            rec_s_mask[r.vertex] |= 1 << r.level
-
-    clean_dep_mask = _clean_masks(network, scope, closed_flag, active)
-    clean_ent_mask = _clean_masks(rev, scope, closed_flag, active)
-    viable_s_mask = _debt_viability(in_pack, closed_flag, rec_s_mask, clean_ent_mask)
-    viable_t_mask = _debt_viability(out_pack, closed_flag, rec_t_mask, clean_dep_mask)
+        weights[e] = INF
+    records = _records_from_runs(network, scope, active, rec_fwd, rec_bwd, finite_only=True)
+    shared = (records, weights, closed_flag, active)
     return DetourContext(
-        network,
-        scope,
-        active,
-        source,
-        target,
-        records,
-        s_usable,
-        t_usable,
-        rec_t_mask,
-        rec_s_mask,
-        clean_dep_mask,
-        clean_ent_mask,
-        viable_s_mask,
-        viable_t_mask,
-        closed_flag,
-        out_pack,
-        in_pack,
+        network, scope, active, source, target, records, weights, closed_flag,
+        _direction(network, scope, source, "t", *shared),
+        _direction(network.reverse(), scope, target, "s", *shared),
     )
 
 
@@ -500,28 +503,19 @@ def _debt_viability(
     return viable
 
 
-def _walk_permit_masks(ctx: DetourContext, vertices: list[int]) -> tuple[list[int], list[int]]:
-    """Carried-permit masks along a concrete walk, both directions.
+def _carried_masks(direction: _Direction, vertices) -> list[int]:
+    """Carried-permit masks at the vertices of a walk, in the direction's order.
 
-    ``live_t[p]`` is the mask of levels licensed for an edge departing
-    position ``p``; ``live_s[p]`` licenses an edge arriving at position ``p``.
+    A mask holds the levels licensed for an edge leaving the vertex in that
+    order: the records there, plus what was carried in through a clean vertex.
     """
-    k = len(vertices)
-    live_t = [0] * k
-    live_s = [0] * k
-    mask = ctx.rec_t_mask[vertices[0]]
-    live_t[0] = mask
-    for p in range(1, k):
-        v = vertices[p]
-        mask = ctx.rec_t_mask[v] | (mask & ctx.clean_dep_mask[v])
-        live_t[p] = mask
-    mask = ctx.rec_s_mask[vertices[k - 1]]
-    live_s[k - 1] = mask
-    for p in range(k - 2, -1, -1):
-        v = vertices[p]
-        mask = ctx.rec_s_mask[v] | (mask & ctx.clean_ent_mask[v])
-        live_s[p] = mask
-    return live_t, live_s
+    grant, clean = direction.grant, direction.clean
+    masks = []
+    mask = 0
+    for v in vertices:
+        mask = grant[v] | (mask & clean[v])
+        masks.append(mask)
+    return masks
 
 
 def validate_simple_detour(
@@ -546,7 +540,11 @@ def validate_simple_detour(
     ctx = context or build_detour_context(network, scope, closures, source, target)
     if any(e in ctx.active for e in walk.edges):
         return False
-    live_t, live_s = _walk_permit_masks(ctx, walk.vertices(network))
+    vertices = walk.vertices(network)
+    # live_t[p] licenses the edge departing position p, live_s[p] the one
+    # arriving there.
+    live_t = _carried_masks(ctx.forward, vertices)
+    live_s = _carried_masks(ctx.backward, reversed(vertices))[::-1]
     top = ctx.scope.top
     prefix_ok = []
     suffix_ok = []
@@ -555,8 +553,8 @@ def validate_simple_detour(
         licensed = lv < top and (
             (live_t[i] >> lv) & 1 or (live_s[i + 1] >> lv) & 1
         )
-        prefix_ok.append(licensed or ctx.s_usable[e])
-        suffix_ok.append(licensed or ctx.t_usable[e])
+        prefix_ok.append(licensed or ctx.forward.usable[e])
+        suffix_ok.append(licensed or ctx.backward.usable[e])
     return _split_exists(prefix_ok, suffix_ok)
 
 
@@ -622,40 +620,25 @@ def _state_search_halves(
     key below ``best`` (the partner's cost bounds the potential), so both,
     or states dominating them, would have settled and met already.
     """
-    scope = ctx.scope
-    top = scope.top
-    wstar = ctx.network.weight_updated
+    top = ctx.scope.top
+    weights = ctx.weights
     bits = max(top, 1)
     vshift = 2 * bits
-    closed = ctx.closed_flag
-    open_weights = list(wstar)
-    for e in ctx.active:
-        open_weights[e] = INF
-    to_target = dijkstra(ctx.network.reverse(), open_weights, ctx.target).dist
-    from_source = dijkstra(ctx.network, open_weights, ctx.source).dist
+    directions = (ctx.forward, ctx.backward)
+    potentials = (
+        dijkstra(ctx.network.reverse(), weights, ctx.target).dist,
+        dijkstra(ctx.network, weights, ctx.source).dist,
+    )
     searches = []
     heaps = []
-    tabset = []
-    for forward in (True, False):
-        start = ctx.source if forward else ctx.target
-        start_live = ctx.rec_t_mask[start] if forward else ctx.rec_s_mask[start]
+    for own, start, potential in zip(directions, (ctx.source, ctx.target), potentials):
+        start_live = own.grant[start]
         start_key = (start << vshift) | (start_live << bits)
-        potential = to_target if forward else from_source
         search = _StateSearch({start_key: 0.0}, {start_key: (None, None, "start")}, {start_key: 0})
         searches.append(search)
         heaps.append(
             [(potential[start], 0, start, start_live, 0, 0.0)] if potential[start] < INF else []
         )
-        if forward:
-            tabset.append(
-                (ctx.rec_s_mask, ctx.rec_t_mask, ctx.clean_ent_mask, ctx.clean_dep_mask,
-                 ctx.viable_s_mask, ctx.out_pack, ctx.s_usable, potential)
-            )
-        else:
-            tabset.append(
-                (ctx.rec_t_mask, ctx.rec_s_mask, ctx.clean_dep_mask, ctx.clean_ent_mask,
-                 ctx.viable_t_mask, ctx.in_pack, ctx.t_usable, potential)
-            )
     best = INF
     limit = INF
     meeting: _Meeting | None = None
@@ -703,12 +686,17 @@ def _state_search_halves(
                     best = total
                     limit = best + best * _STOP_MARGIN
                     meeting = (rank, key, o_key) if side == 0 else (rank, o_key, key)
-        rec_stop, rec_carry, clean_debt, clean_carry, viable, pack, usable, potential = tabset[side]
+        # The half carries its own direction's permits; its debts are paid
+        # by the records that grant the other direction's.
+        own, other = directions[side], directions[1 - side]
+        usable, grant, clean = own.usable, own.grant, own.clean
+        debt_grant, debt_clean, debt_viable = other.grant, other.clean, other.viable
+        potential = potentials[side]
         permits = search.permits
         parent = search.parent
-        for e, u, lv in pack[v]:
-            we = wstar[e]
-            if we == INF or closed[e]:
+        for e, u, lv in own.pack[v]:
+            we = weights[e]
+            if we == INF:
                 continue
             if usable[e]:
                 new_debt = debt
@@ -725,13 +713,13 @@ def _state_search_halves(
             else:
                 continue
             if new_debt:
-                new_debt &= ~rec_stop[u]
-                if new_debt and (new_debt & ~clean_debt[u] or new_debt & ~viable[u]):
+                new_debt &= ~debt_grant[u]
+                if new_debt and (new_debt & ~debt_clean[u] or new_debt & ~debt_viable[u]):
                     continue
             hu = potential[u]
             if hu == INF:
                 continue
-            nlive = rec_carry[u] | (live & clean_carry[u])
+            nlive = grant[u] | (live & clean[u])
             nkey = (u << vshift) | (nlive << bits) | new_debt
             ncost = d + we
             old = cost.get(nkey, INF)
@@ -777,10 +765,6 @@ class DetourResult:
     qc_iterations: int = 0
     qc_added: int = 0
 
-    @property
-    def reachable(self) -> bool:
-        return self.walk is not None
-
 
 def _route(
     network: RoadNetwork,
@@ -792,16 +776,11 @@ def _route(
     qc_iterations: int = 0,
     qc_added: int = 0,
 ) -> DetourResult:
-    """The detour steps in order: record runs, static result and early exit,
+    """The detour steps in order: static result and early exit, record runs,
     then the rest of the context and the permit-state search."""
     res = DetourResult(None, INF, "unreachable", qc_iterations=qc_iterations, qc_added=qc_added)
-    rec_fwd, rec_bwd, pure_hard = _record_runs(network, scope, active, source, target)
-    # With hard closures only, the record runs use the base weights, so
-    # their split minimum is the static optimum.
-    if pure_hard:
-        static = _split_minimum(rec_fwd, rec_bwd)
-    else:
-        static = bidirectional_s_dijkstra(network, scope, source, target, "base")
+    static_runs = _drained_runs(network, scope, source, target, "base")
+    static = _split_minimum(*static_runs)
     res.scanned_static = static.scanned_count
     if static.walk is not None:
         res.static_walk = static.walk
@@ -812,7 +791,13 @@ def _route(
             res.cost_updated = res.static_cost_updated
             res.klass = "static"
             return res
-    ctx = _context_from_runs(network, scope, active, rec_fwd, rec_bwd)
+    # With hard closures only, the record weighting is the base one and the
+    # static runs serve as the record runs.
+    record_runs = static_runs
+    weights = _record_weights(network, active)
+    if not all(map(eq, weights, network.weight)):
+        record_runs = _drained_runs(network, scope, source, target, weights)
+    ctx = _context_from_runs(network, scope, active, *record_runs)
     fwd, bwd, meeting = _state_search_halves(ctx)
     res.scanned_detour = fwd.scanned + bwd.scanned
     res.scanned_detour_vertices = len(fwd.settled) + len(bwd.settled)

@@ -8,8 +8,10 @@ The network file is line-oriented ASCII:
     E <tail> <head> <weight> <level-label> [category]
     C <vertex> <lon> <lat>               (optional coordinates)
 
-Edge ids follow the order of E lines. Loading and saving round-trip
-byte-stably up to comment lines.
+``V`` and ``L`` appear once each; a level label is ``inf`` or an integer
+and is declared once; vertices are decimal numbers. Edge ids follow the
+order of E lines. Loading and saving round-trip byte-stably up to comment
+lines.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ def parse_network(text: str) -> NetworkFile:
     weights: list[float] = []
     wstar: list[float] = []
     edge_labels: list[str] = []
+    first_use: dict[str, int] = {}  # level label -> line of its first E line
     categories: list[str | None] = []
     coordinates: dict[int, tuple[float, float]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -77,16 +80,25 @@ def parse_network(text: str) -> NetworkFile:
         parts = line.split()
         tag = parts[0]
         if tag == "V":
+            if vertex_count is not None:
+                raise ParseError(line_no, "second V line")
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError(line_no, "expected: V <vertex_count>")
             vertex_count = int(parts[1])
         elif tag == "L":
+            if label_nu is not None:
+                raise ParseError(line_no, "second L line")
             label_nu = {}
             previous = -1.0
             for item in parts[1:]:
                 if ":" not in item:
                     raise ParseError(line_no, f"expected <label>:<nu>, got {item!r}")
                 lbl, nu_text = item.split(":", 1)
+                # inf or an integer in its canonical decimal spelling
+                if lbl != "inf" and not (lbl.removeprefix("-").isdecimal() and str(int(lbl)) == lbl):
+                    raise ParseError(line_no, f"bad level label {lbl!r}")
+                if lbl in label_nu:
+                    raise ParseError(line_no, f"level label {lbl!r} declared twice")
                 value = _parse_number(nu_text, line_no)
                 if value <= previous:
                     raise ParseError(line_no, "scope values must be strictly increasing")
@@ -99,11 +111,10 @@ def parse_network(text: str) -> NetworkFile:
                 raise ParseError(line_no, "E line before V line")
             if len(parts) not in (5, 6):
                 raise ParseError(line_no, "expected: E <tail> <head> <weight> <level> [category]")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(line_no, "bad endpoint") from None
-            if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
+            if not (parts[1].isdecimal() and parts[2].isdecimal()):
+                raise ParseError(line_no, "bad endpoint")
+            u, v = int(parts[1]), int(parts[2])
+            if u >= vertex_count or v >= vertex_count:
                 raise ParseError(line_no, f"endpoint out of range: ({u}, {v})")
             weight = _parse_number(parts[3], line_no)
             if weight < 0:
@@ -112,6 +123,7 @@ def parse_network(text: str) -> NetworkFile:
             weights.append(weight)
             wstar.append(weight)
             edge_labels.append(parts[4])
+            first_use.setdefault(parts[4], line_no)
             categories.append(parts[5] if len(parts) == 6 else None)
         elif tag == "C":
             if vertex_count is None:
@@ -131,6 +143,9 @@ def parse_network(text: str) -> NetworkFile:
         raise ParseError(0, "missing V line")
     if label_nu is None:
         raise ParseError(0, "missing L line")
+    for label, line_no in first_use.items():
+        if label not in label_nu:
+            raise ParseError(line_no, f"undeclared level label {label!r}")
     try:
         network = build_network(vertex_count, edges, weights, wstar)
         scope = scope_from_labels(edge_labels, label_nu)
@@ -400,8 +415,9 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
     """Parse a closure file into edge-id -> new-weight updates.
 
     Accepts one record per line: an edge id, or ``tail,head,ordinal``
-    selecting the ordinal-th parallel edge, optionally followed by the new
-    weight (default ``inf``).
+    selecting the ordinal-th parallel edge (counting from 0), optionally
+    followed by the new weight (default ``inf``), which may not be below the
+    edge's base weight.
     """
     updates: dict[int, float] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -426,7 +442,7 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
                 for e in range(network.edge_count)
                 if network.tails[e] == tail and network.heads[e] == head
             ]
-            if ordinal >= len(matching):
+            if not (0 <= ordinal < len(matching)):
                 raise ParseError(line_no, f"no edge {tail},{head} ordinal {ordinal}")
             edge = matching[ordinal]
         else:
@@ -436,5 +452,8 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
                 raise ParseError(line_no, f"bad edge id {selector!r}") from None
             if not (0 <= edge < network.edge_count):
                 raise ParseError(line_no, f"unknown edge id {edge}")
+        base = network.weight[edge]
+        if weight < base:
+            raise ParseError(line_no, f"edge {edge}: updated weight {weight} below base weight {base}")
         updates[edge] = weight
     return updates

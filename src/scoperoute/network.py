@@ -166,10 +166,6 @@ def build_network(
     )
 
 
-def reverse(network: RoadNetwork) -> RoadNetwork:
-    return network.reverse()
-
-
 @dataclass(frozen=True)
 class ScopeMapping:
     """Per-edge scope level plus the per-level budget vector ``nu``.

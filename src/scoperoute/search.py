@@ -110,7 +110,7 @@ def _edge_pack(network: RoadNetwork, scope: ScopeMapping):
     Packs are weight-independent, so weight variants produced by
     ``with_updated_weights`` and their reversals all share them.
     """
-    key = ("pack", False, scope.level)
+    key = ("pack", scope.level)
     pack = network._aux.get(key)
     if pack is None:
         level = scope.level
@@ -253,13 +253,8 @@ class BidirectionalResult:
     walk: Walk | None
     cost: float
     meeting: int | None
-    split_index: int | None
     forward: ScopeSearchResult
     backward: ScopeSearchResult
-
-    @property
-    def reachable(self) -> bool:
-        return self.walk is not None
 
     @property
     def scanned_count(self) -> int:
@@ -277,13 +272,13 @@ def _split_minimum(forward: ScopeSearchResult, backward: ScopeSearchResult) -> B
     sums = list(map(add, forward.dist, backward.dist))
     cost = min(sums, default=INF)
     if cost == INF:
-        return BidirectionalResult(None, INF, None, None, forward, backward)
+        return BidirectionalResult(None, INF, None, forward, backward)
     meeting = sums.index(cost)
     prefix = forward.walk_to(meeting)
     suffix_rev = backward.walk_to(meeting)
     assert prefix is not None and suffix_rev is not None
     walk = Walk(forward.source, prefix.edges + tuple(reversed(suffix_rev.edges)))
-    return BidirectionalResult(walk, cost, meeting, len(prefix.edges), forward, backward)
+    return BidirectionalResult(walk, cost, meeting, forward, backward)
 
 
 def bidirectional_s_dijkstra(
@@ -383,9 +378,8 @@ def settled_labels(
     scope: ScopeMapping,
     source: int,
     weighting: str = "base",
-    seed_sigma: tuple[float, ...] | None = None,
 ) -> SettledLabels:
-    res = s_dijkstra(network, scope, source, weighting, seed_sigma)
+    res = s_dijkstra(network, scope, source, weighting)
     return SettledLabels(res.dist, res.sigma)
 
 

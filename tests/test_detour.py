@@ -355,24 +355,33 @@ def test_context_is_built_fresh_per_call(permit_fixture):
     b = build_detour_context(net, scope, None, 0, 3)
     assert a is not b
     assert a.records == b.records
-    assert (a.s_usable, a.t_usable) == (b.s_usable, b.t_usable)
+    assert (a.forward.usable, a.backward.usable) == (b.forward.usable, b.backward.usable)
 
 
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
 def test_static_exit_runs_only_the_record_searches(n1, n1_scope15, monkeypatch, route):
-    # The early exit needs the two record runs; the gate runs and the rest
-    # of the context are built only when the detour search follows.
-    calls = []
+    # The early exit needs only the two static runs, on the base weights,
+    # for a hard and for a soft closure alike; the record runs, the gate
+    # runs and the rest of the context are built only when the detour
+    # search follows.
+    def failing(*args, **kwargs):
+        raise AssertionError("bidirectional static search called")
+
+    monkeypatch.setattr(scoperoute.detour, "bidirectional_s_dijkstra", failing, raising=False)
     real = scoperoute.detour.s_dijkstra
+    for update in ({3: INF}, {3: 25}):
+        closed = n1.with_updated_weights(update)
+        calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return real(*args, **kwargs)
+        def counting(network, scope, source, weighting="base", *args, **kwargs):
+            w = closed.weights(weighting) if isinstance(weighting, str) else weighting
+            calls.append((source, tuple(w)))
+            return real(network, scope, source, weighting, *args, **kwargs)
 
-    monkeypatch.setattr(scoperoute.detour, "s_dijkstra", counting)
-    res = route(n1.with_updated_weights({3: INF}), n1_scope15, 0, 3)
-    assert res.klass == "static"
-    assert calls == [0, 3]
+        monkeypatch.setattr(scoperoute.detour, "s_dijkstra", counting)
+        res = route(closed, n1_scope15, 0, 3)
+        assert res.klass == "static"
+        assert calls == [(0, closed.weight), (3, closed.weight)], update
 
 
 def test_closed_copy_freed_by_reference_counting(permit_fixture):

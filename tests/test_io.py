@@ -59,7 +59,7 @@ class TestParseNetwork:
             parse_network("V 2\nL 0:5 inf:inf\nE 0 7 1 0\n")
 
     def test_undeclared_level_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 3"):
             parse_network("V 2\nL 0:5 inf:inf\nE 0 1 1 3\n")
 
     @pytest.mark.parametrize(
@@ -83,9 +83,42 @@ class TestParseNetwork:
                 "V 2\nL 0:5 inf:inf\nC \u00b2 0 0\n", "line 3: expected: C", id="superscript",
             ),
             pytest.param("V \u00b2\nL 0:5 inf:inf\n", "line 1: expected: V", id="v-superscript"),
+            pytest.param(
+                "V 20\nL 0:5 inf:inf\nE 0 1_0 1 0\n", "line 3: bad endpoint", id="e-underscore",
+            ),
+            pytest.param(
+                "V 2\nL 0:5 inf:inf\nE \u00b2 1 1 0\n", "line 3: bad endpoint", id="e-superscript",
+            ),
         ],
     )
     def test_bad_vertex_number_rejected(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_network(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "V 2\nL 0:5 0:7 inf:inf\nE 0 1 1 0\n",
+                "line 2: level label '0' declared twice", id="repeated-label",
+            ),
+            pytest.param(
+                "V 2\nL 0:5 inf:inf\nV 3\nE 0 1 1 0\n", "line 3: second V line", id="second-v",
+            ),
+            pytest.param(
+                "V 2\nL 0:5 inf:inf\nE 0 1 1 0\nL 0:7 inf:inf\n",
+                "line 4: second L line", id="second-l",
+            ),
+            pytest.param(
+                "V 2\nL a:5 inf:inf\nE 0 1 1 a\n", "line 2: bad level label 'a'", id="word-label",
+            ),
+            pytest.param(
+                "V 2\nL 0:5 inf:inf\nE 0 1 1 0\nE 1 0 1 x\n",
+                "line 4: undeclared level label 'x'", id="undeclared-label",
+            ),
+        ],
+    )
+    def test_bad_declaration_rejected(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_network(text)
 
@@ -230,6 +263,58 @@ class TestClosureFiles:
     def test_bad_edge_rejected(self, n1):
         with pytest.raises(ParseError, match="line 1"):
             parse_closures("17\n", n1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("1,2,-1\n", "line 1: no edge 1,2 ordinal -1", id="ordinal-minus-one"),
+            pytest.param("3\n1,2,-3\n", "line 2: no edge 1,2 ordinal -3", id="ordinal-below"),
+            pytest.param(
+                "0 1.5\n", "line 1: edge 0: updated weight 1.5 below base weight 2.0",
+                id="weight-below-base",
+            ),
+            pytest.param(
+                "# comment\n1,2,1 3\n", "line 2: edge 4: updated weight 3.0 below base weight 4.0",
+                id="ordinal-weight-below-base",
+            ),
+        ],
+    )
+    def test_bad_selector_or_weight_rejected(self, n1e5, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_closures(text, n1e5)
+
+
+# Tokens of the network and closure formats, good and bad; numbers come from
+# a small set, so no example declares a large network.
+_TOKENS = ["0", "1", "2", "3", "-1", "-3", "0.5", "inf", "nan", "1_0", "\u00b2", "V", "L", "E", "C"]
+_SELECTORS = ["1,2,0", "1,2,1", "1,2,-1", "1,2,-3", "a,b,c", "0,1"]
+_PAIRS = st.builds(
+    "{}:{}".format,
+    st.sampled_from(["0", "1", "inf", "a", "1_0", "\u00b2", ""]),
+    st.sampled_from(["0", "5", "inf", "nan", "-1"]),
+)
+_WORDS = st.sampled_from(_TOKENS + _SELECTORS) | _PAIRS
+
+
+def _lines(first, rest_size):
+    line = st.tuples(first, st.lists(_WORDS, max_size=rest_size))
+    return st.lists(line.map(lambda t: " ".join((t[0], *t[1]))), max_size=6).map("\n".join)
+
+
+_PARALLEL = build_network(4, [(0, 1), (1, 2), (2, 3), (1, 3), (1, 2)], [2, 10, 2, 20, 4])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lines(st.sampled_from("VLEC#"), 5), _lines(_WORDS, 2))
+def test_bad_input_raises_only_parse_errors_property(network_text, closure_text):
+    try:
+        parse_network(network_text)
+    except ParseError:
+        pass
+    try:
+        parse_closures(closure_text, _PARALLEL)
+    except ParseError:
+        pass
 
 
 NAN = float("nan")

@@ -15,7 +15,6 @@ from scoperoute import (
     is_proper,
     is_routing_connected,
     make_scope,
-    reverse,
     s_draw,
 )
 
@@ -55,15 +54,15 @@ class TestBuildNetwork:
 
 class TestReverse:
     def test_empty(self):
-        assert reverse(build_network(0, [], [])).edge_count == 0
+        assert build_network(0, [], []).reverse().edge_count == 0
 
     def test_n1_reversed_edges(self, n1):
-        rev = reverse(n1)
+        rev = n1.reverse()
         assert [rev.edge(e) for e in range(4)] == [(1, 0), (2, 1), (3, 2), (3, 1)]
         assert rev.weight == n1.weight
 
     def test_involution(self, n1):
-        back = reverse(reverse(n1))
+        back = n1.reverse().reverse()
         assert back.tails == n1.tails
         assert back.heads == n1.heads
         assert back.weight == n1.weight
@@ -103,7 +102,7 @@ class TestSDraw:
 
     def test_reversal_preserves_draw(self, n1, n1_scope5):
         walk = Walk(0, (0, 1, 2))
-        rev = reverse(n1)
+        rev = n1.reverse()
         rev_walk = Walk(3, tuple(reversed(walk.edges)))
         assert s_draw(walk, n1_scope5, n1) == s_draw(rev_walk, n1_scope5, rev)
 
@@ -247,6 +246,6 @@ class TestContraction:
 def test_reverse_involution_property(data):
     n, triples = data
     net = build_network(n, [(u, v) for u, v, _ in triples], [w for _, _, w in triples])
-    back = reverse(reverse(net))
+    back = net.reverse().reverse()
     assert back.tails == net.tails and back.heads == net.heads
     assert back.weight == net.weight and back.weight_updated == net.weight_updated
