@@ -18,6 +18,13 @@ The walk validator and the routing search share one acceptance relation:
   sits on the walk before it with a departure-clean corridor in between, or
   symmetrically after it with an entry-clean corridor (permit clauses).
 
+The search reads per-vertex bit masks only, one bit per level, in each
+direction: the levels its gate label passes, the levels of the records
+there, and the levels at which it is corridor-clean. The grant masks come
+straight from the keys of the record tree pass; full record objects are
+built from the same pass only when asked for (``find_obstructed``,
+``DetourContext.records``).
+
 The search explores (vertex, carried-permit mask, owed-permit mask) states
 in both directions, each goal-directed by open-network distances to the far
 end. A state that another state settled at the same vertex dominates
@@ -46,6 +53,7 @@ from .network import (
 from .search import (
     ScopeSearchResult,
     _edge_pack,
+    _level_cached,
     _split_exists,
     _split_minimum,
     dijkstra,
@@ -124,17 +132,6 @@ def _segment_level(tail: tuple[float, ...], head: tuple[float, ...], nu, top: in
     return top
 
 
-# Raw records offered for one (vertex, side, level) key, before deduplication:
-# (amended, state, closure_ref, omega); the smallest (amended, state) wins.
-_Candidates = dict[tuple[int, str, int], tuple[bool, tuple[float, ...], int, tuple | None]]
-
-
-def _offer(chosen: _Candidates, key, amended: bool, state, ref: int, omega) -> None:
-    old = chosen.get(key)
-    if old is None or (amended, state) < (old[0], old[1]):
-        chosen[key] = (amended, state, ref, omega)
-
-
 def _tree_records(
     network: RoadNetwork,
     scope: ScopeMapping,
@@ -142,16 +139,17 @@ def _tree_records(
     active: frozenset[int],
     side: str,
     other_reached: list[bool],
-    chosen: _Candidates,
-    finite_only: bool = False,
+    offer,
 ) -> None:
-    """Offer the records read off one drained search tree to ``chosen``.
+    """Offer the record keys read off one drained search tree to ``offer``.
 
     Vertices whose tree walk crosses a closure get a plain record measured
     from the nearest crossing; additionally, vertices on the tree chain
     before a crossing whose far side connects to the other direction get an
     amended record carrying their own settled draw, provided their budgets
-    are not yet exhausted (the near-endpoint case).
+    are not yet exhausted (the near-endpoint case). Each key goes to
+    ``offer(vertex, side, level, amended, tail, head, closure_ref, omega)``;
+    the record's state would be ``_vec_sub(tail, head)``.
     """
     n = network.vertex_count
     nu = scope.nu
@@ -188,10 +186,7 @@ def _tree_records(
                 continue
         anchor[v] = a
         tv, ta = tree[v], tree[a]
-        lv = _segment_level(tv, ta, nu, top)
-        if finite_only and lv >= top:
-            continue
-        _offer(chosen, (v, side, lv), False, _vec_sub(tv, ta), parent_edge[a], None)
+        offer(v, side, _segment_level(tv, ta, nu, top), False, tv, ta, parent_edge[a], None)
     # Amended records: walk up from each closure tree edge whose subtree
     # meets the opposite search. A subtree meets it when a vertex anchored
     # in it does, or a nested crossing's subtree does.
@@ -218,12 +213,11 @@ def _tree_records(
             if sat is None:
                 sat = saturated[at] = is_saturated(run.sigma[at], scope)
             if not sat:
-                lv = _segment_level(tp, tree[at], nu, top)
-                if not (finite_only and lv >= top):
-                    _offer(
-                        chosen, (at, amended_side, lv), True, _vec_sub(tp, tree[at]), e,
-                        run.sigma[at],
-                    )
+                ta = tree[at]
+                offer(
+                    at, amended_side, _segment_level(tp, ta, nu, top), True, tp, ta, e,
+                    run.sigma[at],
+                )
             pe = parent_edge[at]
             if pe is None:
                 break
@@ -271,40 +265,59 @@ def _record_weights(network: RoadNetwork, active: frozenset[int]) -> list[float]
     return weights
 
 
+def _record_pass(
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    active: frozenset[int],
+    fwd: ScopeSearchResult,
+    bwd: ScopeSearchResult,
+    offer,
+) -> None:
+    """Offer the record keys of both drained runs to ``offer``, as
+    ``_tree_records`` does; a key can come more than once."""
+    fwd_reached = [d < INF for d in fwd.dist]
+    bwd_reached = [d < INF for d in bwd.dist]
+    # Forward tree: closures behind a vertex obstruct it for the start.
+    _tree_records(network, scope, fwd, active, "s", bwd_reached, offer)
+    # Reverse tree: closures ahead obstruct for the target.
+    _tree_records(network, scope, bwd, active, "t", fwd_reached, offer)
+    # Budgets are non-negative, so the zero state is within level 0.
+    zero = zero_vector(scope)
+    for e in sorted(active):
+        x, y = network.tails[e], network.heads[e]
+        if bwd_reached[y]:
+            offer(x, "t", 0, False, zero, zero, e, None)
+        if fwd_reached[x]:
+            offer(y, "s", 0, False, zero, zero, e, None)
+
+
 def _records_from_runs(
     network: RoadNetwork,
     scope: ScopeMapping,
     active: frozenset[int],
     fwd: ScopeSearchResult,
     bwd: ScopeSearchResult,
-    finite_only: bool = False,
 ) -> list[ObstructionRecord]:
     """Obstruction records of both drained runs, one per (vertex, side, level).
 
     Plain records win over amended ones, then the lowest state, then the
     first offered; the result is sorted by (vertex, side, level).
     """
-    fwd_reached = [d < INF for d in fwd.dist]
-    bwd_reached = [d < INF for d in bwd.dist]
-    chosen: _Candidates = {}
-    # Forward tree: closures behind a vertex obstruct it for the start.
-    _tree_records(network, scope, fwd, active, "s", bwd_reached, chosen, finite_only)
-    # Reverse tree: closures ahead obstruct for the target.
-    _tree_records(network, scope, bwd, active, "t", fwd_reached, chosen, finite_only)
-    # Budgets are non-negative, so the zero state is within level 0.
-    zero = zero_vector(scope)
-    for e in sorted(active):
-        x, y = network.tails[e], network.heads[e]
-        if bwd_reached[y]:
-            _offer(chosen, (x, "t", 0), False, zero, e, None)
-        if fwd_reached[x]:
-            _offer(chosen, (y, "s", 0), False, zero, e, None)
-    records = []
-    for key in sorted(chosen):
-        vertex, side, level = key
-        _amended, state, ref, omega = chosen[key]
-        records.append(ObstructionRecord(vertex, side, state, level, ref, omega))
-    return records
+    # key -> (amended, state, closure_ref, omega) of the record kept so far
+    chosen: dict[tuple[int, str, int], tuple] = {}
+
+    def offer(v, side, lv, amended, tail, head, ref, omega):
+        key = (v, side, lv)
+        state = _vec_sub(tail, head)
+        old = chosen.get(key)
+        if old is None or (amended, state) < old[:2]:
+            chosen[key] = (amended, state, ref, omega)
+
+    _record_pass(network, scope, active, fwd, bwd, offer)
+    return [
+        ObstructionRecord(v, side, state, lv, ref, omega)
+        for (v, side, lv), (_amended, state, ref, omega) in sorted(chosen.items())
+    ]
 
 
 @dataclass(frozen=True)
@@ -313,50 +326,44 @@ class _Direction:
 
     Forwards: the network from the start, permits granted by ``"t"``
     records; backwards: the reversed network from the target, ``"s"``
-    records. Per vertex, ``pack`` lists the edges to relax, ``grant`` the
-    levels of the records there and ``clean`` the levels at which it is
-    corridor-clean; ``usable`` flags the edges usable from the endpoint.
-    ``viable`` gives the levels at which a clean corridor along this
-    direction's edges leads to a granting record: the other direction's
-    debts read it.
+    records. Per vertex, ``pack`` lists the edges to relax, ``gate`` the
+    levels whose budget its gate label passes (so an open edge of such a
+    level leaving it is usable from the endpoint), ``grant`` the levels of
+    the records there and ``clean`` the levels at which it is
+    corridor-clean.
     """
 
     pack: list[tuple[tuple[int, int, int], ...]]
-    usable: list[bool]
+    gate: list[int]
     grant: list[int]
     clean: list[int]
-    viable: list[int]
 
 
 def _direction(
     network: RoadNetwork,
     scope: ScopeMapping,
     endpoint: int,
-    side: str,
-    records: list[ObstructionRecord],
+    grant: list[int],
     weights: list[float],
     closed_flag: list[bool],
     active: frozenset[int],
 ) -> _Direction:
     """One direction's tables; ``network`` is reversed for the backward one.
 
-    An open edge is usable when the gate label at its near end, from a run
-    from ``endpoint`` on the open weighting ``weights``, passes the budget
-    at the edge's level.
+    The gate labels come from a run from ``endpoint`` on the open weighting
+    ``weights``; a vertex it does not reach passes no level.
     """
-    grant = [0] * network.vertex_count
-    for r in records:
-        if r.side == side and r.level < scope.top:
-            grant[r.vertex] |= 1 << r.level
-    pack = _edge_pack(network, scope)
-    clean = _clean_masks(network, scope, closed_flag, active)
-    gate = s_dijkstra(network, scope, endpoint, weights, track_tree=False)
+    run = s_dijkstra(network, scope, endpoint, weights, track_tree=False)
+    sigma = run.sigma
+    reached = [v for v, d in enumerate(run.dist) if d < INF]
+    gate = [0] * network.vertex_count
+    for lv in range(scope.level_count):
+        bit, cap = 1 << lv, scope.nu[lv]
+        for v in reached:
+            if sigma[v][lv] <= cap:
+                gate[v] |= bit
     return _Direction(
-        pack,
-        _gate_passes(gate, network.tails, scope, weights),
-        grant,
-        clean,
-        _debt_viability(pack, closed_flag, grant, clean),
+        _edge_pack(network, scope), gate, grant, _clean_masks(network, scope, closed_flag, active)
     )
 
 
@@ -367,6 +374,9 @@ class DetourContext:
     ``weights`` is the open weighting: updated weights, closed edges at
     infinity. ``closed_flag`` marks the treated-as-closed edges, which a
     caller's explicit closure set can make differ from the infinite ones.
+    ``record_runs`` are the two drained record searches; the routing path
+    reads them only through the grant masks, and ``records`` builds the
+    full records from them on each read.
     """
 
     network: RoadNetwork
@@ -374,11 +384,17 @@ class DetourContext:
     active: frozenset[int]
     source: int
     target: int
-    records: list[ObstructionRecord]
+    record_runs: tuple[ScopeSearchResult, ScopeSearchResult]
     weights: list[float]
     closed_flag: list[bool]
     forward: _Direction
     backward: _Direction
+
+    @property
+    def records(self) -> list[ObstructionRecord]:
+        """The finite-level obstruction records, one per granted bit."""
+        records = _records_from_runs(self.network, self.scope, self.active, *self.record_runs)
+        return [r for r in records if r.level < self.scope.top]
 
 
 def build_detour_context(
@@ -400,44 +416,28 @@ def _context_from_runs(
     rec_fwd: ScopeSearchResult,
     rec_bwd: ScopeSearchResult,
 ) -> DetourContext:
-    """Everything past the record runs: records, then both directions' tables."""
+    """Everything past the record runs: grant masks, then both directions' tables."""
     source, target = rec_fwd.source, rec_bwd.source
     closed_flag = [False] * network.edge_count
     weights = list(network.weight_updated)
     for e in active:
         closed_flag[e] = True
         weights[e] = INF
-    records = _records_from_runs(network, scope, active, rec_fwd, rec_bwd, finite_only=True)
-    shared = (records, weights, closed_flag, active)
+    top = scope.top
+    grant = {"t": [0] * network.vertex_count, "s": [0] * network.vertex_count}
+
+    def grant_bit(v, side, lv, *_record):
+        # The keys alone decide the masks, so no record is built.
+        if lv < top:
+            grant[side][v] |= 1 << lv
+
+    _record_pass(network, scope, active, rec_fwd, rec_bwd, grant_bit)
+    shared = (weights, closed_flag, active)
     return DetourContext(
-        network, scope, active, source, target, records, weights, closed_flag,
-        _direction(network, scope, source, "t", *shared),
-        _direction(network.reverse(), scope, target, "s", *shared),
+        network, scope, active, source, target, (rec_fwd, rec_bwd), weights, closed_flag,
+        _direction(network, scope, source, grant["t"], *shared),
+        _direction(network.reverse(), scope, target, grant["s"], *shared),
     )
-
-
-def _gate_passes(
-    run: ScopeSearchResult, ends: tuple[int, ...], scope: ScopeMapping, weights: list[float]
-) -> list[bool]:
-    """Per edge of finite weight: does the gate label at its near end pass.
-
-    ``ends`` gives each edge's end that ``run`` reaches first (tails for a
-    forward run, heads for a reverse one).
-    """
-    nu = scope.nu
-    levels = range(scope.level_count)
-    passing = [0] * len(run.dist)
-    for v, d in enumerate(run.dist):
-        if d < INF:
-            sig = run.sigma[v]
-            mask = 0
-            for lv in levels:
-                if sig[lv] <= nu[lv]:
-                    mask |= 1 << lv
-            passing[v] = mask
-    return [
-        w != INF and (passing[x] >> lv) & 1 == 1 for x, lv, w in zip(ends, scope.level, weights)
-    ]
 
 
 def _clean_mask(row, closed_flag: list[bool], top: int) -> int:
@@ -461,46 +461,16 @@ def _clean_masks(
     """
     pack = _edge_pack(network, scope)
     top = scope.top
-    key = ("clean", scope.level)
-    open_masks = network._aux.get(key)
-    if open_masks is None:
+
+    def build():
         nothing_closed = [False] * network.edge_count
-        open_masks = [_clean_mask(row, nothing_closed, top) for row in pack]
-        network._aux[key] = open_masks
-    masks = list(open_masks)
+        return [_clean_mask(row, nothing_closed, top) for row in pack]
+
+    masks = list(_level_cached(network, "clean", scope.level, build))
     tails = network.tails
     for v in {tails[e] for e in active}:
         masks[v] = _clean_mask(pack[v], closed_flag, top)
     return masks
-
-
-def _debt_viability(
-    pack,
-    closed_flag: list[bool],
-    rec_mask: list[int],
-    clean_mask: list[int],
-) -> list[int]:
-    """Per vertex and level: can an owed permit still find its witness ahead.
-
-    Level ``l`` is viable at ``v`` when some open-edge path from ``v`` reaches
-    a vertex holding a matching record while every interior vertex stays
-    corridor-clean at ``l``. ``pack`` lists, per vertex, the edges by which
-    such a path can arrive there: the in-edge pack for paths leaving ``v``
-    forwards, the out-edge pack for paths to ``v`` on the reversed network.
-    All levels spread at once as bit masks, from the record holders back.
-    """
-    viable = list(rec_mask)
-    stack = [v for v, mask in enumerate(rec_mask) if mask]
-    while stack:
-        v = stack.pop()
-        bits = viable[v]
-        for e, u, _lv in pack[v]:
-            # u is an interior corridor vertex unless it holds a record.
-            new = bits & (rec_mask[u] | clean_mask[u]) & ~viable[u]
-            if new and not closed_flag[e]:
-                viable[u] |= new
-                stack.append(u)
-    return viable
 
 
 def _carried_masks(direction: _Direction, vertices) -> list[int]:
@@ -546,6 +516,7 @@ def validate_simple_detour(
     live_t = _carried_masks(ctx.forward, vertices)
     live_s = _carried_masks(ctx.backward, reversed(vertices))[::-1]
     top = ctx.scope.top
+    gate_t, gate_s = ctx.forward.gate, ctx.backward.gate
     prefix_ok = []
     suffix_ok = []
     for i, e in enumerate(walk.edges):
@@ -553,8 +524,10 @@ def validate_simple_detour(
         licensed = lv < top and (
             (live_t[i] >> lv) & 1 or (live_s[i + 1] >> lv) & 1
         )
-        prefix_ok.append(licensed or ctx.forward.usable[e])
-        suffix_ok.append(licensed or ctx.backward.usable[e])
+        # An edge is usable when open and its near end's gate passes its level.
+        is_open = ctx.weights[e] != INF
+        prefix_ok.append(licensed or (is_open and (gate_t[vertices[i]] >> lv) & 1))
+        suffix_ok.append(licensed or (is_open and (gate_s[vertices[i + 1]] >> lv) & 1))
     return _split_exists(prefix_ok, suffix_ok)
 
 
@@ -605,12 +578,15 @@ def _state_search_halves(
     exact because every transition is monotone in both masks: a larger
     carried mask licenses at least the same edges, so a smaller owed mask
     stays smaller after the edge, after the records at the head clear it,
-    and through the corridor-clean and viability prunes; the carried mask
-    after the edge stays a superset. So whatever the dominated state
-    reaches, the dominating one reaches at no greater cost with masks that
-    dominate again. The join test (each side's owed levels carried by the
-    other) is monotone the same way, so a dominating state meets every
-    partner the dominated one would have met.
+    and through the corridor-clean prune; the carried mask after the edge
+    stays a superset. So whatever the dominated state reaches, the
+    dominating one reaches at no greater cost with masks that dominate
+    again. The join test (each side's owed levels carried by the other) is
+    monotone the same way, so a dominating state meets every partner the
+    dominated one would have met. A debt that no record ahead can pay is
+    not pruned early: the state can meet no partner, and it dominates no
+    state whose debt can be paid, since that debt would be a superset of
+    its own.
 
     Each settled state is joined at once with the states settled at its
     vertex on the other side; ``best`` is the minimum over all compatible
@@ -689,8 +665,9 @@ def _state_search_halves(
         # The half carries its own direction's permits; its debts are paid
         # by the records that grant the other direction's.
         own, other = directions[side], directions[1 - side]
-        usable, grant, clean = own.usable, own.grant, own.clean
-        debt_grant, debt_clean, debt_viable = other.grant, other.clean, other.viable
+        grant, clean = own.grant, own.clean
+        debt_grant, debt_clean = other.grant, other.clean
+        gate = own.gate[v]
         potential = potentials[side]
         permits = search.permits
         parent = search.parent
@@ -698,7 +675,7 @@ def _state_search_halves(
             we = weights[e]
             if we == INF:
                 continue
-            if usable[e]:
+            if (gate >> lv) & 1:
                 new_debt = debt
                 nperms = perms
                 tag = "plain"
@@ -714,7 +691,7 @@ def _state_search_halves(
                 continue
             if new_debt:
                 new_debt &= ~debt_grant[u]
-                if new_debt and (new_debt & ~debt_clean[u] or new_debt & ~debt_viable[u]):
+                if new_debt & ~debt_clean[u]:
                     continue
             hu = potential[u]
             if hu == INF:

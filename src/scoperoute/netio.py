@@ -58,6 +58,13 @@ def _parse_number(token: str, line_no: int) -> float:
     return value
 
 
+def _canonical_int(token: str) -> int | None:
+    """``token`` as an int if it is spelled as ``str`` spells that int, else None."""
+    if token.removeprefix("-").isdecimal() and str(int(token)) == token:
+        return int(token)
+    return None
+
+
 def load_network(path: str) -> NetworkFile:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_network(fh.read())
@@ -88,14 +95,14 @@ def parse_network(text: str) -> NetworkFile:
         elif tag == "L":
             if label_nu is not None:
                 raise ParseError(line_no, "second L line")
+            scope_line = line_no
             label_nu = {}
             previous = -1.0
             for item in parts[1:]:
                 if ":" not in item:
                     raise ParseError(line_no, f"expected <label>:<nu>, got {item!r}")
                 lbl, nu_text = item.split(":", 1)
-                # inf or an integer in its canonical decimal spelling
-                if lbl != "inf" and not (lbl.removeprefix("-").isdecimal() and str(int(lbl)) == lbl):
+                if lbl != "inf" and _canonical_int(lbl) is None:
                     raise ParseError(line_no, f"bad level label {lbl!r}")
                 if lbl in label_nu:
                     raise ParseError(line_no, f"level label {lbl!r} declared twice")
@@ -147,8 +154,12 @@ def parse_network(text: str) -> NetworkFile:
         if label not in label_nu:
             raise ParseError(line_no, f"undeclared level label {label!r}")
     try:
-        network = build_network(vertex_count, edges, weights, wstar)
+        # Levels are ordered by label, not as written: budgets may still fall.
         scope = scope_from_labels(edge_labels, label_nu)
+    except NetworkError as exc:
+        raise ParseError(scope_line, str(exc)) from exc
+    try:
+        network = build_network(vertex_count, edges, weights, wstar)
         scope.validate(network)
     except NetworkError as exc:
         raise ParseError(0, str(exc)) from exc
@@ -417,7 +428,8 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
     Accepts one record per line: an edge id, or ``tail,head,ordinal``
     selecting the ordinal-th parallel edge (counting from 0), optionally
     followed by the new weight (default ``inf``), which may not be below the
-    edge's base weight.
+    edge's base weight. Integers must be written in canonical decimal
+    spelling, as level labels are.
     """
     updates: dict[int, float] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -433,10 +445,9 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
             bits = selector.split(",")
             if len(bits) != 3:
                 raise ParseError(line_no, "expected tail,head,ordinal")
-            try:
-                tail, head, ordinal = int(bits[0]), int(bits[1]), int(bits[2])
-            except ValueError:
-                raise ParseError(line_no, "bad edge selector") from None
+            tail, head, ordinal = map(_canonical_int, bits)
+            if tail is None or head is None or ordinal is None:
+                raise ParseError(line_no, "bad edge selector")
             matching = [
                 e
                 for e in range(network.edge_count)
@@ -446,10 +457,9 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
                 raise ParseError(line_no, f"no edge {tail},{head} ordinal {ordinal}")
             edge = matching[ordinal]
         else:
-            try:
-                edge = int(selector)
-            except ValueError:
-                raise ParseError(line_no, f"bad edge id {selector!r}") from None
+            edge = _canonical_int(selector)
+            if edge is None:
+                raise ParseError(line_no, f"bad edge id {selector!r}")
             if not (0 <= edge < network.edge_count):
                 raise ParseError(line_no, f"unknown edge id {edge}")
         base = network.weight[edge]

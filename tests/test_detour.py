@@ -16,6 +16,7 @@ from scoperoute import (
     find_obstructed,
     make_scope,
     qc_closure,
+    s_dijkstra,
     simple_detour_route,
     validate_simple_detour,
 )
@@ -74,6 +75,54 @@ class TestFindObstructed:
         records = find_obstructed(closed, n1e5_scope5, None, 0, 3)
         rec = [r for r in records if r.vertex == 1 and r.side == "t"]
         assert rec and rec[0].state == (0.0, 0.0) and rec[0].level == 0
+
+
+def _closed_random_case(seed: int):
+    """A small random network with hard and soft closures, and a query on it."""
+    rng = random.Random(seed)
+    net, scope = random_network(rng)
+    updates = {
+        e: INF if rng.random() < 0.7 else net.weight[e] + rng.randint(1, 15)
+        for e in rng.sample(range(net.edge_count), rng.randint(1, net.edge_count // 4 + 1))
+    }
+    closed = net.with_updated_weights(updates)
+    return closed, scope, rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+
+
+def _assert_context_masks(closed, scope, s, t):
+    ctx = build_detour_context(closed, scope, None, s, t)
+    n = closed.vertex_count
+    # The grant masks are the finite-level records' bits, per side.
+    ored = {"t": [0] * n, "s": [0] * n}
+    for r in ctx.records:
+        ored[r.side][r.vertex] |= 1 << r.level
+    assert (ctx.forward.grant, ctx.backward.grant) == (ored["t"], ored["s"])
+    # The usable flag read off a gate mask at an edge's near end matches the
+    # gate label of an own run on the open weighting.
+    hard = derive_closures(closed).hard
+    weights = [INF if e in hard else w for e, w in enumerate(closed.weight_updated)]
+    sides = ((ctx.forward, closed, s, closed.tails), (ctx.backward, closed.reverse(), t, closed.heads))
+    for direction, network, endpoint, near in sides:
+        run = s_dijkstra(network, scope, endpoint, weights)
+        for e in range(closed.edge_count):
+            lv, x = scope.level[e], near[e]
+            expected = weights[e] != INF and run.dist[x] < INF and run.sigma[x][lv] <= scope.nu[lv]
+            assert (weights[e] != INF and (direction.gate[x] >> lv) & 1 == 1) == expected
+
+
+class TestContextMasks:
+    def test_random_networks_with_hard_and_soft_closures(self):
+        for seed in range(3000):
+            _assert_context_masks(*_closed_random_case(seed))
+
+    def test_fixture_queries(self, n1, n1_scope5, n1_scope15, n1e5, n1e5_scope5, permit_fixture):
+        cases = [(*permit_fixture, 0, 3), (*permit_fixture, 3, 0)]
+        for net, scope in ((n1, n1_scope5), (n1, n1_scope15), (n1e5, n1e5_scope5)):
+            for update in ({}, {1: INF}, {3: INF}, {1: 25}, {1: INF, 3: 25}):
+                closed = net.with_updated_weights(update)
+                cases += [(closed, scope, s, t) for s in range(4) for t in range(4)]
+        for case in cases:
+            _assert_context_masks(*case)
 
 
 class TestSimpleDetour:
@@ -355,7 +404,9 @@ def test_context_is_built_fresh_per_call(permit_fixture):
     b = build_detour_context(net, scope, None, 0, 3)
     assert a is not b
     assert a.records == b.records
-    assert (a.forward.usable, a.backward.usable) == (b.forward.usable, b.backward.usable)
+    for name in ("grant", "gate", "clean"):
+        masks = [getattr(d, name) for d in (a.forward, a.backward)]
+        assert masks == [getattr(d, name) for d in (b.forward, b.backward)], name
 
 
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])

@@ -116,6 +116,11 @@ class TestParseNetwork:
                 "V 2\nL 0:5 inf:inf\nE 0 1 1 0\nE 1 0 1 x\n",
                 "line 4: undeclared level label 'x'", id="undeclared-label",
             ),
+            pytest.param(
+                # Budgets rise as written but fall in label order.
+                "V 2\nL 1:5 0:7 inf:inf\nE 0 1 1 0\n",
+                "line 2: scope values must be strictly increasing", id="label-order",
+            ),
         ],
     )
     def test_bad_declaration_rejected(self, text, message):
@@ -277,6 +282,10 @@ class TestClosureFiles:
                 "# comment\n1,2,1 3\n", "line 2: edge 4: updated weight 3.0 below base weight 4.0",
                 id="ordinal-weight-below-base",
             ),
+            pytest.param("0_1\n", "line 1: bad edge id '0_1'", id="id-underscore"),
+            pytest.param("01\n", "line 1: bad edge id '01'", id="id-leading-zero"),
+            pytest.param("# comment\n1,2,0_1\n", "line 2: bad edge selector", id="ordinal-underscore"),
+            pytest.param("1,+2,0\n", "line 1: bad edge selector", id="head-plus"),
         ],
     )
     def test_bad_selector_or_weight_rejected(self, n1e5, text, message):
@@ -287,7 +296,7 @@ class TestClosureFiles:
 # Tokens of the network and closure formats, good and bad; numbers come from
 # a small set, so no example declares a large network.
 _TOKENS = ["0", "1", "2", "3", "-1", "-3", "0.5", "inf", "nan", "1_0", "\u00b2", "V", "L", "E", "C"]
-_SELECTORS = ["1,2,0", "1,2,1", "1,2,-1", "1,2,-3", "a,b,c", "0,1"]
+_SELECTORS = ["1,2,0", "1,2,1", "1,2,-1", "1,2,-3", "a,b,c", "0,1", "1,2,0_1", "01,2,0", "+1", "-0"]
 _PAIRS = st.builds(
     "{}:{}".format,
     st.sampled_from(["0", "1", "inf", "a", "1_0", "\u00b2", ""]),
@@ -314,7 +323,12 @@ def test_bad_input_raises_only_parse_errors_property(network_text, closure_text)
     try:
         parse_closures(closure_text, _PARALLEL)
     except ParseError:
-        pass
+        return
+    # An accepted closure file spells each integer of its selectors canonically.
+    for line in closure_text.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words:
+            assert all(str(int(part)) == part for part in words[0].split(","))
 
 
 NAN = float("nan")

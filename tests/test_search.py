@@ -19,6 +19,7 @@ from scoperoute import (
     validate_split_admissible,
 )
 from scoperoute.netio import generate_synthetic
+from scoperoute.search import _edge_pack
 
 from conftest import random_network
 
@@ -183,3 +184,17 @@ class TestProperties:
             times.append((nf.network.edge_count, time.perf_counter() - start))
         (e0, t0), _, (e2, t2) = times
         assert t2 / t0 < 25 * (e2 / e0)
+
+
+def test_edge_pack_follows_the_scope_levels(n1):
+    # One network read under two scope mappings gets a pack for each level
+    # tuple; an equal tuple that is another object reuses the cached pack.
+    first = make_scope([0, 1, 0, 1], [5, INF])
+    again = make_scope([0, 1, 0, 1], [5, INF])
+    other = make_scope([1, 1, 0, 0], [5, INF])
+    assert first.level is not again.level
+    pack = _edge_pack(n1, first)
+    assert _edge_pack(n1, again) is pack
+    for scope in (other, first):
+        levels = {e: lv for row in _edge_pack(n1, scope) for e, _head, lv in row}
+        assert levels == dict(enumerate(scope.level))
