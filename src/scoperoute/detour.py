@@ -56,6 +56,7 @@ from .search import (
     _level_cached,
     _split_exists,
     _split_minimum,
+    bidirectional_s_dijkstra,
     dijkstra,
     is_saturated,
     s_dijkstra,
@@ -743,31 +744,43 @@ class DetourResult:
     qc_added: int = 0
 
 
+def _static_exit(res: DetourResult, network: RoadNetwork, static) -> bool:
+    """Record the static result in ``res``; true when it survives the update."""
+    res.scanned_static = static.scanned_count
+    if static.walk is None:
+        return False
+    res.static_walk = static.walk
+    res.static_cost_base = static.cost
+    res.static_cost_updated = static.walk.cost(network, "updated")
+    if res.static_cost_updated != res.static_cost_base:
+        return False
+    res.walk = static.walk
+    res.cost_updated = res.static_cost_updated
+    res.klass = "static"
+    return True
+
+
 def _route(
     network: RoadNetwork,
     scope: ScopeMapping,
     source: int,
     target: int,
-    active: frozenset[int],
     detour_class: str,
-    qc_iterations: int = 0,
-    qc_added: int = 0,
+    close,
 ) -> DetourResult:
-    """The detour steps in order: static result and early exit, record runs,
-    then the rest of the context and the permit-state search."""
-    res = DetourResult(None, INF, "unreachable", qc_iterations=qc_iterations, qc_added=qc_added)
-    static_runs = _drained_runs(network, scope, source, target, "base")
-    static = _split_minimum(*static_runs)
-    res.scanned_static = static.scanned_count
-    if static.walk is not None:
-        res.static_walk = static.walk
-        res.static_cost_base = static.cost
-        res.static_cost_updated = static.walk.cost(network, "updated")
-        if res.static_cost_updated == res.static_cost_base:
-            res.walk = static.walk
-            res.cost_updated = res.static_cost_updated
-            res.klass = "static"
+    """The detour steps in order: static result and early exit, the closure
+    set ``close()`` returns as ``(active, qc_iterations, qc_added)``, record
+    runs, then the rest of the context and the permit-state search."""
+    res = DetourResult(None, INF, "unreachable")
+    if network.weight_updated == network.weight:
+        # Nothing is raised, so a static walk exits: the bidirectional search
+        # finds it without draining either side.
+        if _static_exit(res, network, bidirectional_s_dijkstra(network, scope, source, target)):
             return res
+    static_runs = _drained_runs(network, scope, source, target, "base")
+    if _static_exit(res, network, _split_minimum(*static_runs)):
+        return res
+    active, res.qc_iterations, res.qc_added = close()
     # With hard closures only, the record weighting is the base one and the
     # static runs serve as the record runs.
     record_runs = static_runs
@@ -811,8 +824,10 @@ def simple_detour_route(
     weights. The returned walk is the cheaper (under updated weights) of the
     static optimum and the best detour-admissible walk.
     """
-    active = _active_set(network, closures)
-    return _route(network, scope, source, target, active, "simple-detour")
+    return _route(
+        network, scope, source, target, "simple-detour",
+        lambda: (_active_set(network, closures), 0, 0),
+    )
 
 
 def enhanced_detour_route(
@@ -822,18 +837,18 @@ def enhanced_detour_route(
     target: int,
     closures=None,
 ) -> DetourResult:
-    """Simple detour routing with the closure set grown to its quasi-closure fixed point."""
-    qc = qc_closure(network, scope, closures, source, target)
-    return _route(
-        network,
-        scope,
-        source,
-        target,
-        qc.edges,
-        "enhanced-detour",
-        qc_iterations=qc.iterations,
-        qc_added=len(qc.edges) - len(qc.hard),
-    )
+    """Simple detour routing with the closure set grown to its quasi-closure fixed point.
+
+    The quasi-closure is computed only once the static route has failed the
+    early exit, so a result of the early exit carries ``qc_iterations`` and
+    ``qc_added`` of 0.
+    """
+
+    def close():
+        qc = qc_closure(network, scope, closures, source, target)
+        return qc.edges, qc.iterations, len(qc.edges) - len(qc.hard)
+
+    return _route(network, scope, source, target, "enhanced-detour", close)
 
 
 def _plain_reach(pack, vertex_count: int, source: int, blocked) -> list[bool]:

@@ -9,7 +9,9 @@ The network file is line-oriented ASCII:
     C <vertex> <lon> <lat>               (optional coordinates)
 
 ``V`` and ``L`` appear once each; a level label is ``inf`` or an integer
-and is declared once; vertices are decimal numbers. Edge ids follow the
+and is declared once; the vertex count and vertex numbers are non-negative
+integers. Every integer is spelled as ``str`` spells it (ASCII digits, no
+leading zero, sign or underscore). Edge ids follow the
 order of E lines. Loading and saving round-trip byte-stably up to comment
 lines.
 """
@@ -59,9 +61,13 @@ def _parse_number(token: str, line_no: int) -> float:
 
 
 def _canonical_int(token: str) -> int | None:
-    """``token`` as an int if it is spelled as ``str`` spells that int, else None."""
-    if token.removeprefix("-").isdecimal() and str(int(token)) == token:
-        return int(token)
+    """``token`` as an int if it is spelled as ``str`` spells that int, else None:
+    ASCII digits after an optional ``-``, without a leading zero or ``-0``."""
+    if token.isdecimal():
+        return int(token) if token.isascii() and (token[0] != "0" or len(token) == 1) else None
+    digits = token[1:]
+    if token[:1] == "-" and digits.isdecimal() and digits.isascii() and digits[0] != "0":
+        return -int(digits)
     return None
 
 
@@ -75,23 +81,21 @@ def parse_network(text: str) -> NetworkFile:
     label_nu: dict[str, float] | None = None
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
-    wstar: list[float] = []
     edge_labels: list[str] = []
     first_use: dict[str, int] = {}  # level label -> line of its first E line
     categories: list[str | None] = []
     coordinates: dict[int, tuple[float, float]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         tag = parts[0]
         if tag == "V":
             if vertex_count is not None:
                 raise ParseError(line_no, "second V line")
-            if len(parts) != 2 or not parts[1].isdecimal():
+            vertex_count = _canonical_int(parts[1]) if len(parts) == 2 else None
+            if vertex_count is None or vertex_count < 0:
                 raise ParseError(line_no, "expected: V <vertex_count>")
-            vertex_count = int(parts[1])
         elif tag == "L":
             if label_nu is not None:
                 raise ParseError(line_no, "second L line")
@@ -118,9 +122,9 @@ def parse_network(text: str) -> NetworkFile:
                 raise ParseError(line_no, "E line before V line")
             if len(parts) not in (5, 6):
                 raise ParseError(line_no, "expected: E <tail> <head> <weight> <level> [category]")
-            if not (parts[1].isdecimal() and parts[2].isdecimal()):
+            u, v = _canonical_int(parts[1]), _canonical_int(parts[2])
+            if u is None or v is None or u < 0 or v < 0:
                 raise ParseError(line_no, "bad endpoint")
-            u, v = int(parts[1]), int(parts[2])
             if u >= vertex_count or v >= vertex_count:
                 raise ParseError(line_no, f"endpoint out of range: ({u}, {v})")
             weight = _parse_number(parts[3], line_no)
@@ -128,16 +132,15 @@ def parse_network(text: str) -> NetworkFile:
                 raise ParseError(line_no, f"negative weight {weight}")
             edges.append((u, v))
             weights.append(weight)
-            wstar.append(weight)
             edge_labels.append(parts[4])
             first_use.setdefault(parts[4], line_no)
             categories.append(parts[5] if len(parts) == 6 else None)
         elif tag == "C":
             if vertex_count is None:
                 raise ParseError(line_no, "C line before V line")
-            if len(parts) != 4 or not parts[1].isdecimal():
+            vertex = _canonical_int(parts[1]) if len(parts) == 4 else None
+            if vertex is None or vertex < 0:
                 raise ParseError(line_no, "expected: C <vertex> <lon> <lat>")
-            vertex = int(parts[1])
             if vertex >= vertex_count:
                 raise ParseError(line_no, f"vertex out of range: {vertex}")
             coordinates[vertex] = (
@@ -159,7 +162,7 @@ def parse_network(text: str) -> NetworkFile:
     except NetworkError as exc:
         raise ParseError(scope_line, str(exc)) from exc
     try:
-        network = build_network(vertex_count, edges, weights, wstar)
+        network = build_network(vertex_count, edges, weights)
         scope.validate(network)
     except NetworkError as exc:
         raise ParseError(0, str(exc)) from exc
@@ -433,10 +436,9 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
     """
     updates: dict[int, float] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         selector = parts[0]
         if len(parts) > 2:
             raise ParseError(line_no, "expected: <edge> [weight]")

@@ -35,8 +35,9 @@ class RoadNetwork:
     weight_updated: tuple[float, ...]
     _out: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
     _in: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
-    # Structural scratch cache (adjacency packs etc.); shared between weight
-    # variants of the same graph, so entries must not depend on weights.
+    # Scratch cache (adjacency packs, landmark distances); shared between
+    # weight variants of the same graph, so entries may depend on ``weight``,
+    # which they all share, but never on ``weight_updated``.
     _aux: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property

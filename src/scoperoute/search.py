@@ -10,14 +10,19 @@ the settled draw label of its tail passes the gate, i.e. when some
 cheapest admissible walk to the tail leaves enough budget. The
 enumeration-based oracle in this module implements the same relation by
 brute force and is the ground truth the searches are tested against.
+
+On positive integer weights the bidirectional search is goal-directed by
+lower bounds from a landmark table built once per network; its results
+stay those of the plain search, walks included.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
 from .network import (
     INF,
@@ -159,6 +164,7 @@ def _scope_search(
     weighting: str,
     seed_sigma: tuple[float, ...] | None = None,
     track_tree: bool = True,
+    potential=None,
 ):
     """Fresh labels from ``source`` and the stepping search that settles them."""
     if not (0 <= source < network.vertex_count):
@@ -174,24 +180,42 @@ def _scope_search(
     res.dist[source] = 0.0
     res.sigma[source] = start_vec
     res.tree_sigma[source] = start_vec
-    return res, _scope_steps(res, _edge_pack(network, scope), w, scope.nu, track_tree)
+    steps = _scope_steps(res, _edge_pack(network, scope), w, scope.nu, track_tree, potential)
+    return res, steps
 
 
-def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool):
+def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool, potential=None):
     """The scope-aware relaxation loop, one settled vertex per step.
 
-    Each step yields the live queue head ``(d, u)``; resuming settles ``u``
-    and relaxes its out-edges. Draining the generator is a full run; the
-    scanned and relaxed counts are written when it finishes or is closed.
+    Each step yields the live queue head, ``(d, u)`` or with a potential
+    ``(key, d, u)``; resuming settles ``u`` and relaxes its out-edges.
+    Draining the generator is a full run; the scanned and relaxed counts are
+    written when it finishes or is closed.
 
     Relaxation of an edge at level ``l`` requires ``sigma[l][tail] <= nu[l]``.
     A strict distance improvement resets the head's draw vector to the new
     arrival's; an exact tie merges component-wise minima over the equal-cost
     arrivals.
+
+    Without ``potential`` the key is ``d``. With it the key is ``d + h(v)``,
+    ``h = potential`` evaluated at most once per vertex, and the caller
+    guarantees positive integer weights and a consistent ``h`` (see
+    ``_goal_potentials``); equal keys then settle the smaller ``d`` first, so
+    every tight arrival still reaches its head before the head settles.
+    What plain Dijkstra's settle order decides implicitly is then made
+    explicit: on a tie at an unsettled head, the parent is the arrival whose
+    tail comes first in ``(dist, vertex id)`` order, then first in pack order.
     """
     dist, parent, sigma, tree = res.dist, res.parent_edge, res.sigma, res.tree_sigma
+    tails = res._tails
     done = [False] * len(dist)
-    heap: list[tuple[float, int]] = [(0.0, res.source)]
+    goal = potential is not None
+    if goal:
+        h = [-1.0] * len(dist)
+        h[res.source] = potential(res.source)
+        heap: list[tuple] = [(h[res.source], 0.0, res.source)]
+    else:
+        heap = [(0.0, res.source)]
     push = heapq.heappush
     pop = heapq.heappop
     scanned = 0
@@ -199,7 +223,7 @@ def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool):
     try:
         while heap:
             head = pop(heap)
-            d, u = head
+            d, u = head[1:] if goal else head
             if done[u] or d > dist[u]:
                 continue
             yield head
@@ -224,9 +248,21 @@ def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool):
                     if track_tree:
                         tree[v] = add_draw(tree[u], lv, we)
                     relaxed += 1
-                    push(heap, (nd, v))
+                    if goal:
+                        hv = h[v]
+                        if hv < 0.0:
+                            hv = h[v] = potential(v)
+                        push(heap, (nd + hv, nd, v))
+                    else:
+                        push(heap, (nd, v))
                 else:
                     sigma[v] = min_vec(sigma[v], arrival)
+                    if goal and not done[v]:
+                        t = tails[parent[v]]
+                        if d < dist[t] or (d == dist[t] and u < t):
+                            parent[v] = e
+                            if track_tree:
+                                tree[v] = add_draw(tree[u], lv, we)
     finally:
         res.scanned_count = scanned
         res.relaxed_count = relaxed
@@ -290,6 +326,103 @@ def _split_minimum(forward: ScopeSearchResult, backward: ScopeSearchResult) -> B
     return BidirectionalResult(walk, cost, meeting, forward, backward)
 
 
+# Landmarks of the goal-directed static search. On long queries of the
+# acceptance grid 4 landmarks settle about 465 vertices, 8 about 342 and 16
+# about 264; past 8 the time per query gains less than run-to-run noise
+# while the one-time build keeps growing (see CHANGES.md).
+_LANDMARKS = 8
+# Landmark distances are stored as int16 when every distance fits, else as
+# int32; the type's largest value stands for "unreachable". The bound keeps
+# every distance and heap key of a goal-directed search an exact float sum.
+_TYPECODES = (("h", 2**15 - 1), ("i", 2**31 - 1))
+_EXACT = _TYPECODES[-1][1]
+
+
+def _distance_bound(w, vertex_count: int) -> float:
+    """``n - 1`` times the largest finite weight, a bound on every finite
+    shortest distance, when every finite weight is a positive integer;
+    otherwise ``inf``."""
+    values = set(w)
+    values.discard(INF)
+    if all(x >= 1.0 and x.is_integer() for x in values):
+        return max(vertex_count - 1, 0) * max(values, default=0.0)
+    return INF
+
+
+def _landmark_rows(network: RoadNetwork) -> array | None:
+    """Per-vertex landmark rows on the base weights, built once per network.
+
+    Row ``v`` holds ``d(L, v)`` for each landmark ``L``, then ``-d(v, L)``.
+    The landmarks are chosen farthest-point: each next one maximises the
+    smallest round trip to those already chosen. The rows depend on
+    ``weight`` only, which every weight variant of the network shares, and
+    are cached in ``_aux`` with it. ``None`` when the base weights are not
+    positive integers or their distances can exceed int32.
+    """
+    aux = network._aux
+    if "landmarks" not in aux:
+        aux["landmarks"] = _build_landmark_rows(network)
+    return aux["landmarks"]
+
+
+def _build_landmark_rows(network: RoadNetwork) -> array | None:
+    n = network.vertex_count
+    bound = _distance_bound(network.weight, n)
+    code, far = next(((c, f) for c, f in _TYPECODES if bound < f), (None, None))
+    if code is None:
+        return None
+    k = min(_LANDMARKS, n)
+    rev = network.reverse()
+    rows = array(code, bytes(array(code).itemsize * n * 2 * k))
+    first = dijkstra(network, "base", 0).dist
+    landmark = max(range(n), key=lambda v: (first[v] < INF, first[v], -v))
+    round_trip = [INF] * n
+    for i in range(k):
+        out = dijkstra(network, "base", landmark).dist
+        back = dijkstra(rev, "base", landmark).dist
+        rows[i :: 2 * k] = array(code, [int(x) if x < INF else far for x in out])
+        rows[k + i :: 2 * k] = array(code, [-int(x) if x < INF else -far for x in back])
+        round_trip = list(map(min, round_trip, map(add, out, back)))
+        landmark = max(range(n), key=lambda v: (round_trip[v], -v))
+    return rows
+
+
+def _goal_potentials(network: RoadNetwork, weighting, source: int, target: int):
+    """Consistent lower bounds for a bidirectional search, or ``(None, None)``.
+
+    The forward one bounds the distance to ``target``, the backward one the
+    distance from ``source``, both from the landmark rows by the triangle
+    inequality; an unreachable entry stands in as the type's largest value,
+    which keeps both bounds valid and consistent. Base-weight distances
+    bound the distances of every weighting at or above the base one and of
+    every scope, which only removes walks; so they hold for the named
+    weightings of every weight variant. ``None`` unless the table exists
+    and the searched weights are positive integers with distances within
+    int32.
+    """
+    if weighting not in ("base", "updated"):
+        return None, None
+    rows = _landmark_rows(network)
+    n = network.vertex_count
+    if rows is None or (
+        weighting == "updated" and _distance_bound(network.weight_updated, n) >= _EXACT
+    ):
+        return None, None
+    k = len(rows) // n
+    at_t = rows[target * k : target * k + k]
+    at_s = rows[source * k : source * k + k]
+
+    def toward_target(v: int) -> float:
+        j = v * k
+        return max(0.0, max(map(sub, at_t, rows[j : j + k])))
+
+    def toward_source(v: int) -> float:
+        j = v * k
+        return max(0.0, max(map(sub, rows[j : j + k], at_s)))
+
+    return toward_target, toward_source
+
+
 def bidirectional_s_dijkstra(
     network: RoadNetwork,
     scope: ScopeMapping,
@@ -308,22 +441,39 @@ def bidirectional_s_dijkstra(
     side only can still close a cheaper meeting. Requiring each head to pass
     the best sum guarantees the minimising vertex is settled on both sides,
     and the result then equals the split minimum of two drained
-    unidirectional runs.
+    unidirectional runs: cost, meeting vertex and walk.
+
+    When the weights are positive integers (see ``_goal_potentials``) each
+    side is goal-directed by landmark bounds: forwards towards
+    ``target``, backwards towards ``source``. A head's key is then its
+    distance plus the bound, and the searches stop only once both keys are
+    strictly above the best sum. Every vertex of a cheapest meeting has a
+    key of at most that sum on either side, so ties included, all of them
+    settle on both sides and the lowest one is found; the explicit parent
+    rule of ``_scope_steps`` gives the drained runs' walks. Otherwise the
+    keys are the distances and the searches stop once both reach the best
+    sum.
     """
-    fwd, fwd_steps = _scope_search(network, scope, source, weighting)
-    if not (0 <= target < network.vertex_count):
-        raise NetworkError(f"unknown target vertex {target}")
-    bwd, bwd_steps = _scope_search(network.reverse(), scope, target, weighting)
+    for vertex, role in ((source, "source"), (target, "target")):
+        if not (0 <= vertex < network.vertex_count):
+            raise NetworkError(f"unknown {role} vertex {vertex}")
+    toward_target, toward_source = _goal_potentials(network, weighting, source, target)
+    goal = toward_target is not None
+    fwd, fwd_steps = _scope_search(network, scope, source, weighting, potential=toward_target)
+    bwd, bwd_steps = _scope_search(
+        network.reverse(), scope, target, weighting, potential=toward_source
+    )
     runs = (fwd, bwd)
     steps = (fwd_steps, bwd_steps)
     heads = [next(fwd_steps, None), next(bwd_steps, None)]
     best = INF
     while True:
         tops = [INF if h is None else h[0] for h in heads]
-        if tops[0] >= best and tops[1] >= best:
+        top = min(tops)
+        if top == INF or top > best or (top == best and not goal):
             break
         side = 0 if tops[0] <= tops[1] else 1
-        d, u = heads[side]
+        d, u = heads[side][-2:]
         far = runs[1 - side].dist[u]
         if d + far < best:
             best = d + far

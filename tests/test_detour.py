@@ -21,6 +21,8 @@ from scoperoute import (
     validate_simple_detour,
 )
 
+from scoperoute.search import _split_minimum
+
 from conftest import random_network
 
 INF = math.inf
@@ -450,3 +452,44 @@ def test_closed_copy_freed_by_reference_counting(permit_fixture):
     finally:
         gc.enable()
     assert (simple.klass, enhanced.klass) == ("simple-detour", "enhanced-detour")
+
+
+@pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
+def test_copy_without_raised_edges_runs_no_drained_search(monkeypatch, route):
+    # Nothing raised: the static walk exits, found by the bidirectional
+    # search alone, and it is the walk the drained runs give.
+    def failing(*args, **kwargs):
+        raise AssertionError("drained s_dijkstra called")
+
+    rng = random.Random(41)
+    cases = []
+    while len(cases) < 40:
+        net, scope = random_network(rng, max_vertices=10)
+        s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+        drained = _split_minimum(s_dijkstra(net, scope, s), s_dijkstra(net.reverse(), scope, t))
+        if drained.walk is not None:
+            cases.append((net, scope, s, t, drained))
+    monkeypatch.setattr(scoperoute.detour, "s_dijkstra", failing)
+    for net, scope, s, t, drained in cases:
+        res = route(net.with_updated_weights({}), scope, s, t)
+        assert (res.klass, res.walk, res.cost_updated) == ("static", drained.walk, drained.cost)
+        assert res.scanned_static == bidirectional_s_dijkstra(net, scope, s, t).scanned_count
+
+
+def test_quasi_closure_only_after_the_static_exit(n1, n1_scope15, permit_fixture, monkeypatch):
+    # The enhanced route grows the closure set only once the static walk has
+    # failed; a static result reports no quasi-closure work.
+    calls = []
+    real = scoperoute.detour.qc_closure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scoperoute.detour, "qc_closure", counting)
+    res = enhanced_detour_route(n1.with_updated_weights({3: INF}), n1_scope15, 0, 3)
+    assert (res.klass, res.qc_iterations, res.qc_added, len(calls)) == ("static", 0, 0, 0)
+    net, scope = permit_fixture
+    res = enhanced_detour_route(net, scope, 0, 3)
+    assert (res.klass, len(calls)) == ("enhanced-detour", 1)
+    assert res.qc_iterations == real(net, scope, None, 0, 3).iterations

@@ -89,6 +89,19 @@ class TestParseNetwork:
             pytest.param(
                 "V 2\nL 0:5 inf:inf\nE \u00b2 1 1 0\n", "line 3: bad endpoint", id="e-superscript",
             ),
+            pytest.param(
+                "V 4\nL 0:5 inf:inf\nE \u0663 1 2 inf\n", "line 3: bad endpoint", id="e-arabic-digit",
+            ),
+            pytest.param(
+                "V 4\nL 0:5 inf:inf\nE 3 01 2 inf\n", "line 3: bad endpoint", id="e-leading-zero",
+            ),
+            pytest.param("V 4\nL 0:5 inf:inf\nE -0 1 2 0\n", "line 3: bad endpoint", id="e-minus-zero"),
+            pytest.param("V 4\nL 0:5 inf:inf\nC 02 0 0\n", "line 3: expected: C", id="c-leading-zero"),
+            pytest.param(
+                "V 4\nL 0:5 inf:inf\nC \u0662 0 0\n", "line 3: expected: C", id="c-arabic-digit",
+            ),
+            pytest.param("V 04\nL 0:5 inf:inf\n", "line 1: expected: V", id="v-leading-zero"),
+            pytest.param("V -0\nL 0:5 inf:inf\n", "line 1: expected: V", id="v-minus-zero"),
         ],
     )
     def test_bad_vertex_number_rejected(self, text, message):
@@ -164,6 +177,56 @@ def test_dump_parse_roundtrip_property(nf):
     assert again.scope == nf.scope
     assert again.categories == nf.categories
     assert again.coordinates == nf.coordinates
+
+
+def _spelled(draw, value: int) -> str:
+    """``value`` as written, or now and then a non-canonical spelling."""
+    if draw(st.integers(0, 7)):
+        return str(value)
+    return draw(st.sampled_from([f"0{value}", f"-{value}", f"+{value}", "1_0", "\u00b2", "\u0663"]))
+
+
+@st.composite
+def near_valid_network_texts(draw):
+    """Network files whose V, E and C lines spell their vertex numbers in
+    assorted ways; the rest of each line is well formed."""
+    lines = ["V " + _spelled(draw, 4), "L 0:5 inf:inf"]
+    vertex = st.integers(0, 3)
+    for _ in range(draw(st.integers(0, 4))):
+        tail, head = _spelled(draw, draw(vertex)), _spelled(draw, draw(vertex))
+        lines.append(f"E {tail} {head} {draw(st.sampled_from(['1', '2.5', 'inf']))} 0")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"C {_spelled(draw, draw(vertex))} 1 2")
+    return "\n".join(lines) + "\n"
+
+
+def _vertex_numbers(text):
+    """The vertex count, the edges' endpoints in order and the coordinate
+    vertices of a network file, as spelled."""
+    spelled = {"V": [], "E": [], "C": set()}
+    for line in text.splitlines():
+        words = line.split()
+        if words[0] == "V":
+            spelled["V"].append(words[1])
+        elif words[0] == "E":
+            spelled["E"].append((words[1], words[2]))
+        elif words[0] == "C":
+            spelled["C"].add(words[1])
+    return spelled
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_valid_network_texts())
+def test_accepted_file_round_trips_byte_stably_property(text):
+    # A file is accepted only when dumping it writes every vertex number as
+    # it was read, and dumping is then a fixed point.
+    try:
+        nf = parse_network(text)
+    except ParseError:
+        return
+    dumped = dump_network(nf)
+    assert _vertex_numbers(dumped) == _vertex_numbers(text)
+    assert dump_network(parse_network(dumped)) == dumped
 
 
 class TestCategories:

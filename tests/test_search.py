@@ -19,7 +19,8 @@ from scoperoute import (
     validate_split_admissible,
 )
 from scoperoute.netio import generate_synthetic
-from scoperoute.search import _edge_pack
+from scoperoute.network import balance_to_proper
+from scoperoute.search import _edge_pack, _goal_potentials, _split_minimum
 
 from conftest import random_network
 
@@ -107,6 +108,84 @@ class TestBidirectional:
             if bid.walk is not None:
                 assert bid.walk.cost(net) == bid.cost
                 assert validate_split_admissible(bid.walk, net, scope, s, t)
+
+
+def _drained_split_minimum(net, scope, s, t, weighting="base"):
+    return _split_minimum(
+        s_dijkstra(net, scope, s, weighting), s_dijkstra(net.reverse(), scope, t, weighting)
+    )
+
+
+def _reweighted(net, rng, kind):
+    """``net`` with weights drawn afresh: positive integers, positive
+    fractions, or integers with zeros among them (edge 0's at least)."""
+    draw = {
+        "integer": lambda: rng.randint(1, 9),
+        "fractional": lambda: rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 2.5, 1 / 3]),
+        "zero": lambda: rng.choice([0, 0, 1, 2, 3]),
+    }[kind]
+    edges = [net.edge(e) for e in range(net.edge_count)]
+    weights = [draw() for _ in edges]
+    if kind == "zero":
+        weights[0] = 0
+    return build_network(net.vertex_count, edges, weights)
+
+
+@pytest.mark.parametrize("kind", ["integer", "fractional", "zero"])
+def test_bidirectional_matches_drained_split_minimum(kind):
+    # Goal direction is on for positive integer weights only. With positive
+    # weights the result is the drained runs' split minimum: cost, lowest
+    # meeting vertex and walk. With zero weights the cost is, and the walk
+    # is a split-admissible walk of that cost.
+    rng = random.Random(f"bidirectional/{kind}")
+    for _ in range(300):
+        net, scope = random_network(rng, max_vertices=14)
+        net = _reweighted(net, rng, kind)
+        s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+        runs = [(net, "base")]
+        if kind == "integer":
+            # Raised weights keep the base-weight bounds valid.
+            e = rng.randrange(net.edge_count)
+            runs.append((net.with_updated_weights({e: rng.choice([INF, net.weight[e] + 5])}), "updated"))
+        for graph, weighting in runs:
+            goal = _goal_potentials(graph, weighting, s, t)[0] is not None
+            assert goal == (kind == "integer")
+            bid = bidirectional_s_dijkstra(graph, scope, s, t, weighting)
+            ref = _drained_split_minimum(graph, scope, s, t, weighting)
+            assert bid.cost == ref.cost
+            if kind != "zero":
+                assert (bid.meeting, bid.walk) == (ref.meeting, ref.walk)
+            elif bid.walk is not None:
+                assert bid.walk.start == s and bid.walk.end(graph) == t
+                assert bid.walk.cost(graph, weighting) == bid.cost
+                assert validate_split_admissible(bid.walk, graph, scope, s, t, weighting)
+
+
+@pytest.fixture(scope="module")
+def acceptance_grid():
+    nf = generate_synthetic("grid", 50, 3, seed=42)
+    return nf.network, balance_to_proper(nf.network, nf.scope), nf.coordinates
+
+
+def test_goal_directed_grid_search_settles_a_quarter(acceptance_grid):
+    # On long pairs of the acceptance grid the walks are the drained runs'
+    # and the two searches settle under a quarter of the vertices they do.
+    net, scope, coordinates = acceptance_grid
+    rng = random.Random(7)
+    vertices = sorted(coordinates)
+    settled = drained = pairs = 0
+    while pairs < 100:
+        s, t = rng.choice(vertices), rng.choice(vertices)
+        (xs, ys), (xt, yt) = coordinates[s], coordinates[t]
+        if abs(xs - xt) + abs(ys - yt) < 40:
+            continue
+        pairs += 1
+        bid = bidirectional_s_dijkstra(net, scope, s, t)
+        ref = _drained_split_minimum(net, scope, s, t)
+        assert (bid.cost, bid.meeting, bid.walk) == (ref.cost, ref.meeting, ref.walk)
+        settled += bid.scanned_count
+        drained += ref.scanned_count
+    assert settled < drained / 4
 
 
 class TestValidateAdmissible:

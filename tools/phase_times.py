@@ -1,17 +1,22 @@
-"""Per-phase times of simple detour routing on the city-detour inputs.
+"""Per-phase times of simple detour routing on a benchmark workload's inputs.
 
-    python3 tools/phase_times.py --before OLD/src --after src --out BENCH.json
+    python3 tools/phase_times.py --workload city-detour --before OLD/src --after src --out BENCH.json
 
 Each side runs in its own interpreter with that side's ``src`` first on the
 path, ``--rounds`` times, the sides alternating which goes first so that
-drift in machine speed falls on both; the rounds' samples are pooled. The child wraps the step functions of ``scoperoute.detour`` from
-outside, routes the city-detour queries of ``perfbench/workload.py`` (a
-fresh set of 50 closures per query, one on the static optimum, a cold
-network copy per query) and reports each phase's self time per query:
-a wrapped call's time minus that of the wrapped calls it makes. A phase
-whose function a side lacks reads 0 there. The output holds the mean,
-median and p90 per phase in ms, before and after, with the Python version
-and core count.
+drift in machine speed falls on both; the rounds' samples are pooled. The
+child wraps step functions of ``scoperoute.detour`` and ``scoperoute.search``
+from outside and runs the queries of ``perfbench/workload.py`` as the
+benchmark does: a static search on the base network, then
+``simple_detour_route`` on a cold network copy, with a fresh set of 50
+closures (one on the static optimum) for ``city-detour`` and none for
+``city-static``. It reports each phase's self time per query: a wrapped
+call's time minus that of the wrapped calls it makes. A phase whose
+function a side lacks reads 0 there. "landmark build" is paid once per
+network, in the first query's static search, before the route; it is not
+part of "route, whole". The output holds the mean, median and p90 per phase
+in ms, before and after, with the Python version and core count, under the
+workload's name; other workloads already in the file are kept.
 
 ``--src SRC`` runs one side and prints its per-query times as JSON.
 """
@@ -31,20 +36,22 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Function of scoperoute.detour -> the phase its self time counts towards.
+# Function of a scoperoute module -> the phase its self time counts towards.
 PHASES = {
-    "_drained_runs": "static runs",
-    "_records_from_runs": "records / grants",
-    "_record_pass": "records / grants",
-    "_direction": "gate runs",
-    "_gate_passes": "usable lists",
-    "_clean_masks": "clean masks",
-    "_debt_viability": "viability",
-    "dijkstra": "potentials",
-    "_state_search_halves": "state search",
+    ("detour", "bidirectional_s_dijkstra"): "static search",
+    ("detour", "_drained_runs"): "static runs",
+    ("detour", "_records_from_runs"): "records / grants",
+    ("detour", "_record_pass"): "records / grants",
+    ("detour", "_direction"): "gate runs",
+    ("detour", "_clean_masks"): "clean masks",
+    ("detour", "dijkstra"): "potentials",
+    ("detour", "_state_search_halves"): "state search",
+    ("search", "_build_landmark_rows"): "landmark build",
 }
+BUILD = "landmark build"
 ROUTE = "route, whole"
 OTHER = "route, rest"
+WORKLOADS = ("city-static", "city-detour")
 
 
 class SelfTimes:
@@ -70,11 +77,12 @@ class SelfTimes:
         return timed
 
 
-def measure(src: str, queries: int, seed: int) -> dict[str, list[float]]:
+def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, list[float]]:
     """Per-phase self times in ms, one entry per query, for the sources at ``src``."""
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     import scoperoute as sr
-    import scoperoute.detour as detour
+    import scoperoute.detour
+    import scoperoute.search
     from workload import WORKLOADS, blocks, network_text, place_closures
 
     nf = sr.parse_network(network_text(sr))
@@ -83,25 +91,28 @@ def measure(src: str, queries: int, seed: int) -> dict[str, list[float]]:
     sr.qc_closure(base, scope, (), 0, base.vertex_count - 1)
     top_edges = [e for e in range(base.edge_count) if scope.level[e] == scope.top]
     times = SelfTimes()
-    for name, phase in PHASES.items():
-        if hasattr(detour, name):
-            setattr(detour, name, times.wrap(getattr(detour, name), phase))
+    for (module_name, name), phase in PHASES.items():
+        module = getattr(scoperoute, module_name)
+        if hasattr(module, name):
+            setattr(module, name, times.wrap(getattr(module, name), phase))
     phases = sorted(set(PHASES.values()))
     per_query: dict[str, list[float]] = {p: [] for p in phases + [ROUTE, OTHER]}
-    stream = blocks(WORKLOADS["city-detour"], seed, nf.coordinates)
+    spec = WORKLOADS[workload]
+    stream = blocks(spec, seed, nf.coordinates)
     for _ in range(queries):
         rng, [(s, t)] = next(stream)
-        static = sr.bidirectional_s_dijkstra(base, scope, s, t)
-        closed = base.with_updated_weights(place_closures(rng, base, static.walk, top_edges, 50))
         gc.collect()
         times.ms = {}
+        static = sr.bidirectional_s_dijkstra(base, scope, s, t)
+        updates = place_closures(rng, base, static.walk, top_edges, spec.closures) if spec.closures else {}
+        closed = base.with_updated_weights(updates)
         t0 = perf_counter()
         sr.simple_detour_route(closed, scope, s, t)
         whole = (perf_counter() - t0) * 1000.0
         for p in phases:
             per_query[p].append(times.ms.get(p, 0.0))
         per_query[ROUTE].append(whole)
-        per_query[OTHER].append(whole - sum(times.ms.values()))
+        per_query[OTHER].append(whole - sum(ms for p, ms in times.ms.items() if p != BUILD))
     return per_query
 
 
@@ -114,14 +125,18 @@ def summary(values: list[float]) -> dict[str, float]:
     }
 
 
-def run_side(src: str, queries: int, seed: int) -> dict[str, list[float]]:
-    cmd = [sys.executable, __file__, "--src", src, "--queries", str(queries), "--seed", str(seed)]
+def run_side(src: str, workload: str, queries: int, seed: int) -> dict[str, list[float]]:
+    cmd = [
+        sys.executable, __file__, "--src", src, "--workload", workload,
+        "--queries", str(queries), "--seed", str(seed),
+    ]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=WORKLOADS, default="city-detour")
     parser.add_argument("--src", help="measure one side and print its per-query times")
     parser.add_argument("--before", help="src directory of the version before the change")
     parser.add_argument("--after", default=str(ROOT / "src"))
@@ -131,7 +146,7 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args()
     if args.src:
-        print(json.dumps(measure(args.src, args.queries, args.seed)))
+        print(json.dumps(measure(args.src, args.workload, args.queries, args.seed)))
         return
     if not (args.before and args.out):
         parser.error("give --src, or --before and --out")
@@ -141,11 +156,11 @@ def main() -> None:
     sides: dict[str, dict[str, list[float]]] = {"before": {}, "after": {}}
     for r in range(args.rounds):
         for side in ("before", "after") if r % 2 == 0 else ("after", "before"):
-            for phase, times in run_side(sources[side], args.queries, args.seed).items():
+            for phase, times in run_side(sources[side], args.workload, args.queries, args.seed).items():
                 sides[side].setdefault(phase, []).extend(times)
     report = {
-        "workload": "city-detour",
-        "what": "self time per phase of one simple_detour_route call, ms per query",
+        "workload": args.workload,
+        "what": "self time per phase of one simple_detour_route call, and of the landmark build in the static search before it, ms per query",
         "seed": args.seed,
         "queries": args.queries,
         "rounds": args.rounds,
@@ -157,7 +172,10 @@ def main() -> None:
             for phase in sides["after"]
         },
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    out = Path(args.out)
+    reports = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    reports[args.workload] = report
+    out.write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
     width = max(map(len, report["phases"]))
     for phase, row in report["phases"].items():
         b, a = row["before"]["mean"], row["after"]["mean"]
