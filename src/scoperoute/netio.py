@@ -61,13 +61,10 @@ def _parse_number(token: str, line_no: int) -> float:
 
 
 def _canonical_int(token: str) -> int | None:
-    """``token`` as an int if it is spelled as ``str`` spells that int, else None:
-    ASCII digits after an optional ``-``, without a leading zero or ``-0``."""
-    if token.isdecimal():
-        return int(token) if token.isascii() and (token[0] != "0" or len(token) == 1) else None
-    digits = token[1:]
-    if token[:1] == "-" and digits.isdecimal() and digits.isascii() and digits[0] != "0":
-        return -int(digits)
+    """``token`` as an int if it is spelled as ``str`` spells that int, else None."""
+    digits = token.removeprefix("-")
+    if digits.isdecimal() and digits.isascii() and (digits[0] != "0" or token == "0"):
+        return int(token)
     return None
 
 

@@ -12,8 +12,9 @@ enumeration-based oracle in this module implements the same relation by
 brute force and is the ground truth the searches are tested against.
 
 On positive integer weights the bidirectional search is goal-directed by
-lower bounds from a landmark table built once per network; its results
-stay those of the plain search, walks included.
+lower bounds from a landmark table, built once a network has served a few
+static searches; its results stay those of the plain search, walks
+included.
 """
 
 from __future__ import annotations
@@ -331,11 +332,16 @@ def _split_minimum(forward: ScopeSearchResult, backward: ScopeSearchResult) -> B
 # about 264; past 8 the time per query gains less than run-to-run noise
 # while the one-time build keeps growing (see CHANGES.md).
 _LANDMARKS = 8
-# Landmark distances are stored as int16 when every distance fits, else as
-# int32; the type's largest value stands for "unreachable". The bound keeps
-# every distance and heap key of a goal-directed search an exact float sum.
-_TYPECODES = (("h", 2**15 - 1), ("i", 2**31 - 1))
-_EXACT = _TYPECODES[-1][1]
+# Static searches a network serves plain before it builds the landmark
+# table. On the acceptance grid the build costs about as much as this many
+# plain long searches cost over goal-directed ones, so a network that
+# serves one search (a command-line call) never pays for the table, and
+# one that serves many pays at most about twice the least it could.
+_PLAIN_SEARCHES = 9
+# Landmark distances are stored as int32, whose largest value stands for
+# "unreachable"; below it every distance and heap key of a goal-directed
+# search is an exact float sum.
+_FAR = 2**31 - 1
 
 
 def _distance_bound(w, vertex_count: int) -> float:
@@ -350,38 +356,45 @@ def _distance_bound(w, vertex_count: int) -> float:
 
 
 def _landmark_rows(network: RoadNetwork) -> array | None:
-    """Per-vertex landmark rows on the base weights, built once per network.
+    """Per-vertex landmark rows on the base weights, built once the network
+    has served ``_PLAIN_SEARCHES`` static searches without them.
 
-    Row ``v`` holds ``d(L, v)`` for each landmark ``L``, then ``-d(v, L)``.
-    The landmarks are chosen farthest-point: each next one maximises the
-    smallest round trip to those already chosen. The rows depend on
-    ``weight`` only, which every weight variant of the network shares, and
-    are cached in ``_aux`` with it. ``None`` when the base weights are not
-    positive integers or their distances can exceed int32.
+    Each call is one static search; the count and the rows are cached in
+    ``_aux``, which every weight variant of the network shares, as they
+    share ``weight``, the only weights the rows depend on. ``None`` while
+    the count runs, and for good when the base weights are not positive
+    integers or their distances can reach int32's largest value.
     """
     aux = network._aux
     if "landmarks" not in aux:
+        plain = aux.get("plain searches", 0)
+        if plain < _PLAIN_SEARCHES:
+            aux["plain searches"] = plain + 1
+            return None
         aux["landmarks"] = _build_landmark_rows(network)
     return aux["landmarks"]
 
 
 def _build_landmark_rows(network: RoadNetwork) -> array | None:
+    """Row ``v`` holds ``d(L, v)`` for each landmark ``L``, then ``-d(v, L)``.
+
+    The landmarks are chosen farthest-point: each next one maximises the
+    smallest round trip to those already chosen.
+    """
     n = network.vertex_count
-    bound = _distance_bound(network.weight, n)
-    code, far = next(((c, f) for c, f in _TYPECODES if bound < f), (None, None))
-    if code is None:
+    if _distance_bound(network.weight, n) >= _FAR:
         return None
     k = min(_LANDMARKS, n)
     rev = network.reverse()
-    rows = array(code, bytes(array(code).itemsize * n * 2 * k))
+    rows = array("i", bytes(4 * n * 2 * k))
     first = dijkstra(network, "base", 0).dist
     landmark = max(range(n), key=lambda v: (first[v] < INF, first[v], -v))
     round_trip = [INF] * n
     for i in range(k):
         out = dijkstra(network, "base", landmark).dist
         back = dijkstra(rev, "base", landmark).dist
-        rows[i :: 2 * k] = array(code, [int(x) if x < INF else far for x in out])
-        rows[k + i :: 2 * k] = array(code, [-int(x) if x < INF else -far for x in back])
+        rows[i :: 2 * k] = array("i", [int(x) if x < INF else _FAR for x in out])
+        rows[k + i :: 2 * k] = array("i", [-int(x) if x < INF else -_FAR for x in back])
         round_trip = list(map(min, round_trip, map(add, out, back)))
         landmark = max(range(n), key=lambda v: (round_trip[v], -v))
     return rows
@@ -392,20 +405,20 @@ def _goal_potentials(network: RoadNetwork, weighting, source: int, target: int):
 
     The forward one bounds the distance to ``target``, the backward one the
     distance from ``source``, both from the landmark rows by the triangle
-    inequality; an unreachable entry stands in as the type's largest value,
+    inequality; an unreachable entry stands in as int32's largest value,
     which keeps both bounds valid and consistent. Base-weight distances
     bound the distances of every weighting at or above the base one and of
     every scope, which only removes walks; so they hold for the named
     weightings of every weight variant. ``None`` unless the table exists
-    and the searched weights are positive integers with distances within
-    int32.
+    (see ``_landmark_rows``) and the searched weights are positive integers
+    with distances below int32's largest value.
     """
     if weighting not in ("base", "updated"):
         return None, None
     rows = _landmark_rows(network)
     n = network.vertex_count
     if rows is None or (
-        weighting == "updated" and _distance_bound(network.weight_updated, n) >= _EXACT
+        weighting == "updated" and _distance_bound(network.weight_updated, n) >= _FAR
     ):
         return None, None
     k = len(rows) // n
@@ -443,16 +456,16 @@ def bidirectional_s_dijkstra(
     and the result then equals the split minimum of two drained
     unidirectional runs: cost, meeting vertex and walk.
 
-    When the weights are positive integers (see ``_goal_potentials``) each
-    side is goal-directed by landmark bounds: forwards towards
-    ``target``, backwards towards ``source``. A head's key is then its
-    distance plus the bound, and the searches stop only once both keys are
-    strictly above the best sum. Every vertex of a cheapest meeting has a
-    key of at most that sum on either side, so ties included, all of them
-    settle on both sides and the lowest one is found; the explicit parent
-    rule of ``_scope_steps`` gives the drained runs' walks. Otherwise the
-    keys are the distances and the searches stop once both reach the best
-    sum.
+    When the weights are positive integers and the network has its
+    landmark table (see ``_goal_potentials``) each side is goal-directed by
+    landmark bounds: forwards towards ``target``, backwards towards
+    ``source``. A head's key is then its distance plus the bound, and the
+    searches stop only once both keys are strictly above the best sum.
+    Every vertex of a cheapest meeting has a key of at most that sum on
+    either side, so ties included, all of them settle on both sides and the
+    lowest one is found; the explicit parent rule of ``_scope_steps`` gives
+    the drained runs' walks. Otherwise the keys are the distances and the
+    searches stop once both reach the best sum.
     """
     for vertex, role in ((source, "source"), (target, "target")):
         if not (0 <= vertex < network.vertex_count):
@@ -467,17 +480,31 @@ def bidirectional_s_dijkstra(
     steps = (fwd_steps, bwd_steps)
     heads = [next(fwd_steps, None), next(bwd_steps, None)]
     best = INF
-    while True:
-        tops = [INF if h is None else h[0] for h in heads]
-        top = min(tops)
-        if top == INF or top > best or (top == best and not goal):
-            break
-        side = 0 if tops[0] <= tops[1] else 1
-        d, u = heads[side][-2:]
-        far = runs[1 - side].dist[u]
-        if d + far < best:
-            best = d + far
-        heads[side] = next(steps[side], None)
+    # Two copies of one loop: unpacking the goal-directed heads and testing
+    # the strict stop cost the plain search about a tenth of its time.
+    if not goal:
+        while True:
+            tops = [INF if h is None else h[0] for h in heads]
+            if tops[0] >= best and tops[1] >= best:
+                break
+            side = 0 if tops[0] <= tops[1] else 1
+            d, u = heads[side]
+            far = runs[1 - side].dist[u]
+            if d + far < best:
+                best = d + far
+            heads[side] = next(steps[side], None)
+    else:
+        while True:
+            tops = [INF if h is None else h[0] for h in heads]
+            top = min(tops)
+            if top > best or top == INF:
+                break
+            side = 0 if tops[0] <= tops[1] else 1
+            _, d, u = heads[side]
+            far = runs[1 - side].dist[u]
+            if d + far < best:
+                best = d + far
+            heads[side] = next(steps[side], None)
     fwd_steps.close()
     bwd_steps.close()
     return _split_minimum(fwd, bwd)

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 import scoperoute.detour
+import scoperoute.search
 from scoperoute import (
     Walk,
     bidirectional_s_dijkstra,
@@ -455,11 +456,16 @@ def test_closed_copy_freed_by_reference_counting(permit_fixture):
 
 
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
-def test_copy_without_raised_edges_runs_no_drained_search(monkeypatch, route):
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "goal-directed"])
+def test_copy_without_raised_edges_runs_no_drained_search(monkeypatch, route, plain):
     # Nothing raised: the static walk exits, found by the bidirectional
-    # search alone, and it is the walk the drained runs give.
+    # search alone (plain, or goal-directed once the landmark table is
+    # built), and it is the walk the drained runs give.
     def failing(*args, **kwargs):
         raise AssertionError("drained s_dijkstra called")
+
+    if not plain:
+        monkeypatch.setattr(scoperoute.search, "_PLAIN_SEARCHES", 0)
 
     rng = random.Random(41)
     cases = []

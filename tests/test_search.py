@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import scoperoute.search
 from scoperoute import (
     NetworkError,
     Walk,
@@ -20,7 +21,7 @@ from scoperoute import (
 )
 from scoperoute.netio import generate_synthetic
 from scoperoute.network import balance_to_proper
-from scoperoute.search import _edge_pack, _goal_potentials, _split_minimum
+from scoperoute.search import _edge_pack, _goal_potentials, _landmark_rows, _split_minimum
 
 from conftest import random_network
 
@@ -117,10 +118,12 @@ def _drained_split_minimum(net, scope, s, t, weighting="base"):
 
 
 def _reweighted(net, rng, kind):
-    """``net`` with weights drawn afresh: positive integers, positive
-    fractions, or integers with zeros among them (edge 0's at least)."""
+    """``net`` with weights drawn afresh: small or large positive integers,
+    positive fractions, or integers with zeros among them (edge 0's at
+    least)."""
     draw = {
         "integer": lambda: rng.randint(1, 9),
+        "large": lambda: rng.randint(4000, 6000),
         "fractional": lambda: rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 2.5, 1 / 3]),
         "zero": lambda: rng.choice([0, 0, 1, 2, 3]),
     }[kind]
@@ -131,25 +134,33 @@ def _reweighted(net, rng, kind):
     return build_network(net.vertex_count, edges, weights)
 
 
-@pytest.mark.parametrize("kind", ["integer", "fractional", "zero"])
-def test_bidirectional_matches_drained_split_minimum(kind):
+@pytest.fixture
+def landmarks_at_once(monkeypatch):
+    """Every network builds its landmark table on its first static search."""
+    monkeypatch.setattr(scoperoute.search, "_PLAIN_SEARCHES", 0)
+
+
+@pytest.mark.parametrize("kind", ["integer", "large", "fractional", "zero"])
+def test_bidirectional_matches_drained_split_minimum(kind, landmarks_at_once):
     # Goal direction is on for positive integer weights only. With positive
     # weights the result is the drained runs' split minimum: cost, lowest
     # meeting vertex and walk. With zero weights the cost is, and the walk
-    # is a split-admissible walk of that cost.
+    # is a split-admissible walk of that cost. Large integers put distances
+    # past int16.
     rng = random.Random(f"bidirectional/{kind}")
+    integer = kind in ("integer", "large")
     for _ in range(300):
         net, scope = random_network(rng, max_vertices=14)
         net = _reweighted(net, rng, kind)
         s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
         runs = [(net, "base")]
-        if kind == "integer":
+        if integer:
             # Raised weights keep the base-weight bounds valid.
             e = rng.randrange(net.edge_count)
             runs.append((net.with_updated_weights({e: rng.choice([INF, net.weight[e] + 5])}), "updated"))
         for graph, weighting in runs:
             goal = _goal_potentials(graph, weighting, s, t)[0] is not None
-            assert goal == (kind == "integer")
+            assert goal == integer
             bid = bidirectional_s_dijkstra(graph, scope, s, t, weighting)
             ref = _drained_split_minimum(graph, scope, s, t, weighting)
             assert bid.cost == ref.cost
@@ -167,7 +178,7 @@ def acceptance_grid():
     return nf.network, balance_to_proper(nf.network, nf.scope), nf.coordinates
 
 
-def test_goal_directed_grid_search_settles_a_quarter(acceptance_grid):
+def test_goal_directed_grid_search_settles_a_quarter(acceptance_grid, landmarks_at_once):
     # On long pairs of the acceptance grid the walks are the drained runs'
     # and the two searches settle under a quarter of the vertices they do.
     net, scope, coordinates = acceptance_grid
@@ -186,6 +197,40 @@ def test_goal_directed_grid_search_settles_a_quarter(acceptance_grid):
         settled += bid.scanned_count
         drained += ref.scanned_count
     assert settled < drained / 4
+
+
+def test_landmark_table_built_after_plain_searches():
+    # A network and its weight variants share one count of static searches:
+    # the first _PLAIN_SEARCHES run plain and build nothing, the next one
+    # builds the table and settles fewer vertices for the same walk.
+    nf = generate_synthetic("grid", 12, 3, seed=3)
+    net, scope = nf.network, balance_to_proper(nf.network, nf.scope)
+    s, t = 0, net.vertex_count - 1
+    plain = scoperoute.search._PLAIN_SEARCHES
+    first = bidirectional_s_dijkstra(net, scope, s, t)
+    for i in range(1, plain):
+        graph = net if i % 2 else net.with_updated_weights({})
+        again = bidirectional_s_dijkstra(graph, scope, s, t)
+        assert (again.walk, again.scanned_count) == (first.walk, first.scanned_count)
+    assert "landmarks" not in net._aux
+    goal = bidirectional_s_dijkstra(net.with_updated_weights({}), scope, s, t)
+    assert net._aux["landmarks"] is not None
+    assert goal.walk == first.walk and goal.scanned_count < first.scanned_count
+
+
+def test_no_goal_direction_past_int32(landmarks_at_once):
+    # Distances that can reach int32's largest value leave the table unbuilt
+    # and the search plain.
+    big = 2**30
+    net = build_network(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [big, big, big, 3 * big + 1])
+    scope = make_scope([1, 1, 1, 1], [5, INF])
+    bid = bidirectional_s_dijkstra(net, scope, 0, 3)
+    assert _landmark_rows(net) is None
+    assert _goal_potentials(net, "base", 0, 3) == (None, None)
+    ref = _drained_split_minimum(net, scope, 0, 3)
+    assert (bid.cost, bid.meeting, bid.walk) == (ref.cost, ref.meeting, ref.walk) == (
+        3 * big, 0, Walk(0, (0, 1, 2))
+    )
 
 
 class TestValidateAdmissible:
