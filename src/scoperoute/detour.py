@@ -26,21 +26,21 @@ built from the same pass only when asked for (``find_obstructed``,
 ``DetourContext.records``).
 
 The search explores (vertex, carried-permit mask, owed-permit mask) states
-in both directions, each goal-directed by open-network distances to the far
-end. A state that another state settled at the same vertex dominates
-(carries a superset of its permits, owes a subset of its debt, costs no
-more) is not expanded; every transition and the meeting test are monotone
-in both masks, so this loses no optimum. Each settled state is joined at
-once with the compatible states settled at its vertex by the other
-direction, so the search is complete for exactly the relation the
-validator decides.
+in both directions, each goal-directed by lower bounds on the distance to
+the far end: the static search's landmark bounds once the network has its
+landmark table, else open-network distances. A state that another state
+settled at the same vertex dominates (carries a superset of its permits,
+owes a subset of its debt, costs no more) is not expanded; every
+transition and the meeting test are monotone in both masks, so this loses
+no optimum. Each settled state is joined at once with the compatible
+states settled at its vertex by the other direction, so the search is
+complete for exactly the relation the validator decides.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import eq
 
 from .network import (
     INF,
@@ -53,9 +53,9 @@ from .network import (
 from .search import (
     ScopeSearchResult,
     _edge_pack,
+    _landmark_potentials,
     _level_cached,
     _split_exists,
-    _split_minimum,
     bidirectional_s_dijkstra,
     dijkstra,
     is_saturated,
@@ -567,11 +567,17 @@ def _state_search_halves(
     """Interleaved forward/backward permit-aware searches, joined as they settle.
 
     Each half is goal-directed: it pops states in order of cost plus a
-    potential, the open-network distance (scope ignored) to the far end.
-    Every walk a half can extend to a meeting also runs in the open network,
-    so the potential is a consistent lower bound and keys never fall along
-    a walk. States at vertices that cannot reach the far end at all get an
-    infinite potential and are never queued: no partner can meet them.
+    potential, a lower bound on the open-network distance (scope ignored)
+    to the far end. When the network has its landmark table (see
+    ``search._landmark_rows``) the potentials are the static search's
+    landmark bounds, evaluated once per vertex the half reaches: they bound
+    base-weight distances, and every weighting searched here is at or above
+    the base one. Without a table they are the open-network distances of
+    two ``dijkstra`` runs; only then do states at vertices that cannot
+    reach the far end get an infinite potential and are never queued (no
+    partner can meet them). Every walk a half can extend to a meeting also
+    runs in the open network, so either potential is a consistent lower
+    bound and keys never fall along a walk.
 
     A popped state is not expanded when a state already settled at its
     vertex on the same side dominates it: costs no more, carries a superset
@@ -602,13 +608,24 @@ def _state_search_halves(
     bits = max(top, 1)
     vshift = 2 * bits
     directions = (ctx.forward, ctx.backward)
-    potentials = (
-        dijkstra(ctx.network.reverse(), weights, ctx.target).dist,
-        dijkstra(ctx.network, weights, ctx.source).dist,
-    )
+    # potentials[side][v] is the half's potential at v; a negative entry is
+    # not evaluated yet and is bounds[side](v).
+    bounds = _landmark_potentials(ctx.network, ctx.source, ctx.target)
+    if bounds[0] is None:
+        potentials = (
+            dijkstra(ctx.network.reverse(), weights, ctx.target).dist,
+            dijkstra(ctx.network, weights, ctx.source).dist,
+        )
+    else:
+        n = ctx.network.vertex_count
+        potentials = ([-1.0] * n, [-1.0] * n)
     searches = []
     heaps = []
-    for own, start, potential in zip(directions, (ctx.source, ctx.target), potentials):
+    for own, start, potential, bound in zip(
+        directions, (ctx.source, ctx.target), potentials, bounds
+    ):
+        if potential[start] < 0.0:
+            potential[start] = bound(start)
         start_live = own.grant[start]
         start_key = (start << vshift) | (start_live << bits)
         search = _StateSearch({start_key: 0.0}, {start_key: (None, None, "start")}, {start_key: 0})
@@ -670,6 +687,7 @@ def _state_search_halves(
         debt_grant, debt_clean = other.grant, other.clean
         gate = own.gate[v]
         potential = potentials[side]
+        bound = bounds[side]
         permits = search.permits
         parent = search.parent
         for e, u, lv in own.pack[v]:
@@ -695,7 +713,9 @@ def _state_search_halves(
                 if new_debt & ~debt_clean[u]:
                     continue
             hu = potential[u]
-            if hu == INF:
+            if hu < 0.0:
+                hu = potential[u] = bound(u)
+            elif hu == INF:
                 continue
             nlive = grant[u] | (live & clean[u])
             nkey = (u << vshift) | (nlive << bits) | new_debt
@@ -727,7 +747,14 @@ def _unwind(parent: dict, key: int) -> tuple[list[int], list[int]]:
 
 @dataclass
 class DetourResult:
-    """Outcome of one routing query under closures."""
+    """Outcome of one routing query under closures.
+
+    ``scanned_static`` counts the vertices the static step's
+    ``bidirectional_s_dijkstra`` settled on both sides, on every network
+    copy; ``scanned_detour`` the states and ``scanned_detour_vertices`` the
+    distinct vertices per side the permit-state search settled (0 after
+    the static exit).
+    """
 
     walk: Walk | None
     cost_updated: float
@@ -770,23 +797,22 @@ def _route(
 ) -> DetourResult:
     """The detour steps in order: static result and early exit, the closure
     set ``close()`` returns as ``(active, qc_iterations, qc_added)``, record
-    runs, then the rest of the context and the permit-state search."""
+    runs, then the rest of the context and the permit-state search.
+
+    The static result comes from ``bidirectional_s_dijkstra`` on the base
+    weights of every copy, goal-directed once the network has its landmark
+    table. With positive weights it is the split minimum of two drained
+    base-weight runs, walk included, at a fraction of their settled
+    vertices; the drained runs follow only a failed exit, as record runs.
+    The permit-state search reads the same landmark table for its
+    potentials; only without a table does it never queue a state at a
+    vertex that cannot reach the far end.
+    """
     res = DetourResult(None, INF, "unreachable")
-    if network.weight_updated == network.weight:
-        # Nothing is raised, so a static walk exits: the bidirectional search
-        # finds it without draining either side.
-        if _static_exit(res, network, bidirectional_s_dijkstra(network, scope, source, target)):
-            return res
-    static_runs = _drained_runs(network, scope, source, target, "base")
-    if _static_exit(res, network, _split_minimum(*static_runs)):
+    if _static_exit(res, network, bidirectional_s_dijkstra(network, scope, source, target)):
         return res
     active, res.qc_iterations, res.qc_added = close()
-    # With hard closures only, the record weighting is the base one and the
-    # static runs serve as the record runs.
-    record_runs = static_runs
-    weights = _record_weights(network, active)
-    if not all(map(eq, weights, network.weight)):
-        record_runs = _drained_runs(network, scope, source, target, weights)
+    record_runs = _drained_runs(network, scope, source, target, _record_weights(network, active))
     ctx = _context_from_runs(network, scope, active, *record_runs)
     fwd, bwd, meeting = _state_search_halves(ctx)
     res.scanned_detour = fwd.scanned + bwd.scanned

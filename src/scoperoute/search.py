@@ -403,35 +403,52 @@ def _build_landmark_rows(network: RoadNetwork) -> array | None:
 def _goal_potentials(network: RoadNetwork, weighting, source: int, target: int):
     """Consistent lower bounds for a bidirectional search, or ``(None, None)``.
 
-    The forward one bounds the distance to ``target``, the backward one the
-    distance from ``source``, both from the landmark rows by the triangle
-    inequality; an unreachable entry stands in as int32's largest value,
-    which keeps both bounds valid and consistent. Base-weight distances
-    bound the distances of every weighting at or above the base one and of
-    every scope, which only removes walks; so they hold for the named
-    weightings of every weight variant. ``None`` unless the table exists
-    (see ``_landmark_rows``) and the searched weights are positive integers
+    Each call is one static search for ``_landmark_rows``' count. The
+    bounds are ``_landmark_potentials``'; an unreachable entry stands in as
+    int32's largest value, which keeps them valid and consistent.
+    Base-weight distances bound the distances of every weighting at or
+    above the base one and of every scope, which only removes walks; so
+    they hold for the named weightings of every weight variant. ``None``
+    unless the table exists and the searched weights are positive integers
     with distances below int32's largest value.
     """
     if weighting not in ("base", "updated"):
         return None, None
-    rows = _landmark_rows(network)
-    n = network.vertex_count
-    if rows is None or (
-        weighting == "updated" and _distance_bound(network.weight_updated, n) >= _FAR
+    if _landmark_rows(network) is None or (
+        weighting == "updated"
+        and _distance_bound(network.weight_updated, network.vertex_count) >= _FAR
     ):
         return None, None
-    k = len(rows) // n
+    return _landmark_potentials(network, source, target)
+
+
+def _landmark_potentials(network: RoadNetwork, source: int, target: int):
+    """Landmark lower bounds on the base-weight distance from a vertex to
+    ``target`` and from ``source`` to a vertex, or ``(None, None)`` while
+    the network has no landmark table.
+
+    Reading the table neither counts a static search nor builds it. By the
+    triangle inequality, ``d(x, y)`` is at least ``d(L, y) - d(L, x)`` and
+    ``d(x, L) - d(y, L)`` for every landmark ``L``: row ``y`` minus row
+    ``x``, entry by entry (see ``_build_landmark_rows``).
+    """
+    rows = network._aux.get("landmarks")
+    if rows is None:
+        return None, None
+    k = len(rows) // network.vertex_count
     at_t = rows[target * k : target * k + k]
     at_s = rows[source * k : source * k + k]
 
+    def gap(later, earlier) -> float:
+        return max(0.0, max(map(sub, later, earlier)))
+
     def toward_target(v: int) -> float:
         j = v * k
-        return max(0.0, max(map(sub, at_t, rows[j : j + k])))
+        return gap(at_t, rows[j : j + k])
 
     def toward_source(v: int) -> float:
         j = v * k
-        return max(0.0, max(map(sub, rows[j : j + k], at_s)))
+        return gap(rows[j : j + k], at_s)
 
     return toward_target, toward_source
 

@@ -3,9 +3,16 @@ import random
 
 import pytest
 
+import scoperoute.search
 from scoperoute import build_network, make_scope
 
 INF = math.inf
+
+
+@pytest.fixture
+def landmarks_at_once(monkeypatch):
+    """Every network builds its landmark table on its first static search."""
+    monkeypatch.setattr(scoperoute.search, "_PLAIN_SEARCHES", 0)
 
 
 @pytest.fixture

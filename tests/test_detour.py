@@ -412,30 +412,111 @@ def test_context_is_built_fresh_per_call(permit_fixture):
         assert masks == [getattr(d, name) for d in (b.forward, b.backward)], name
 
 
-@pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
-def test_static_exit_runs_only_the_record_searches(n1, n1_scope15, monkeypatch, route):
-    # The early exit needs only the two static runs, on the base weights,
-    # for a hard and for a soft closure alike; the record runs, the gate
-    # runs and the rest of the context are built only when the detour
-    # search follows.
-    def failing(*args, **kwargs):
-        raise AssertionError("bidirectional static search called")
+def _log_searches(monkeypatch, closed):
+    """Log the detour module's static and drained searches, in call order:
+    ``("static", s, t)`` and ``(source, weights)``."""
+    calls = []
+    real_static = scoperoute.detour.bidirectional_s_dijkstra
+    real_drained = scoperoute.detour.s_dijkstra
 
-    monkeypatch.setattr(scoperoute.detour, "bidirectional_s_dijkstra", failing, raising=False)
-    real = scoperoute.detour.s_dijkstra
+    def static(network, scope, source, target, *args, **kwargs):
+        calls.append(("static", source, target))
+        return real_static(network, scope, source, target, *args, **kwargs)
+
+    def drained(network, scope, source, weighting="base", *args, **kwargs):
+        w = closed.weights(weighting) if isinstance(weighting, str) else weighting
+        calls.append((source, tuple(w)))
+        return real_drained(network, scope, source, weighting, *args, **kwargs)
+
+    monkeypatch.setattr(scoperoute.detour, "bidirectional_s_dijkstra", static)
+    monkeypatch.setattr(scoperoute.detour, "s_dijkstra", drained)
+    return calls
+
+
+@pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
+def test_static_exit_runs_one_bidirectional_search(n1, n1_scope15, monkeypatch, route):
+    # A hard or a soft closure off the static walk: the bidirectional
+    # search finds the surviving walk and no drained search runs.
     for update in ({3: INF}, {3: 25}):
         closed = n1.with_updated_weights(update)
-        calls = []
-
-        def counting(network, scope, source, weighting="base", *args, **kwargs):
-            w = closed.weights(weighting) if isinstance(weighting, str) else weighting
-            calls.append((source, tuple(w)))
-            return real(network, scope, source, weighting, *args, **kwargs)
-
-        monkeypatch.setattr(scoperoute.detour, "s_dijkstra", counting)
+        calls = _log_searches(monkeypatch, closed)
         res = route(closed, n1_scope15, 0, 3)
         assert res.klass == "static"
-        assert calls == [(0, closed.weight), (3, closed.weight)], update
+        assert res.walk == Walk(0, (0, 1, 2))
+        assert calls == [("static", 0, 3)], update
+
+
+@pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
+def test_failed_exit_runs_two_record_runs_then_the_gates(n1, n1_scope15, monkeypatch, route):
+    # A hard or a soft closure on the static walk: after the one static
+    # search come exactly two drained record runs on the record weighting,
+    # then the two gate runs on the open weighting.
+    for update in ({1: INF}, {1: 30}):
+        closed = n1.with_updated_weights(update)
+        active = derive_closures(closed).hard
+        if route is enhanced_detour_route:
+            active = qc_closure(closed, n1_scope15, None, 0, 3).edges
+        record = tuple(scoperoute.detour._record_weights(closed, active))
+        opened = tuple(INF if e in active else w for e, w in enumerate(closed.weight_updated))
+        calls = _log_searches(monkeypatch, closed)
+        res = route(closed, n1_scope15, 0, 3)
+        assert res.walk != Walk(0, (0, 1, 2))
+        assert calls == [("static", 0, 3), (0, record), (3, record), (0, opened), (3, opened)], update
+
+
+def test_landmark_potentials_give_the_routes_of_dijkstra_potentials(
+    landmarks_at_once, monkeypatch
+):
+    # The permit-state search takes its potentials from the landmark table
+    # when the network has one, and from two open-network dijkstra runs
+    # without it. Both are consistent lower bounds, so cost and class agree
+    # (the walk may differ among equal-cost ones).
+    real = scoperoute.detour.dijkstra
+    potential_runs = []
+
+    def counting(*args, **kwargs):
+        potential_runs.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scoperoute.detour, "dijkstra", counting)
+    rng = random.Random(29)
+    searched = {"hard": 0, "soft": 0}
+    for _ in range(400):
+        net, scope = random_network(rng)
+        s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+        static = bidirectional_s_dijkstra(net, scope, s, t)
+        if not static.walk or not static.walk.edges:
+            continue
+        kind = rng.choice(["hard", "soft"])
+        updates = {
+            e: INF if kind == "hard" else net.weight[e] + rng.randint(1, 15)
+            for e in {rng.choice(static.walk.edges), *rng.sample(range(net.edge_count), 2)}
+        }
+        results = []
+        for table in (True, False):
+            if not table:
+                net._aux["landmarks"] = None  # as for weights with no table
+            assert (net._aux["landmarks"] is not None) == table
+            for route in (simple_detour_route, enhanced_detour_route):
+                del potential_runs[:]
+                res = route(net.with_updated_weights(updates), scope, s, t)
+                results.append((res.klass, res.cost_updated))
+                if res.scanned_detour:
+                    assert len(potential_runs) == (0 if table else 2)
+                    searched[kind] += table
+        assert results[:2] == results[2:]
+    assert min(searched.values()) >= 100, searched
+
+
+def test_state_search_neither_counts_nor_builds_the_table(permit_fixture, landmarks_at_once):
+    # The state search only reads a table that exists: on a network that
+    # has served no static search it runs the dijkstra potentials, and it
+    # leaves the count and the table alone.
+    net, scope = permit_fixture
+    ctx = build_detour_context(net, scope, None, 0, 3)
+    fwd, bwd, meeting = scoperoute.detour._state_search_halves(ctx)
+    assert meeting is not None
+    assert "plain searches" not in net._aux and "landmarks" not in net._aux
 
 
 def test_closed_copy_freed_by_reference_counting(permit_fixture):

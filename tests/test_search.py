@@ -134,12 +134,6 @@ def _reweighted(net, rng, kind):
     return build_network(net.vertex_count, edges, weights)
 
 
-@pytest.fixture
-def landmarks_at_once(monkeypatch):
-    """Every network builds its landmark table on its first static search."""
-    monkeypatch.setattr(scoperoute.search, "_PLAIN_SEARCHES", 0)
-
-
 @pytest.mark.parametrize("kind", ["integer", "large", "fractional", "zero"])
 def test_bidirectional_matches_drained_split_minimum(kind, landmarks_at_once):
     # Goal direction is on for positive integer weights only. With positive

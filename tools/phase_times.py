@@ -8,16 +8,20 @@ drift in machine speed falls on both; the rounds' samples are pooled. The
 child wraps step functions of ``scoperoute.detour`` and ``scoperoute.search``
 from outside and runs the queries of ``perfbench/workload.py`` as the
 benchmark does: a static search on the base network, then
-``simple_detour_route`` on a cold network copy, with a fresh set of 50
-closures (one on the static optimum) for ``city-detour`` and none for
-``city-static``. It reports each phase's self time per query: a wrapped
-call's time minus that of the wrapped calls it makes. A phase whose
-function a side lacks reads 0 there. "landmark build" is paid once per
-network, in the static search that follows the plain ones (inside the
-fifth query's route on city-static, before the tenth query's route on
-city-detour); it is not part of "route, whole" or "route, rest". The output holds the mean,
-median and p90 per phase
-in ms, before and after, with the Python version and core count, under the
+``simple_detour_route`` on a network copy. ``city-static`` gives every
+query an unchanged copy, ``city-detour`` a cold copy with a fresh set of 50
+closures (one on the static optimum), and ``city-incident`` one copy with
+50 closures to each block of 25 queries (one on the block's first static
+optimum). It reports each phase's self time per query: a wrapped call's
+time minus that of the wrapped calls it makes. A phase whose function a
+side lacks reads 0 there. "record runs" are the drained searches
+(``_drained_runs``): the record runs, and the static runs too where a
+version takes its static step from drained runs. "potentials" are the
+state search's ``dijkstra`` runs; they read 0 once the network has its
+landmark table. "landmark build" is paid once per network, in the static
+search that follows the plain ones; it is not part of "route, whole" or
+"route, rest". The output holds the mean, median and p90 per phase in ms,
+before and after, with the Python version and core count, under the
 workload's name; other workloads already in the file are kept.
 
 ``--src SRC`` runs one side and prints its per-query times as JSON.
@@ -41,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Function of a scoperoute module -> the phase its self time counts towards.
 PHASES = {
     ("detour", "bidirectional_s_dijkstra"): "static search",
-    ("detour", "_drained_runs"): "static runs",
+    ("detour", "_drained_runs"): "record runs",
     ("detour", "_records_from_runs"): "records / grants",
     ("detour", "_record_pass"): "records / grants",
     ("detour", "_direction"): "gate runs",
@@ -53,7 +57,7 @@ PHASES = {
 BUILD = "landmark build"
 ROUTE = "route, whole"
 OTHER = "route, rest"
-WORKLOADS = ("city-static", "city-detour")
+WORKLOADS = ("city-static", "city-detour", "city-incident")
 
 
 class SelfTimes:
@@ -100,14 +104,16 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, list[
     phases = sorted(set(PHASES.values()))
     per_query: dict[str, list[float]] = {p: [] for p in phases + [ROUTE, OTHER]}
     spec = WORKLOADS[workload]
-    stream = blocks(spec, seed, nf.coordinates)
-    for _ in range(queries):
-        rng, [(s, t)] = next(stream)
+    pairs = ((rng, s, t) for rng, block in blocks(spec, seed, nf.coordinates) for s, t in block)
+    for q in range(queries):
+        rng, s, t = next(pairs)
         gc.collect()
         times.ms = {}
         static = sr.bidirectional_s_dijkstra(base, scope, s, t)
-        updates = place_closures(rng, base, static.walk, top_edges, spec.closures) if spec.closures else {}
-        closed = base.with_updated_weights(updates)
+        if q % spec.block_size == 0:
+            # A block's closures sit on its first static optimum; its queries share one copy.
+            updates = place_closures(rng, base, static.walk, top_edges, spec.closures) if spec.closures else {}
+            closed = base.with_updated_weights(updates)
         built = times.ms.get(BUILD, 0.0)
         t0 = perf_counter()
         sr.simple_detour_route(closed, scope, s, t)
