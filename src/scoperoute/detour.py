@@ -47,6 +47,7 @@ from .network import (
     RoadNetwork,
     ScopeMapping,
     Walk,
+    add_draw,
     check_walk,
     zero_vector,
 )
@@ -151,50 +152,48 @@ def _tree_records(
     are not yet exhausted (the near-endpoint case). Each key goes to
     ``offer(vertex, side, level, amended, tail, head, closure_ref, omega)``;
     the record's state would be ``_vec_sub(tail, head)``.
+
+    One pass over the run's settle order reads the tree: each vertex comes
+    after its tree parent, so its tree-walk draw is its parent's plus its
+    parent edge, and its nearest crossing is its parent edge or its
+    parent's nearest crossing.
     """
     n = network.vertex_count
     nu = scope.nu
     top = scope.top
+    level = scope.level
+    w = run._weights
     # run operates on the reversed graph for side "t"; its edge ids are
     # shared, so the tree parent is the original head in that case.
     ends = network.tails if side == "s" else network.heads
     parent_edge = run.parent_edge
-    tree = run.tree_sigma
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        e = parent_edge[v]
-        if e is not None:
-            children[ends[e]].append(v)
-    # Preorder with children in increasing order; anchor[v] is the head of
-    # the nearest closure edge on v's tree walk, -1 when there is none.
+    tree = [zero_vector(scope)] * n
+    # anchor[v] is the head of the nearest closure edge on v's tree walk,
+    # -1 when there is none; meets[a] says whether a vertex anchored at a
+    # is reached by the opposite search.
     anchor = [-1] * n
+    meets = [False] * n
     crossings: list[int] = []
-    stack = [run.source]
-    while stack:
-        v = stack.pop()
-        kids = children[v]
-        if kids:
-            stack.extend(reversed(kids))
+    for v in run.order[1:]:
         e = parent_edge[v]
-        if e is None:
-            continue
+        parent = ends[e]
+        tree[v] = tv = add_draw(tree[parent], level[e], w[e])
         if e in active:
             a = v
             crossings.append(v)
         else:
-            a = anchor[ends[e]]
+            a = anchor[parent]
             if a < 0:
                 continue
         anchor[v] = a
-        tv, ta = tree[v], tree[a]
+        if other_reached[v]:
+            meets[a] = True
+        ta = tree[a]
         offer(v, side, _segment_level(tv, ta, nu, top), False, tv, ta, parent_edge[a], None)
     # Amended records: walk up from each closure tree edge whose subtree
     # meets the opposite search. A subtree meets it when a vertex anchored
-    # in it does, or a nested crossing's subtree does.
-    meets = [False] * n
-    for v in range(n):
-        if other_reached[v] and anchor[v] >= 0:
-            meets[anchor[v]] = True
+    # in it does, or a nested crossing's subtree does; a nested crossing
+    # settles after the one outside it.
     for v in reversed(crossings):
         if meets[v]:
             outer = anchor[ends[parent_edge[v]]]
@@ -346,7 +345,6 @@ def _direction(
     endpoint: int,
     grant: list[int],
     weights: list[float],
-    closed_flag: list[bool],
     active: frozenset[int],
 ) -> _Direction:
     """One direction's tables; ``network`` is reversed for the backward one.
@@ -354,30 +352,27 @@ def _direction(
     The gate labels come from a run from ``endpoint`` on the open weighting
     ``weights``; a vertex it does not reach passes no level.
     """
-    run = s_dijkstra(network, scope, endpoint, weights, track_tree=False)
+    run = s_dijkstra(network, scope, endpoint, weights)
     sigma = run.sigma
-    reached = [v for v, d in enumerate(run.dist) if d < INF]
     gate = [0] * network.vertex_count
     for lv in range(scope.level_count):
         bit, cap = 1 << lv, scope.nu[lv]
-        for v in reached:
+        for v in run.order:
             if sigma[v][lv] <= cap:
                 gate[v] |= bit
-    return _Direction(
-        _edge_pack(network, scope), gate, grant, _clean_masks(network, scope, closed_flag, active)
-    )
+    return _Direction(_edge_pack(network, scope), gate, grant, _clean_masks(network, scope, active))
 
 
 @dataclass
 class DetourContext:
     """Shared precomputation for one (network, closures, s, t) query.
 
-    ``weights`` is the open weighting: updated weights, closed edges at
-    infinity. ``closed_flag`` marks the treated-as-closed edges, which a
-    caller's explicit closure set can make differ from the infinite ones.
-    ``record_runs`` are the two drained record searches; the routing path
-    reads them only through the grant masks, and ``records`` builds the
-    full records from them on each read.
+    ``weights`` is the open weighting: updated weights, the treated-as-closed
+    edges ``active`` at infinity (a caller's explicit closure set can make
+    them differ from the infinite ones). ``record_runs`` are the two
+    drained record searches; the routing path reads them only through the
+    grant masks, and ``records`` builds the full records from them on each
+    read.
     """
 
     network: RoadNetwork
@@ -387,7 +382,6 @@ class DetourContext:
     target: int
     record_runs: tuple[ScopeSearchResult, ScopeSearchResult]
     weights: list[float]
-    closed_flag: list[bool]
     forward: _Direction
     backward: _Direction
 
@@ -405,24 +399,11 @@ def build_detour_context(
     source: int,
     target: int,
 ) -> DetourContext:
+    """The record runs, the grant masks, then both directions' tables."""
     active = _active_set(network, closures)
-    runs = _drained_runs(network, scope, source, target, _record_weights(network, active))
-    return _context_from_runs(network, scope, active, *runs)
-
-
-def _context_from_runs(
-    network: RoadNetwork,
-    scope: ScopeMapping,
-    active: frozenset[int],
-    rec_fwd: ScopeSearchResult,
-    rec_bwd: ScopeSearchResult,
-) -> DetourContext:
-    """Everything past the record runs: grant masks, then both directions' tables."""
-    source, target = rec_fwd.source, rec_bwd.source
-    closed_flag = [False] * network.edge_count
+    record_runs = _drained_runs(network, scope, source, target, _record_weights(network, active))
     weights = list(network.weight_updated)
     for e in active:
-        closed_flag[e] = True
         weights[e] = INF
     top = scope.top
     grant = {"t": [0] * network.vertex_count, "s": [0] * network.vertex_count}
@@ -432,28 +413,25 @@ def _context_from_runs(
         if lv < top:
             grant[side][v] |= 1 << lv
 
-    _record_pass(network, scope, active, rec_fwd, rec_bwd, grant_bit)
-    shared = (weights, closed_flag, active)
+    _record_pass(network, scope, active, *record_runs, grant_bit)
     return DetourContext(
-        network, scope, active, source, target, (rec_fwd, rec_bwd), weights, closed_flag,
-        _direction(network, scope, source, grant["t"], *shared),
-        _direction(network.reverse(), scope, target, grant["s"], *shared),
+        network, scope, active, source, target, record_runs, weights,
+        _direction(network, scope, source, grant["t"], weights, active),
+        _direction(network.reverse(), scope, target, grant["s"], weights, active),
     )
 
 
-def _clean_mask(row, closed_flag: list[bool], top: int) -> int:
+def _clean_mask(row, active: frozenset[int], top: int) -> int:
     """Levels ``l`` at which no open edge of ``row`` exceeds ``l``."""
     high = -1
     for e, _far, lv in row:
-        if lv > high and not closed_flag[e]:
+        if lv > high and e not in active:
             high = lv
     full = (1 << top) - 1
     return full & ~((1 << min(high, top)) - 1) if high > 0 else full
 
 
-def _clean_masks(
-    network: RoadNetwork, scope: ScopeMapping, closed_flag: list[bool], active: frozenset[int]
-) -> list[int]:
+def _clean_masks(network: RoadNetwork, scope: ScopeMapping, active: frozenset[int]) -> list[int]:
     """Per vertex, the levels at which it is departure-clean in ``network``.
 
     Called on the reversed network this gives the entry-clean masks. The
@@ -464,13 +442,12 @@ def _clean_masks(
     top = scope.top
 
     def build():
-        nothing_closed = [False] * network.edge_count
-        return [_clean_mask(row, nothing_closed, top) for row in pack]
+        return [_clean_mask(row, frozenset(), top) for row in pack]
 
     masks = list(_level_cached(network, "clean", scope.level, build))
     tails = network.tails
     for v in {tails[e] for e in active}:
-        masks[v] = _clean_mask(pack[v], closed_flag, top)
+        masks[v] = _clean_mask(pack[v], active, top)
     return masks
 
 
@@ -646,8 +623,6 @@ def _state_search_halves(
         if (t0 >= limit and t1 >= limit) or (t0 == INF and t1 == INF):
             break
         side = 0 if t0 <= t1 else 1
-        if (t0 if side == 0 else t1) >= limit:
-            side = 1 - side
         heap = heaps[side]
         search = searches[side]
         cost = search.cost
@@ -812,8 +787,7 @@ def _route(
     if _static_exit(res, network, bidirectional_s_dijkstra(network, scope, source, target)):
         return res
     active, res.qc_iterations, res.qc_added = close()
-    record_runs = _drained_runs(network, scope, source, target, _record_weights(network, active))
-    ctx = _context_from_runs(network, scope, active, *record_runs)
+    ctx = build_detour_context(network, scope, active, source, target)
     fwd, bwd, meeting = _state_search_halves(ctx)
     res.scanned_detour = fwd.scanned + bwd.scanned
     res.scanned_detour_vertices = len(fwd.settled) + len(bwd.settled)

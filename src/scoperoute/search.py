@@ -140,22 +140,29 @@ def _edge_pack(network: RoadNetwork, scope: ScopeMapping):
 
 @dataclass
 class ScopeSearchResult(_ParentTree):
-    """Labels of one scope-aware run: distances, draw vectors, tree draws.
+    """Labels of one scope-aware run: distances, draw vectors, settle order.
 
     ``sigma`` holds the component-wise minimum draw over cheapest admissible
-    arrivals (what the relaxation gate reads). ``tree_sigma`` holds the draw
-    of the concrete predecessor-tree walk, which stays exact under merges and
-    is what obstruction states are measured from.
+    arrivals (what the relaxation gate reads). ``order`` lists the settled
+    vertices in the order they settled, so every vertex comes after its tree
+    parent; a drained run settles exactly the vertices of finite ``dist``.
+    The draw of a concrete predecessor-tree walk, which obstruction states
+    are measured from, is summed along that order with the relaxed weights
+    ``_weights``.
     """
 
     source: int
     dist: list[float]
     parent_edge: list[int | None]
     sigma: list[tuple[float, ...]]
-    tree_sigma: list[tuple[float, ...]]
-    scanned_count: int = 0
+    order: list[int]
     relaxed_count: int = 0
     _tails: tuple[int, ...] = ()
+    _weights: tuple[float, ...] | list[float] = ()
+
+    @property
+    def scanned_count(self) -> int:
+        return len(self.order)
 
 
 def _scope_search(
@@ -164,34 +171,30 @@ def _scope_search(
     source: int,
     weighting: str,
     seed_sigma: tuple[float, ...] | None = None,
-    track_tree: bool = True,
     potential=None,
 ):
     """Fresh labels from ``source`` and the stepping search that settles them."""
     if not (0 <= source < network.vertex_count):
         raise NetworkError(f"unknown source vertex {source}")
     scope.validate(network)
-    w = network.weights(weighting) if isinstance(weighting, str) else weighting
     n = network.vertex_count
-    start_vec = zero_vector(scope) if seed_sigma is None else tuple(seed_sigma)
-    res = ScopeSearchResult(
-        source, [INF] * n, [None] * n, [inf_vector(scope)] * n, [inf_vector(scope)] * n
-    )
+    res = ScopeSearchResult(source, [INF] * n, [None] * n, [inf_vector(scope)] * n, [])
     res._tails = network.tails
+    res._weights = network.weights(weighting) if isinstance(weighting, str) else weighting
     res.dist[source] = 0.0
-    res.sigma[source] = start_vec
-    res.tree_sigma[source] = start_vec
-    steps = _scope_steps(res, _edge_pack(network, scope), w, scope.nu, track_tree, potential)
+    res.sigma[source] = zero_vector(scope) if seed_sigma is None else tuple(seed_sigma)
+    steps = _scope_steps(res, _edge_pack(network, scope), scope.nu, potential)
     return res, steps
 
 
-def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool, potential=None):
+def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None):
     """The scope-aware relaxation loop, one settled vertex per step.
 
     Each step yields the live queue head, ``(d, u)`` or with a potential
-    ``(key, d, u)``; resuming settles ``u`` and relaxes its out-edges.
-    Draining the generator is a full run; the scanned and relaxed counts are
-    written when it finishes or is closed.
+    ``(key, d, u)``; resuming settles ``u``, appends it to ``res.order`` and
+    relaxes its out-edges at the weights ``res._weights``. Draining the
+    generator is a full run; the relaxed count is written when it finishes
+    or is closed.
 
     Relaxation of an edge at level ``l`` requires ``sigma[l][tail] <= nu[l]``.
     A strict distance improvement resets the head's draw vector to the new
@@ -207,8 +210,9 @@ def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool, potentia
     explicit: on a tie at an unsettled head, the parent is the arrival whose
     tail comes first in ``(dist, vertex id)`` order, then first in pack order.
     """
-    dist, parent, sigma, tree = res.dist, res.parent_edge, res.sigma, res.tree_sigma
-    tails = res._tails
+    dist, parent, sigma = res.dist, res.parent_edge, res.sigma
+    settle = res.order.append
+    tails, w = res._tails, res._weights
     done = [False] * len(dist)
     goal = potential is not None
     if goal:
@@ -219,7 +223,6 @@ def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool, potentia
         heap = [(0.0, res.source)]
     push = heapq.heappush
     pop = heapq.heappop
-    scanned = 0
     relaxed = 0
     try:
         while heap:
@@ -229,7 +232,7 @@ def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool, potentia
                 continue
             yield head
             done[u] = True
-            scanned += 1
+            settle(u)
             sig_u = sigma[u]
             for e, v, lv in pack[u]:
                 we = w[e]
@@ -246,8 +249,6 @@ def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool, potentia
                     dist[v] = nd
                     parent[v] = e
                     sigma[v] = arrival
-                    if track_tree:
-                        tree[v] = add_draw(tree[u], lv, we)
                     relaxed += 1
                     if goal:
                         hv = h[v]
@@ -262,10 +263,7 @@ def _scope_steps(res: ScopeSearchResult, pack, w, nu, track_tree: bool, potentia
                         t = tails[parent[v]]
                         if d < dist[t] or (d == dist[t] and u < t):
                             parent[v] = e
-                            if track_tree:
-                                tree[v] = add_draw(tree[u], lv, we)
     finally:
-        res.scanned_count = scanned
         res.relaxed_count = relaxed
 
 
@@ -275,14 +273,13 @@ def s_dijkstra(
     source: int,
     weighting: str = "base",
     seed_sigma: tuple[float, ...] | None = None,
-    track_tree: bool = True,
 ) -> ScopeSearchResult:
     """Scope-aware Dijkstra from ``source``, run until the queue is empty.
 
-    ``seed_sigma`` pre-charges the source's budgets; ``track_tree`` can be
-    dropped by callers that do not read the predecessor-tree draws.
+    ``seed_sigma`` pre-charges the source's budgets. The result's ``order``
+    then holds every vertex of finite distance, each after its tree parent.
     """
-    res, steps = _scope_search(network, scope, source, weighting, seed_sigma, track_tree)
+    res, steps = _scope_search(network, scope, source, weighting, seed_sigma)
     deque(steps, maxlen=0)  # drain
     return res
 

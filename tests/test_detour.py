@@ -22,6 +22,8 @@ from scoperoute import (
     validate_simple_detour,
 )
 
+from scoperoute.detour import _vec_sub
+from scoperoute.network import add_draw, zero_vector
 from scoperoute.search import _split_minimum
 
 from conftest import random_network
@@ -80,12 +82,19 @@ class TestFindObstructed:
         assert rec and rec[0].state == (0.0, 0.0) and rec[0].level == 0
 
 
-def _closed_random_case(seed: int):
-    """A small random network with hard and soft closures, and a query on it."""
+def _closed_random_case(seed: int, fractional: bool = False):
+    """A small random network with hard and soft closures, and a query on it;
+    ``fractional`` draws its weights and raises as fractions, zeros among them."""
     rng = random.Random(seed)
     net, scope = random_network(rng)
+    if fractional:
+        weights = [rng.choice([0.0, 0.1, 0.3, 1 / 3, 0.7, 2.5, w / 7]) for w in net.weight]
+        net = build_network(net.vertex_count, [net.edge(e) for e in range(net.edge_count)], weights)
+    def raised() -> float:
+        return rng.choice([0.1, 0.2, 1 / 3, 4.5]) if fractional else rng.randint(1, 15)
+
     updates = {
-        e: INF if rng.random() < 0.7 else net.weight[e] + rng.randint(1, 15)
+        e: INF if rng.random() < 0.7 else net.weight[e] + raised()
         for e in rng.sample(range(net.edge_count), rng.randint(1, net.edge_count // 4 + 1))
     }
     closed = net.with_updated_weights(updates)
@@ -126,6 +135,39 @@ class TestContextMasks:
                 cases += [(closed, scope, s, t) for s in range(4) for t in range(4)]
         for case in cases:
             _assert_context_masks(*case)
+
+
+def test_plain_record_states_are_tree_walk_draws():
+    # A plain record's state is the draw of the record run's tree walk to
+    # its vertex less that of the walk to its anchor, the near end in the
+    # run's direction of its closure edge; each draw is summed edge by edge
+    # along the walk and compared exactly.
+    nonzero = 0
+    for seed in range(1000):
+        for closed, scope, s, t in (_closed_random_case(seed), _closed_random_case(seed, True)):
+            ctx = build_detour_context(closed, scope, None, s, t)
+            weights = scoperoute.detour._record_weights(closed, ctx.active)
+            fwd, bwd = ctx.record_runs
+            anchors = {"s": (fwd, closed.heads), "t": (bwd, closed.tails)}
+
+            def draw(run, v):
+                sigma = zero_vector(scope)
+                for e in run.walk_to(v).edges:
+                    sigma = add_draw(sigma, scope.level[e], weights[e])
+                return sigma
+
+            for r in scoperoute.detour._records_from_runs(closed, scope, ctx.active, fwd, bwd):
+                if r.omega is not None:  # amended
+                    continue
+                run, near = anchors[r.side]
+                anchor = near[r.closure_ref]
+                if r.vertex == anchor:  # also a closure end the run does not reach
+                    assert not any(r.state)
+                    continue
+                state = _vec_sub(draw(run, r.vertex), draw(run, anchor))
+                assert r.state == state, (seed, r)
+                nonzero += any(state)
+    assert nonzero > 500
 
 
 class TestSimpleDetour:

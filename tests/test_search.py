@@ -166,6 +166,39 @@ def test_bidirectional_matches_drained_split_minimum(kind, landmarks_at_once):
                 assert validate_split_admissible(bid.walk, graph, scope, s, t, weighting)
 
 
+def _assert_settle_order(run, tails, drained):
+    """``run.order`` lists each settled vertex once, each after its tree
+    parent (so the source first); a drained run settles every vertex it
+    reaches."""
+    settled = set()
+    for v in run.order:
+        e = run.parent_edge[v]
+        assert v not in settled and (e is None) == (v == run.source)
+        assert e is None or tails[e] in settled
+        settled.add(v)
+    assert run.scanned_count == len(run.order)
+    reached = {v for v, d in enumerate(run.dist) if d < INF}
+    assert settled == reached if drained else settled <= reached
+
+
+@pytest.mark.parametrize("kind", ["integer", "fractional", "zero"])
+def test_order_is_a_settle_order(kind, landmarks_at_once):
+    # Drained runs and both sides of a bidirectional search, goal-directed
+    # on integer weights. With zero weights, ties in distance do not tell
+    # which vertex settled first.
+    rng = random.Random(f"order/{kind}")
+    for _ in range(200):
+        net, scope = random_network(rng, max_vertices=14)
+        net = _reweighted(net, rng, kind)
+        rev = net.reverse()
+        s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+        _assert_settle_order(s_dijkstra(net, scope, s), net.tails, drained=True)
+        _assert_settle_order(s_dijkstra(rev, scope, t, "updated"), rev.tails, drained=True)
+        bid = bidirectional_s_dijkstra(net, scope, s, t)
+        _assert_settle_order(bid.forward, net.tails, drained=False)
+        _assert_settle_order(bid.backward, rev.tails, drained=False)
+
+
 @pytest.fixture(scope="module")
 def acceptance_grid():
     nf = generate_synthetic("grid", 50, 3, seed=42)
