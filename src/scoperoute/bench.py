@@ -138,8 +138,10 @@ def place_random_closures(
     rest uniform over unbounded open edges.
 
     Returns weight updates (all to infinity) plus any placement warnings.
-    Deterministic for a seed.
+    Deterministic for a seed; ``count`` must be at least 1.
     """
+    if count < 1:
+        raise NetworkError(f"closure count must be at least 1, got {count}")
     if base_walk is None or not base_walk.edges:
         raise NetworkError("closure placement needs a nonempty base walk")
     rng = random.Random(seed)
@@ -199,6 +201,8 @@ def _sample_queries(
 
 def run_benchmark(network: RoadNetwork, scope: ScopeMapping, config: BenchConfig) -> BenchReport:
     """Run the full batch; per-query failures are recorded, never raised."""
+    if config.closure_count < 1:
+        raise NetworkError(f"closure count must be at least 1, got {config.closure_count}")
     report = BenchReport(config, [])
     queries = _sample_queries(network, scope, config)
     for idx, (s, t, static_cost) in enumerate(queries):

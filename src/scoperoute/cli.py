@@ -26,9 +26,11 @@ from .netio import (
     NetworkFile,
     ParseError,
     dump_network,
+    export_route,
     generate_synthetic,
     load_network,
     parse_closures,
+    parse_walk,
     save_network,
 )
 from .network import NetworkError, Walk, balance_to_proper
@@ -48,16 +50,6 @@ def _load(args) -> NetworkFile:
     return nf
 
 
-def _read_walk(path: str, source: int) -> Walk:
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh.read().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                edges.append(int(line))
-    return Walk(source, tuple(edges))
-
-
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -66,20 +58,15 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _print_walk(args, walk: Walk, network, scope, cost: float, permit_edges=()) -> None:
-    if getattr(args, "format", "text") == "geojson":
-        from .netio import export_route
-
-        nf_coords = getattr(args, "_coords", {})
-        _, payload = export_route(walk, network, scope, "geojson", nf_coords, permit_edges)
-        _emit(args, payload + "\n")
-    elif getattr(args, "format", "text") == "csv":
-        from .netio import export_route
-
-        _, payload = export_route(walk, network, scope, "csv", None, permit_edges)
-        _emit(args, payload)
-    else:
+def _print_walk(args, walk: Walk, nf: NetworkFile, cost: float, permit_edges=()) -> None:
+    if args.format == "text":
         _emit(args, f"cost {_fmt(cost)}\nedges {' '.join(str(e) for e in walk.edges)}\n")
+        return
+    fmt, payload = export_route(
+        walk, nf.network, nf.scope, args.format, nf.coordinates, permit_edges
+    )
+    # A GeoJSON payload has no final newline; a CSV one, fallback included, does.
+    _emit(args, payload + "\n" if fmt == "geojson" else payload)
 
 
 def cmd_route(args) -> int:
@@ -94,8 +81,7 @@ def cmd_route(args) -> int:
     ):
         sys.stderr.write("internal error: route failed validation\n")
         return EXIT_ERROR
-    args._coords = nf.coordinates
-    _print_walk(args, res.walk, nf.network, nf.scope, res.cost)
+    _print_walk(args, res.walk, nf, res.cost)
     return EXIT_OK
 
 
@@ -119,7 +105,6 @@ def cmd_detour(args) -> int:
         if not ok:
             sys.stderr.write("internal error: detour failed validation\n")
             return EXIT_ERROR
-    args._coords = nf.coordinates
     if args.format == "text":
         _emit(
             args,
@@ -129,7 +114,7 @@ def cmd_detour(args) -> int:
             f"permits {' '.join(str(e) for e in res.permit_edges)}\n",
         )
     else:
-        _print_walk(args, res.walk, nf.network, nf.scope, res.cost_updated, res.permit_edges)
+        _print_walk(args, res.walk, nf, res.cost_updated, res.permit_edges)
     return EXIT_OK
 
 
@@ -145,7 +130,8 @@ def cmd_qc(args) -> int:
 
 def cmd_validate(args) -> int:
     nf = _load(args)
-    walk = _read_walk(args.walk, args.source)
+    with open(args.walk, "r", encoding="utf-8") as fh:
+        walk = parse_walk(fh.read(), nf.network, args.source)
     definition = args.definition
     if definition == "3":
         verdict = validate_split_admissible(

@@ -40,6 +40,7 @@ complete for exactly the relation the validator decides.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .network import (
@@ -68,9 +69,12 @@ from .search import (
 class ClosureSet:
     """Edge ids treated as closed, with per-edge provenance tags.
 
-    ``hard`` are the edges whose updated weight is infinite; ``edges`` is the
-    full treated-as-closed set (equal to ``hard`` until quasi-closures are
-    added). Tags: ``hard``, ``soft``, ``quasi-t``, ``quasi-s``.
+    ``hard`` are the edges whose updated weight is infinite. ``edges`` holds
+    every raised edge, soft ones included, as ``derive_closures`` returns
+    it, and the hard and quasi-closed edges as ``qc_closure`` returns it.
+    The routes treat as closed the hard edges and the quasi-tagged ones
+    (``_active_set``), never soft ones. Tags: ``hard``, ``soft``,
+    ``quasi-t``, ``quasi-s``.
     """
 
     edges: frozenset[int]
@@ -511,20 +515,27 @@ def validate_simple_detour(
 
 @dataclass
 class _StateSearch:
-    """One direction of the permit-aware search over (vertex, masks) states.
+    """One half of the permit-aware search over (vertex, masks) states.
 
     States are packed into ints: ``(vertex << 2F) | (carried << F) | owed``
-    with ``F`` finite levels, ``carried`` the permit levels currently live on
-    the walk and ``owed`` the levels of edges taken on credit that still need
-    a matching record ahead. ``settled`` maps a vertex to the states settled
-    (and expanded) there, as ``(carried, owed, cost, permits, key)`` tuples.
+    with ``F`` finite levels, ``carried`` the permit levels live on the walk
+    and ``owed`` the levels of edges taken on credit that still need a
+    matching record ahead. The half relaxes ``own``'s edges and carries its
+    permits; ``other``'s grant and clean masks pay its debts. A negative
+    ``potential`` entry is not evaluated yet and is ``bound(v)``. ``label``
+    maps a state to its best ``(cost, permits, parent state, edge,
+    licensed)``, ``licensed`` telling whether the edge took a permit;
+    ``settled`` maps a vertex to the states expanded there, as ``(carried,
+    owed, cost, permits, key)`` tuples.
     """
 
-    cost: dict[int, float]
-    parent: dict[int, tuple[int | None, int | None, str]]
-    permits: dict[int, int]
+    own: _Direction
+    other: _Direction
+    potential: list[float]
+    bound: Callable[[int], float] | None
+    heap: list[tuple[float, int, int, int, int, float]]
+    label: dict[int, tuple[float, int, int | None, int | None, bool]]
     settled: dict[int, list[tuple[int, int, float, int, int]]] = field(default_factory=dict)
-    scanned: int = 0
     licensed_relaxations: int = 0
 
 
@@ -556,6 +567,10 @@ def _state_search_halves(
     runs in the open network, so either potential is a consistent lower
     bound and keys never fall along a walk.
 
+    An edge whose level the gate at its tail does not pass takes a permit,
+    and owes its level unless a carried permit covers it. A state's label
+    is replaced by a cheaper one, or an equally cheap one with fewer permits.
+
     A popped state is not expanded when a state already settled at its
     vertex on the same side dominates it: costs no more, carries a superset
     of its permit mask and owes a subset of its debt mask. The pruning is
@@ -584,36 +599,27 @@ def _state_search_halves(
     weights = ctx.weights
     bits = max(top, 1)
     vshift = 2 * bits
-    directions = (ctx.forward, ctx.backward)
-    # potentials[side][v] is the half's potential at v; a negative entry is
-    # not evaluated yet and is bounds[side](v).
-    bounds = _landmark_potentials(ctx.network, ctx.source, ctx.target)
-    if bounds[0] is None:
-        potentials = (
-            dijkstra(ctx.network.reverse(), weights, ctx.target).dist,
-            dijkstra(ctx.network, weights, ctx.source).dist,
-        )
-    else:
-        n = ctx.network.vertex_count
-        potentials = ([-1.0] * n, [-1.0] * n)
-    searches = []
-    heaps = []
-    for own, start, potential, bound in zip(
-        directions, (ctx.source, ctx.target), potentials, bounds
-    ):
-        if potential[start] < 0.0:
+
+    def half(own, other, start, far_end, network, bound) -> _StateSearch:
+        if bound is None:
+            potential = dijkstra(network, weights, far_end).dist
+        else:
+            potential = [-1.0] * network.vertex_count
             potential[start] = bound(start)
-        start_live = own.grant[start]
-        start_key = (start << vshift) | (start_live << bits)
-        search = _StateSearch({start_key: 0.0}, {start_key: (None, None, "start")}, {start_key: 0})
-        searches.append(search)
-        heaps.append(
-            [(potential[start], 0, start, start_live, 0, 0.0)] if potential[start] < INF else []
-        )
+        live = own.grant[start]
+        heap = [(potential[start], 0, start, live, 0, 0.0)] if potential[start] < INF else []
+        label = {(start << vshift) | (live << bits): (0.0, 0, None, None, False)}
+        return _StateSearch(own, other, potential, bound, heap, label)
+
+    to_target, to_source = _landmark_potentials(ctx.network, ctx.source, ctx.target)
+    halves = (
+        half(ctx.forward, ctx.backward, ctx.source, ctx.target, ctx.network.reverse(), to_target),
+        half(ctx.backward, ctx.forward, ctx.target, ctx.source, ctx.network, to_source),
+    )
     best = INF
     limit = INF
     meeting: _Meeting | None = None
-    heap0, heap1 = heaps
+    heap0, heap1 = halves[0].heap, halves[1].heap
     push = heapq.heappush
     pop = heapq.heappop
     while True:
@@ -623,12 +629,12 @@ def _state_search_halves(
         if (t0 >= limit and t1 >= limit) or (t0 == INF and t1 == INF):
             break
         side = 0 if t0 <= t1 else 1
-        heap = heaps[side]
-        search = searches[side]
-        cost = search.cost
+        search = halves[side]
+        heap = search.heap
+        label = search.label
         _k, perms, v, live, debt, d = pop(heap)
         key = (v << vshift) | (live << bits) | debt
-        if d > cost[key]:
+        if d > label[key][0]:
             continue
         settled = search.settled
         here = settled.get(v)
@@ -643,8 +649,7 @@ def _state_search_halves(
             if dominated:
                 continue
         here.append((live, debt, d, perms, key))
-        search.scanned += 1
-        far = searches[1 - side].settled.get(v)
+        far = halves[1 - side].settled.get(v)
         if far:
             for o_live, o_debt, o_cost, o_perms, o_key in far:
                 total = d + o_cost
@@ -655,32 +660,22 @@ def _state_search_halves(
                     best = total
                     limit = best + best * _STOP_MARGIN
                     meeting = (rank, key, o_key) if side == 0 else (rank, o_key, key)
-        # The half carries its own direction's permits; its debts are paid
-        # by the records that grant the other direction's.
-        own, other = directions[side], directions[1 - side]
+        own, other = search.own, search.other
         grant, clean = own.grant, own.clean
         debt_grant, debt_clean = other.grant, other.clean
         gate = own.gate[v]
-        potential = potentials[side]
-        bound = bounds[side]
-        permits = search.permits
-        parent = search.parent
+        potential = search.potential
+        bound = search.bound
         for e, u, lv in own.pack[v]:
             we = weights[e]
             if we == INF:
                 continue
             if (gate >> lv) & 1:
+                licensed = False
                 new_debt = debt
-                nperms = perms
-                tag = "plain"
             elif lv < top:
-                nperms = perms + 1
-                if (live >> lv) & 1:
-                    new_debt = debt
-                    tag = "permit"
-                else:
-                    new_debt = debt | (1 << lv)
-                    tag = "debt"
+                licensed = True
+                new_debt = debt if (live >> lv) & 1 else debt | (1 << lv)
             else:
                 continue
             if new_debt:
@@ -695,27 +690,26 @@ def _state_search_halves(
             nlive = grant[u] | (live & clean[u])
             nkey = (u << vshift) | (nlive << bits) | new_debt
             ncost = d + we
-            old = cost.get(nkey, INF)
-            if ncost < old or (ncost == old and nperms < permits[nkey]):
-                cost[nkey] = ncost
-                permits[nkey] = nperms
-                parent[nkey] = (key, e, tag)
-                if tag != "plain":
+            nperms = perms + licensed
+            old = label.get(nkey)
+            if old is None or ncost < old[0] or (ncost == old[0] and nperms < old[1]):
+                label[nkey] = (ncost, nperms, key, e, licensed)
+                if licensed:
                     search.licensed_relaxations += 1
                 push(heap, (ncost + hu, nperms, u, nlive, new_debt, ncost))
-    return searches[0], searches[1], meeting
+    return halves[0], halves[1], meeting
 
 
-def _unwind(parent: dict, key: int) -> tuple[list[int], list[int]]:
+def _unwind(label: dict, key: int) -> tuple[list[int], list[int]]:
     """Edges and permit edges of a state's parent chain, from the state back."""
     edges: list[int] = []
     permit_edges: list[int] = []
     while True:
-        prev, e, tag = parent[key]
+        _cost, _perms, prev, e, licensed = label[key]
         if prev is None:
             return edges, permit_edges
         edges.append(e)
-        if tag != "plain":
+        if licensed:
             permit_edges.append(e)
         key = prev
 
@@ -789,15 +783,15 @@ def _route(
     active, res.qc_iterations, res.qc_added = close()
     ctx = build_detour_context(network, scope, active, source, target)
     fwd, bwd, meeting = _state_search_halves(ctx)
-    res.scanned_detour = fwd.scanned + bwd.scanned
+    res.scanned_detour = sum(len(here) for half in (fwd, bwd) for here in half.settled.values())
     res.scanned_detour_vertices = len(fwd.settled) + len(bwd.settled)
     res.permits_issued = fwd.licensed_relaxations + bwd.licensed_relaxations
     if meeting is not None and meeting[0][0] < res.static_cost_updated:
         # The walk runs along the forward half's parent chain to the
         # meeting vertex, then back along the reverse half's chain.
         rank, key_f, key_b = meeting
-        prefix, prefix_permits = _unwind(fwd.parent, key_f)
-        suffix, suffix_permits = _unwind(bwd.parent, key_b)
+        prefix, prefix_permits = _unwind(fwd.label, key_f)
+        suffix, suffix_permits = _unwind(bwd.label, key_b)
         prefix.reverse()
         res.walk = Walk(source, tuple(prefix + suffix))
         res.cost_updated = rank[0]

@@ -422,6 +422,26 @@ def export_route(
     return "csv", prefix + "\n".join(rows) + "\n"
 
 
+def _edge_id(token: str, network: RoadNetwork, line_no: int) -> int:
+    edge = _canonical_int(token)
+    if edge is None:
+        raise ParseError(line_no, f"bad edge id {token!r}")
+    if not (0 <= edge < network.edge_count):
+        raise ParseError(line_no, f"unknown edge id {edge}")
+    return edge
+
+
+def parse_walk(text: str, network: RoadNetwork, source: int) -> Walk:
+    """Parse a walk file from ``source``: one edge id per line, in walk
+    order, written in canonical decimal spelling as in closure files."""
+    edges = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        token = raw.partition("#")[0].strip()
+        if token:
+            edges.append(_edge_id(token, network, line_no))
+    return Walk(source, tuple(edges))
+
+
 def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
     """Parse a closure file into edge-id -> new-weight updates.
 
@@ -456,11 +476,7 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
                 raise ParseError(line_no, f"no edge {tail},{head} ordinal {ordinal}")
             edge = matching[ordinal]
         else:
-            edge = _canonical_int(selector)
-            if edge is None:
-                raise ParseError(line_no, f"bad edge id {selector!r}")
-            if not (0 <= edge < network.edge_count):
-                raise ParseError(line_no, f"unknown edge id {edge}")
+            edge = _edge_id(selector, network, line_no)
         base = network.weight[edge]
         if weight < base:
             raise ParseError(line_no, f"edge {edge}: updated weight {weight} below base weight {base}")

@@ -139,32 +139,25 @@ def build_network(
         if value < 0:
             raise NetworkError(f"edge {e}: negative weight {value}")
         w.append(float(value))
-    if updated_weights is None:
-        wstar = list(w)
-    else:
-        if len(updated_weights) != len(w):
-            raise NetworkError("updated_weights length mismatch")
-        wstar = []
-        for e, value in enumerate(updated_weights):
-            if math.isnan(value):
-                raise NetworkError(f"edge {e}: updated weight is NaN")
-            if value < w[e]:
-                raise NetworkError(f"edge {e}: updated weight {value} below base {w[e]}")
-            wstar.append(float(value))
     out: list[list[int]] = [[] for _ in range(vertex_count)]
     inc: list[list[int]] = [[] for _ in range(vertex_count)]
     for e in range(len(tails)):
         out[tails[e]].append(e)
         inc[heads[e]].append(e)
-    return RoadNetwork(
+    network = RoadNetwork(
         vertex_count,
         tuple(tails),
         tuple(heads),
         tuple(w),
-        tuple(wstar),
+        tuple(w),
         tuple(tuple(es) for es in out),
         tuple(tuple(es) for es in inc),
     )
+    if updated_weights is None:
+        return network
+    if len(updated_weights) != len(w):
+        raise NetworkError("updated_weights length mismatch")
+    return network.with_updated_weights(dict(enumerate(updated_weights)))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 from scoperoute import (
     BenchConfig,
+    NetworkError,
     balance_to_proper,
     bidirectional_s_dijkstra,
     generate_synthetic,
@@ -32,6 +33,15 @@ class TestClosurePlacement:
         assert not warnings
         (edge,) = updates
         assert edge in static.walk.edges
+
+    def test_count_below_one_rejected(self, small_grid):
+        net, scope = small_grid
+        static = bidirectional_s_dijkstra(net, scope, 0, net.vertex_count - 1, "base")
+        for count in (0, -1):
+            with pytest.raises(NetworkError, match=f"closure count must be at least 1, got {count}"):
+                place_random_closures(net, scope, static.walk, count, seed=5)
+        with pytest.raises(NetworkError, match="closure count must be at least 1"):
+            run_benchmark(net, scope, BenchConfig(query_count=2, closure_count=0))
 
     def test_deterministic(self, small_grid):
         net, scope = small_grid
@@ -164,6 +174,30 @@ class TestCli:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_geojson_fallback_ends_in_one_newline(self, tmp_path, capsys):
+        path = tmp_path / "line.txt"
+        path.write_text("V 3\nL 0:5 inf:inf\nE 0 1 1 inf\nE 1 2 1 inf\n")
+        for command in ("route", "detour"):
+            assert main([command, "--network", str(path), "--source", "0", "--target", "2",
+                         "--format", "geojson"]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("# warning: coordinates missing, falling back to csv\n")
+            assert out.endswith("1,1,2,1,inf,0\n")
+
+    def test_bad_walk_file_exits_with_line_number(self, net_file, tmp_path, capsys):
+        walk_file = tmp_path / "walk.txt"
+        for text, message in (("0\nabc\n", "line 2: bad edge id 'abc'"),
+                              ("016\n", "line 1: bad edge id '016'")):
+            walk_file.write_text(text)
+            assert main(["validate", "--network", str(net_file), "--def", "3",
+                         "--walk", str(walk_file), "--source", "0", "--target", "35"]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bench_without_closures_rejected(self, net_file, capsys):
+        assert main(["bench", "--network", str(net_file), "--queries", "2",
+                     "--closure-count", "0", "--no-timing"]) == 1
+        assert capsys.readouterr().err == "error: closure count must be at least 1, got 0\n"
 
     def test_error_exit_code(self, tmp_path):
         assert main(["route", "--network", str(tmp_path / "missing.txt"),

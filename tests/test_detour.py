@@ -226,6 +226,33 @@ class TestSimpleDetour:
         assert res.walk is None
 
 
+def test_permit_edges_follow_the_gates():
+    # An edge of a returned detour whose level passes the gate at its tail
+    # (forward) and at its head (backward) is plain whichever half takes
+    # it; one that passes neither needs a permit whichever half takes it.
+    # Gates are read off a fresh context with the route's closure set.
+    plain = licensed = 0
+    for seed in range(3000):
+        for closed, scope, s, t in (_closed_random_case(seed), _closed_random_case(seed, True)):
+            for route in (simple_detour_route, enhanced_detour_route):
+                res = route(closed, scope, s, t)
+                if res.walk is None or res.klass == "static":
+                    continue
+                closures = qc_closure(closed, scope, None, s, t) if route is enhanced_detour_route else None
+                ctx = build_detour_context(closed, scope, closures, s, t)
+                for e in res.walk.edges:
+                    lv = scope.level[e]
+                    forward = (ctx.forward.gate[closed.tails[e]] >> lv) & 1
+                    backward = (ctx.backward.gate[closed.heads[e]] >> lv) & 1
+                    if forward and backward:
+                        assert e not in res.permit_edges, (seed, route.__name__, e)
+                        plain += 1
+                    elif not (forward or backward):
+                        assert e in res.permit_edges, (seed, route.__name__, e)
+                        licensed += 1
+    assert plain >= 1000 and licensed >= 5, (plain, licensed)
+
+
 class TestValidator:
     def test_plain_admissible_walk_accepted(self, n1, n1_scope15):
         closed = n1.with_updated_weights({3: INF})

@@ -20,6 +20,7 @@ from scoperoute import (
     make_scope,
     parse_closures,
     parse_network,
+    parse_walk,
 )
 
 INF = math.inf
@@ -356,6 +357,27 @@ class TestClosureFiles:
             parse_closures(text, n1e5)
 
 
+class TestWalkFiles:
+    def test_ids_comments_and_blank_lines(self, n1):
+        walk = parse_walk("# route\n0\n\n1  # middle\n2\n", n1, 0)
+        assert walk == Walk(0, (0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("0\n016\n", "line 2: bad edge id '016'", id="leading-zero"),
+            pytest.param("1_0\n", "line 1: bad edge id '1_0'", id="underscore"),
+            pytest.param("0\n\u0661\n", "line 2: bad edge id '\u0661'", id="non-ascii-digit"),
+            pytest.param("# x\nabc\n", "line 2: bad edge id 'abc'", id="word"),
+            pytest.param("0\n1 2\n", "line 2: bad edge id '1 2'", id="two-ids"),
+            pytest.param("0\n4\n", "line 2: unknown edge id 4", id="unknown"),
+        ],
+    )
+    def test_bad_edge_id_rejected_with_line(self, n1, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_walk(text, n1, 0)
+
+
 # Tokens of the network and closure formats, good and bad; numbers come from
 # a small set, so no example declares a large network.
 _TOKENS = ["0", "1", "2", "3", "-1", "-3", "0.5", "inf", "nan", "1_0", "\u00b2", "V", "L", "E", "C"]
@@ -407,6 +429,14 @@ NAN = float("nan")
         pytest.param(
             lambda n1: build_network(2, [(0, 1)], [1], updated_weights=[NAN]),
             NetworkError, "edge 0: updated weight is NaN", id="updated-weight",
+        ),
+        pytest.param(
+            lambda n1: build_network(2, [(0, 1), (1, 0)], [1, 2], updated_weights=[1, 1.5]),
+            NetworkError, "edge 1: updated weight 1.5 below base weight 2.0", id="updated-below-base",
+        ),
+        pytest.param(
+            lambda n1: build_network(2, [(0, 1)], [1], updated_weights=[1, 2]),
+            NetworkError, "updated_weights length mismatch", id="updated-length",
         ),
         pytest.param(
             lambda n1: n1.with_updated_weights({1: NAN}),

@@ -1,0 +1,97 @@
+"""Route outputs of two source trees, compared case by case.
+
+    python3 tools/ab_routes.py --before OLD/src --after src [--seeds 3000] [--no-bench]
+
+Each side runs in its own interpreter with that side's ``src`` first on the
+path. It routes the random closed networks of this checkout's
+``tests/test_detour.py`` (``_closed_random_case``, each seed with integer
+and with fractional weights) with ``simple_detour_route`` and
+``enhanced_detour_route``, once with every network building its landmark
+table on its first static search and once with no table, and records per
+result the class, cost, walk, permit edges and counts. Unless
+``--no-bench``, it also records the criterion-7 batch (``run_benchmark`` on
+the 50x50 grid: 500 queries, 50 closures each, timing off) as its CSV. The
+script prints how many cases differ, with the first few, and exits 1 if any
+does.
+
+``--src SRC`` runs one side and prints its records as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIELDS = (
+    "klass", "cost_updated", "permit_edges", "scanned_static", "scanned_detour",
+    "scanned_detour_vertices", "permits_issued",
+)
+
+
+def one_side(src: str, seeds: int, bench: bool) -> dict:
+    sys.path[:0] = [src, str(ROOT / "tests")]
+    import scoperoute.search
+    from scoperoute import (
+        BenchConfig, balance_to_proper, enhanced_detour_route, generate_synthetic,
+        run_benchmark, simple_detour_route,
+    )
+    from test_detour import _closed_random_case
+
+    plain_searches = scoperoute.search._PLAIN_SEARCHES
+    cases = {}
+    for table in (True, False):
+        scoperoute.search._PLAIN_SEARCHES = 0 if table else sys.maxsize
+        for seed in range(seeds):
+            for fractional in (False, True):
+                closed, scope, s, t = _closed_random_case(seed, fractional)
+                for route in (simple_detour_route, enhanced_detour_route):
+                    res = route(closed, scope, s, t)
+                    name = (
+                        f"seed {seed}{' fractional' if fractional else ''} "
+                        f"{'with' if table else 'without'} table, {route.__name__}"
+                    )
+                    walk = None if res.walk is None else [res.walk.start, res.walk.edges]
+                    cases[name] = [getattr(res, f) for f in FIELDS] + [walk]
+    scoperoute.search._PLAIN_SEARCHES = plain_searches
+    if bench:
+        nf = generate_synthetic("grid", 50, 3, seed=42)
+        scope = balance_to_proper(nf.network, nf.scope)
+        config = BenchConfig(query_count=500, closure_count=50, seed=20260810, measure_time=False)
+        cases["criterion-7 batch csv"] = run_benchmark(nf.network, scope, config).csv_body()
+    return cases
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before")
+    parser.add_argument("--after")
+    parser.add_argument("--src", help="run one side and print its records")
+    parser.add_argument("--seeds", type=int, default=3000)
+    parser.add_argument("--no-bench", action="store_true")
+    args = parser.parse_args()
+    if args.src:
+        print(json.dumps(one_side(args.src, args.seeds, not args.no_bench)))
+        return 0
+    if not (args.before and args.after):
+        parser.error("give --before and --after, or --src")
+    sides = []
+    for src in (args.before, args.after):
+        cmd = [sys.executable, __file__, "--src", src, "--seeds", str(args.seeds)]
+        if args.no_bench:
+            cmd.append("--no-bench")
+        out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+        sides.append(json.loads(out))
+    before, after = sides
+    differ = [name for name in before.keys() | after.keys() if before.get(name) != after.get(name)]
+    print(f"{len(before)} cases before, {len(after)} after, {len(differ)} differ")
+    for name in sorted(differ)[:5]:
+        print(f"  {name}:\n    before {before.get(name)!r:.300}\n    after  {after.get(name)!r:.300}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
