@@ -203,6 +203,8 @@ def run_benchmark(network: RoadNetwork, scope: ScopeMapping, config: BenchConfig
     """Run the full batch; per-query failures are recorded, never raised."""
     if config.closure_count < 1:
         raise NetworkError(f"closure count must be at least 1, got {config.closure_count}")
+    if config.query_count < 0:
+        raise NetworkError(f"query count must not be negative, got {config.query_count}")
     report = BenchReport(config, [])
     queries = _sample_queries(network, scope, config)
     for idx, (s, t, static_cost) in enumerate(queries):

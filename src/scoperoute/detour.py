@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 from .network import (
     INF,
+    NetworkError,
     RoadNetwork,
     ScopeMapping,
     Walk,
@@ -139,77 +140,66 @@ def _segment_level(tail: tuple[float, ...], head: tuple[float, ...], nu, top: in
 
 
 def _tree_records(
-    network: RoadNetwork,
     scope: ScopeMapping,
     run: ScopeSearchResult,
+    other: ScopeSearchResult,
     active: frozenset[int],
     side: str,
-    other_reached: list[bool],
     offer,
 ) -> None:
     """Offer the record keys read off one drained search tree to ``offer``.
 
     Vertices whose tree walk crosses a closure get a plain record measured
     from the nearest crossing; additionally, vertices on the tree chain
-    before a crossing whose far side connects to the other direction get an
-    amended record carrying their own settled draw, provided their budgets
-    are not yet exhausted (the near-endpoint case). Each key goes to
+    before a crossing whose far side the opposite run ``other`` reaches get
+    an amended record carrying their own settled draw, provided their
+    budgets are not yet exhausted (the near-endpoint case). Each key goes to
     ``offer(vertex, side, level, amended, tail, head, closure_ref, omega)``;
     the record's state would be ``_vec_sub(tail, head)``.
 
-    One pass over the run's settle order reads the tree: each vertex comes
-    after its tree parent, so its tree-walk draw is its parent's plus its
-    parent edge, and its nearest crossing is its parent edge or its
+    One pass over the run's settle order reads the tree in the run's own
+    network (reversed for the backward run): each vertex comes after its
+    tree parent ``run._tails[e]``, so its tree-walk draw is its parent's
+    plus its parent edge, and its nearest crossing is its parent edge or its
     parent's nearest crossing.
     """
-    n = network.vertex_count
     nu = scope.nu
     top = scope.top
     level = scope.level
     w = run._weights
-    # run operates on the reversed graph for side "t"; its edge ids are
-    # shared, so the tree parent is the original head in that case.
-    ends = network.tails if side == "s" else network.heads
+    tails = run._tails
     parent_edge = run.parent_edge
-    tree = [zero_vector(scope)] * n
-    # anchor[v] is the head of the nearest closure edge on v's tree walk,
-    # -1 when there is none; meets[a] says whether a vertex anchored at a
-    # is reached by the opposite search.
-    anchor = [-1] * n
-    meets = [False] * n
-    crossings: list[int] = []
+    reach = other.dist
+    tree = [zero_vector(scope)] * len(run.dist)
+    # anchor[v] is the head of the nearest closure edge on v's tree walk, -1
+    # when there is none. meets holds the crossings whose subtree the
+    # opposite run reaches: at a vertex anchored in it, or in a crossing
+    # nested inside it; marking walks out through the enclosing crossings.
+    anchor = [-1] * len(run.dist)
+    meets: set[int] = set()
     for v in run.order[1:]:
         e = parent_edge[v]
-        parent = ends[e]
+        parent = tails[e]
         tree[v] = tv = add_draw(tree[parent], level[e], w[e])
         if e in active:
             a = v
-            crossings.append(v)
         else:
             a = anchor[parent]
             if a < 0:
                 continue
         anchor[v] = a
-        if other_reached[v]:
-            meets[a] = True
+        if reach[v] < INF:
+            at = a
+            while at >= 0 and at not in meets:
+                meets.add(at)
+                at = anchor[tails[parent_edge[at]]]
         ta = tree[a]
         offer(v, side, _segment_level(tv, ta, nu, top), False, tv, ta, parent_edge[a], None)
-    # Amended records: walk up from each closure tree edge whose subtree
-    # meets the opposite search. A subtree meets it when a vertex anchored
-    # in it does, or a nested crossing's subtree does; a nested crossing
-    # settles after the one outside it.
-    for v in reversed(crossings):
-        if meets[v]:
-            outer = anchor[ends[parent_edge[v]]]
-            if outer >= 0:
-                meets[outer] = True
     amended_side = "t" if side == "s" else "s"
     saturated: dict[int, bool] = {}
-    for v in sorted(crossings):
-        if not meets[v]:
-            continue
+    for v in sorted(meets):
         e = parent_edge[v]
-        parent = ends[e]
+        parent = tails[e]
         tp = tree[parent]
         at = parent
         while True:
@@ -225,7 +215,7 @@ def _tree_records(
             pe = parent_edge[at]
             if pe is None:
                 break
-            at = ends[pe]
+            at = tails[pe]
 
 
 def find_obstructed(
@@ -245,18 +235,17 @@ def find_obstructed(
     the blocking spot.
     """
     active = _active_set(network, closures)
-    fwd, bwd = _drained_runs(network, scope, source, target, _record_weights(network, active))
-    return _records_from_runs(network, scope, active, fwd, bwd)
+    return _records_from_runs(scope, active, *_drained_runs(network, scope, source, target, active))
 
 
 def _drained_runs(
-    network: RoadNetwork, scope: ScopeMapping, source: int, target: int, weights
+    network: RoadNetwork, scope: ScopeMapping, source: int, target: int, active: frozenset[int]
 ) -> tuple[ScopeSearchResult, ScopeSearchResult]:
-    """Drained scope-aware runs from ``source`` and, reversed, from ``target``."""
-    scope.validate(network)
+    """The record runs: drained scope-aware runs from ``source`` and,
+    reversed, from ``target``, on the record weighting of ``active``."""
+    weights = _record_weights(network, active)
     fwd = s_dijkstra(network, scope, source, weights)
-    bwd = s_dijkstra(network.reverse(), scope, target, weights)
-    return fwd, bwd
+    return fwd, s_dijkstra(network.reverse(), scope, target, weights)
 
 
 def _record_weights(network: RoadNetwork, active: frozenset[int]) -> list[float]:
@@ -270,33 +259,30 @@ def _record_weights(network: RoadNetwork, active: frozenset[int]) -> list[float]
 
 
 def _record_pass(
-    network: RoadNetwork,
     scope: ScopeMapping,
     active: frozenset[int],
     fwd: ScopeSearchResult,
     bwd: ScopeSearchResult,
     offer,
 ) -> None:
-    """Offer the record keys of both drained runs to ``offer``, as
-    ``_tree_records`` does; a key can come more than once."""
-    fwd_reached = [d < INF for d in fwd.dist]
-    bwd_reached = [d < INF for d in bwd.dist]
+    """Offer the record keys of both drained record runs to ``offer``, as
+    ``_tree_records`` does, then the closure-end zero keys; a key can come
+    more than once. Each run reads the other's reach from its ``dist``."""
     # Forward tree: closures behind a vertex obstruct it for the start.
-    _tree_records(network, scope, fwd, active, "s", bwd_reached, offer)
+    _tree_records(scope, fwd, bwd, active, "s", offer)
     # Reverse tree: closures ahead obstruct for the target.
-    _tree_records(network, scope, bwd, active, "t", fwd_reached, offer)
+    _tree_records(scope, bwd, fwd, active, "t", offer)
     # Budgets are non-negative, so the zero state is within level 0.
     zero = zero_vector(scope)
     for e in sorted(active):
-        x, y = network.tails[e], network.heads[e]
-        if bwd_reached[y]:
+        x, y = fwd._tails[e], bwd._tails[e]
+        if bwd.dist[y] < INF:
             offer(x, "t", 0, False, zero, zero, e, None)
-        if fwd_reached[x]:
+        if fwd.dist[x] < INF:
             offer(y, "s", 0, False, zero, zero, e, None)
 
 
 def _records_from_runs(
-    network: RoadNetwork,
     scope: ScopeMapping,
     active: frozenset[int],
     fwd: ScopeSearchResult,
@@ -317,7 +303,7 @@ def _records_from_runs(
         if old is None or (amended, state) < old[:2]:
             chosen[key] = (amended, state, ref, omega)
 
-    _record_pass(network, scope, active, fwd, bwd, offer)
+    _record_pass(scope, active, fwd, bwd, offer)
     return [
         ObstructionRecord(v, side, state, lv, ref, omega)
         for (v, side, lv), (_amended, state, ref, omega) in sorted(chosen.items())
@@ -392,7 +378,7 @@ class DetourContext:
     @property
     def records(self) -> list[ObstructionRecord]:
         """The finite-level obstruction records, one per granted bit."""
-        records = _records_from_runs(self.network, self.scope, self.active, *self.record_runs)
+        records = _records_from_runs(self.scope, self.active, *self.record_runs)
         return [r for r in records if r.level < self.scope.top]
 
 
@@ -405,7 +391,7 @@ def build_detour_context(
 ) -> DetourContext:
     """The record runs, the grant masks, then both directions' tables."""
     active = _active_set(network, closures)
-    record_runs = _drained_runs(network, scope, source, target, _record_weights(network, active))
+    record_runs = _drained_runs(network, scope, source, target, active)
     weights = list(network.weight_updated)
     for e in active:
         weights[e] = INF
@@ -417,7 +403,7 @@ def build_detour_context(
         if lv < top:
             grant[side][v] |= 1 << lv
 
-    _record_pass(network, scope, active, *record_runs, grant_bit)
+    _record_pass(scope, active, *record_runs, grant_bit)
     return DetourContext(
         network, scope, active, source, target, record_runs, weights,
         _direction(network, scope, source, grant["t"], weights, active),
@@ -490,7 +476,8 @@ def validate_simple_detour(
     if walk.start != source or walk.end(network) != target:
         return False
     ctx = context or build_detour_context(network, scope, closures, source, target)
-    if any(e in ctx.active for e in walk.edges):
+    # Closed roads: the treated-as-closed edges and any other infinite one.
+    if any(ctx.weights[e] == INF for e in walk.edges):
         return False
     vertices = walk.vertices(network)
     # live_t[p] licenses the edge departing position p, live_s[p] the one
@@ -506,10 +493,9 @@ def validate_simple_detour(
         licensed = lv < top and (
             (live_t[i] >> lv) & 1 or (live_s[i + 1] >> lv) & 1
         )
-        # An edge is usable when open and its near end's gate passes its level.
-        is_open = ctx.weights[e] != INF
-        prefix_ok.append(licensed or (is_open and (gate_t[vertices[i]] >> lv) & 1))
-        suffix_ok.append(licensed or (is_open and (gate_s[vertices[i + 1]] >> lv) & 1))
+        # An edge is usable when its near end's gate passes its level.
+        prefix_ok.append(licensed or (gate_t[vertices[i]] >> lv) & 1)
+        suffix_ok.append(licensed or (gate_s[vertices[i + 1]] >> lv) & 1)
     return _split_exists(prefix_ok, suffix_ok)
 
 
@@ -885,6 +871,9 @@ def qc_closure(
     quasi-closed. ``iterations`` is the number of rounds a fixed-point loop
     takes: 1 when nothing is added, else 2 (the second round adds nothing).
     """
+    for vertex, role in ((source, "source"), (target, "target")):
+        if not (0 <= vertex < network.vertex_count):
+            raise NetworkError(f"unknown {role} vertex {vertex}")
     base = closures if isinstance(closures, ClosureSet) else None
     active = set(_active_set(network, closures))
     hard = frozenset(active) if base is None else base.hard

@@ -140,10 +140,10 @@ def parse_network(text: str) -> NetworkFile:
                 raise ParseError(line_no, "expected: C <vertex> <lon> <lat>")
             if vertex >= vertex_count:
                 raise ParseError(line_no, f"vertex out of range: {vertex}")
-            coordinates[vertex] = (
-                _parse_number(parts[2], line_no),
-                _parse_number(parts[3], line_no),
-            )
+            lon, lat = _parse_number(parts[2], line_no), _parse_number(parts[3], line_no)
+            if not (math.isfinite(lon) and math.isfinite(lat)):
+                raise ParseError(line_no, f"coordinates must be finite, got {lon} {lat}")
+            coordinates[vertex] = (lon, lat)
         else:
             raise ParseError(line_no, f"unknown record {tag!r}")
     if vertex_count is None:
@@ -253,6 +253,8 @@ def generate_synthetic(
         raise NetworkError("size must be >= 1")
     if level_count < 2:
         raise NetworkError("need at least two levels")
+    if subdivisions < 0:
+        raise NetworkError(f"subdivisions must be >= 0, got {subdivisions}")
     rng = random.Random(seed)
     if kind == "grid":
         return _generate_grid(size, level_count, rng, subdivisions, oneway)
@@ -406,7 +408,8 @@ def export_route(
                     }
                 )
             payload = json.dumps(
-                {"type": "FeatureCollection", "features": features}, indent=2, sort_keys=True
+                {"type": "FeatureCollection", "features": features},
+                indent=2, sort_keys=True, allow_nan=False,
             )
             return "geojson", payload
         fmt = "csv"

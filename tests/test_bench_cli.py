@@ -70,6 +70,11 @@ class TestRunBenchmark:
         assert report.records == []
         assert report.csv_body() == CSV_HEADER + "\n"
 
+    def test_negative_query_count_rejected(self, small_grid):
+        net, scope = small_grid
+        with pytest.raises(NetworkError, match="query count must not be negative, got -3"):
+            run_benchmark(net, scope, BenchConfig(query_count=-3, closure_count=3, seed=1))
+
     def test_small_batch_consistency(self, small_grid):
         net, scope = small_grid
         cfg = BenchConfig(query_count=6, closure_count=5, seed=2, measure_time=False)
@@ -198,6 +203,28 @@ class TestCli:
         assert main(["bench", "--network", str(net_file), "--queries", "2",
                      "--closure-count", "0", "--no-timing"]) == 1
         assert capsys.readouterr().err == "error: closure count must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("flag, vertex", [
+        ("--source", "-1"), ("--source", "36"), ("--target", "-1"), ("--target", "36"),
+    ])
+    def test_qc_unknown_endpoint_exits_with_error(self, net_file, capsys, flag, vertex):
+        ends = {"--source": "0", "--target": "35", flag: vertex}
+        args = [part for pair in ends.items() for part in pair]
+        assert main(["qc", "--network", str(net_file), *args]) == 1
+        role = flag.removeprefix("--")
+        assert capsys.readouterr().err == f"error: unknown {role} vertex {vertex}\n"
+
+    @pytest.mark.parametrize("command, message", [
+        (["gen", "--size", "3", "--subdivide", "-1"], "subdivisions must be >= 0, got -1"),
+        (["gen", "--size", "3", "--subdivide", "-2"], "subdivisions must be >= 0, got -2"),
+        (["bench", "--queries", "-3", "--no-timing"], "query count must not be negative, got -3"),
+    ])
+    def test_negative_count_exits_with_error(self, net_file, tmp_path, capsys, command, message):
+        if command[0] == "bench":
+            command = [*command, "--network", str(net_file)]
+        assert main([*command, "--out", str(tmp_path / "out.txt")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.txt").exists()
 
     def test_error_exit_code(self, tmp_path):
         assert main(["route", "--network", str(tmp_path / "missing.txt"),

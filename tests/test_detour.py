@@ -8,6 +8,7 @@ import pytest
 import scoperoute.detour
 import scoperoute.search
 from scoperoute import (
+    NetworkError,
     Walk,
     bidirectional_s_dijkstra,
     build_detour_context,
@@ -74,6 +75,21 @@ class TestFindObstructed:
         fort = [r for r in records if r.side == "t" and r.omega is None]
         assert fort and fort[0].state == (7.0, 0.0)
         assert fort[0].level == scope.top
+
+    def test_nested_crossing_amends_from_the_outer_closure(self):
+        # The forward record run crosses closure 1 = (1, 2), then closure
+        # 3 = (3, 4); the backward run reaches 4 and 5 only, below the inner
+        # crossing. The outer crossing's subtree still meets it, so the
+        # chain before closure 1 gets amended "t" records measured from 1,
+        # whose draw from 0 or 1 is smaller than the one from 3.
+        net = build_network(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [2, 10, 2, 1, 10])
+        scope = make_scope([1, 0, 1, 0, 1], [5, INF])
+        closed = net.with_updated_weights({1: INF, 3: INF})
+        records = find_obstructed(closed, scope, None, 0, 5)
+        assert [
+            (r.vertex, r.level, r.state, r.closure_ref, r.omega)
+            for r in records if r.side == "t" and r.vertex < 2
+        ] == [(0, 0, (2.0, 0.0), 1, (0.0, 0.0)), (1, 0, (0.0, 0.0), 1, (2.0, 0.0))]
 
     def test_n1e5_closure_tail_record(self, n1e5, n1e5_scope5):
         closed = n1e5.with_updated_weights({1: INF})
@@ -156,7 +172,7 @@ def test_plain_record_states_are_tree_walk_draws():
                     sigma = add_draw(sigma, scope.level[e], weights[e])
                 return sigma
 
-            for r in scoperoute.detour._records_from_runs(closed, scope, ctx.active, fwd, bwd):
+            for r in scoperoute.detour._records_from_runs(scope, ctx.active, fwd, bwd):
                 if r.omega is not None:  # amended
                     continue
                 run, near = anchors[r.side]
@@ -272,6 +288,18 @@ class TestValidator:
         walk = Walk(0, (0, 4, 2))
         assert validate_simple_detour(walk, n1e5, n1e5_scope5, frozenset(), 0, 3)
 
+    def test_infinite_edge_outside_explicit_closures_rejected(self):
+        # Edge 3 is closed by its weight, but the explicit closure set leaves
+        # it out; a record on the walk must not license it.
+        net = build_network(4, [(0, 1), (1, 2), (2, 3), (1, 2)], [10, 10, 10, 4])
+        scope = make_scope([1, 1, 1, 0], [5, INF])
+        closed = net.with_updated_weights({1: INF, 3: INF})
+        walk = Walk(0, (0, 3, 2))
+        assert walk.cost(closed, "updated") == INF
+        for closures in (None, frozenset({1})):
+            assert not validate_simple_detour(walk, closed, scope, closures, 0, 3)
+        assert simple_detour_route(closed, scope, 0, 3, frozenset({1})).klass == "unreachable"
+
     def test_permit_expires_at_open_higher_level_departure(self):
         # s=0 -> a=1 (unbounded, closed beyond), bypass a->x->y->t on level 0;
         # an open unbounded edge leaving x ends the permitted stretch, so the
@@ -318,6 +346,15 @@ class TestQcClosure:
         qc = qc_closure(n1, n1_scope5, frozenset(), 0, 3)
         assert qc.edges == frozenset()
         assert qc.iterations == 1
+
+    @pytest.mark.parametrize("source, target, role", [
+        (-1, 3, "source"), (4, 3, "source"), (0, -1, "target"), (0, 4, "target"),
+    ])
+    def test_unknown_endpoint_rejected(self, permit_fixture, source, target, role):
+        net, scope = permit_fixture
+        vertex = source if role == "source" else target
+        with pytest.raises(NetworkError, match=f"unknown {role} vertex {vertex}"):
+            qc_closure(net, scope, None, source, target)
 
     def test_dead_end_line(self):
         # s->x->y->t with the last edge closed and an open alternative x->t:

@@ -283,6 +283,11 @@ class TestSynthetic:
         assert nf.scope.level_count == 2
         assert is_routing_connected(nf.network)
 
+    def test_negative_subdivisions_rejected(self):
+        for subdivisions in (-1, -2):
+            with pytest.raises(NetworkError, match=f"subdivisions must be >= 0, got {subdivisions}"):
+                generate_synthetic("grid", 3, 3, seed=4, subdivisions=subdivisions)
+
     def test_subdivided_grid_has_chains(self):
         plain = generate_synthetic("grid", 6, 3, seed=4)
         sub = generate_synthetic("grid", 6, 3, seed=4, subdivisions=2)
@@ -305,6 +310,11 @@ class TestExport:
         assert fmt == "geojson"
         assert payload.count('"permit": true') == 1
         assert payload.count('"permit": false') == 2
+
+    def test_non_finite_coordinates_rejected(self, n1, n1_scope5):
+        coords = {0: (INF, 0.0), 1: (1.0, 0.0)}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            export_route(Walk(0, (0,)), n1, n1_scope5, "geojson", coords)
 
     def test_missing_coordinates_fall_back_to_csv(self, n1, n1_scope5):
         fmt, payload = export_route(Walk(0, (0,)), n1, n1_scope5, "geojson", {})
@@ -457,6 +467,10 @@ NAN = float("nan")
         pytest.param(
             lambda n1: parse_network(N1_TEXT.replace("0:5", "0:nan")),
             ParseError, "line 3: bad number 'nan'", id="scope-line",
+        ),
+        pytest.param(
+            lambda n1: parse_network(N1_TEXT + "C 0 inf 0\n"),
+            ParseError, "line 8: coordinates must be finite, got inf 0.0", id="coordinate-line",
         ),
     ],
 )

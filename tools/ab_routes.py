@@ -8,7 +8,10 @@ path. It routes the random closed networks of this checkout's
 and with fractional weights) with ``simple_detour_route`` and
 ``enhanced_detour_route``, once with every network building its landmark
 table on its first static search and once with no table, and records per
-result the class, cost, walk, permit edges and counts. Unless
+result the class, cost, walk, permit edges and counts. Per network and
+query it also records ``find_obstructed``'s records (as their ``repr``)
+and the grant, gate and clean masks of both directions of
+``build_detour_context``. Unless
 ``--no-bench``, it also records the criterion-7 batch (``run_benchmark`` on
 the 50x50 grid: 500 queries, 50 closures each, timing off) as its CSV. The
 script prints how many cases differ, with the first few, and exits 1 if any
@@ -30,19 +33,27 @@ FIELDS = (
     "klass", "cost_updated", "permit_edges", "scanned_static", "scanned_detour",
     "scanned_detour_vertices", "permits_issued",
 )
+MASKS = ("grant", "gate", "clean")
 
 
 def one_side(src: str, seeds: int, bench: bool) -> dict:
     sys.path[:0] = [src, str(ROOT / "tests")]
     import scoperoute.search
     from scoperoute import (
-        BenchConfig, balance_to_proper, enhanced_detour_route, generate_synthetic,
-        run_benchmark, simple_detour_route,
+        BenchConfig, balance_to_proper, build_detour_context, enhanced_detour_route,
+        find_obstructed, generate_synthetic, run_benchmark, simple_detour_route,
     )
     from test_detour import _closed_random_case
 
-    plain_searches = scoperoute.search._PLAIN_SEARCHES
     cases = {}
+    for seed in range(seeds):
+        for fractional in (False, True):
+            closed, scope, s, t = _closed_random_case(seed, fractional)
+            ctx = build_detour_context(closed, scope, None, s, t)
+            masks = [getattr(d, f) for d in (ctx.forward, ctx.backward) for f in MASKS]
+            name = f"seed {seed}{' fractional' if fractional else ''} records and masks"
+            cases[name] = [repr(find_obstructed(closed, scope, None, s, t))] + masks
+    plain_searches = scoperoute.search._PLAIN_SEARCHES
     for table in (True, False):
         scoperoute.search._PLAIN_SEARCHES = 0 if table else sys.maxsize
         for seed in range(seeds):

@@ -16,13 +16,15 @@ optimum). It reports each phase's self time per query: a wrapped call's
 time minus that of the wrapped calls it makes. A phase whose function a
 side lacks reads 0 there. "record runs" are the drained searches
 (``_drained_runs``): the record runs, and the static runs too where a
-version takes its static step from drained runs. "potentials" are the
-state search's ``dijkstra`` runs; they read 0 once the network has its
-landmark table. "landmark build" is paid once per network, in the static
-search that follows the plain ones; it is not part of "route, whole" or
-"route, rest". The output holds the mean, median and p90 per phase in ms,
-before and after, with the Python version and core count, under the
-workload's name; other workloads already in the file are kept.
+version takes its static step from drained runs; where a version builds
+the record weighting inside ``_drained_runs``, that list counts here too.
+"potentials" are the state search's ``dijkstra`` runs; they read 0 once
+the network has its landmark table. "landmark build" is paid once per
+network, in the static search that follows the plain ones; it is not part
+of "route, whole" or "route, rest". The output holds the mean, median and
+p90 per phase in ms, before and after, with the Python version and core
+count, under the workload's name; other workloads already in the file are
+kept.
 
 ``--src SRC`` runs one side and prints its per-query times as JSON.
 """
