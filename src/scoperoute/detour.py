@@ -18,12 +18,12 @@ The walk validator and the routing search share one acceptance relation:
   sits on the walk before it with a departure-clean corridor in between, or
   symmetrically after it with an entry-clean corridor (permit clauses).
 
-The search reads per-vertex bit masks only, one bit per level, in each
-direction: the levels its gate label passes, the levels of the records
-there, and the levels at which it is corridor-clean. The grant masks come
-straight from the keys of the record tree pass; full record objects are
-built from the same pass only when asked for (``find_obstructed``,
-``DetourContext.records``).
+Each direction reads its gate run's labels, through ``search._usable``
+at a vertex the search settles, and two per-vertex bit masks, one bit per
+level: the levels of the records there, and the levels at which it is
+corridor-clean. The grant masks come straight from the keys of the record
+tree pass; full record objects are built from the same pass only when
+asked for (``find_obstructed``, ``DetourContext.records``).
 
 The search explores (vertex, carried-permit mask, owed-permit mask) states
 in both directions, each goal-directed by lower bounds on the distance to
@@ -59,6 +59,7 @@ from .search import (
     _landmark_potentials,
     _level_cached,
     _split_exists,
+    _usable,
     bidirectional_s_dijkstra,
     dijkstra,
     is_saturated,
@@ -316,15 +317,14 @@ class _Direction:
 
     Forwards: the network from the start, permits granted by ``"t"``
     records; backwards: the reversed network from the target, ``"s"``
-    records. Per vertex, ``pack`` lists the edges to relax, ``gate`` the
-    levels whose budget its gate label passes (so an open edge of such a
-    level leaving it is usable from the endpoint), ``grant`` the levels of
-    the records there and ``clean`` the levels at which it is
-    corridor-clean.
+    records. ``gate`` is the drained run from the endpoint on the open
+    weighting, read through ``_usable``. Per vertex, ``pack`` lists the
+    edges to relax, ``grant`` the levels of the records there and ``clean``
+    the levels at which it is corridor-clean.
     """
 
     pack: list[tuple[tuple[int, int, int], ...]]
-    gate: list[int]
+    gate: ScopeSearchResult
     grant: list[int]
     clean: list[int]
 
@@ -337,19 +337,9 @@ def _direction(
     weights: list[float],
     active: frozenset[int],
 ) -> _Direction:
-    """One direction's tables; ``network`` is reversed for the backward one.
-
-    The gate labels come from a run from ``endpoint`` on the open weighting
-    ``weights``; a vertex it does not reach passes no level.
-    """
-    run = s_dijkstra(network, scope, endpoint, weights)
-    sigma = run.sigma
-    gate = [0] * network.vertex_count
-    for lv in range(scope.level_count):
-        bit, cap = 1 << lv, scope.nu[lv]
-        for v in run.order:
-            if sigma[v][lv] <= cap:
-                gate[v] |= bit
+    """One direction's tables and its gate run from ``endpoint`` on the open
+    weighting ``weights``; ``network`` is reversed for the backward one."""
+    gate = s_dijkstra(network, scope, endpoint, weights)
     return _Direction(_edge_pack(network, scope), gate, grant, _clean_masks(network, scope, active))
 
 
@@ -484,8 +474,7 @@ def validate_simple_detour(
     # arriving there.
     live_t = _carried_masks(ctx.forward, vertices)
     live_s = _carried_masks(ctx.backward, reversed(vertices))[::-1]
-    top = ctx.scope.top
-    gate_t, gate_s = ctx.forward.gate, ctx.backward.gate
+    top, nu = ctx.scope.top, ctx.scope.nu
     prefix_ok = []
     suffix_ok = []
     for i, e in enumerate(walk.edges):
@@ -494,8 +483,8 @@ def validate_simple_detour(
             (live_t[i] >> lv) & 1 or (live_s[i + 1] >> lv) & 1
         )
         # An edge is usable when its near end's gate passes its level.
-        prefix_ok.append(licensed or (gate_t[vertices[i]] >> lv) & 1)
-        suffix_ok.append(licensed or (gate_s[vertices[i + 1]] >> lv) & 1)
+        prefix_ok.append(licensed or _usable(ctx.forward.gate, nu, vertices[i], lv))
+        suffix_ok.append(licensed or _usable(ctx.backward.gate, nu, vertices[i + 1], lv))
     return _split_exists(prefix_ok, suffix_ok)
 
 
@@ -581,7 +570,7 @@ def _state_search_halves(
     key below ``best`` (the partner's cost bounds the potential), so both,
     or states dominating them, would have settled and met already.
     """
-    top = ctx.scope.top
+    top, nu = ctx.scope.top, ctx.scope.nu
     weights = ctx.weights
     bits = max(top, 1)
     vshift = 2 * bits
@@ -649,14 +638,15 @@ def _state_search_halves(
         own, other = search.own, search.other
         grant, clean = own.grant, own.clean
         debt_grant, debt_clean = other.grant, other.clean
-        gate = own.gate[v]
+        # _usable's test, with the reach check read once per settled state.
+        sig = own.gate.sigma[v] if own.gate.dist[v] < INF else None
         potential = search.potential
         bound = search.bound
         for e, u, lv in own.pack[v]:
             we = weights[e]
             if we == INF:
                 continue
-            if (gate >> lv) & 1:
+            if sig is not None and sig[lv] <= nu[lv]:
                 licensed = False
                 new_debt = debt
             elif lv < top:

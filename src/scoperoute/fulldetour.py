@@ -20,6 +20,7 @@ from itertools import combinations
 
 from .network import (
     INF,
+    NetworkError,
     RoadNetwork,
     ScopeMapping,
     Walk,
@@ -396,6 +397,9 @@ def brute_force_full_optimum(
     when no accepted walk exists, and raises :class:`SearchBudgetExceeded`
     when enumeration or validation cannot finish within budget.
     """
+    for vertex, role in ((source, "source"), (target, "target")):
+        if not (0 <= vertex < network.vertex_count):
+            raise NetworkError(f"unknown {role} vertex {vertex}")
     scope.validate(network)
     active = _active_set(network, closures)
     if hop_bound is None:

@@ -247,7 +247,8 @@ def generate_synthetic(
     ``subdivisions`` each grid road is split into extra degree-2 segments,
     which is useful for studying chain contraction; ``oneway`` turns the
     interior grid streets into an alternating one-way system (the border
-    ring stays two-way so the network remains routing-connected).
+    ring stays two-way so the network remains routing-connected). Both
+    options apply to grids only; kind ``random`` rejects them.
     """
     if size < 1:
         raise NetworkError("size must be >= 1")
@@ -259,6 +260,9 @@ def generate_synthetic(
     if kind == "grid":
         return _generate_grid(size, level_count, rng, subdivisions, oneway)
     if kind == "random":
+        for option, value in (("subdivisions", subdivisions), ("oneway", oneway)):
+            if value:
+                raise NetworkError(f"option {option} applies only to kind 'grid'")
         return _generate_random(size, level_count, rng)
     raise NetworkError(f"unknown synthetic kind {kind!r}")
 

@@ -558,29 +558,17 @@ def validate_s_admissible(
 
 @dataclass
 class SettledLabels:
-    """Per-vertex optimum cost and merged draw of admissible walks.
-
-    Mirrors what a drained scope-aware run settles to; produced either by
-    ``s_dijkstra`` or independently by the enumeration oracle.
-    """
+    """The enumeration oracle's labels: optimum cost and merged draw per vertex."""
 
     dist: list[float]
     sigma: list[tuple[float, ...]]
 
-    def edge_usable(self, network: RoadNetwork, scope: ScopeMapping, e: int) -> bool:
-        u = network.tails[e]
-        lv = scope.level[e]
-        return self.dist[u] < INF and self.sigma[u][lv] <= scope.nu[lv]
 
-
-def settled_labels(
-    network: RoadNetwork,
-    scope: ScopeMapping,
-    source: int,
-    weighting: str = "base",
-) -> SettledLabels:
-    res = s_dijkstra(network, scope, source, weighting)
-    return SettledLabels(res.dist, res.sigma)
+def _usable(labels, nu, v: int, lv: int) -> bool:
+    """Whether a level-``lv`` edge leaving ``v`` is usable from the source of
+    ``labels``, a run or ``SettledLabels``: ``v`` is reached and its settled
+    draw passes the gate (an unreached vertex's draw passes the top level)."""
+    return labels.dist[v] < INF and labels.sigma[v][lv] <= nu[lv]
 
 
 def validate_split_admissible(
@@ -590,26 +578,26 @@ def validate_split_admissible(
     source: int,
     target: int,
     weighting: str = "base",
-    forward: SettledLabels | None = None,
-    backward: SettledLabels | None = None,
+    forward: ScopeSearchResult | SettledLabels | None = None,
+    backward: ScopeSearchResult | SettledLabels | None = None,
 ) -> bool:
     """Witness-based check of the two-sided admissibility relation.
 
     True iff the walk splits into a prefix of edges usable from ``source``
     and a suffix of edges whose reversals are usable from ``target`` in the
-    reversed network, with usability judged by the settled labels.
+    reversed network, judged by ``_usable`` on settled labels: ``forward``
+    and ``backward``, runs or ``SettledLabels``, default to drained runs.
     """
     check_walk(walk, network)
     if walk.start != source or walk.end(network) != target:
         return False
-    rev = network.reverse()
     if forward is None:
-        forward = settled_labels(network, scope, source, weighting)
+        forward = s_dijkstra(network, scope, source, weighting)
     if backward is None:
-        backward = settled_labels(rev, scope, target, weighting)
+        backward = s_dijkstra(network.reverse(), scope, target, weighting)
     return _split_exists(
-        [forward.edge_usable(network, scope, e) for e in walk.edges],
-        [backward.edge_usable(rev, scope, e) for e in walk.edges],
+        [_usable(forward, scope.nu, network.tails[e], scope.level[e]) for e in walk.edges],
+        [_usable(backward, scope.nu, network.heads[e], scope.level[e]) for e in walk.edges],
     )
 
 
@@ -646,6 +634,8 @@ def oracle_settled_labels(
     edge's gate passes against the tail's already-settled merged draw.
     Independent of the heap-based search code by construction.
     """
+    if not (0 <= source < network.vertex_count):
+        raise NetworkError(f"unknown source vertex {source}")
     scope.validate(network)
     w = network.weights(weighting) if isinstance(weighting, str) else weighting
     if hop_bound is None:
@@ -713,6 +703,8 @@ def brute_force_optimal_admissible(
     cost is ``inf`` for unreachable targets. Raises :class:`BudgetExceeded`
     when the enumeration budget runs out.
     """
+    if not (0 <= target < network.vertex_count):
+        raise NetworkError(f"unknown target vertex {target}")
     fwd = oracle_settled_labels(network, scope, source, weighting, hop_bound, budget)
     if not split:
         return fwd.dist[target], target if fwd.dist[target] < INF else None

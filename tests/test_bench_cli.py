@@ -226,6 +226,14 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out.txt").exists()
 
+    def test_gen_random_with_subdivide_exits_with_error(self, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        args = ["gen", "--kind", "random", "--size", "20", "--levels", "2", "--seed", "3"]
+        assert main([*args, "--subdivide", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: option subdivisions applies only to kind 'grid'\n"
+        assert not out.exists()
+        assert main([*args, "--out", str(out)]) == 0
+
     def test_error_exit_code(self, tmp_path):
         assert main(["route", "--network", str(tmp_path / "missing.txt"),
                      "--source", "0", "--target", "1"]) == 1

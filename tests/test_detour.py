@@ -125,7 +125,7 @@ def _assert_context_masks(closed, scope, s, t):
     for r in ctx.records:
         ored[r.side][r.vertex] |= 1 << r.level
     assert (ctx.forward.grant, ctx.backward.grant) == (ored["t"], ored["s"])
-    # The usable flag read off a gate mask at an edge's near end matches the
+    # The usable flag read off the gate run at an edge's near end matches the
     # gate label of an own run on the open weighting.
     hard = derive_closures(closed).hard
     weights = [INF if e in hard else w for e, w in enumerate(closed.weight_updated)]
@@ -135,7 +135,8 @@ def _assert_context_masks(closed, scope, s, t):
         for e in range(closed.edge_count):
             lv, x = scope.level[e], near[e]
             expected = weights[e] != INF and run.dist[x] < INF and run.sigma[x][lv] <= scope.nu[lv]
-            assert (weights[e] != INF and (direction.gate[x] >> lv) & 1 == 1) == expected
+            usable = scoperoute.search._usable(direction.gate, scope.nu, x, lv)
+            assert (weights[e] != INF and usable) == expected
 
 
 class TestContextMasks:
@@ -247,6 +248,7 @@ def test_permit_edges_follow_the_gates():
     # (forward) and at its head (backward) is plain whichever half takes
     # it; one that passes neither needs a permit whichever half takes it.
     # Gates are read off a fresh context with the route's closure set.
+    usable = scoperoute.search._usable
     plain = licensed = 0
     for seed in range(3000):
         for closed, scope, s, t in (_closed_random_case(seed), _closed_random_case(seed, True)):
@@ -258,8 +260,8 @@ def test_permit_edges_follow_the_gates():
                 ctx = build_detour_context(closed, scope, closures, s, t)
                 for e in res.walk.edges:
                     lv = scope.level[e]
-                    forward = (ctx.forward.gate[closed.tails[e]] >> lv) & 1
-                    backward = (ctx.backward.gate[closed.heads[e]] >> lv) & 1
+                    forward = usable(ctx.forward.gate, scope.nu, closed.tails[e], lv)
+                    backward = usable(ctx.backward.gate, scope.nu, closed.heads[e], lv)
                     if forward and backward:
                         assert e not in res.permit_edges, (seed, route.__name__, e)
                         plain += 1
@@ -267,6 +269,27 @@ def test_permit_edges_follow_the_gates():
                         assert e in res.permit_edges, (seed, route.__name__, e)
                         licensed += 1
     assert plain >= 1000 and licensed >= 5, (plain, licensed)
+
+
+def test_state_search_licenses_exactly_where_the_gate_fails():
+    # Every edge a half of the permit-state search keeps in a label takes a
+    # permit exactly when _usable fails at its tail, read off that half's
+    # gate run. An unreached tail's draw passes the top level, so a search
+    # that skipped the reach check would take top-level edges plainly there.
+    checked = 0
+    for seed in range(3000):
+        for closed, scope, s, t in (_closed_random_case(seed), _closed_random_case(seed, True)):
+            ctx = build_detour_context(closed, scope, None, s, t)
+            vshift = 2 * max(scope.top, 1)
+            for half in scoperoute.detour._state_search_halves(ctx)[:2]:
+                for _cost, _perms, parent, e, licensed in half.label.values():
+                    if parent is None:
+                        continue
+                    tail, lv = parent >> vshift, scope.level[e]
+                    usable = scoperoute.search._usable(half.own.gate, scope.nu, tail, lv)
+                    assert licensed == (not usable), (seed, s, t, e)
+                    checked += 1
+    assert checked > 10000, checked
 
 
 class TestValidator:

@@ -1,7 +1,10 @@
 import math
 import random
 
+import pytest
+
 from scoperoute import (
+    NetworkError,
     Walk,
     bidirectional_s_dijkstra,
     brute_force_full_optimum,
@@ -106,6 +109,14 @@ class TestBruteForceFullOptimum:
         walk, cost = brute_force_full_optimum(net, scope, None, 0, 3)
         assert cost == 24.0
         assert walk.edges == (0, 3, 2)
+
+    @pytest.mark.parametrize("ends, message", [
+        ((-1, 3), "unknown source vertex -1"), ((4, 3), "unknown source vertex 4"),
+        ((0, -1), "unknown target vertex -1"), ((0, 4), "unknown target vertex 4"),
+    ])
+    def test_unknown_endpoint_rejected(self, n1, n1_scope15, ends, message):
+        with pytest.raises(NetworkError, match=message):
+            brute_force_full_optimum(n1, n1_scope15, None, *ends)
 
     def test_unreachable(self):
         net = build_network(3, [(0, 1), (1, 2)], [1, 1]).with_updated_weights({1: INF})

@@ -288,6 +288,14 @@ class TestSynthetic:
             with pytest.raises(NetworkError, match=f"subdivisions must be >= 0, got {subdivisions}"):
                 generate_synthetic("grid", 3, 3, seed=4, subdivisions=subdivisions)
 
+    @pytest.mark.parametrize("options, option", [
+        ({"subdivisions": 3}, "subdivisions"), ({"oneway": True}, "oneway"),
+        ({"subdivisions": 3, "oneway": True}, "subdivisions"),
+    ])
+    def test_random_kind_rejects_grid_options(self, options, option):
+        with pytest.raises(NetworkError, match=f"option {option} applies only to kind 'grid'"):
+            generate_synthetic("random", 20, 2, 3, **options)
+
     def test_subdivided_grid_has_chains(self):
         plain = generate_synthetic("grid", 6, 3, seed=4)
         sub = generate_synthetic("grid", 6, 3, seed=4, subdivisions=2)

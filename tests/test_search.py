@@ -284,6 +284,20 @@ class TestOracle:
         uni, _ = brute_force_optimal_admissible(n1, n1_scope5, 0, 3, split=False)
         assert uni == s_dijkstra(n1, n1_scope5, 0).dist[3] == 22.0
 
+    @pytest.mark.parametrize("vertex", [-1, 4])
+    def test_unknown_source_rejected(self, n1, n1_scope15, vertex):
+        with pytest.raises(NetworkError, match=f"unknown source vertex {vertex}"):
+            oracle_settled_labels(n1, n1_scope15, vertex)
+
+    @pytest.mark.parametrize("split", [True, False])
+    @pytest.mark.parametrize("ends, message", [
+        ((-1, 3), "unknown source vertex -1"), ((4, 3), "unknown source vertex 4"),
+        ((0, -1), "unknown target vertex -1"), ((0, 4), "unknown target vertex 4"),
+    ])
+    def test_unknown_endpoint_rejected(self, n1, n1_scope15, ends, message, split):
+        with pytest.raises(NetworkError, match=message):
+            brute_force_optimal_admissible(n1, n1_scope15, *ends, split=split)
+
     def test_unreachable(self):
         net = build_network(3, [(0, 1)], [1])
         scope = make_scope([1], [5, INF])

@@ -8,14 +8,21 @@ path. It routes the random closed networks of this checkout's
 and with fractional weights) with ``simple_detour_route`` and
 ``enhanced_detour_route``, once with every network building its landmark
 table on its first static search and once with no table, and records per
-result the class, cost, walk, permit edges and counts. Per network and
-query it also records ``find_obstructed``'s records (as their ``repr``)
-and the grant, gate and clean masks of both directions of
-``build_detour_context``. Unless
+result the class, cost, walk, permit edges and counts, and the verdicts of
+``validate_split_admissible`` and of ``validate_simple_detour`` (with
+closures ``None`` and with the ``qc_closure`` set) on the static walk and
+the returned walk. Per network and query it also records
+``find_obstructed``'s records (as their ``repr``) and the grant, gate and
+clean masks of both directions of ``build_detour_context``; a gate that is
+a run, not a mask list, is recorded as the mask list read off the run, the
+levels whose budget the settled draw of a reached vertex passes. Unless
 ``--no-bench``, it also records the criterion-7 batch (``run_benchmark`` on
 the 50x50 grid: 500 queries, 50 closures each, timing off) as its CSV. The
 script prints how many cases differ, with the first few, and exits 1 if any
 does.
+
+Both sides import this checkout's ``tests/test_detour.py``, so that file
+imports at module level only names that older sources have too.
 
 ``--src SRC`` runs one side and prints its records as JSON.
 """
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +41,18 @@ FIELDS = (
     "klass", "cost_updated", "permit_edges", "scanned_static", "scanned_detour",
     "scanned_detour_vertices", "permits_issued",
 )
-MASKS = ("grant", "gate", "clean")
+
+
+def masks(direction, scope) -> list:
+    """The grant, gate and clean masks of one direction of a context."""
+    gate = direction.gate
+    if not isinstance(gate, list):
+        levels = list(enumerate(scope.nu))
+        gate = [
+            sum(1 << lv for lv, cap in levels if sigma[lv] <= cap) if d < math.inf else 0
+            for d, sigma in zip(gate.dist, gate.sigma)
+        ]
+    return [direction.grant, gate, direction.clean]
 
 
 def one_side(src: str, seeds: int, bench: bool) -> dict:
@@ -41,7 +60,8 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
     import scoperoute.search
     from scoperoute import (
         BenchConfig, balance_to_proper, build_detour_context, enhanced_detour_route,
-        find_obstructed, generate_synthetic, run_benchmark, simple_detour_route,
+        find_obstructed, generate_synthetic, qc_closure, run_benchmark, simple_detour_route,
+        validate_simple_detour, validate_split_admissible,
     )
     from test_detour import _closed_random_case
 
@@ -50,23 +70,35 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
         for fractional in (False, True):
             closed, scope, s, t = _closed_random_case(seed, fractional)
             ctx = build_detour_context(closed, scope, None, s, t)
-            masks = [getattr(d, f) for d in (ctx.forward, ctx.backward) for f in MASKS]
             name = f"seed {seed}{' fractional' if fractional else ''} records and masks"
-            cases[name] = [repr(find_obstructed(closed, scope, None, s, t))] + masks
+            cases[name] = [repr(find_obstructed(closed, scope, None, s, t))] + [
+                masks(d, scope) for d in (ctx.forward, ctx.backward)
+            ]
     plain_searches = scoperoute.search._PLAIN_SEARCHES
     for table in (True, False):
         scoperoute.search._PLAIN_SEARCHES = 0 if table else sys.maxsize
         for seed in range(seeds):
             for fractional in (False, True):
                 closed, scope, s, t = _closed_random_case(seed, fractional)
-                for route in (simple_detour_route, enhanced_detour_route):
-                    res = route(closed, scope, s, t)
+                routes = (simple_detour_route, enhanced_detour_route)
+                results = [route(closed, scope, s, t) for route in routes]
+                # Validated after both routes, so they run as they would alone.
+                qc = qc_closure(closed, scope, None, s, t)
+                for route, res in zip(routes, results):
+                    verdicts = [
+                        None if w is None else [
+                            validate_split_admissible(w, closed, scope, s, t),
+                            validate_simple_detour(w, closed, scope, None, s, t),
+                            validate_simple_detour(w, closed, scope, qc, s, t),
+                        ]
+                        for w in (res.static_walk, res.walk)
+                    ]
                     name = (
                         f"seed {seed}{' fractional' if fractional else ''} "
                         f"{'with' if table else 'without'} table, {route.__name__}"
                     )
                     walk = None if res.walk is None else [res.walk.start, res.walk.edges]
-                    cases[name] = [getattr(res, f) for f in FIELDS] + [walk]
+                    cases[name] = [getattr(res, f) for f in FIELDS] + [walk, verdicts]
     scoperoute.search._PLAIN_SEARCHES = plain_searches
     if bench:
         nf = generate_synthetic("grid", 50, 3, seed=42)

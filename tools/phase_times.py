@@ -13,8 +13,9 @@ query an unchanged copy, ``city-detour`` a cold copy with a fresh set of 50
 closures (one on the static optimum), and ``city-incident`` one copy with
 50 closures to each block of 25 queries (one on the block's first static
 optimum). It reports each phase's self time per query: a wrapped call's
-time minus that of the wrapped calls it makes. A phase whose function a
-side lacks reads 0 there. "record runs" are the drained searches
+time minus that of the wrapped calls it makes. A function a side lacks is
+named on stderr, and its phase reads 0 there, so that two versions can
+still be compared across a rename. "record runs" are the drained searches
 (``_drained_runs``): the record runs, and the static runs too where a
 version takes its static step from drained runs; where a version builds
 the record weighting inside ``_drained_runs``, that list counts here too.
@@ -103,6 +104,8 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, list[
         module = getattr(scoperoute, module_name)
         if hasattr(module, name):
             setattr(module, name, times.wrap(getattr(module, name), phase))
+        else:
+            print(f"{src}: no scoperoute.{module_name}.{name}, {phase!r} reads 0", file=sys.stderr)
     phases = sorted(set(PHASES.values()))
     per_query: dict[str, list[float]] = {p: [] for p in phases + [ROUTE, OTHER]}
     spec = WORKLOADS[workload]
@@ -141,7 +144,7 @@ def run_side(src: str, workload: str, queries: int, seed: int) -> dict[str, list
         sys.executable, __file__, "--src", src, "--workload", workload,
         "--queries", str(queries), "--seed", str(seed),
     ]
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+    out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
