@@ -15,7 +15,6 @@ import sys
 from . import __version__
 from .bench import BenchConfig, _fmt, run_benchmark
 from .detour import (
-    derive_closures,
     enhanced_detour_route,
     qc_closure,
     simple_detour_route,
@@ -138,14 +137,14 @@ def cmd_validate(args) -> int:
             walk, nf.network, nf.scope, args.source, args.target
         )
     elif definition in ("5", "7"):
-        closures = derive_closures(nf.network)
-        active = (
-            closures.hard
+        # The closures ``cmd_detour`` re-checks its simple and enhanced routes with.
+        closures = (
+            None
             if definition == "5"
-            else qc_closure(nf.network, nf.scope, closures, args.source, args.target).edges
+            else qc_closure(nf.network, nf.scope, None, args.source, args.target)
         )
         verdict = validate_simple_detour(
-            walk, nf.network, nf.scope, active, args.source, args.target
+            walk, nf.network, nf.scope, closures, args.source, args.target
         )
     else:
         full = validate_full_detour(

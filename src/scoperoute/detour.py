@@ -21,9 +21,10 @@ The walk validator and the routing search share one acceptance relation:
 Each direction reads its gate run's labels, through ``search._usable``
 at a vertex the search settles, and two per-vertex bit masks, one bit per
 level: the levels of the records there, and the levels at which it is
-corridor-clean. The grant masks come straight from the keys of the record
-tree pass; full record objects are built from the same pass only when
-asked for (``find_obstructed``, ``DetourContext.records``).
+corridor-clean. The record tree pass measures each record's state along
+the tree path between its vertex and its closure crossing. The grant masks
+come straight from the pass's keys; full record objects are built from the
+same pass only when asked for (``find_obstructed``, ``DetourContext.records``).
 
 The search explores (vertex, carried-permit mask, owed-permit mask) states
 in both directions, each goal-directed by lower bounds on the distance to
@@ -124,18 +125,10 @@ class ObstructionRecord:
     omega: tuple[float, ...] | None = None
 
 
-def _vec_sub(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple([x - y if x > y else 0.0 for x, y in zip(a, b)])
-
-
-def _segment_level(tail: tuple[float, ...], head: tuple[float, ...], nu, top: int) -> int:
-    """Lowest level whose budget the draw ``_vec_sub(tail, head)`` is within.
-
-    Computed without building the vector: budgets are non-negative, so
-    clipping a component at zero never changes whether it is within budget.
-    """
+def _segment_level(state: tuple[float, ...], nu, top: int) -> int:
+    """Lowest level whose budget the draw ``state`` is within."""
     for lv in range(top):
-        if tail[lv] - head[lv] <= nu[lv]:
+        if state[lv] <= nu[lv]:
             return lv
     return top
 
@@ -150,19 +143,20 @@ def _tree_records(
 ) -> None:
     """Offer the record keys read off one drained search tree to ``offer``.
 
-    Vertices whose tree walk crosses a closure get a plain record measured
-    from the nearest crossing; additionally, vertices on the tree chain
-    before a crossing whose far side the opposite run ``other`` reaches get
-    an amended record carrying their own settled draw, provided their
-    budgets are not yet exhausted (the near-endpoint case). Each key goes to
-    ``offer(vertex, side, level, amended, tail, head, closure_ref, omega)``;
-    the record's state would be ``_vec_sub(tail, head)``.
+    A record's state is the draw of the tree path between its vertex and a
+    closure crossing. Vertices whose tree walk crosses a closure get a plain
+    record, measured down from the nearest crossing's head; vertices on the
+    tree chain before a crossing whose far side the opposite run ``other``
+    reaches get an amended record, measured down to the crossing's tail and
+    carrying their own settled draw, if their budgets are not yet exhausted
+    (the near-endpoint case). Each key goes to
+    ``offer(vertex, side, level, amended, state, closure_ref, omega)``.
 
     One pass over the run's settle order reads the tree in the run's own
     network (reversed for the backward run): each vertex comes after its
-    tree parent ``run._tails[e]``, so its tree-walk draw is its parent's
-    plus its parent edge, and its nearest crossing is its parent edge or its
-    parent's nearest crossing.
+    tree parent ``run._tails[e]``, so its nearest crossing is its parent
+    edge or its parent's, and its draw from that crossing's head is its
+    parent's plus its parent edge.
     """
     nu = scope.nu
     top = scope.top
@@ -171,51 +165,46 @@ def _tree_records(
     tails = run._tails
     parent_edge = run.parent_edge
     reach = other.dist
-    tree = [zero_vector(scope)] * len(run.dist)
-    # anchor[v] is the head of the nearest closure edge on v's tree walk, -1
-    # when there is none. meets holds the crossings whose subtree the
-    # opposite run reaches: at a vertex anchored in it, or in a crossing
-    # nested inside it; marking walks out through the enclosing crossings.
+    zero = zero_vector(scope)
+    # anchor[v] is the head of the nearest closure edge on v's tree walk (-1
+    # for none), seg[v] the draw from it to v. meets holds the crossings whose
+    # subtree the opposite run reaches: at a vertex anchored in it, or in a
+    # crossing nested inside it; marking walks out through the enclosing ones.
     anchor = [-1] * len(run.dist)
+    seg = [zero] * len(run.dist)
     meets: set[int] = set()
     for v in run.order[1:]:
         e = parent_edge[v]
         parent = tails[e]
-        tree[v] = tv = add_draw(tree[parent], level[e], w[e])
         if e in active:
             a = v
         else:
             a = anchor[parent]
             if a < 0:
                 continue
+            seg[v] = add_draw(seg[parent], level[e], w[e])
         anchor[v] = a
         if reach[v] < INF:
             at = a
             while at >= 0 and at not in meets:
                 meets.add(at)
                 at = anchor[tails[parent_edge[at]]]
-        ta = tree[a]
-        offer(v, side, _segment_level(tv, ta, nu, top), False, tv, ta, parent_edge[a], None)
+        offer(v, side, _segment_level(seg[v], nu, top), False, seg[v], parent_edge[a], None)
     amended_side = "t" if side == "s" else "s"
     saturated: dict[int, bool] = {}
     for v in sorted(meets):
         e = parent_edge[v]
-        parent = tails[e]
-        tp = tree[parent]
-        at = parent
+        at, state = tails[e], zero
         while True:
-            sat = saturated.get(at)
-            if sat is None:
-                sat = saturated[at] = is_saturated(run.sigma[at], scope)
-            if not sat:
-                ta = tree[at]
-                offer(
-                    at, amended_side, _segment_level(tp, ta, nu, top), True, tp, ta, e,
-                    run.sigma[at],
-                )
+            if at not in saturated:
+                saturated[at] = is_saturated(run.sigma[at], scope)
+            if not saturated[at]:
+                lv = _segment_level(state, nu, top)
+                offer(at, amended_side, lv, True, state, e, run.sigma[at])
             pe = parent_edge[at]
             if pe is None:
                 break
+            state = add_draw(state, level[pe], w[pe])
             at = tails[pe]
 
 
@@ -278,9 +267,9 @@ def _record_pass(
     for e in sorted(active):
         x, y = fwd._tails[e], bwd._tails[e]
         if bwd.dist[y] < INF:
-            offer(x, "t", 0, False, zero, zero, e, None)
+            offer(x, "t", 0, False, zero, e, None)
         if fwd.dist[x] < INF:
-            offer(y, "s", 0, False, zero, zero, e, None)
+            offer(y, "s", 0, False, zero, e, None)
 
 
 def _records_from_runs(
@@ -297,9 +286,8 @@ def _records_from_runs(
     # key -> (amended, state, closure_ref, omega) of the record kept so far
     chosen: dict[tuple[int, str, int], tuple] = {}
 
-    def offer(v, side, lv, amended, tail, head, ref, omega):
+    def offer(v, side, lv, amended, state, ref, omega):
         key = (v, side, lv)
-        state = _vec_sub(tail, head)
         old = chosen.get(key)
         if old is None or (amended, state) < old[:2]:
             chosen[key] = (amended, state, ref, omega)

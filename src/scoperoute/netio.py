@@ -456,9 +456,10 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
     selecting the ordinal-th parallel edge (counting from 0), optionally
     followed by the new weight (default ``inf``), which may not be below the
     edge's base weight. Integers must be written in canonical decimal
-    spelling, as level labels are.
+    spelling, as level labels are. Each edge may be listed once.
     """
     updates: dict[int, float] = {}
+    listed: dict[int, int] = {}  # edge -> line of its listing
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.partition("#")[0].split()
         if not parts:
@@ -484,6 +485,9 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
             edge = matching[ordinal]
         else:
             edge = _edge_id(selector, network, line_no)
+        if edge in listed:
+            raise ParseError(line_no, f"edge {edge} already listed on line {listed[edge]}")
+        listed[edge] = line_no
         base = network.weight[edge]
         if weight < base:
             raise ParseError(line_no, f"edge {edge}: updated weight {weight} below base weight {base}")

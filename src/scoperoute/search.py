@@ -586,10 +586,14 @@ def validate_split_admissible(
     True iff the walk splits into a prefix of edges usable from ``source``
     and a suffix of edges whose reversals are usable from ``target`` in the
     reversed network, judged by ``_usable`` on settled labels: ``forward``
-    and ``backward``, runs or ``SettledLabels``, default to drained runs.
+    and ``backward``, runs or ``SettledLabels``, default to drained runs. A
+    walk over an edge that is infinite under ``weighting`` is never accepted.
     """
     check_walk(walk, network)
     if walk.start != source or walk.end(network) != target:
+        return False
+    w = network.weights(weighting) if isinstance(weighting, str) else weighting
+    if any(w[e] == INF for e in walk.edges):
         return False
     if forward is None:
         forward = s_dijkstra(network, scope, source, weighting)

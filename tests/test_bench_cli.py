@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -158,9 +159,12 @@ class TestCli:
                      "--format", "csv"]) == 0
         edges = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
         walk_file.write_text("\n".join(edges) + "\n")
-        closures = tmp_path / "closures.txt"
-        closures.write_text(edges[len(edges) // 2] + "\n")
-        for definition in ("3", "5", "7", "9"):
+        hard = tmp_path / "closures.txt"
+        hard.write_text(edges[len(edges) // 2] + "\n")
+        # A soft closure (a raised, finite weight) on the walk too.
+        soft = tmp_path / "soft.txt"
+        soft.write_text(f"{edges[len(edges) // 2]}\n{edges[0]} 1e6\n")
+        for closures, definition in itertools.product((hard, soft), ("3", "5", "7", "9")):
             code = main(["validate", "--network", str(net_file), "--closures", str(closures),
                          "--def", definition, "--walk", str(walk_file),
                          "--source", "0", "--target", "35"])
@@ -198,6 +202,13 @@ class TestCli:
             assert main(["validate", "--network", str(net_file), "--def", "3",
                          "--walk", str(walk_file), "--source", "0", "--target", "35"]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_closure_listed_twice_exits_with_line_number(self, net_file, tmp_path, capsys):
+        closures = tmp_path / "closures.txt"
+        closures.write_text("0\n# again\n0\n")
+        assert main(["detour", "--network", str(net_file), "--closures", str(closures),
+                     "--source", "0", "--target", "35"]) == 1
+        assert capsys.readouterr().err == "error: line 3: edge 0 already listed on line 1\n"
 
     def test_bench_without_closures_rejected(self, net_file, capsys):
         assert main(["bench", "--network", str(net_file), "--queries", "2",

@@ -23,7 +23,6 @@ from scoperoute import (
     validate_simple_detour,
 )
 
-from scoperoute.detour import _vec_sub
 from scoperoute.network import add_draw, zero_vector
 from scoperoute.search import _split_minimum
 
@@ -154,37 +153,70 @@ class TestContextMasks:
             _assert_context_masks(*case)
 
 
-def test_plain_record_states_are_tree_walk_draws():
-    # A plain record's state is the draw of the record run's tree walk to
-    # its vertex less that of the walk to its anchor, the near end in the
-    # run's direction of its closure edge; each draw is summed edge by edge
-    # along the walk and compared exactly.
-    nonzero = 0
-    for seed in range(1000):
+def _record_cases(seeds: int):
+    """Each record of the random closed cases, with the record run that
+    offered it, that run's network and the record weighting."""
+    for seed in range(seeds):
         for closed, scope, s, t in (_closed_random_case(seed), _closed_random_case(seed, True)):
             ctx = build_detour_context(closed, scope, None, s, t)
             weights = scoperoute.detour._record_weights(closed, ctx.active)
             fwd, bwd = ctx.record_runs
-            anchors = {"s": (fwd, closed.heads), "t": (bwd, closed.tails)}
-
-            def draw(run, v):
-                sigma = zero_vector(scope)
-                for e in run.walk_to(v).edges:
-                    sigma = add_draw(sigma, scope.level[e], weights[e])
-                return sigma
-
             for r in scoperoute.detour._records_from_runs(scope, ctx.active, fwd, bwd):
-                if r.omega is not None:  # amended
-                    continue
-                run, near = anchors[r.side]
-                anchor = near[r.closure_ref]
-                if r.vertex == anchor:  # also a closure end the run does not reach
-                    assert not any(r.state)
-                    continue
-                state = _vec_sub(draw(run, r.vertex), draw(run, anchor))
-                assert r.state == state, (seed, r)
-                nonzero += any(state)
+                # Plain "s" and amended "t" records come from the forward run.
+                if (r.side == "s") == (r.omega is None):
+                    yield seed, scope, weights, fwd, closed, r
+                else:
+                    yield seed, scope, weights, bwd, closed.reverse(), r
+
+
+def _tree_path(run, network, upper: int, lower: int) -> tuple[int, ...]:
+    """The edges of the run's tree walk from ``upper`` down to ``lower``."""
+    walk = run.walk_to(lower)
+    return walk.edges[walk.vertices(network).index(upper):]
+
+
+def _path_draw(scope, weights, edges) -> tuple[float, ...]:
+    """The draw of ``edges``, summed edge by edge in the order given."""
+    sigma = zero_vector(scope)
+    for e in edges:
+        sigma = add_draw(sigma, scope.level[e], weights[e])
+    return sigma
+
+
+def test_plain_record_states_are_tree_walk_draws():
+    # A plain record's state is the draw of the record run's tree walk from
+    # its anchor, the head of its closure edge in the run's network, down to
+    # its vertex, summed edge by edge and compared exactly.
+    nonzero = 0
+    for seed, scope, weights, run, network, r in _record_cases(1000):
+        if r.omega is not None:  # amended
+            continue
+        anchor = network.heads[r.closure_ref]
+        if r.vertex == anchor:  # also a closure end the run does not reach
+            assert not any(r.state)
+            continue
+        state = _path_draw(scope, weights, _tree_path(run, network, anchor, r.vertex))
+        assert r.state == state, (seed, r)
+        nonzero += any(state)
     assert nonzero > 500
+
+
+def test_amended_record_states_are_tree_walk_draws():
+    # An amended record's state is the draw of the record run's tree walk
+    # from its vertex down to the tail of its closure edge in the run's
+    # network, summed edge by edge from that tail back up, and compared
+    # exactly; its omega is the vertex's settled draw in that run.
+    nonzero = amended = 0
+    for seed, scope, weights, run, network, r in _record_cases(3000):
+        if r.omega is None:
+            continue
+        path = _tree_path(run, network, r.vertex, network.tails[r.closure_ref])
+        state = _path_draw(scope, weights, reversed(path))
+        assert r.state == state, (seed, r)
+        assert r.omega == run.sigma[r.vertex], (seed, r)
+        amended += 1
+        nonzero += any(state)
+    assert amended > 1000 and nonzero > 600, (amended, nonzero)
 
 
 class TestSimpleDetour:

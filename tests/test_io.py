@@ -351,6 +351,12 @@ class TestClosureFiles:
         with pytest.raises(ParseError, match="line 1"):
             parse_closures("17\n", n1)
 
+    @pytest.mark.parametrize("text", ["1 inf\n1 30\n", "1\n1,2,0 30\n"], ids=["id", "selector"])
+    def test_edge_listed_twice_rejected(self, n1, text):
+        # The second line would otherwise reopen the closed road.
+        with pytest.raises(ParseError, match="^line 2: edge 1 already listed on line 1$"):
+            parse_closures(text, n1)
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -276,6 +276,16 @@ class TestValidateAdmissible:
         with pytest.raises(NetworkError):
             validate_s_admissible(Walk(0, (2,)), n1, n1_scope5, 0)
 
+    def test_split_rejects_walk_over_infinite_edge(self):
+        # Edge 0 is closed under the updated weights; its tail still passes
+        # the gate, but the walk costs inf and the optimum goes round it.
+        net = build_network(3, [(0, 1), (1, 2), (0, 2)], [1, 1, 5]).with_updated_weights({0: INF})
+        scope = make_scope([1, 1, 1], [5, INF])
+        assert brute_force_optimal_admissible(net, scope, 0, 2, weighting="updated") == (5.0, 0)
+        assert not validate_split_admissible(Walk(0, (0, 1)), net, scope, 0, 2, "updated")
+        assert validate_split_admissible(Walk(0, (0, 1)), net, scope, 0, 2, "base")
+        assert validate_split_admissible(Walk(0, (2,)), net, scope, 0, 2, "updated")
+
 
 class TestOracle:
     def test_n1_agrees_with_searches(self, n1, n1_scope15, n1_scope5):

@@ -11,15 +11,17 @@ table on its first static search and once with no table, and records per
 result the class, cost, walk, permit edges and counts, and the verdicts of
 ``validate_split_admissible`` and of ``validate_simple_detour`` (with
 closures ``None`` and with the ``qc_closure`` set) on the static walk and
-the returned walk. Per network and query it also records
-``find_obstructed``'s records (as their ``repr``) and the grant, gate and
-clean masks of both directions of ``build_detour_context``; a gate that is
-a run, not a mask list, is recorded as the mask list read off the run, the
-levels whose budget the settled draw of a reached vertex passes. Unless
-``--no-bench``, it also records the criterion-7 batch (``run_benchmark`` on
-the 50x50 grid: 500 queries, 50 closures each, timing off) as its CSV. The
-script prints how many cases differ, with the first few, and exits 1 if any
-does.
+the returned walk. Per network and query it also records, as two separate
+cases, ``find_obstructed``'s records (as their ``repr``) and the grant,
+gate and clean masks of both directions of ``build_detour_context``, so
+that a difference in record states cannot hide one in the masks; a gate
+that is a run, not a mask list, is recorded as the mask list read off the
+run, the levels whose budget the settled draw of a reached vertex passes.
+Unless ``--no-bench``, it also records the criterion-7 batch
+(``run_benchmark`` on the 50x50 grid: 500 queries, 50 closures each,
+timing off) as its CSV. The script prints how many cases differ, in all
+and per kind (records, masks, routes, csv), with the first few, and exits
+1 if any does.
 
 Both sides import this checkout's ``tests/test_detour.py``, so that file
 imports at module level only names that older sources have too.
@@ -70,10 +72,9 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
         for fractional in (False, True):
             closed, scope, s, t = _closed_random_case(seed, fractional)
             ctx = build_detour_context(closed, scope, None, s, t)
-            name = f"seed {seed}{' fractional' if fractional else ''} records and masks"
-            cases[name] = [repr(find_obstructed(closed, scope, None, s, t))] + [
-                masks(d, scope) for d in (ctx.forward, ctx.backward)
-            ]
+            name = f"seed {seed}{' fractional' if fractional else ''}"
+            cases[f"{name} records"] = repr(find_obstructed(closed, scope, None, s, t))
+            cases[f"{name} masks"] = [masks(d, scope) for d in (ctx.forward, ctx.backward)]
     plain_searches = scoperoute.search._PLAIN_SEARCHES
     for table in (True, False):
         scoperoute.search._PLAIN_SEARCHES = 0 if table else sys.maxsize
@@ -131,6 +132,11 @@ def main() -> int:
     before, after = sides
     differ = [name for name in before.keys() | after.keys() if before.get(name) != after.get(name)]
     print(f"{len(before)} cases before, {len(after)} after, {len(differ)} differ")
+    kinds = {"records": 0, "masks": 0, "routes": 0, "csv": 0}
+    for name in differ:
+        last = name.rsplit(" ", 1)[-1]
+        kinds[last if last in kinds else "routes"] += 1
+    print("differ per kind: " + ", ".join(f"{kind} {n}" for kind, n in kinds.items()))
     for name in sorted(differ)[:5]:
         print(f"  {name}:\n    before {before.get(name)!r:.300}\n    after  {after.get(name)!r:.300}")
     return 1 if differ else 0
