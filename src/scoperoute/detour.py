@@ -98,13 +98,23 @@ def derive_closures(network: RoadNetwork) -> ClosureSet:
 
 
 def _active_set(network: RoadNetwork, closures) -> frozenset[int]:
-    """The set treated as closed: hard closures plus any quasi-closures."""
+    """The set treated as closed: hard closures plus any quasi-closures.
+
+    ``None`` means the edges whose updated weight is infinite, a
+    ``ClosureSet`` its hard and quasi-tagged edges, any other iterable those
+    edge ids; an id the network does not have raises ``NetworkError``.
+    """
     if closures is None:
         return derive_closures(network).hard
     if isinstance(closures, ClosureSet):
         quasi = {e for e, k in closures.kind.items() if k.startswith("quasi")}
-        return closures.hard | quasi
-    return frozenset(closures)
+        active = closures.hard | quasi
+    else:
+        active = frozenset(closures)
+    unknown = [e for e in active if not 0 <= e < network.edge_count]
+    if unknown:
+        raise NetworkError(f"unknown edge id {min(unknown)}")
+    return active
 
 
 @dataclass(frozen=True)
@@ -233,6 +243,9 @@ def _drained_runs(
 ) -> tuple[ScopeSearchResult, ScopeSearchResult]:
     """The record runs: drained scope-aware runs from ``source`` and,
     reversed, from ``target``, on the record weighting of ``active``."""
+    for vertex, role in ((source, "source"), (target, "target")):
+        if not (0 <= vertex < network.vertex_count):
+            raise NetworkError(f"unknown {role} vertex {vertex}")
     weights = _record_weights(network, active)
     fwd = s_dijkstra(network, scope, source, weights)
     return fwd, s_dijkstra(network.reverse(), scope, target, weights)

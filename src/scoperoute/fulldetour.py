@@ -2,10 +2,11 @@
 
 This is the semantic gold standard the cheaper detour algorithms are
 compared against. A walk is fully detour-admissible when it avoids the
-closures and admits a decomposition into forward obstruction anchors,
-reverse anchors, and breakpoints such that every restricted edge is within
-budget relative to some anchor's obstruction state, with the connecting
-subwalk staying clear of the breakpoints and the opposite anchors.
+closures and every infinite edge and admits a decomposition into forward
+obstruction anchors, reverse anchors, and breakpoints such that every
+restricted edge is within budget relative to some anchor's obstruction
+state, with the connecting subwalk staying clear of the breakpoints and the
+opposite anchors.
 
 Everything here is evaluated literally on the base-weighted network with
 the closure edges still present; witness walks are found by dedicated
@@ -16,7 +17,7 @@ module is deliberately exponential and intended for small instances only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 
 from .network import (
     INF,
@@ -31,7 +32,7 @@ from .network import (
     zero_vector,
 )
 from .detour import _active_set
-from .search import SettledLabels, s_dijkstra, validate_split_admissible
+from .search import ScopeSearchResult, SettledLabels, s_dijkstra, validate_split_admissible
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -76,6 +77,9 @@ class _ProbeEngine:
     when some cheapest walk among the charge-amended admissible ones runs
     through a closure; the state is the component-wise minimum draw from the
     vertex to a closure tail over all such cheapest walks.
+
+    The engine also owns its direction's seeded witness runs (``label``),
+    cached per anchor vertex and charge vector.
     """
 
     def __init__(
@@ -95,12 +99,20 @@ class _ProbeEngine:
         self.budget = budget
         self.rev = s_dijkstra(network.reverse(), scope, target, "base")
         self._cache: dict[tuple[int, tuple[float, ...]], tuple[bool, tuple[float, ...] | None]] = {}
+        self._labels: dict[tuple[int, tuple[float, ...]], ScopeSearchResult] = {}
 
     def probe(self, vertex: int, omega: tuple[float, ...]):
         key = (vertex, omega)
         if key not in self._cache:
             self._cache[key] = self._probe(vertex, omega)
         return self._cache[key]
+
+    def label(self, anchor: int, pi: tuple[float, ...]) -> ScopeSearchResult:
+        """The seeded witness run from ``anchor`` charged with ``pi``."""
+        key = (anchor, pi)
+        if key not in self._labels:
+            self._labels[key] = s_dijkstra(self.network, self.scope, anchor, "base", seed_sigma=pi)
+        return self._labels[key]
 
     def _probe(self, vertex: int, omega: tuple[float, ...]):
         net = self.network
@@ -168,7 +180,8 @@ def validate_full_detour(
 
     Enumerates forward/reverse anchor sets over plainly obstructed walk
     positions and breakpoint placements, re-probing anchors under amended
-    charge vectors where the decomposition demands it. Returns an
+    charge vectors where the decomposition demands it. A walk over a closed
+    edge or one infinite under the updated weights is rejected. Returns an
     indeterminate verdict when the probe or decomposition budget runs out.
     """
     check_walk(walk, network)
@@ -176,7 +189,7 @@ def validate_full_detour(
     if walk.start != source or walk.end(network) != target:
         return FullVerdict(False)
     active = _active_set(network, closures)
-    if any(e in active for e in walk.edges):
+    if any(e in active or network.weight_updated[e] == INF for e in walk.edges):
         return FullVerdict(False)
     if hop_bound is None:
         hop_bound = network.vertex_count + 4
@@ -187,62 +200,31 @@ def validate_full_detour(
 
     try:
         fwd_engine = _ProbeEngine(network, scope, active, target, hop_bound, budget)
-        rnet = network.reverse()
-        bwd_engine = _ProbeEngine(rnet, scope, active, source, hop_bound, budget)
+        bwd_engine = _ProbeEngine(network.reverse(), scope, active, source, hop_bound, budget)
         most_restrictive = inf_vector(scope)
-
-        fwd_candidates = [
-            p
-            for p in range(1, k)
-            if active and fwd_engine.probe(vertices[p], most_restrictive)[0]
-        ]
-        bwd_candidates = [
-            p
-            for p in range(1, k)
-            if active and bwd_engine.probe(vertices[p], most_restrictive)[0]
-        ]
-
-        # Seeded witness labels for condition (v), cached per (anchor, pi).
-        fwd_labels: dict[tuple[int, tuple[float, ...]], object] = {}
-        bwd_labels: dict[tuple[int, tuple[float, ...]], object] = {}
-
-        def fwd_label(anchor_vertex: int, pi: tuple[float, ...]):
-            key = (anchor_vertex, pi)
-            if key not in fwd_labels:
-                fwd_labels[key] = s_dijkstra(network, scope, anchor_vertex, "base", seed_sigma=pi)
-            return fwd_labels[key]
-
-        def bwd_label(anchor_vertex: int, pi: tuple[float, ...]):
-            key = (anchor_vertex, pi)
-            if key not in bwd_labels:
-                bwd_labels[key] = s_dijkstra(rnet, scope, anchor_vertex, "base", seed_sigma=pi)
-            return bwd_labels[key]
-
+        fwd, bwd = (
+            [p for p in range(1, k) if active and engine.probe(vertices[p], most_restrictive)[0]]
+            for engine in (fwd_engine, bwd_engine)
+        )
         combos = 0
-        for p in range(len(fwd_candidates) + 1):
-            for fset in combinations(fwd_candidates, p):
-                for q in range(len(bwd_candidates) + 1):
-                    for bset_rev in combinations(sorted(bwd_candidates, reverse=True), q):
-                        combos += 1
-                        if combos > 4096:
-                            return FullVerdict(None)
-                        witness = _try_decomposition(
-                            walk,
-                            vertices,
-                            network,
-                            scope,
-                            (0,) + fset,
-                            (k,) + bset_rev,
-                            fwd_engine,
-                            bwd_engine,
-                            fwd_label,
-                            bwd_label,
-                        )
-                        if witness is not None:
-                            return FullVerdict(True, witness)
+        for fset in _subsets(fwd):
+            for bset_rev in _subsets(sorted(bwd, reverse=True)):
+                combos += 1
+                if combos > 4096:
+                    return FullVerdict(None)
+                witness = _try_decomposition(
+                    walk, vertices, scope, (0,) + fset, (k,) + bset_rev, fwd_engine, bwd_engine
+                )
+                if witness is not None:
+                    return FullVerdict(True, witness)
         return FullVerdict(False)
     except SearchBudgetExceeded:
         return FullVerdict(None)
+
+
+def _subsets(xs):
+    """Every subset of ``xs`` as a tuple, by size, then in ``combinations`` order."""
+    return chain.from_iterable(combinations(xs, r) for r in range(len(xs) + 1))
 
 
 def _breakpoint_slots(fwd_anchors: tuple[int, ...], rev_anchors: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -260,53 +242,41 @@ def _breakpoint_slots(fwd_anchors: tuple[int, ...], rev_anchors: tuple[int, ...]
 def _try_decomposition(
     walk: Walk,
     vertices: list[int],
-    network: RoadNetwork,
     scope: ScopeMapping,
     fwd_anchors: tuple[int, ...],
     rev_anchors: tuple[int, ...],
     fwd_engine: _ProbeEngine,
     bwd_engine: _ProbeEngine,
-    fwd_label,
-    bwd_label,
 ) -> Decomposition | None:
+    """A witness with these anchors (reverse ones descending), trying each
+    breakpoint placement in turn, or None."""
     if len(set(fwd_anchors) & set(rev_anchors)) > 0:
         return None
     slots = _breakpoint_slots(fwd_anchors, rev_anchors)
-    choices: list[tuple[int, ...]] = [()]
-    for lo, hi in slots:
-        choices = [c + (b,) for c in choices for b in range(lo, hi + 1)]
-    rev_sorted = tuple(sorted(rev_anchors, reverse=True))
-    for bset in choices:
+    for bset in product(*(range(lo, hi + 1) for lo, hi in slots)):
         breakpoints = tuple(sorted(set(bset)))
         if len(breakpoints) != len(bset):
             continue
-        pi_f = _anchor_chain(
-            walk, vertices, scope, fwd_anchors, breakpoints, fwd_engine, fwd_label, forward=True
-        )
+        pi_f = _anchor_chain(vertices, scope, fwd_anchors, breakpoints, fwd_engine)
         if pi_f is None:
             continue
-        pi_r = _anchor_chain(
-            walk, vertices, scope, rev_sorted, breakpoints, bwd_engine, bwd_label, forward=False
-        )
+        pi_r = _anchor_chain(vertices, scope, rev_anchors, breakpoints, bwd_engine)
         if pi_r is None:
             continue
         if _edges_justified(
-            walk, vertices, network, scope, fwd_anchors, rev_sorted, breakpoints,
-            pi_f, pi_r, fwd_label, bwd_label,
+            walk, vertices, scope, fwd_anchors, rev_anchors, breakpoints,
+            pi_f, pi_r, fwd_engine, bwd_engine,
         ):
-            return Decomposition(fwd_anchors, rev_sorted, breakpoints, pi_f, pi_r)
+            return Decomposition(fwd_anchors, rev_anchors, breakpoints, pi_f, pi_r)
     return None
 
 
 def _anchor_chain(
-    walk: Walk,
     vertices: list[int],
     scope: ScopeMapping,
     anchors: tuple[int, ...],
     breakpoints: tuple[int, ...],
     engine: _ProbeEngine,
-    label,
-    forward: bool,
 ):
     """Validate the anchor sequence and compute the charged states.
 
@@ -318,10 +288,10 @@ def _anchor_chain(
     most = inf_vector(scope)
     for i in range(1, len(anchors)):
         prev_pos, pos = anchors[i - 1], anchors[i]
-        lo, hi = (prev_pos, pos) if forward else (pos, prev_pos)
+        lo, hi = sorted((prev_pos, pos))
         b_free = all(not (lo <= b <= hi) for b in breakpoints)
         if b_free:
-            lbl = label(vertices[prev_pos], pis[i - 1])
+            lbl = engine.label(vertices[prev_pos], pis[i - 1])
             omega = lbl.sigma[vertices[pos]]
             if lbl.dist[vertices[pos]] == INF:
                 omega = most
@@ -337,15 +307,14 @@ def _anchor_chain(
 def _edges_justified(
     walk: Walk,
     vertices: list[int],
-    network: RoadNetwork,
     scope: ScopeMapping,
     fwd_anchors: tuple[int, ...],
     rev_anchors: tuple[int, ...],
     breakpoints: tuple[int, ...],
     pi_f: tuple[tuple[float, ...], ...],
     pi_r: tuple[tuple[float, ...], ...],
-    fwd_label,
-    bwd_label,
+    fwd_engine: _ProbeEngine,
+    bwd_engine: _ProbeEngine,
 ) -> bool:
     nu = scope.nu
     top = scope.top
@@ -361,7 +330,7 @@ def _edges_justified(
                 continue
             if any(a <= x <= m for x in blocked_f):
                 continue
-            lbl = fwd_label(vertices[a], pi_f[i])
+            lbl = fwd_engine.label(vertices[a], pi_f[i])
             u = vertices[m]
             if lbl.dist[u] < INF and lbl.sigma[u][lv] <= nu[lv]:
                 ok = True
@@ -372,7 +341,7 @@ def _edges_justified(
                     continue
                 if any(m + 1 <= x <= c for x in blocked_r):
                     continue
-                lbl = bwd_label(vertices[c], pi_r[j])
+                lbl = bwd_engine.label(vertices[c], pi_r[j])
                 v = vertices[m + 1]
                 if lbl.dist[v] < INF and lbl.sigma[v][lv] <= nu[lv]:
                     ok = True

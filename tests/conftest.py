@@ -85,3 +85,26 @@ def strongly_connected_network(rng: random.Random, max_vertices=10, max_levels=3
     lv = [rng.randrange(levels_used) for _ in edges]
     nu_vals = sorted(rng.sample(range(1, 30), levels_used - 1)) + [INF]
     return net, make_scope(lv, nu_vals)
+
+
+def bypass_network(rng: random.Random):
+    """A chain of unbounded roads from 0 to t with one closed, a level-0 or
+    level-1 bypass around the closed road, and 0-3 random roads.
+
+    Returns ``(net, scope, 0, t)``, the closed road at infinite updated
+    weight. The bypass runs through its own vertex t + 1; with budgets drawn
+    below 6 it often needs a permit, so about one optimal walk in seven has
+    an anchored witness.
+    """
+    t = rng.randint(3, 6)
+    n = t + 2
+    closed = rng.randint(1, t - 2)
+    a, b = rng.randint(0, closed), rng.randint(closed + 1, t)
+    edges = [(i, i + 1) for i in range(t)] + [(a, t + 1), (t + 1, b)]
+    levels = [2] * t + [rng.randint(0, 1)] * 2
+    for _ in range(rng.randint(0, 3)):
+        edges.append((rng.randrange(n), rng.randrange(n)))
+        levels.append(rng.randrange(3))
+    weights = [rng.randint(1, 9) for _ in edges]
+    net = build_network(n, edges, weights).with_updated_weights({closed: INF})
+    return net, make_scope(levels, sorted(rng.sample(range(1, 6), 2)) + [INF]), 0, t

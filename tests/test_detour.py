@@ -20,6 +20,7 @@ from scoperoute import (
     qc_closure,
     s_dijkstra,
     simple_detour_route,
+    validate_full_detour,
     validate_simple_detour,
 )
 
@@ -394,6 +395,41 @@ class TestValidator:
             if res.walk is not None and res.klass == "simple-detour":
                 assert not set(res.walk.edges) & closed_edges
                 assert validate_simple_detour(res.walk, closed, scope, None, s, t)
+
+
+_CLOSURE_CALLS = {
+    "simple_detour_route": lambda net, scope, c: simple_detour_route(net, scope, 0, 2, c),
+    "enhanced_detour_route": lambda net, scope, c: enhanced_detour_route(net, scope, 0, 2, c),
+    "build_detour_context": lambda net, scope, c: build_detour_context(net, scope, c, 0, 2),
+    "validate_simple_detour":
+        lambda net, scope, c: validate_simple_detour(Walk(0, (2,)), net, scope, c, 0, 2),
+    "find_obstructed": lambda net, scope, c: find_obstructed(net, scope, c, 0, 2),
+    "qc_closure": lambda net, scope, c: qc_closure(net, scope, c, 0, 2),
+    "validate_full_detour":
+        lambda net, scope, c: validate_full_detour(Walk(0, (2,)), net, scope, c, 0, 2),
+}
+
+
+@pytest.mark.parametrize("edge", [99, -1])
+@pytest.mark.parametrize("call", sorted(_CLOSURE_CALLS))
+def test_unknown_closure_edge_rejected(call, edge):
+    # Edge 1 is raised, so the static route fails the early exit and every
+    # call reads the explicit closure set.
+    net = build_network(3, [(0, 1), (1, 2), (0, 2)], [1, 1, 5]).with_updated_weights({1: 3})
+    scope = make_scope([1, 1, 1], [5, INF])
+    with pytest.raises(NetworkError, match=f"unknown edge id {edge}$"):
+        _CLOSURE_CALLS[call](net, scope, {edge})
+
+
+@pytest.mark.parametrize("source, target, role", [
+    (-1, 3, "source"), (4, 3, "source"), (0, -1, "target"), (0, 4, "target"),
+])
+@pytest.mark.parametrize("call", [find_obstructed, build_detour_context])
+def test_record_runs_name_the_unknown_endpoint(permit_fixture, call, source, target, role):
+    net, scope = permit_fixture
+    vertex = source if role == "source" else target
+    with pytest.raises(NetworkError, match=f"unknown {role} vertex {vertex}$"):
+        call(net, scope, None, source, target)
 
 
 class TestQcClosure:

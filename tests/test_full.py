@@ -15,7 +15,7 @@ from scoperoute import (
 )
 from scoperoute.search import s_dijkstra
 
-from conftest import random_network
+from conftest import bypass_network, random_network
 
 INF = math.inf
 
@@ -56,33 +56,53 @@ class TestValidateFullDetour:
 
     def test_witness_reruns_against_direct_evaluation(self, permit_fixture):
         # The returned decomposition must justify every restricted edge by a
-        # seeded witness search from one of its anchors.
+        # seeded witness search from one of its anchors, each run afresh.
         net, scope = permit_fixture
-        walk = Walk(0, (0, 3, 2))
-        verdict = validate_full_detour(walk, net, scope, None, 0, 3)
-        w = verdict.witness
-        vertices = walk.vertices(net)
-        rnet = net.reverse()
-        for m, e in enumerate(walk.edges):
-            lv = scope.level[e]
-            if lv >= scope.top:
-                continue
-            ok = False
-            for i, a in enumerate(w.forward_anchors):
-                if a > m or any(a <= x <= m for x in w.breakpoints):
+        cases = [(Walk(0, (0, 3, 2)), net, scope, 0, 3)]
+        for seed in range(150):
+            net, scope, s, t = bypass_network(random.Random(seed))
+            walk, _cost = brute_force_full_optimum(net, scope, None, s, t)
+            if walk is not None:
+                cases.append((walk, net, scope, s, t))
+        anchored = 0
+        for walk, net, scope, s, t in cases:
+            w = validate_full_detour(walk, net, scope, None, s, t).witness
+            zero = (0.0,) * scope.level_count
+            assert w.pi_forward[0] == zero and w.pi_reverse[0] == zero
+            anchored += len(w.forward_anchors) + len(w.reverse_anchors) > 2
+            vertices = walk.vertices(net)
+            rnet = net.reverse()
+            for m, e in enumerate(walk.edges):
+                lv = scope.level[e]
+                if lv >= scope.top:
                     continue
-                lbl = s_dijkstra(net, scope, vertices[a], "base", seed_sigma=w.pi_forward[i])
-                u = vertices[m]
-                if lbl.dist[u] < INF and lbl.sigma[u][lv] <= scope.nu[lv]:
-                    ok = True
-            for j, c in enumerate(w.reverse_anchors):
-                if c < m + 1 or any(m + 1 <= x <= c for x in w.breakpoints):
-                    continue
-                lbl = s_dijkstra(rnet, scope, vertices[c], "base", seed_sigma=w.pi_reverse[j])
-                v = vertices[m + 1]
-                if lbl.dist[v] < INF and lbl.sigma[v][lv] <= scope.nu[lv]:
-                    ok = True
-            assert ok
+                ok = False
+                for i, a in enumerate(w.forward_anchors):
+                    if a > m or any(a <= x <= m for x in w.breakpoints):
+                        continue
+                    lbl = s_dijkstra(net, scope, vertices[a], "base", seed_sigma=w.pi_forward[i])
+                    u = vertices[m]
+                    if lbl.dist[u] < INF and lbl.sigma[u][lv] <= scope.nu[lv]:
+                        ok = True
+                for j, c in enumerate(w.reverse_anchors):
+                    if c < m + 1 or any(m + 1 <= x <= c for x in w.breakpoints):
+                        continue
+                    lbl = s_dijkstra(rnet, scope, vertices[c], "base", seed_sigma=w.pi_reverse[j])
+                    v = vertices[m + 1]
+                    if lbl.dist[v] < INF and lbl.sigma[v][lv] <= scope.nu[lv]:
+                        ok = True
+                assert ok
+        assert anchored > 10
+
+    def test_walk_over_infinite_edge_rejected(self):
+        # Edge 0 is closed by its weight but not named in the closure set;
+        # the walk over it costs inf and the optimum goes round it.
+        net = build_network(3, [(0, 1), (1, 2), (0, 2)], [1, 1, 5]).with_updated_weights({0: INF})
+        scope = make_scope([1, 1, 1], [5, INF])
+        assert validate_full_detour(Walk(0, (0, 1)), net, scope, frozenset(), 0, 2).accepted is False
+        walk, cost = brute_force_full_optimum(net, scope, frozenset(), 0, 2)
+        assert walk.edges == (2,) and cost == 5.0
+        assert validate_full_detour(walk, net, scope, frozenset(), 0, 2).accepted
 
     def test_zero_closure_reduction(self):
         rng = random.Random(92)

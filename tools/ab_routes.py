@@ -17,14 +17,18 @@ gate and clean masks of both directions of ``build_detour_context``, so
 that a difference in record states cannot hide one in the masks; a gate
 that is a run, not a mask list, is recorded as the mask list read off the
 run, the levels whose budget the settled draw of a reached vertex passes.
-Unless ``--no-bench``, it also records the criterion-7 batch
-(``run_benchmark`` on the 50x50 grid: 500 queries, 50 closures each,
-timing off) as its CSV. The script prints how many cases differ, in all
-and per kind (records, masks, routes, csv), with the first few, and exits
-1 if any does.
+For the full variant it takes the first 300 ``bypass_network`` cases of
+``tests/conftest.py`` and records, as one "full" case each, the ``repr``
+of ``brute_force_full_optimum`` and of ``validate_full_detour`` on the
+simple, enhanced and optimal walks. Unless ``--no-bench``, it also records
+the criterion-7 batch (``run_benchmark`` on the 50x50 grid: 500 queries,
+50 closures each, timing off) as its CSV. The script prints how many cases
+differ, in all and per kind (records, masks, routes, full, csv), with the
+first few, and exits 1 if any does.
 
-Both sides import this checkout's ``tests/test_detour.py``, so that file
-imports at module level only names that older sources have too.
+Both sides import this checkout's ``tests/test_detour.py`` and
+``tests/conftest.py``, so those files import at module level only names
+that older sources have too.
 
 ``--src SRC`` runs one side and prints its records as JSON.
 """
@@ -34,11 +38,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FULL_SEEDS = 300
 FIELDS = (
     "klass", "cost_updated", "permit_edges", "scanned_static", "scanned_detour",
     "scanned_detour_vertices", "permits_issued",
@@ -62,9 +68,11 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
     import scoperoute.search
     from scoperoute import (
         BenchConfig, balance_to_proper, build_detour_context, enhanced_detour_route,
-        find_obstructed, generate_synthetic, qc_closure, run_benchmark, simple_detour_route,
-        validate_simple_detour, validate_split_admissible,
+        brute_force_full_optimum, find_obstructed, generate_synthetic, qc_closure, run_benchmark,
+        simple_detour_route, validate_full_detour, validate_simple_detour,
+        validate_split_admissible,
     )
+    from conftest import bypass_network
     from test_detour import _closed_random_case
 
     cases = {}
@@ -101,6 +109,14 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
                     walk = None if res.walk is None else [res.walk.start, res.walk.edges]
                     cases[name] = [getattr(res, f) for f in FIELDS] + [walk, verdicts]
     scoperoute.search._PLAIN_SEARCHES = plain_searches
+    for seed in range(FULL_SEEDS):
+        net, scope, s, t = bypass_network(random.Random(seed))
+        optimum = brute_force_full_optimum(net, scope, None, s, t)
+        walks = [route(net, scope, s, t).walk for route in (simple_detour_route, enhanced_detour_route)]
+        cases[f"bypass seed {seed} full"] = [repr(optimum)] + [
+            None if w is None else repr(validate_full_detour(w, net, scope, None, s, t))
+            for w in walks + [optimum[0]]
+        ]
     if bench:
         nf = generate_synthetic("grid", 50, 3, seed=42)
         scope = balance_to_proper(nf.network, nf.scope)
@@ -132,7 +148,7 @@ def main() -> int:
     before, after = sides
     differ = [name for name in before.keys() | after.keys() if before.get(name) != after.get(name)]
     print(f"{len(before)} cases before, {len(after)} after, {len(differ)} differ")
-    kinds = {"records": 0, "masks": 0, "routes": 0, "csv": 0}
+    kinds = {"records": 0, "masks": 0, "routes": 0, "full": 0, "csv": 0}
     for name in differ:
         last = name.rsplit(" ", 1)[-1]
         kinds[last if last in kinds else "routes"] += 1
