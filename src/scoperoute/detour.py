@@ -26,6 +26,15 @@ the tree path between its vertex and its closure crossing. The grant masks
 come straight from the pass's keys; full record objects are built from the
 same pass only when asked for (``find_obstructed``, ``DetourContext.records``).
 
+A gate run is read only at the vertices the search settles, so the routes
+run it lazily where that is exact: once the network has its landmark table
+and the open weights are positive integers, each gate run is goal-directed
+by the landmark bounds the search uses and stepped only until the vertex a
+search state settles at is final. Its labels there are the drained run's
+(see ``_settle_gate``). Elsewhere, and in ``build_detour_context`` and the
+validators always, the gate runs are drained, so a route is checked
+against labels computed independently of its lazy runs.
+
 The search explores (vertex, carried-permit mask, owed-permit mask) states
 in both directions, each goal-directed by lower bounds on the distance to
 the far end: the static search's landmark bounds once the network has its
@@ -41,7 +50,7 @@ complete for exactly the relation the validator decides.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .network import (
@@ -55,10 +64,13 @@ from .network import (
     zero_vector,
 )
 from .search import (
+    _FAR,
     ScopeSearchResult,
+    _distance_bound,
     _edge_pack,
     _landmark_potentials,
     _level_cached,
+    _scope_search,
     _split_exists,
     _usable,
     bidirectional_s_dijkstra,
@@ -318,16 +330,23 @@ class _Direction:
 
     Forwards: the network from the start, permits granted by ``"t"``
     records; backwards: the reversed network from the target, ``"s"``
-    records. ``gate`` is the drained run from the endpoint on the open
-    weighting, read through ``_usable``. Per vertex, ``pack`` lists the
-    edges to relax, ``grant`` the levels of the records there and ``clean``
-    the levels at which it is corridor-clean.
+    records. ``gate`` is the run from the endpoint on the open weighting,
+    read through ``_usable``: drained, or lazy while ``steps`` holds the
+    rest of a goal-directed run, in which case a label is final only where
+    ``final`` is set (``_settle_gate``), and ``bounds`` holds the run's
+    potentials, ``-1.0`` where not evaluated yet, which the permit-state
+    half of this direction shares. Per vertex, ``pack`` lists the edges to
+    relax, ``grant`` the levels of the records there and ``clean`` the
+    levels at which it is corridor-clean.
     """
 
     pack: list[tuple[tuple[int, int, int], ...]]
     gate: ScopeSearchResult
     grant: list[int]
     clean: list[int]
+    steps: Iterator[tuple[float, float, int]] | None = None
+    final: bytearray | None = None
+    bounds: list[float] | None = None
 
 
 def _direction(
@@ -337,11 +356,45 @@ def _direction(
     grant: list[int],
     weights: list[float],
     active: frozenset[int],
+    potential: Callable[[int], float] | None = None,
 ) -> _Direction:
     """One direction's tables and its gate run from ``endpoint`` on the open
-    weighting ``weights``; ``network`` is reversed for the backward one."""
-    gate = s_dijkstra(network, scope, endpoint, weights)
-    return _Direction(_edge_pack(network, scope), gate, grant, _clean_masks(network, scope, active))
+    weighting ``weights``; ``network`` is reversed for the backward one.
+    The run is drained here, or with ``potential``, a consistent lower
+    bound on the distance to the far end, goal-directed by it and left for
+    the permit-state search to step (``_settle_gate``).
+    """
+    pack, clean = _edge_pack(network, scope), _clean_masks(network, scope, active)
+    if potential is None:
+        return _Direction(pack, s_dijkstra(network, scope, endpoint, weights), grant, clean)
+    bounds = [-1.0] * network.vertex_count
+
+    def cached(v: int) -> float:
+        h = bounds[v]
+        if h < 0.0:
+            h = bounds[v] = potential(v)
+        return h
+
+    gate, steps = _scope_search(network, scope, endpoint, weights, potential=cached)
+    return _Direction(pack, gate, grant, clean, steps, bytearray(network.vertex_count), bounds)
+
+
+def _settle_gate(direction: _Direction, v: int) -> None:
+    """Step a lazy gate run until ``v`` is final, or to its end.
+
+    ``_scope_steps`` yields a vertex once every tight arrival at it has been
+    relaxed: the weights are positive integers and the potential consistent,
+    so a tail of a tight arrival has no greater key and a smaller distance,
+    and ``(key, d)`` order settles it first. ``dist`` and ``sigma`` are
+    then those of the drained run. A run that ends has settled every vertex
+    it reaches, so every label is final.
+    """
+    final = direction.final
+    for _key, _d, u in direction.steps:
+        final[u] = 1
+        if u == v:
+            return
+    final[:] = b"\x01" * len(final)
 
 
 @dataclass
@@ -380,8 +433,22 @@ def build_detour_context(
     source: int,
     target: int,
 ) -> DetourContext:
-    """The record runs, the grant masks, then both directions' tables."""
-    active = _active_set(network, closures)
+    """The record runs, the grant masks, then both directions' tables, with
+    drained gate runs."""
+    return _context(network, scope, _active_set(network, closures), source, target, lazy=False)
+
+
+def _context(
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    active: frozenset[int],
+    source: int,
+    target: int,
+    lazy: bool,
+) -> DetourContext:
+    """``build_detour_context`` for the closed set ``active``; with ``lazy``
+    the gate runs are goal-directed and left for the state search to step
+    where the landmark bounds allow it (``_lazy_gate_potentials``)."""
     record_runs = _drained_runs(network, scope, source, target, active)
     weights = list(network.weight_updated)
     for e in active:
@@ -395,11 +462,26 @@ def build_detour_context(
             grant[side][v] |= 1 << lv
 
     _record_pass(scope, active, *record_runs, grant_bit)
+    to_target = to_source = None
+    if lazy:
+        to_target, to_source = _lazy_gate_potentials(network, weights, source, target)
     return DetourContext(
         network, scope, active, source, target, record_runs, weights,
-        _direction(network, scope, source, grant["t"], weights, active),
-        _direction(network.reverse(), scope, target, grant["s"], weights, active),
+        _direction(network, scope, source, grant["t"], weights, active, to_target),
+        _direction(network.reverse(), scope, target, grant["s"], weights, active, to_source),
     )
+
+
+def _lazy_gate_potentials(network: RoadNetwork, weights: list[float], source: int, target: int):
+    """The landmark bounds towards ``target`` and ``source`` that the state
+    search reads, or ``(None, None)`` unless the network has its table and
+    the open weights ``weights`` are positive integers whose distances stay
+    below int32's largest value (the condition ``_goal_potentials`` puts on
+    a goal-directed search)."""
+    to_target, to_source = _landmark_potentials(network, source, target)
+    if to_target is None or _distance_bound(weights, network.vertex_count) >= _FAR:
+        return None, None
+    return to_target, to_source
 
 
 def _clean_mask(row, active: frozenset[int], top: int) -> int:
@@ -534,7 +616,8 @@ def _state_search_halves(
     potential, a lower bound on the open-network distance (scope ignored)
     to the far end. When the network has its landmark table (see
     ``search._landmark_rows``) the potentials are the static search's
-    landmark bounds, evaluated once per vertex the half reaches: they bound
+    landmark bounds, evaluated once per vertex the half or its direction's
+    lazy gate run reaches (the two share ``_Direction.bounds``): they bound
     base-weight distances, and every weighting searched here is at or above
     the base one. Without a table they are the open-network distances of
     two ``dijkstra`` runs; only then do states at vertices that cannot
@@ -544,7 +627,8 @@ def _state_search_halves(
     bound and keys never fall along a walk.
 
     An edge whose level the gate at its tail does not pass takes a permit,
-    and owes its level unless a carried permit covers it. A state's label
+    and owes its level unless a carried permit covers it. A half reads its
+    gate run at each vertex it settles, stepping a lazy run there first. A state's label
     is replaced by a cheaper one, or an equally cheap one with fewer permits.
 
     A popped state is not expanded when a state already settled at its
@@ -580,8 +664,9 @@ def _state_search_halves(
         if bound is None:
             potential = dijkstra(network, weights, far_end).dist
         else:
-            potential = [-1.0] * network.vertex_count
-            potential[start] = bound(start)
+            potential = [-1.0] * network.vertex_count if own.bounds is None else own.bounds
+            if potential[start] < 0.0:
+                potential[start] = bound(start)
         live = own.grant[start]
         heap = [(potential[start], 0, start, live, 0, 0.0)] if potential[start] < INF else []
         label = {(start << vshift) | (live << bits): (0.0, 0, None, None, False)}
@@ -640,7 +725,10 @@ def _state_search_halves(
         grant, clean = own.grant, own.clean
         debt_grant, debt_clean = other.grant, other.clean
         # _usable's test, with the reach check read once per settled state.
-        sig = own.gate.sigma[v] if own.gate.dist[v] < INF else None
+        gate = own.gate
+        if own.final is not None and not own.final[v]:
+            _settle_gate(own, v)
+        sig = gate.sigma[v] if gate.dist[v] < INF else None
         potential = search.potential
         bound = search.bound
         for e, u, lv in own.pack[v]:
@@ -739,10 +827,12 @@ def _route(
     source: int,
     target: int,
     detour_class: str,
+    closures,
     close,
 ) -> DetourResult:
-    """The detour steps in order: static result and early exit, the closure
-    set ``close()`` returns as ``(active, qc_iterations, qc_added)``, record
+    """The detour steps in order: the caller's ``closures`` checked for
+    unknown edge ids, static result and early exit, the closure set
+    ``close()`` returns as ``(active, qc_iterations, qc_added)``, record
     runs, then the rest of the context and the permit-state search.
 
     The static result comes from ``bidirectional_s_dijkstra`` on the base
@@ -752,13 +842,17 @@ def _route(
     vertices; the drained runs follow only a failed exit, as record runs.
     The permit-state search reads the same landmark table for its
     potentials; only without a table does it never queue a state at a
-    vertex that cannot reach the far end.
+    vertex that cannot reach the far end. With the table, and open weights
+    that are positive integers, the gate runs are lazy (``_context``), with
+    the drained runs' labels wherever the search reads them.
     """
+    if closures is not None:
+        _active_set(network, closures)  # an unknown id raises even on the static exit
     res = DetourResult(None, INF, "unreachable")
     if _static_exit(res, network, bidirectional_s_dijkstra(network, scope, source, target)):
         return res
     active, res.qc_iterations, res.qc_added = close()
-    ctx = build_detour_context(network, scope, active, source, target)
+    ctx = _context(network, scope, active, source, target, lazy=True)
     fwd, bwd, meeting = _state_search_halves(ctx)
     res.scanned_detour = sum(len(here) for half in (fwd, bwd) for here in half.settled.values())
     res.scanned_detour_vertices = len(fwd.settled) + len(bwd.settled)
@@ -796,7 +890,7 @@ def simple_detour_route(
     static optimum and the best detour-admissible walk.
     """
     return _route(
-        network, scope, source, target, "simple-detour",
+        network, scope, source, target, "simple-detour", closures,
         lambda: (_active_set(network, closures), 0, 0),
     )
 
@@ -819,7 +913,7 @@ def enhanced_detour_route(
         qc = qc_closure(network, scope, closures, source, target)
         return qc.edges, qc.iterations, len(qc.edges) - len(qc.hard)
 
-    return _route(network, scope, source, target, "enhanced-detour", close)
+    return _route(network, scope, source, target, "enhanced-detour", closures, close)
 
 
 def _plain_reach(pack, vertex_count: int, source: int, blocked) -> list[bool]:

@@ -325,6 +325,59 @@ def test_state_search_licenses_exactly_where_the_gate_fails():
     assert checked > 10000, checked
 
 
+@pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
+def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
+    # With the landmark table and positive integer open weights, the routes
+    # step each gate run only as far as its half of the state search reads
+    # it. At every vertex a half settles, the gate bits read off that run
+    # equal _usable on a drained run over the open weighting. Fractional
+    # seeds (zeros among the weights, so no table) and networks without a
+    # table keep drained gate runs.
+    if table:
+        request.getfixturevalue("landmarks_at_once")
+    usable = scoperoute.search._usable
+    real = scoperoute.detour._state_search_halves
+    searched = []
+
+    def keeping(ctx):
+        fwd, bwd, meeting = real(ctx)
+        searched.append((ctx, fwd, bwd))
+        return fwd, bwd, meeting
+
+    monkeypatch.setattr(scoperoute.detour, "_state_search_halves", keeping)
+    runs = {(fractional, lazy): 0 for fractional in (False, True) for lazy in (False, True)}
+    stopped_short = checked = 0
+    for seed in range(3000):
+        for fractional in (False, True):
+            closed, scope, s, t = _closed_random_case(seed, fractional)
+            del searched[:]
+            for route in (simple_detour_route, enhanced_detour_route):
+                route(closed, scope, s, t)
+            assert ("landmarks" in closed._aux) == table
+            for ctx, fwd, bwd in searched:
+                sides = ((fwd, closed, s), (bwd, closed.reverse(), t))
+                for half, network, endpoint in sides:
+                    own = half.own
+                    lazy = own.final is not None
+                    runs[fractional, lazy] += 1
+                    drained = s_dijkstra(network, scope, endpoint, ctx.weights)
+                    if lazy:
+                        stopped_short += len(own.gate.order) < len(drained.order)
+                    for v in half.settled:
+                        assert not lazy or own.final[v], (seed, fractional, v)
+                        for lv in range(scope.level_count):
+                            got = usable(own.gate, scope.nu, v, lv)
+                            assert got == usable(drained, scope.nu, v, lv), (seed, fractional, v, lv)
+                            checked += 1
+    if table:
+        assert runs[False, False] == 0 and runs[False, True] > 1000, runs
+        assert stopped_short > 3000, stopped_short
+    else:
+        assert runs[False, True] == 0 and runs[False, False] > 1000, runs
+    assert runs[True, True] == 0 and runs[True, False] > 1000, runs
+    assert checked > 15000, checked
+
+
 class TestValidator:
     def test_plain_admissible_walk_accepted(self, n1, n1_scope15):
         closed = n1.with_updated_weights({3: INF})
@@ -419,6 +472,27 @@ def test_unknown_closure_edge_rejected(call, edge):
     scope = make_scope([1, 1, 1], [5, INF])
     with pytest.raises(NetworkError, match=f"unknown edge id {edge}$"):
         _CLOSURE_CALLS[call](net, scope, {edge})
+
+
+@pytest.mark.parametrize("edge", [99, -1])
+@pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
+def test_unknown_closure_edge_rejected_before_the_static_exit(monkeypatch, route, edge):
+    # Nothing raised, so the static route survives, and the routes still
+    # reject an unknown id in the caller's closure set, before the static
+    # search. Closures None scan no edges on the static exit.
+    net = build_network(3, [(0, 1), (1, 2), (0, 2)], [1, 1, 5])
+    scope = make_scope([1, 1, 1], [5, INF])
+
+    def failing(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(scoperoute.detour, "derive_closures", failing)
+    res = route(net, scope, 0, 2)
+    assert (res.klass, res.cost_updated) == ("static", 2.0)
+    assert route(net, scope, 0, 2, {2}).klass == "static"
+    monkeypatch.setattr(scoperoute.detour, "bidirectional_s_dijkstra", failing)
+    with pytest.raises(NetworkError, match=f"unknown edge id {edge}$"):
+        route(net, scope, 0, 2, {edge})
 
 
 @pytest.mark.parametrize("source, target, role", [
@@ -643,22 +717,45 @@ def test_static_exit_runs_one_bidirectional_search(n1, n1_scope15, monkeypatch, 
         assert calls == [("static", 0, 3)], update
 
 
+def _failed_exit_searches(n1, scope, monkeypatch, route, update):
+    """The logged searches of ``route`` from 0 to 3 on ``n1`` with ``update``
+    raised, the static walk failing, and the record and open weightings."""
+    closed = n1.with_updated_weights(update)
+    active = derive_closures(closed).hard
+    if route is enhanced_detour_route:
+        active = qc_closure(closed, scope, None, 0, 3).edges
+    record = tuple(scoperoute.detour._record_weights(closed, active))
+    opened = tuple(INF if e in active else w for e, w in enumerate(closed.weight_updated))
+    calls = _log_searches(monkeypatch, closed)
+    res = route(closed, scope, 0, 3)
+    assert res.walk != Walk(0, (0, 1, 2))
+    return calls, record, opened
+
+
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
 def test_failed_exit_runs_two_record_runs_then_the_gates(n1, n1_scope15, monkeypatch, route):
-    # A hard or a soft closure on the static walk: after the one static
-    # search come exactly two drained record runs on the record weighting,
-    # then the two gate runs on the open weighting.
+    # A hard or a soft closure on the static walk, no landmark table: after
+    # the one static search come exactly two drained record runs on the
+    # record weighting, then the two drained gate runs on the open weighting.
     for update in ({1: INF}, {1: 30}):
-        closed = n1.with_updated_weights(update)
-        active = derive_closures(closed).hard
-        if route is enhanced_detour_route:
-            active = qc_closure(closed, n1_scope15, None, 0, 3).edges
-        record = tuple(scoperoute.detour._record_weights(closed, active))
-        opened = tuple(INF if e in active else w for e, w in enumerate(closed.weight_updated))
-        calls = _log_searches(monkeypatch, closed)
-        res = route(closed, n1_scope15, 0, 3)
-        assert res.walk != Walk(0, (0, 1, 2))
+        calls, record, opened = _failed_exit_searches(n1, n1_scope15, monkeypatch, route, update)
+        assert "landmarks" not in n1._aux
         assert calls == [("static", 0, 3), (0, record), (3, record), (0, opened), (3, opened)], update
+
+
+@pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
+def test_failed_exit_with_the_table_drains_only_the_record_runs(
+    n1, n1_scope15, monkeypatch, route, landmarks_at_once
+):
+    # With the landmark table and positive integer open weights the state
+    # search steps the gate runs itself: after the static search come
+    # exactly the two drained record runs. A soft raise to a fractional
+    # weight leaves the open weights fractional, so the gate runs drain.
+    for update, drained_gates in (({1: INF}, False), ({1: 30}, False), ({1: 30.5}, True)):
+        calls, record, opened = _failed_exit_searches(n1, n1_scope15, monkeypatch, route, update)
+        assert n1._aux["landmarks"] is not None
+        gates = [(0, opened), (3, opened)] if drained_gates else []
+        assert calls == [("static", 0, 3), (0, record), (3, record)] + gates, update
 
 
 def test_landmark_potentials_give_the_routes_of_dijkstra_potentials(

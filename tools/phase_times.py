@@ -19,15 +19,20 @@ still be compared across a rename. "record runs" are the drained searches
 (``_drained_runs``): the record runs, and the static runs too where a
 version takes its static step from drained runs; where a version builds
 the record weighting inside ``_drained_runs``, that list counts here too.
-"potentials" are the state search's ``dijkstra`` runs; they read 0 once
+"gate runs" are ``_direction``, which drains a gate run or sets up a lazy
+one, and ``_settle_gate``, which steps a lazy one from inside the state
+search. "potentials" are the state search's ``dijkstra`` runs; they read 0 once
 the network has its landmark table. "landmark build" is paid once per
 network, in the static search that follows the plain ones; it is not part
 of "route, whole" or "route, rest". The output holds the mean, median and
-p90 per phase in ms, before and after, with the Python version and core
-count, under the workload's name; other workloads already in the file are
-kept.
+p90 per phase in ms, before and after, and the same figures for the
+vertices each gate run settled (its ``order`` when the route returns; a
+lazy run's last final vertex is not in it yet), with the Python version
+and core count, under the workload's name; other workloads already in the
+file are kept.
 
-``--src SRC`` runs one side and prints its per-query times as JSON.
+``--src SRC`` runs one side and prints its per-query times and per-run
+counts as JSON.
 """
 
 from __future__ import annotations
@@ -52,11 +57,13 @@ PHASES = {
     ("detour", "_records_from_runs"): "records / grants",
     ("detour", "_record_pass"): "records / grants",
     ("detour", "_direction"): "gate runs",
+    ("detour", "_settle_gate"): "gate runs",
     ("detour", "_clean_masks"): "clean masks",
     ("detour", "dijkstra"): "potentials",
     ("detour", "_state_search_halves"): "state search",
     ("search", "_build_landmark_rows"): "landmark build",
 }
+GATE_SETTLED = "gate run, vertices settled"
 BUILD = "landmark build"
 ROUTE = "route, whole"
 OTHER = "route, rest"
@@ -86,8 +93,9 @@ class SelfTimes:
         return timed
 
 
-def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, list[float]]:
-    """Per-phase self times in ms, one entry per query, for the sources at ``src``."""
+def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, dict[str, list[float]]]:
+    """Per-phase self times in ms, one entry per query, and the vertices
+    settled per gate run, for the sources at ``src``."""
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     import scoperoute as sr
     import scoperoute.detour
@@ -106,6 +114,17 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, list[
             setattr(module, name, times.wrap(getattr(module, name), phase))
         else:
             print(f"{src}: no scoperoute.{module_name}.{name}, {phase!r} reads 0", file=sys.stderr)
+    # Keep each direction a route builds, to count its gate run's settled vertices.
+    directions = []
+    timed_direction = getattr(scoperoute.detour, "_direction", None)
+
+    def collecting(*args, **kwargs):
+        directions.append(timed_direction(*args, **kwargs))
+        return directions[-1]
+
+    if timed_direction is not None:
+        scoperoute.detour._direction = collecting
+    gate_settled: list[float] = []
     phases = sorted(set(PHASES.values()))
     per_query: dict[str, list[float]] = {p: [] for p in phases + [ROUTE, OTHER]}
     spec = WORKLOADS[workload]
@@ -127,7 +146,9 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, list[
             per_query[p].append(times.ms.get(p, 0.0))
         per_query[ROUTE].append(whole)
         per_query[OTHER].append(whole - sum(ms for p, ms in times.ms.items() if p != BUILD))
-    return per_query
+        gate_settled.extend(len(d.gate.order) for d in directions)
+        directions.clear()
+    return {"ms": per_query, "counts": {GATE_SETTLED: gate_settled}}
 
 
 def summary(values: list[float]) -> dict[str, float]:
@@ -139,7 +160,7 @@ def summary(values: list[float]) -> dict[str, float]:
     }
 
 
-def run_side(src: str, workload: str, queries: int, seed: int) -> dict[str, list[float]]:
+def run_side(src: str, workload: str, queries: int, seed: int) -> dict[str, dict[str, list[float]]]:
     cmd = [
         sys.executable, __file__, "--src", src, "--workload", workload,
         "--queries", str(queries), "--seed", str(seed),
@@ -168,13 +189,17 @@ def main() -> None:
         parser.error("p90 needs at least 40 queries")
     sources = {"before": args.before, "after": args.after}
     sides: dict[str, dict[str, list[float]]] = {"before": {}, "after": {}}
+    counts: dict[str, dict[str, list[float]]] = {"before": {}, "after": {}}
     for r in range(args.rounds):
         for side in ("before", "after") if r % 2 == 0 else ("after", "before"):
-            for phase, times in run_side(sources[side], args.workload, args.queries, args.seed).items():
+            measured = run_side(sources[side], args.workload, args.queries, args.seed)
+            for phase, times in measured["ms"].items():
                 sides[side].setdefault(phase, []).extend(times)
+            for name, values in measured["counts"].items():
+                counts[side].setdefault(name, []).extend(values)
     report = {
         "workload": args.workload,
-        "what": "self time per phase of one simple_detour_route call, and of the landmark build in the static search before it, ms per query",
+        "what": "self time per phase of one simple_detour_route call, and of the landmark build in the static search before it, ms per query; counts: vertices settled per gate run",
         "seed": args.seed,
         "queries": args.queries,
         "rounds": args.rounds,
@@ -185,6 +210,11 @@ def main() -> None:
             phase: {side: summary(times[phase]) for side, times in sides.items()}
             for phase in sides["after"]
         },
+        "counts": {
+            name: {side: summary(values[name]) for side, values in counts.items()}
+            for name in counts["after"]
+            if all(len(values.get(name, ())) > 1 for values in counts.values())
+        },
     }
     out = Path(args.out)
     reports = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
@@ -194,6 +224,8 @@ def main() -> None:
     for phase, row in report["phases"].items():
         b, a = row["before"]["mean"], row["after"]["mean"]
         print(f"{phase:<{width}}  mean {b:8.2f} -> {a:8.2f} ms")
+    for name, row in report["counts"].items():
+        print(f"{name}: mean {row['before']['mean']:.1f} -> {row['after']['mean']:.1f}")
 
 
 if __name__ == "__main__":
