@@ -368,14 +368,7 @@ def _direction(
     if potential is None:
         return _Direction(pack, s_dijkstra(network, scope, endpoint, weights), grant, clean)
     bounds = [-1.0] * network.vertex_count
-
-    def cached(v: int) -> float:
-        h = bounds[v]
-        if h < 0.0:
-            h = bounds[v] = potential(v)
-        return h
-
-    gate, steps = _scope_search(network, scope, endpoint, weights, potential=cached)
+    gate, steps = _scope_search(network, scope, endpoint, weights, None, potential, bounds)
     return _Direction(pack, gate, grant, clean, steps, bytearray(network.vertex_count), bounds)
 
 
@@ -821,18 +814,29 @@ def _static_exit(res: DetourResult, network: RoadNetwork, static) -> bool:
     return True
 
 
+def _read_closures(network: RoadNetwork, closures):
+    """A route's ``closures`` read once, before its static search: ``None``
+    and a ``ClosureSet`` as given, any other iterable as a frozenset, so a
+    one-shot iterable still holds its ids when the route reads them again.
+    An unknown edge id raises ``NetworkError`` here, even on the static
+    exit; ``None`` scans no edges.
+    """
+    if closures is None:
+        return None
+    active = _active_set(network, closures)
+    return closures if isinstance(closures, ClosureSet) else active
+
+
 def _route(
     network: RoadNetwork,
     scope: ScopeMapping,
     source: int,
     target: int,
     detour_class: str,
-    closures,
     close,
 ) -> DetourResult:
-    """The detour steps in order: the caller's ``closures`` checked for
-    unknown edge ids, static result and early exit, the closure set
-    ``close()`` returns as ``(active, qc_iterations, qc_added)``, record
+    """The detour steps in order: static result and early exit, the closure
+    set ``close()`` returns as ``(active, qc_iterations, qc_added)``, record
     runs, then the rest of the context and the permit-state search.
 
     The static result comes from ``bidirectional_s_dijkstra`` on the base
@@ -846,8 +850,6 @@ def _route(
     that are positive integers, the gate runs are lazy (``_context``), with
     the drained runs' labels wherever the search reads them.
     """
-    if closures is not None:
-        _active_set(network, closures)  # an unknown id raises even on the static exit
     res = DetourResult(None, INF, "unreachable")
     if _static_exit(res, network, bidirectional_s_dijkstra(network, scope, source, target)):
         return res
@@ -889,8 +891,9 @@ def simple_detour_route(
     weights. The returned walk is the cheaper (under updated weights) of the
     static optimum and the best detour-admissible walk.
     """
+    closures = _read_closures(network, closures)
     return _route(
-        network, scope, source, target, "simple-detour", closures,
+        network, scope, source, target, "simple-detour",
         lambda: (_active_set(network, closures), 0, 0),
     )
 
@@ -908,12 +911,13 @@ def enhanced_detour_route(
     early exit, so a result of the early exit carries ``qc_iterations`` and
     ``qc_added`` of 0.
     """
+    closures = _read_closures(network, closures)
 
     def close():
         qc = qc_closure(network, scope, closures, source, target)
         return qc.edges, qc.iterations, len(qc.edges) - len(qc.hard)
 
-    return _route(network, scope, source, target, "enhanced-detour", closures, close)
+    return _route(network, scope, source, target, "enhanced-detour", close)
 
 
 def _plain_reach(pack, vertex_count: int, source: int, blocked) -> list[bool]:

@@ -172,8 +172,10 @@ def _scope_search(
     weighting: str,
     seed_sigma: tuple[float, ...] | None = None,
     potential=None,
+    bounds: list[float] | None = None,
 ):
-    """Fresh labels from ``source`` and the stepping search that settles them."""
+    """Fresh labels from ``source`` and the stepping search that settles them;
+    ``bounds`` as in ``_scope_steps``."""
     if not (0 <= source < network.vertex_count):
         raise NetworkError(f"unknown source vertex {source}")
     scope.validate(network)
@@ -183,11 +185,11 @@ def _scope_search(
     res._weights = network.weights(weighting) if isinstance(weighting, str) else weighting
     res.dist[source] = 0.0
     res.sigma[source] = zero_vector(scope) if seed_sigma is None else tuple(seed_sigma)
-    steps = _scope_steps(res, _edge_pack(network, scope), scope.nu, potential)
+    steps = _scope_steps(res, _edge_pack(network, scope), scope.nu, potential, bounds)
     return res, steps
 
 
-def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None):
+def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
     """The scope-aware relaxation loop, one settled vertex per step.
 
     Each step yields the live queue head, ``(d, u)`` or with a potential
@@ -202,7 +204,9 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None):
     arrivals.
 
     Without ``potential`` the key is ``d``. With it the key is ``d + h(v)``,
-    ``h = potential`` evaluated at most once per vertex, and the caller
+    ``h = potential`` evaluated at most once per vertex, into ``bounds`` if
+    given: a per-vertex list, ``-1.0`` where not evaluated yet, that the
+    caller may share with another search on the same potential. The caller
     guarantees positive integer weights and a consistent ``h`` (see
     ``_goal_potentials``); equal keys then settle the smaller ``d`` first, so
     every tight arrival still reaches its head before the head settles.
@@ -216,8 +220,9 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None):
     done = [False] * len(dist)
     goal = potential is not None
     if goal:
-        h = [-1.0] * len(dist)
-        h[res.source] = potential(res.source)
+        h = [-1.0] * len(dist) if bounds is None else bounds
+        if h[res.source] < 0.0:
+            h[res.source] = potential(res.source)
         heap: list[tuple] = [(h[res.source], 0.0, res.source)]
     else:
         heap = [(0.0, res.source)]

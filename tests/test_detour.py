@@ -495,6 +495,33 @@ def test_unknown_closure_edge_rejected_before_the_static_exit(monkeypatch, route
         route(net, scope, 0, 2, {edge})
 
 
+@pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
+def test_one_shot_closure_iterable_is_read_once(permit_fixture, route):
+    # The routes check the caller's ids before the static search and read
+    # them again after a failed exit; a generator must close the same edges
+    # as the equivalent frozenset. Both edges of the static route 0-1-2 are
+    # soft-raised; with them open the cheapest walk would take 3-1-2, with
+    # them closed only the direct edge is left.
+    edges = [(0, 1), (1, 2), (0, 3), (3, 1), (0, 2)]
+    net = build_network(4, edges, [1, 1, 1, 1, 10]).with_updated_weights({0: 6, 1: 6})
+    scope = make_scope([1] * 5, [5, INF])
+    want = route(net, scope, 0, 2, frozenset({0, 1}))
+    assert (want.walk.edges, want.cost_updated, want.static_cost_updated) == ((4,), 10.0, 12.0)
+    assert route(net, scope, 0, 2, (e for e in [0, 1])) == want
+    net, scope = permit_fixture
+    want = route(net, scope, 0, 3, derive_closures(net).hard)
+    assert (want.walk.edges, want.permit_edges) == ((0, 3, 2), (3,))
+    assert route(net, scope, 0, 3, iter(derive_closures(net).hard)) == want
+    failed = 0
+    for seed in range(200):
+        closed, scope, s, t = _closed_random_case(seed)
+        ids = sorted(derive_closures(closed).edges)
+        want = route(closed, scope, s, t, frozenset(ids))
+        failed += want.static_cost_updated != want.static_cost_base
+        assert route(closed, scope, s, t, iter(ids)) == want, seed
+    assert failed > 10, failed
+
+
 @pytest.mark.parametrize("source, target, role", [
     (-1, 3, "source"), (4, 3, "source"), (0, -1, "target"), (0, 4, "target"),
 ])
