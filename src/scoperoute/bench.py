@@ -15,12 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .detour import (
-    enhanced_detour_route,
-    qc_closure,
-    simple_detour_route,
-    validate_simple_detour,
-)
+from .detour import _recheck_detour, enhanced_detour_route, simple_detour_route
 from .network import INF, NetworkError, RoadNetwork, ScopeMapping
 from .search import bidirectional_s_dijkstra
 
@@ -273,7 +268,6 @@ def _run_query(
     if checks:
         fresh = network.with_updated_weights(updates)
         for walk, quasi in checks:
-            closures = qc_closure(fresh, scope, None, record.src, record.dst) if quasi else None
-            record.validator_ok = record.validator_ok and validate_simple_detour(
-                walk, fresh, scope, closures, record.src, record.dst
+            record.validator_ok = record.validator_ok and _recheck_detour(
+                walk, fresh, scope, quasi, record.src, record.dst
             )

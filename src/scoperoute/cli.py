@@ -14,12 +14,7 @@ import sys
 
 from . import __version__
 from .bench import BenchConfig, _fmt, run_benchmark
-from .detour import (
-    enhanced_detour_route,
-    qc_closure,
-    simple_detour_route,
-    validate_simple_detour,
-)
+from .detour import _recheck_detour, enhanced_detour_route, qc_closure, simple_detour_route
 from .fulldetour import validate_full_detour
 from .netio import (
     NetworkFile,
@@ -92,16 +87,8 @@ def cmd_detour(args) -> int:
         sys.stderr.write("unreachable\n")
         return EXIT_UNREACHABLE
     if res.klass != "static":
-        # Re-check against a freshly built context, never the search's own.
-        closures = (
-            qc_closure(nf.network, nf.scope, None, args.source, args.target)
-            if args.mode == "enhanced"
-            else None
-        )
-        ok = validate_simple_detour(
-            res.walk, nf.network, nf.scope, closures, args.source, args.target
-        )
-        if not ok:
+        enhanced = args.mode == "enhanced"
+        if not _recheck_detour(res.walk, nf.network, nf.scope, enhanced, args.source, args.target):
             sys.stderr.write("internal error: detour failed validation\n")
             return EXIT_ERROR
     if args.format == "text":
@@ -137,15 +124,9 @@ def cmd_validate(args) -> int:
             walk, nf.network, nf.scope, args.source, args.target
         )
     elif definition in ("5", "7"):
-        # The closures ``cmd_detour`` re-checks its simple and enhanced routes with.
-        closures = (
-            None
-            if definition == "5"
-            else qc_closure(nf.network, nf.scope, None, args.source, args.target)
-        )
-        verdict = validate_simple_detour(
-            walk, nf.network, nf.scope, closures, args.source, args.target
-        )
+        # The check ``cmd_detour`` runs on its simple and enhanced routes.
+        enhanced = definition == "7"
+        verdict = _recheck_detour(walk, nf.network, nf.scope, enhanced, args.source, args.target)
     else:
         full = validate_full_detour(
             walk, nf.network, nf.scope, None, args.source, args.target

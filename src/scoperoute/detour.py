@@ -64,10 +64,9 @@ from .network import (
     zero_vector,
 )
 from .search import (
-    _FAR,
     ScopeSearchResult,
-    _distance_bound,
     _edge_pack,
+    _goal_directed,
     _landmark_potentials,
     _level_cached,
     _scope_search,
@@ -246,31 +245,47 @@ def find_obstructed(
     far side connects, so a blocked route always leaves a permit anchor at
     the blocking spot.
     """
-    active = _active_set(network, closures)
-    return _records_from_runs(scope, active, *_drained_runs(network, scope, source, target, active))
+    closed = _weightings(network, _active_set(network, closures))
+    runs = _drained_runs(network, scope, source, target, closed.record)
+    return _records_from_runs(scope, closed.active, *runs)
+
+
+@dataclass(frozen=True)
+class _Weightings:
+    """The set treated as closed, ``active``, and what the searches read of
+    it: ``open``, the updated weights with ``active`` at infinity (gate runs,
+    state search, quasi-closure); ``record``, with ``active`` at base weight
+    (record runs); ``goal``, whether searches on ``open`` may be
+    goal-directed (``search._goal_directed``, decided on the raised edges
+    ``_weightings`` is given; false without them)."""
+
+    active: frozenset[int]
+    open: list[float]
+    record: list[float]
+    goal: bool
+
+
+def _weightings(network: RoadNetwork, active: frozenset[int], raised=None) -> _Weightings:
+    open_w = list(network.weight_updated)
+    record = open_w.copy()
+    base = network.weight
+    for e in active:
+        open_w[e] = INF
+        record[e] = base[e]
+    goal = raised is not None and _goal_directed(network, [open_w[e] for e in raised])
+    return _Weightings(active, open_w, record, goal)
 
 
 def _drained_runs(
-    network: RoadNetwork, scope: ScopeMapping, source: int, target: int, active: frozenset[int]
+    network: RoadNetwork, scope: ScopeMapping, source: int, target: int, weights: list[float]
 ) -> tuple[ScopeSearchResult, ScopeSearchResult]:
     """The record runs: drained scope-aware runs from ``source`` and,
-    reversed, from ``target``, on the record weighting of ``active``."""
+    reversed, from ``target``, on the record weighting ``weights``."""
     for vertex, role in ((source, "source"), (target, "target")):
         if not (0 <= vertex < network.vertex_count):
             raise NetworkError(f"unknown {role} vertex {vertex}")
-    weights = _record_weights(network, active)
     fwd = s_dijkstra(network, scope, source, weights)
     return fwd, s_dijkstra(network.reverse(), scope, target, weights)
-
-
-def _record_weights(network: RoadNetwork, active: frozenset[int]) -> list[float]:
-    """The record searches' weighting: closed edges at their base weight,
-    every other edge at its updated one (the base weighting when every
-    closure is hard)."""
-    weights = list(network.weight_updated)
-    for e in active:
-        weights[e] = network.weight[e]
-    return weights
 
 
 def _record_pass(
@@ -330,23 +345,26 @@ class _Direction:
 
     Forwards: the network from the start, permits granted by ``"t"``
     records; backwards: the reversed network from the target, ``"s"``
-    records. ``gate`` is the run from the endpoint on the open weighting,
-    read through ``_usable``: drained, or lazy while ``steps`` holds the
-    rest of a goal-directed run, in which case a label is final only where
-    ``final`` is set (``_settle_gate``), and ``bounds`` holds the run's
-    potentials, ``-1.0`` where not evaluated yet, which the permit-state
-    half of this direction shares. Per vertex, ``pack`` lists the edges to
-    relax, ``grant`` the levels of the records there and ``clean`` the
-    levels at which it is corridor-clean.
+    records. Per vertex, ``pack`` lists the edges to relax, ``grant`` the
+    levels of the records there and ``clean`` the levels at which it is
+    corridor-clean. ``bound`` is the landmark bound on the distance to the
+    far end, ``None`` while the network has no landmark table, and
+    ``bounds`` its values, ``-1.0`` where not evaluated yet, shared by the
+    gate run and the permit-state half of this direction. ``gate`` is the
+    run from the endpoint on the open weighting, read through ``_usable``:
+    drained, or lazy while ``steps`` holds the rest of a run goal-directed
+    by ``bound``, in which case a label is final only where ``final`` is set
+    (``_settle_gate``).
     """
 
     pack: list[tuple[tuple[int, int, int], ...]]
     gate: ScopeSearchResult
     grant: list[int]
     clean: list[int]
+    bound: Callable[[int], float] | None
+    bounds: list[float] | None
     steps: Iterator[tuple[float, float, int]] | None = None
     final: bytearray | None = None
-    bounds: list[float] | None = None
 
 
 def _direction(
@@ -354,22 +372,21 @@ def _direction(
     scope: ScopeMapping,
     endpoint: int,
     grant: list[int],
-    weights: list[float],
-    active: frozenset[int],
-    potential: Callable[[int], float] | None = None,
+    closed: _Weightings,
+    bound: Callable[[int], float] | None,
 ) -> _Direction:
     """One direction's tables and its gate run from ``endpoint`` on the open
-    weighting ``weights``; ``network`` is reversed for the backward one.
-    The run is drained here, or with ``potential``, a consistent lower
-    bound on the distance to the far end, goal-directed by it and left for
-    the permit-state search to step (``_settle_gate``).
-    """
-    pack, clean = _edge_pack(network, scope), _clean_masks(network, scope, active)
-    if potential is None:
-        return _Direction(pack, s_dijkstra(network, scope, endpoint, weights), grant, clean)
-    bounds = [-1.0] * network.vertex_count
-    gate, steps = _scope_search(network, scope, endpoint, weights, None, potential, bounds)
-    return _Direction(pack, gate, grant, clean, steps, bytearray(network.vertex_count), bounds)
+    weighting (``network`` reversed for the backward one): drained, or
+    where ``closed.goal`` allows it, goal-directed by ``bound`` and left for
+    the permit-state search to step (``_settle_gate``)."""
+    pack, clean = _edge_pack(network, scope), _clean_masks(network, scope, closed.active)
+    n = network.vertex_count
+    bounds = None if bound is None else [-1.0] * n
+    if not closed.goal:
+        gate = s_dijkstra(network, scope, endpoint, closed.open)
+        return _Direction(pack, gate, grant, clean, bound, bounds)
+    gate, steps = _scope_search(network, scope, endpoint, closed.open, None, bound, bounds)
+    return _Direction(pack, gate, grant, clean, bound, bounds, steps, bytearray(n))
 
 
 def _settle_gate(direction: _Direction, v: int) -> None:
@@ -428,24 +445,20 @@ def build_detour_context(
 ) -> DetourContext:
     """The record runs, the grant masks, then both directions' tables, with
     drained gate runs."""
-    return _context(network, scope, _active_set(network, closures), source, target, lazy=False)
+    closed = _weightings(network, _active_set(network, closures))
+    return _context(network, scope, closed, source, target)
 
 
 def _context(
     network: RoadNetwork,
     scope: ScopeMapping,
-    active: frozenset[int],
+    closed: _Weightings,
     source: int,
     target: int,
-    lazy: bool,
 ) -> DetourContext:
-    """``build_detour_context`` for the closed set ``active``; with ``lazy``
-    the gate runs are goal-directed and left for the state search to step
-    where the landmark bounds allow it (``_lazy_gate_potentials``)."""
-    record_runs = _drained_runs(network, scope, source, target, active)
-    weights = list(network.weight_updated)
-    for e in active:
-        weights[e] = INF
+    """``build_detour_context`` on ``closed``, with lazy gate runs where
+    ``closed.goal`` allows them."""
+    record_runs = _drained_runs(network, scope, source, target, closed.record)
     top = scope.top
     grant = {"t": [0] * network.vertex_count, "s": [0] * network.vertex_count}
 
@@ -454,37 +467,22 @@ def _context(
         if lv < top:
             grant[side][v] |= 1 << lv
 
-    _record_pass(scope, active, *record_runs, grant_bit)
-    to_target = to_source = None
-    if lazy:
-        to_target, to_source = _lazy_gate_potentials(network, weights, source, target)
-    return DetourContext(
-        network, scope, active, source, target, record_runs, weights,
-        _direction(network, scope, source, grant["t"], weights, active, to_target),
-        _direction(network.reverse(), scope, target, grant["s"], weights, active, to_source),
-    )
-
-
-def _lazy_gate_potentials(network: RoadNetwork, weights: list[float], source: int, target: int):
-    """The landmark bounds towards ``target`` and ``source`` that the state
-    search reads, or ``(None, None)`` unless the network has its table and
-    the open weights ``weights`` are positive integers whose distances stay
-    below int32's largest value (the condition ``_goal_potentials`` puts on
-    a goal-directed search)."""
+    _record_pass(scope, closed.active, *record_runs, grant_bit)
     to_target, to_source = _landmark_potentials(network, source, target)
-    if to_target is None or _distance_bound(weights, network.vertex_count) >= _FAR:
-        return None, None
-    return to_target, to_source
+    return DetourContext(
+        network, scope, closed.active, source, target, record_runs, closed.open,
+        _direction(network, scope, source, grant["t"], closed, to_target),
+        _direction(network.reverse(), scope, target, grant["s"], closed, to_source),
+    )
 
 
 def _clean_mask(row, active: frozenset[int], top: int) -> int:
     """Levels ``l`` at which no open edge of ``row`` exceeds ``l``."""
-    high = -1
+    high = 0
     for e, _far, lv in row:
         if lv > high and e not in active:
             high = lv
-    full = (1 << top) - 1
-    return full & ~((1 << min(high, top)) - 1) if high > 0 else full
+    return ((1 << top) - 1) & ~((1 << min(high, top)) - 1)
 
 
 def _clean_masks(network: RoadNetwork, scope: ScopeMapping, active: frozenset[int]) -> list[int]:
@@ -573,7 +571,7 @@ class _StateSearch:
     and ``owed`` the levels of edges taken on credit that still need a
     matching record ahead. The half relaxes ``own``'s edges and carries its
     permits; ``other``'s grant and clean masks pay its debts. A negative
-    ``potential`` entry is not evaluated yet and is ``bound(v)``. ``label``
+    ``potential`` entry is not evaluated yet and is ``own.bound(v)``. ``label``
     maps a state to its best ``(cost, permits, parent state, edge,
     licensed)``, ``licensed`` telling whether the edge took a permit;
     ``settled`` maps a vertex to the states expanded there, as ``(carried,
@@ -583,7 +581,6 @@ class _StateSearch:
     own: _Direction
     other: _Direction
     potential: list[float]
-    bound: Callable[[int], float] | None
     heap: list[tuple[float, int, int, int, int, float]]
     label: dict[int, tuple[float, int, int | None, int | None, bool]]
     settled: dict[int, list[tuple[int, int, float, int, int]]] = field(default_factory=dict)
@@ -608,9 +605,9 @@ def _state_search_halves(
     Each half is goal-directed: it pops states in order of cost plus a
     potential, a lower bound on the open-network distance (scope ignored)
     to the far end. When the network has its landmark table (see
-    ``search._landmark_rows``) the potentials are the static search's
-    landmark bounds, evaluated once per vertex the half or its direction's
-    lazy gate run reaches (the two share ``_Direction.bounds``): they bound
+    ``search._landmark_rows``) the potentials are its direction's landmark
+    bounds, evaluated once per vertex the half or its direction's lazy gate
+    run reaches (the two share ``_Direction.bounds``): they bound
     base-weight distances, and every weighting searched here is at or above
     the base one. Without a table they are the open-network distances of
     two ``dijkstra`` runs; only then do states at vertices that cannot
@@ -653,22 +650,21 @@ def _state_search_halves(
     bits = max(top, 1)
     vshift = 2 * bits
 
-    def half(own, other, start, far_end, network, bound) -> _StateSearch:
-        if bound is None:
+    def half(own, other, start, far_end, network) -> _StateSearch:
+        if own.bound is None:
             potential = dijkstra(network, weights, far_end).dist
         else:
-            potential = [-1.0] * network.vertex_count if own.bounds is None else own.bounds
+            potential = own.bounds
             if potential[start] < 0.0:
-                potential[start] = bound(start)
+                potential[start] = own.bound(start)
         live = own.grant[start]
         heap = [(potential[start], 0, start, live, 0, 0.0)] if potential[start] < INF else []
         label = {(start << vshift) | (live << bits): (0.0, 0, None, None, False)}
-        return _StateSearch(own, other, potential, bound, heap, label)
+        return _StateSearch(own, other, potential, heap, label)
 
-    to_target, to_source = _landmark_potentials(ctx.network, ctx.source, ctx.target)
     halves = (
-        half(ctx.forward, ctx.backward, ctx.source, ctx.target, ctx.network.reverse(), to_target),
-        half(ctx.backward, ctx.forward, ctx.target, ctx.source, ctx.network, to_source),
+        half(ctx.forward, ctx.backward, ctx.source, ctx.target, ctx.network.reverse()),
+        half(ctx.backward, ctx.forward, ctx.target, ctx.source, ctx.network),
     )
     best = INF
     limit = INF
@@ -723,7 +719,7 @@ def _state_search_halves(
             _settle_gate(own, v)
         sig = gate.sigma[v] if gate.dist[v] < INF else None
         potential = search.potential
-        bound = search.bound
+        bound = own.bound
         for e, u, lv in own.pack[v]:
             we = weights[e]
             if we == INF:
@@ -814,30 +810,23 @@ def _static_exit(res: DetourResult, network: RoadNetwork, static) -> bool:
     return True
 
 
-def _read_closures(network: RoadNetwork, closures):
-    """A route's ``closures`` read once, before its static search: ``None``
-    and a ``ClosureSet`` as given, any other iterable as a frozenset, so a
-    one-shot iterable still holds its ids when the route reads them again.
-    An unknown edge id raises ``NetworkError`` here, even on the static
-    exit; ``None`` scans no edges.
-    """
-    if closures is None:
-        return None
-    active = _active_set(network, closures)
-    return closures if isinstance(closures, ClosureSet) else active
-
-
 def _route(
     network: RoadNetwork,
     scope: ScopeMapping,
     source: int,
     target: int,
-    detour_class: str,
-    close,
+    closures,
+    enhanced: bool,
 ) -> DetourResult:
     """The detour steps in order: static result and early exit, the closure
-    set ``close()`` returns as ``(active, qc_iterations, qc_added)``, record
-    runs, then the rest of the context and the permit-state search.
+    set and its weightings, grown by the quasi-closure when ``enhanced``,
+    record runs, then the rest of the context and the permit-state search.
+
+    A caller's ``closures`` are read once, before the static search, so an
+    unknown edge id raises ``NetworkError`` even on the static exit and a
+    one-shot iterable is not used up. After a failed exit one pass over the
+    weights (``derive_closures``) gives the closure set and its weightings
+    (``_weightings``), which everything after reads.
 
     The static result comes from ``bidirectional_s_dijkstra`` on the base
     weights of every copy, goal-directed once the network has its landmark
@@ -847,14 +836,20 @@ def _route(
     The permit-state search reads the same landmark table for its
     potentials; only without a table does it never queue a state at a
     vertex that cannot reach the far end. With the table, and open weights
-    that are positive integers, the gate runs are lazy (``_context``), with
-    the drained runs' labels wherever the search reads them.
+    that are positive integers (``_Weightings.goal``), the gate runs are
+    lazy, with the drained runs' labels wherever the search reads them.
     """
+    active = None if closures is None else _active_set(network, closures)
     res = DetourResult(None, INF, "unreachable")
     if _static_exit(res, network, bidirectional_s_dijkstra(network, scope, source, target)):
         return res
-    active, res.qc_iterations, res.qc_added = close()
-    ctx = _context(network, scope, active, source, target, lazy=True)
+    derived = derive_closures(network)
+    closed = _weightings(network, derived.hard if active is None else active, derived.edges)
+    if enhanced:
+        qc = _quasi_closure(network, scope, closures, closed, source, target)
+        res.qc_iterations, res.qc_added = qc.iterations, len(qc.edges) - len(qc.hard)
+        closed = _weightings(network, qc.edges, derived.edges)
+    ctx = _context(network, scope, closed, source, target)
     fwd, bwd, meeting = _state_search_halves(ctx)
     res.scanned_detour = sum(len(here) for half in (fwd, bwd) for here in half.settled.values())
     res.scanned_detour_vertices = len(fwd.settled) + len(bwd.settled)
@@ -868,7 +863,7 @@ def _route(
         prefix.reverse()
         res.walk = Walk(source, tuple(prefix + suffix))
         res.cost_updated = rank[0]
-        res.klass = detour_class
+        res.klass = "enhanced-detour" if enhanced else "simple-detour"
         res.permit_edges = tuple(sorted(set(prefix_permits + suffix_permits)))
     elif res.static_walk is not None and res.static_cost_updated < INF:
         res.walk = res.static_walk
@@ -891,11 +886,7 @@ def simple_detour_route(
     weights. The returned walk is the cheaper (under updated weights) of the
     static optimum and the best detour-admissible walk.
     """
-    closures = _read_closures(network, closures)
-    return _route(
-        network, scope, source, target, "simple-detour",
-        lambda: (_active_set(network, closures), 0, 0),
-    )
+    return _route(network, scope, source, target, closures, False)
 
 
 def enhanced_detour_route(
@@ -911,24 +902,27 @@ def enhanced_detour_route(
     early exit, so a result of the early exit carries ``qc_iterations`` and
     ``qc_added`` of 0.
     """
-    closures = _read_closures(network, closures)
-
-    def close():
-        qc = qc_closure(network, scope, closures, source, target)
-        return qc.edges, qc.iterations, len(qc.edges) - len(qc.hard)
-
-    return _route(network, scope, source, target, "enhanced-detour", close)
+    return _route(network, scope, source, target, closures, True)
 
 
-def _plain_reach(pack, vertex_count: int, source: int, blocked) -> list[bool]:
-    """Vertices reachable from ``source`` over open edges, gates ignored."""
+def _recheck_detour(walk: Walk, network: RoadNetwork, scope: ScopeMapping, enhanced: bool, s, t):
+    """Re-check a returned detour walk on a freshly built context, never the
+    search's own, with the closures its route used: the quasi-closure set
+    for the enhanced route, ``None`` (the hard closures) for the simple one."""
+    closures = qc_closure(network, scope, None, s, t) if enhanced else None
+    return validate_simple_detour(walk, network, scope, closures, s, t)
+
+
+def _plain_reach(pack, vertex_count: int, source: int, weights) -> list[bool]:
+    """Vertices reachable from ``source`` over edges finite in ``weights``,
+    gates ignored."""
     reached = [False] * vertex_count
     reached[source] = True
     stack = [source]
     while stack:
         v = stack.pop()
         for e, u, _lv in pack[v]:
-            if not reached[u] and not blocked[e]:
+            if not reached[u] and weights[e] != INF:
                 reached[u] = True
                 stack.append(u)
     return reached
@@ -963,21 +957,27 @@ def qc_closure(
     for vertex, role in ((source, "source"), (target, "target")):
         if not (0 <= vertex < network.vertex_count):
             raise NetworkError(f"unknown {role} vertex {vertex}")
+    closed = _weightings(network, _active_set(network, closures))
+    return _quasi_closure(network, scope, closures, closed, source, target)
+
+
+def _quasi_closure(network: RoadNetwork, scope: ScopeMapping, closures, closed, source, target):
+    """``qc_closure`` on the weightings ``closed`` of ``closures``: the edges
+    left open are the finite ones of ``closed.open``. Of ``closures`` only a
+    ``ClosureSet``'s hard set and tags are read, so a used-up iterable will do."""
     base = closures if isinstance(closures, ClosureSet) else None
-    active = set(_active_set(network, closures))
-    hard = frozenset(active) if base is None else base.hard
+    active = set(closed.active)
+    hard = closed.active if base is None else base.hard
     kind = dict(base.kind) if base is not None else {e: "hard" for e in active}
     scope.validate(network)
     n = network.vertex_count
-    m = network.edge_count
     tails, heads = network.tails, network.heads
-    wstar = network.weight_updated
-    blocked = [e in active or wstar[e] == INF for e in range(m)]
-    t_reach = _plain_reach(_edge_pack(network.reverse(), scope), n, target, blocked)
-    s_reach = _plain_reach(_edge_pack(network, scope), n, source, blocked)
+    weights = closed.open
+    t_reach = _plain_reach(_edge_pack(network.reverse(), scope), n, target, weights)
+    s_reach = _plain_reach(_edge_pack(network, scope), n, source, weights)
     added = 0
-    for e in range(m):
-        if blocked[e]:
+    for e in range(network.edge_count):
+        if weights[e] == INF:
             continue
         if not t_reach[heads[e]]:
             kind[e] = "quasi-t"

@@ -402,6 +402,18 @@ def _build_landmark_rows(network: RoadNetwork) -> array | None:
     return rows
 
 
+def _goal_directed(network: RoadNetwork, raised) -> bool:
+    """Whether a search on a weighting at or above the base one may be
+    goal-directed: the network has its landmark table, which its base
+    weights pass, and ``raised``, the entries above their base weight (or
+    all), are positive integers whose distances stay below int32's largest
+    value. Neither counts a static search nor builds the table."""
+    return (
+        network._aux.get("landmarks") is not None
+        and _distance_bound(raised, network.vertex_count) < _FAR
+    )
+
+
 def _goal_potentials(network: RoadNetwork, weighting, source: int, target: int):
     """Consistent lower bounds for a bidirectional search, or ``(None, None)``.
 
@@ -410,16 +422,13 @@ def _goal_potentials(network: RoadNetwork, weighting, source: int, target: int):
     int32's largest value, which keeps them valid and consistent.
     Base-weight distances bound the distances of every weighting at or
     above the base one and of every scope, which only removes walks; so
-    they hold for the named weightings of every weight variant. ``None``
-    unless the table exists and the searched weights are positive integers
-    with distances below int32's largest value.
+    they hold for the named weightings of every weight variant, where
+    ``_goal_directed`` allows them.
     """
     if weighting not in ("base", "updated"):
         return None, None
-    if _landmark_rows(network) is None or (
-        weighting == "updated"
-        and _distance_bound(network.weight_updated, network.vertex_count) >= _FAR
-    ):
+    _landmark_rows(network)  # counts this search, and builds the table when due
+    if not _goal_directed(network, network.weight_updated if weighting == "updated" else ()):
         return None, None
     return _landmark_potentials(network, source, target)
 

@@ -33,7 +33,7 @@ from scoperoute import (
 )
 from scoperoute.cli import main
 
-from conftest import random_network, strongly_connected_network
+from conftest import bypass_network, random_network, strongly_connected_network
 
 INF = math.inf
 
@@ -124,6 +124,31 @@ class TestCriterion3SimpleDetourOptimality:
             assert got == expected
             checked += 1
         report(f"criterion 3 (simple-detour optimality on {checked} seeded instances): PASS")
+
+    def test_route_cost_matches_validated_brute_force_on_bypass_networks(self):
+        # The same comparison on the failed static exits of the bypass
+        # networks, for both routes; the enhanced one is checked against its
+        # own closure set, the quasi-closure. (A static walk that survives
+        # is returned by the early exit, even where a detour would be
+        # cheaper; criterion 3 closes an edge of it, so it never survives.)
+        failed = permitted = 0
+        for seed in range(3000):
+            net, scope, s, t = bypass_network(random.Random(seed))
+            for route in (simple_detour_route, enhanced_detour_route):
+                res = route(net, scope, s, t)
+                if res.static_walk is not None and res.static_cost_updated == res.static_cost_base:
+                    continue
+                failed += 1
+                closures = qc_closure(net, scope, None, s, t) if route is enhanced_detour_route else None
+                ctx = build_detour_context(net, scope, closures, s, t)
+                expected = _brute_min_detour(net, scope, ctx.active, s, t, net.vertex_count + 4, ctx)
+                if res.static_walk is not None:
+                    expected = min(expected, res.static_walk.cost(net, "updated"))
+                got = res.cost_updated if res.walk is not None else INF
+                assert got == expected, (seed, route.__name__)
+                permitted += bool(res.permit_edges)
+        assert failed > 2000 and permitted > 500, (failed, permitted)
+        report(f"criterion 3 (both routes on 3000 bypass networks, {failed} failed exits): PASS")
 
 
 class TestCriterion4QcClosureLaws:

@@ -91,6 +91,18 @@ class TestFindObstructed:
             for r in records if r.side == "t" and r.vertex < 2
         ] == [(0, 0, (2.0, 0.0), 1, (0.0, 0.0)), (1, 0, (0.0, 0.0), 1, (2.0, 0.0))]
 
+    def test_draw_equal_to_the_budget_is_within_it(self):
+        # The permit fixture with its last road at weight 5: the forward
+        # record run crosses the closure into b, and t's draw from b is 5
+        # at level 0, exactly the level-0 budget. A budget bounds the draw
+        # inclusively, so t's record is at level 0 and grants its bit.
+        net = build_network(4, [(0, 1), (1, 2), (2, 3), (1, 2)], [10, 10, 5, 4])
+        closed = net.with_updated_weights({1: INF})
+        scope = make_scope([1, 1, 1, 0], [5, INF])
+        records = {(r.vertex, r.side): r for r in find_obstructed(closed, scope, None, 0, 3)}
+        assert (records[(3, "s")].state, records[(3, "s")].level) == ((5.0, 0.0), 0)
+        assert build_detour_context(closed, scope, None, 0, 3).backward.grant == [0, 0, 1, 1]
+
     def test_n1e5_closure_tail_record(self, n1e5, n1e5_scope5):
         closed = n1e5.with_updated_weights({1: INF})
         records = find_obstructed(closed, n1e5_scope5, None, 0, 3)
@@ -160,7 +172,8 @@ def _record_cases(seeds: int):
     for seed in range(seeds):
         for closed, scope, s, t in (_closed_random_case(seed), _closed_random_case(seed, True)):
             ctx = build_detour_context(closed, scope, None, s, t)
-            weights = scoperoute.detour._record_weights(closed, ctx.active)
+            base = closed.weight
+            weights = [base[e] if e in ctx.active else w for e, w in enumerate(closed.weight_updated)]
             fwd, bwd = ctx.record_runs
             for r in scoperoute.detour._records_from_runs(scope, ctx.active, fwd, bwd):
                 # Plain "s" and amended "t" records come from the forward run.
@@ -256,6 +269,9 @@ class TestSimpleDetour:
         assert res.cost_updated == 24.0
         assert res.walk.edges == (0, 3, 2)
         assert res.permit_edges == (3,)
+        # Each half takes the bypass on a permit once: forwards from a,
+        # backwards from b.
+        assert res.permits_issued == 2
         assert res.static_cost_base == 30.0
         assert res.static_cost_updated == INF
 
@@ -634,6 +650,7 @@ class TestEnhancedDetour:
         assert enhanced.qc_added == 0
         assert enhanced.cost_updated == simple.cost_updated
         assert enhanced.walk.edges == simple.walk.edges
+        assert enhanced.permits_issued == simple.permits_issued == 2
 
     def test_enhanced_succeeds_where_simple_dead_ends(self):
         # Proper two-level network: the main road a->b->c->t is closed at
@@ -751,7 +768,8 @@ def _failed_exit_searches(n1, scope, monkeypatch, route, update):
     active = derive_closures(closed).hard
     if route is enhanced_detour_route:
         active = qc_closure(closed, scope, None, 0, 3).edges
-    record = tuple(scoperoute.detour._record_weights(closed, active))
+    base = closed.weight
+    record = tuple(base[e] if e in active else w for e, w in enumerate(closed.weight_updated))
     opened = tuple(INF if e in active else w for e, w in enumerate(closed.weight_updated))
     calls = _log_searches(monkeypatch, closed)
     res = route(closed, scope, 0, 3)
@@ -783,6 +801,42 @@ def test_failed_exit_with_the_table_drains_only_the_record_runs(
         assert n1._aux["landmarks"] is not None
         gates = [(0, opened), (3, opened)] if drained_gates else []
         assert calls == [("static", 0, 3), (0, record), (3, record)] + gates, update
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
+@pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
+def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request, route, table):
+    # A failed static exit reads the weights in one pass, derive_closures,
+    # with closures None or given: the closure set, the quasi-closure, both
+    # weightings and the test whether the gate runs may be goal-directed
+    # all come from it. That test reads only the raised edges, never all m
+    # weights. A static exit reads none.
+    if table:
+        request.getfixturevalue("landmarks_at_once")
+        bidirectional_s_dijkstra(n1, n1_scope15, 0, 3)  # builds the table
+    passes, bounded = [], []
+    real_derive = scoperoute.detour.derive_closures
+    real_bound = scoperoute.search._distance_bound
+
+    def derive(network):
+        passes.append(network)
+        return real_derive(network)
+
+    def bound(weights, vertex_count):
+        bounded.append(len(weights))
+        return real_bound(weights, vertex_count)
+
+    monkeypatch.setattr(scoperoute.detour, "derive_closures", derive)
+    monkeypatch.setattr(scoperoute.search, "_distance_bound", bound)
+    cases = [({3: INF}, None, 0), ({1: INF}, None, 1), ({1: 30}, None, 1), ({1: 30.5}, None, 1)]
+    cases += [({1: 30}, frozenset({1}), 1), ({1: INF, 3: 25}, frozenset({1, 3}), 1)]
+    for update, closures, failed in cases:
+        del passes[:]
+        res = route(n1.with_updated_weights(update), n1_scope15, 0, 3, closures)
+        assert (res.klass == "static", len(passes)) == (not failed, failed), update
+    assert ("landmarks" in n1._aux) == table
+    assert bounded if table else not bounded
+    assert all(length < n1.edge_count for length in bounded), bounded
 
 
 def test_landmark_potentials_give_the_routes_of_dijkstra_potentials(
@@ -886,18 +940,19 @@ def test_copy_without_raised_edges_runs_no_drained_search(monkeypatch, route, pl
 
 def test_quasi_closure_only_after_the_static_exit(n1, n1_scope15, permit_fixture, monkeypatch):
     # The enhanced route grows the closure set only once the static walk has
-    # failed; a static result reports no quasi-closure work.
+    # failed, from the open weighting it has read; a static result reports
+    # no quasi-closure work.
     calls = []
-    real = scoperoute.detour.qc_closure
+    real = scoperoute.detour._quasi_closure
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scoperoute.detour, "qc_closure", counting)
+    monkeypatch.setattr(scoperoute.detour, "_quasi_closure", counting)
     res = enhanced_detour_route(n1.with_updated_weights({3: INF}), n1_scope15, 0, 3)
     assert (res.klass, res.qc_iterations, res.qc_added, len(calls)) == ("static", 0, 0, 0)
     net, scope = permit_fixture
     res = enhanced_detour_route(net, scope, 0, 3)
     assert (res.klass, len(calls)) == ("enhanced-detour", 1)
-    assert res.qc_iterations == real(net, scope, None, 0, 3).iterations
+    assert res.qc_iterations == qc_closure(net, scope, None, 0, 3).iterations

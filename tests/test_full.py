@@ -4,6 +4,7 @@ import random
 import pytest
 
 from scoperoute import (
+    Decomposition,
     NetworkError,
     Walk,
     bidirectional_s_dijkstra,
@@ -103,6 +104,27 @@ class TestValidateFullDetour:
         walk, cost = brute_force_full_optimum(net, scope, frozenset(), 0, 2)
         assert walk.edges == (2,) and cost == 5.0
         assert validate_full_detour(walk, net, scope, frozenset(), 0, 2).accepted
+
+    def test_breakpoint_between_reverse_anchors(self):
+        # Two closed unbounded roads, 2 = (2, 3) and 5 = (5, 6), each with a
+        # level-0 bypass. The walk 0-7-3-4-5-2-6 is accepted with forward
+        # anchors at positions 0 and 4 and reverse anchors at 6 and 2: the
+        # forward anchor 4 sits between the reverse ones, and so does the
+        # breakpoint 5 of its slot. The reverse chain from 6 to 2 therefore
+        # probes position 2 with the most restrictive charge, not with the
+        # draw of the seeded run from t; with that draw the chain (6, 2)
+        # fails and the witness needs a third reverse anchor.
+        edges = [
+            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7),
+            (7, 3), (3, 8), (8, 6), (0, 7), (2, 6), (5, 2),
+        ]
+        weights = [8, 5, 8, 2, 9, 4, 1, 3, 5, 1, 8, 4, 5]
+        net = build_network(9, edges, weights).with_updated_weights({2: INF, 5: INF})
+        scope = make_scope([2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 1, 0], [2, 4, INF])
+        verdict = validate_full_detour(Walk(0, (10, 7, 3, 4, 12, 11)), net, scope, None, 0, 6)
+        zero = (0.0, 0.0, 0.0)
+        assert verdict.accepted
+        assert verdict.witness == Decomposition((0, 4), (6, 2), (0, 5), (zero, zero), (zero, zero))
 
     def test_zero_closure_reduction(self):
         rng = random.Random(92)

@@ -11,7 +11,10 @@ table on its first static search and once with no table, and records per
 result the class, cost, walk, permit edges and counts, and the verdicts of
 ``validate_split_admissible`` and of ``validate_simple_detour`` (with
 closures ``None`` and with the ``qc_closure`` set) on the static walk and
-the returned walk. Per network and query it also records, as two separate
+the returned walk. Each case is routed again with its closures given
+explicitly, as a "routes" case per form: every raised edge as a frozenset
+and as a one-shot generator, and ``derive_closures``' ``ClosureSet``.
+Per network and query it also records, as two separate
 cases, ``find_obstructed``'s records (as their ``repr``) and the grant,
 gate and clean masks of both directions of ``build_detour_context``, so
 that a difference in record states cannot hide one in the masks; a gate
@@ -63,14 +66,20 @@ def masks(direction, scope) -> list:
     return [direction.grant, gate, direction.clean]
 
 
+def outcome(res) -> list:
+    """A route result's fields and walk."""
+    walk = None if res.walk is None else [res.walk.start, res.walk.edges]
+    return [getattr(res, f) for f in FIELDS] + [walk]
+
+
 def one_side(src: str, seeds: int, bench: bool) -> dict:
     sys.path[:0] = [src, str(ROOT / "tests")]
     import scoperoute.search
     from scoperoute import (
-        BenchConfig, balance_to_proper, build_detour_context, enhanced_detour_route,
-        brute_force_full_optimum, find_obstructed, generate_synthetic, qc_closure, run_benchmark,
-        simple_detour_route, validate_full_detour, validate_simple_detour,
-        validate_split_admissible,
+        BenchConfig, balance_to_proper, build_detour_context, derive_closures,
+        enhanced_detour_route, brute_force_full_optimum, find_obstructed, generate_synthetic,
+        qc_closure, run_benchmark, simple_detour_route, validate_full_detour,
+        validate_simple_detour, validate_split_admissible,
     )
     from conftest import bypass_network
     from test_detour import _closed_random_case
@@ -106,8 +115,21 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
                         f"seed {seed}{' fractional' if fractional else ''} "
                         f"{'with' if table else 'without'} table, {route.__name__}"
                     )
-                    walk = None if res.walk is None else [res.walk.start, res.walk.edges]
-                    cases[name] = [getattr(res, f) for f in FIELDS] + [walk, verdicts]
+                    cases[name] = outcome(res) + [verdicts]
+                raised = derive_closures(closed)
+                ids = sorted(raised.edges)
+                for form, given in (
+                    ("frozenset", lambda: frozenset(ids)),
+                    ("generator", lambda: (e for e in ids)),
+                    ("ClosureSet", lambda: raised),
+                ):
+                    for route in routes:
+                        name = (
+                            f"seed {seed}{' fractional' if fractional else ''} "
+                            f"{'with' if table else 'without'} table, {route.__name__}, "
+                            f"closures {form}"
+                        )
+                        cases[name] = outcome(route(closed, scope, s, t, given()))
     scoperoute.search._PLAIN_SEARCHES = plain_searches
     for seed in range(FULL_SEEDS):
         net, scope, s, t = bypass_network(random.Random(seed))

@@ -13,23 +13,35 @@ query an unchanged copy, ``city-detour`` a cold copy with a fresh set of 50
 closures (one on the static optimum), and ``city-incident`` one copy with
 50 closures to each block of 25 queries (one on the block's first static
 optimum). It reports each phase's self time per query: a wrapped call's
-time minus that of the wrapped calls it makes. A function a side lacks is
-named on stderr, and its phase reads 0 there, so that two versions can
-still be compared across a rename. "record runs" are the drained searches
-(``_drained_runs``): the record runs, and the static runs too where a
-version takes its static step from drained runs; where a version builds
-the record weighting inside ``_drained_runs``, that list counts here too.
-"gate runs" are ``_direction``, which drains a gate run or sets up a lazy
-one, and ``_settle_gate``, which steps a lazy one from inside the state
-search. "potentials" are the state search's ``dijkstra`` runs; they read 0 once
-the network has its landmark table. "landmark build" is paid once per
-network, in the static search that follows the plain ones; it is not part
-of "route, whole" or "route, rest". The output holds the mean, median and
-p90 per phase in ms, before and after, and the same figures for the
-vertices each gate run settled (its ``order`` when the route returns; a
-lazy run's last final vertex is not in it yet), with the Python version
-and core count, under the workload's name; other workloads already in the
-file are kept.
+time minus that of the wrapped calls it makes. A phase lists the
+functions of every version it has been measured on, so that two versions
+can still be compared across a rename; the functions a side lacks are
+named on stderr and under ``missing`` in the output, and a phase none of
+whose functions a side has reads 0 there.
+
+"closures / weightings" is reading the closure set after a failed static
+exit and building the record and open weightings from it, with the test
+whether the gate runs may be goal-directed: ``derive_closures`` (the one
+pass over the weights), ``_active_set`` and ``_weightings``; in older
+versions also ``_record_weights`` and ``_lazy_gate_potentials``, while the
+open weighting was built inside the context, under "route, rest". "record
+runs" are the drained searches (``_drained_runs``): the record runs, and
+the static runs too where a version takes its static step from drained
+runs. "gate runs" are ``_direction``, which drains a gate run or sets up a
+lazy one, and ``_settle_gate``, which steps a lazy one from inside the
+state search.
+"potentials" are the state search's ``dijkstra`` runs; they read 0 once the
+network has its landmark table. "landmark build" is paid once per network,
+in the static search that follows the plain ones; it is not part of
+"route, whole" or "route, rest".
+
+The output holds the mean, median and p90 per phase in ms, before and
+after, and the same figures for two counts: the vertices each gate run
+settled (its ``order`` when the route returns; a lazy run's last final
+vertex is not in it yet), and the passes over all the weights outside the
+searches per route that fails the static exit (the outermost calls of
+``WEIGHT_PASSES``). It adds the Python version and core count, under the
+workload's name; other workloads already in the file are kept.
 
 ``--src SRC`` runs one side and prints its per-query times and per-run
 counts as JSON.
@@ -53,6 +65,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # Function of a scoperoute module -> the phase its self time counts towards.
 PHASES = {
     ("detour", "bidirectional_s_dijkstra"): "static search",
+    ("detour", "derive_closures"): "closures / weightings",
+    ("detour", "_active_set"): "closures / weightings",
+    ("detour", "_weightings"): "closures / weightings",
+    ("detour", "_record_weights"): "closures / weightings",
+    ("detour", "_lazy_gate_potentials"): "closures / weightings",
     ("detour", "_drained_runs"): "record runs",
     ("detour", "_records_from_runs"): "records / grants",
     ("detour", "_record_pass"): "records / grants",
@@ -63,7 +80,11 @@ PHASES = {
     ("detour", "_state_search_halves"): "state search",
     ("search", "_build_landmark_rows"): "landmark build",
 }
+# Functions of the detour module that each read all the weights, outside
+# the searches, in some version.
+WEIGHT_PASSES = (("detour", "derive_closures"), ("detour", "_distance_bound"))
 GATE_SETTLED = "gate run, vertices settled"
+PASSES = "weight passes per failed exit"
 BUILD = "landmark build"
 ROUTE = "route, whole"
 OTHER = "route, rest"
@@ -93,9 +114,9 @@ class SelfTimes:
         return timed
 
 
-def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, dict[str, list[float]]]:
-    """Per-phase self times in ms, one entry per query, and the vertices
-    settled per gate run, for the sources at ``src``."""
+def measure(src: str, workload: str, queries: int, seed: int) -> dict:
+    """Per-phase self times in ms, one entry per query, the counts, and the
+    functions the sources at ``src`` lack."""
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     import scoperoute as sr
     import scoperoute.detour
@@ -108,12 +129,34 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, dict[
     sr.qc_closure(base, scope, (), 0, base.vertex_count - 1)
     top_edges = [e for e in range(base.edge_count) if scope.level[e] == scope.top]
     times = SelfTimes()
+    missing = []
     for (module_name, name), phase in PHASES.items():
         module = getattr(scoperoute, module_name)
         if hasattr(module, name):
             setattr(module, name, times.wrap(getattr(module, name), phase))
         else:
-            print(f"{src}: no scoperoute.{module_name}.{name}, {phase!r} reads 0", file=sys.stderr)
+            missing.append(f"{module_name}.{name}")
+            print(f"{src}: no scoperoute.{module_name}.{name} for {phase!r}", file=sys.stderr)
+    # [depth, outermost calls] of the weight-pass functions.
+    passes = [0, 0]
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            passes[1] += passes[0] == 0
+            passes[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                passes[0] -= 1
+
+        return call
+
+    for module_name, name in WEIGHT_PASSES:
+        module = getattr(scoperoute, module_name)
+        if hasattr(module, name):
+            setattr(module, name, counted(getattr(module, name)))
+        elif f"{module_name}.{name}" not in missing:
+            missing.append(f"{module_name}.{name}")
     # Keep each direction a route builds, to count its gate run's settled vertices.
     directions = []
     timed_direction = getattr(scoperoute.detour, "_direction", None)
@@ -125,6 +168,7 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, dict[
     if timed_direction is not None:
         scoperoute.detour._direction = collecting
     gate_settled: list[float] = []
+    weight_passes: list[float] = []
     phases = sorted(set(PHASES.values()))
     per_query: dict[str, list[float]] = {p: [] for p in phases + [ROUTE, OTHER]}
     spec = WORKLOADS[workload]
@@ -139,16 +183,20 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict[str, dict[
             updates = place_closures(rng, base, static.walk, top_edges, spec.closures) if spec.closures else {}
             closed = base.with_updated_weights(updates)
         built = times.ms.get(BUILD, 0.0)
+        passes[1] = 0
         t0 = perf_counter()
-        sr.simple_detour_route(closed, scope, s, t)
+        res = sr.simple_detour_route(closed, scope, s, t)
         whole = (perf_counter() - t0) * 1000.0 - (times.ms.get(BUILD, 0.0) - built)
+        if res.static_walk is None or res.static_cost_updated != res.static_cost_base:
+            weight_passes.append(passes[1])
         for p in phases:
             per_query[p].append(times.ms.get(p, 0.0))
         per_query[ROUTE].append(whole)
         per_query[OTHER].append(whole - sum(ms for p, ms in times.ms.items() if p != BUILD))
         gate_settled.extend(len(d.gate.order) for d in directions)
         directions.clear()
-    return {"ms": per_query, "counts": {GATE_SETTLED: gate_settled}}
+    counts = {GATE_SETTLED: gate_settled, PASSES: weight_passes}
+    return {"ms": per_query, "counts": counts, "missing": sorted(missing)}
 
 
 def summary(values: list[float]) -> dict[str, float]:
@@ -160,7 +208,7 @@ def summary(values: list[float]) -> dict[str, float]:
     }
 
 
-def run_side(src: str, workload: str, queries: int, seed: int) -> dict[str, dict[str, list[float]]]:
+def run_side(src: str, workload: str, queries: int, seed: int) -> dict:
     cmd = [
         sys.executable, __file__, "--src", src, "--workload", workload,
         "--queries", str(queries), "--seed", str(seed),
@@ -190,6 +238,7 @@ def main() -> None:
     sources = {"before": args.before, "after": args.after}
     sides: dict[str, dict[str, list[float]]] = {"before": {}, "after": {}}
     counts: dict[str, dict[str, list[float]]] = {"before": {}, "after": {}}
+    missing: dict[str, list[str]] = {}
     for r in range(args.rounds):
         for side in ("before", "after") if r % 2 == 0 else ("after", "before"):
             measured = run_side(sources[side], args.workload, args.queries, args.seed)
@@ -197,9 +246,10 @@ def main() -> None:
                 sides[side].setdefault(phase, []).extend(times)
             for name, values in measured["counts"].items():
                 counts[side].setdefault(name, []).extend(values)
+            missing[side] = measured["missing"]
     report = {
         "workload": args.workload,
-        "what": "self time per phase of one simple_detour_route call, and of the landmark build in the static search before it, ms per query; counts: vertices settled per gate run",
+        "what": "self time per phase of one simple_detour_route call, and of the landmark build in the static search before it, ms per query; counts: vertices settled per gate run, and passes over all the weights per failed static exit",
         "seed": args.seed,
         "queries": args.queries,
         "rounds": args.rounds,
@@ -215,6 +265,7 @@ def main() -> None:
             for name in counts["after"]
             if all(len(values.get(name, ())) > 1 for values in counts.values())
         },
+        "missing": missing,
     }
     out = Path(args.out)
     reports = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
@@ -226,6 +277,8 @@ def main() -> None:
         print(f"{phase:<{width}}  mean {b:8.2f} -> {a:8.2f} ms")
     for name, row in report["counts"].items():
         print(f"{name}: mean {row['before']['mean']:.1f} -> {row['after']['mean']:.1f}")
+    for side, names in missing.items():
+        print(f"{side} lacks: {', '.join(names) or 'nothing'}")
 
 
 if __name__ == "__main__":
