@@ -33,7 +33,11 @@ by the landmark bounds the search uses and stepped only until the vertex a
 search state settles at is final. Its labels there are the drained run's
 (see ``_settle_gate``). Elsewhere, and in ``build_detour_context`` and the
 validators always, the gate runs are drained, so a route is checked
-against labels computed independently of its lazy runs.
+against labels computed independently of its lazy runs. Where the gate
+runs are lazy, a route first steps them as a certificate: when their split
+minimum equals the plain open-weight distance, no walk is cheaper and the
+split minimum's walk needs no permit, so no record is built
+(``_certificate``).
 
 The search explores (vertex, carried-permit mask, owed-permit mask) states
 in both directions, each goal-directed by lower bounds on the distance to
@@ -64,13 +68,18 @@ from .network import (
     zero_vector,
 )
 from .search import (
+    BidirectionalResult,
     ScopeSearchResult,
     _edge_pack,
     _goal_directed,
+    _goal_directed_meeting,
     _landmark_potentials,
     _level_cached,
+    _scope_run,
     _scope_search,
+    _scope_steps,
     _split_exists,
+    _split_minimum,
     _usable,
     bidirectional_s_dijkstra,
     dijkstra,
@@ -347,14 +356,16 @@ class _Direction:
     records; backwards: the reversed network from the target, ``"s"``
     records. Per vertex, ``pack`` lists the edges to relax, ``grant`` the
     levels of the records there and ``clean`` the levels at which it is
-    corridor-clean. ``bound`` is the landmark bound on the distance to the
-    far end, ``None`` while the network has no landmark table, and
-    ``bounds`` its values, ``-1.0`` where not evaluated yet, shared by the
-    gate run and the permit-state half of this direction. ``gate`` is the
-    run from the endpoint on the open weighting, read through ``_usable``:
-    drained, or lazy while ``steps`` holds the rest of a run goal-directed
-    by ``bound``, in which case a label is final only where ``final`` is set
-    (``_settle_gate``).
+    corridor-clean; the record pass sets ``grant``. ``bound`` is the
+    landmark bound on the distance to the far end, ``None`` while the
+    network has no landmark table, and ``bounds`` its values, ``-1.0``
+    where not evaluated yet, shared by the gate run, the certificate's
+    plain run (forwards) and the permit-state half of this direction.
+    ``gate`` is the run from the endpoint on the open weighting, read
+    through ``_usable``: drained, or lazy while ``steps`` holds the rest of
+    a run goal-directed by ``bound``, in which case a label is final only
+    where ``final`` is set (``_certificate`` hands it on so, and
+    ``_settle_gate`` steps it on).
     """
 
     pack: list[tuple[tuple[int, int, int], ...]]
@@ -371,16 +382,17 @@ def _direction(
     network: RoadNetwork,
     scope: ScopeMapping,
     endpoint: int,
-    grant: list[int],
     closed: _Weightings,
     bound: Callable[[int], float] | None,
 ) -> _Direction:
-    """One direction's tables and its gate run from ``endpoint`` on the open
-    weighting (``network`` reversed for the backward one): drained, or
-    where ``closed.goal`` allows it, goal-directed by ``bound`` and left for
-    the permit-state search to step (``_settle_gate``)."""
+    """One direction's tables, no grant bit set yet, and its gate run from
+    ``endpoint`` on the open weighting (``network`` reversed for the
+    backward one): drained, or where ``closed.goal`` allows it,
+    goal-directed by ``bound`` and left for the certificate and the
+    permit-state search to step."""
     pack, clean = _edge_pack(network, scope), _clean_masks(network, scope, closed.active)
     n = network.vertex_count
+    grant = [0] * n
     bounds = None if bound is None else [-1.0] * n
     if not closed.goal:
         gate = s_dijkstra(network, scope, endpoint, closed.open)
@@ -405,6 +417,62 @@ def _settle_gate(direction: _Direction, v: int) -> None:
         if u == v:
             return
     final[:] = b"\x01" * len(final)
+
+
+def _certificate(
+    network: RoadNetwork, scope: ScopeMapping, forward: _Direction, backward: _Direction
+) -> BidirectionalResult | None:
+    """The gate runs' split minimum U when it costs d_open (see ``_route``),
+    else ``None``.
+
+    The lazy gate runs are stepped as ``bidirectional_s_dijkstra`` steps
+    its goal-directed runs, until both keys pass d_open; U is then d_open
+    if the drained runs' split minimum is. U's walk is a tree walk of the
+    gate runs: each prefix edge passes the forward gate at its tail and
+    each suffix edge the backward gate at its head, so it needs no permit.
+
+    Otherwise the gate runs are handed on to the permit-state search: every
+    vertex a run settled is marked final, and so is its pending head, whose
+    labels are final once yielded; a run that ended is final everywhere.
+    """
+    d_open = _open_distance(network, scope, forward, backward.gate.source)
+    if d_open == INF:
+        return None
+    runs = (forward.gate, backward.gate)
+    heads = _goal_directed_meeting(runs, (forward.steps, backward.steps), d_open)
+    split = _split_minimum(*runs)
+    if split.cost == d_open:
+        return split
+    for direction, head in zip((forward, backward), heads):
+        final = direction.final
+        if head is None:
+            final[:] = b"\x01" * len(final)
+            continue
+        for v in direction.gate.order:
+            final[v] = 1
+        final[head[2]] = 1
+    return None
+
+
+def _open_distance(
+    network: RoadNetwork, scope: ScopeMapping, forward: _Direction, target: int
+) -> float:
+    """The plain distance from the forward gate run's source to ``target``
+    on its weights, the open weighting, scope ignored.
+
+    A run of ``_scope_steps`` with every budget infinite, so no gate ever
+    closes, goal-directed by ``forward.bound`` into the shared
+    ``forward.bounds``. The bound is consistent and 0 at ``target``, so
+    keys never fall and ``target`` would settle at key d_open: the run
+    stops once the head's key reaches ``target``'s distance label.
+    """
+    run = _scope_run(network, scope, forward.gate.source, forward.gate._weights)
+    flat = (INF,) * scope.level_count
+    dist = run.dist
+    for key, _d, _u in _scope_steps(run, forward.pack, flat, forward.bound, forward.bounds):
+        if dist[target] <= key:
+            break
+    return dist[target]
 
 
 @dataclass
@@ -449,18 +517,33 @@ def build_detour_context(
     return _context(network, scope, closed, source, target)
 
 
+def _directions(
+    network: RoadNetwork, scope: ScopeMapping, closed: _Weightings, source: int, target: int
+) -> tuple[_Direction, _Direction]:
+    """The forward and the backward direction, bounded by the landmark
+    potentials of ``source`` and ``target``."""
+    to_target, to_source = _landmark_potentials(network, source, target)
+    return (
+        _direction(network, scope, source, closed, to_target),
+        _direction(network.reverse(), scope, target, closed, to_source),
+    )
+
+
 def _context(
     network: RoadNetwork,
     scope: ScopeMapping,
     closed: _Weightings,
     source: int,
     target: int,
+    directions: tuple[_Direction, _Direction] | None = None,
 ) -> DetourContext:
-    """``build_detour_context`` on ``closed``, with lazy gate runs where
-    ``closed.goal`` allows them."""
+    """``build_detour_context`` on ``closed``: the record runs, then the
+    grant masks set in ``directions``, which are built after the record runs
+    where not given (with lazy gate runs where ``closed.goal`` allows)."""
     record_runs = _drained_runs(network, scope, source, target, closed.record)
+    forward, backward = directions or _directions(network, scope, closed, source, target)
     top = scope.top
-    grant = {"t": [0] * network.vertex_count, "s": [0] * network.vertex_count}
+    grant = {"t": forward.grant, "s": backward.grant}
 
     def grant_bit(v, side, lv, *_record):
         # The keys alone decide the masks, so no record is built.
@@ -468,11 +551,8 @@ def _context(
             grant[side][v] |= 1 << lv
 
     _record_pass(scope, closed.active, *record_runs, grant_bit)
-    to_target, to_source = _landmark_potentials(network, source, target)
     return DetourContext(
-        network, scope, closed.active, source, target, record_runs, closed.open,
-        _direction(network, scope, source, grant["t"], closed, to_target),
-        _direction(network.reverse(), scope, target, grant["s"], closed, to_source),
+        network, scope, closed.active, source, target, record_runs, closed.open, forward, backward
     )
 
 
@@ -776,7 +856,10 @@ class DetourResult:
     ``bidirectional_s_dijkstra`` settled on both sides, on every network
     copy; ``scanned_detour`` the states and ``scanned_detour_vertices`` the
     distinct vertices per side the permit-state search settled (0 after
-    the static exit).
+    the static exit). A route the certificate answers (see ``_route``)
+    counts in both the vertices its two gate runs settled; its d_open run
+    is not counted, as the permit-state search's gate, record and
+    potential runs are not.
     """
 
     walk: Walk | None
@@ -820,7 +903,8 @@ def _route(
 ) -> DetourResult:
     """The detour steps in order: static result and early exit, the closure
     set and its weightings, grown by the quasi-closure when ``enhanced``,
-    record runs, then the rest of the context and the permit-state search.
+    the certificate where it applies, else record runs, then the rest of
+    the context and the permit-state search.
 
     A caller's ``closures`` are read once, before the static search, so an
     unknown edge id raises ``NetworkError`` even on the static exit and a
@@ -838,6 +922,18 @@ def _route(
     vertex that cannot reach the far end. With the table, and open weights
     that are positive integers (``_Weightings.goal``), the gate runs are
     lazy, with the drained runs' labels wherever the search reads them.
+
+    Under the same condition a failed exit first tries a certificate
+    (``_certificate``). Every walk the detour relation accepts avoids the
+    closed edges, so it costs at least d_open, the plain distance on the
+    open weighting (``_open_distance``); the weights are positive integers,
+    so the sums are exact. When U, the gate runs' split minimum, equals
+    d_open, U's walk is a detour optimum that needs no permit, and the
+    route returns it, or the static walk if that is no dearer, without any
+    record run, grant or permit-state search. Among walks of equal cost it
+    can differ from the permit-state search's. With quasi-closures the
+    argument is the same. Otherwise the gate runs, stepped that far, go on
+    to the permit-state search.
     """
     active = None if closures is None else _active_set(network, closures)
     res = DetourResult(None, INF, "unreachable")
@@ -849,22 +945,32 @@ def _route(
         qc = _quasi_closure(network, scope, closures, closed, source, target)
         res.qc_iterations, res.qc_added = qc.iterations, len(qc.edges) - len(qc.hard)
         closed = _weightings(network, qc.edges, derived.edges)
-    ctx = _context(network, scope, closed, source, target)
-    fwd, bwd, meeting = _state_search_halves(ctx)
-    res.scanned_detour = sum(len(here) for half in (fwd, bwd) for here in half.settled.values())
-    res.scanned_detour_vertices = len(fwd.settled) + len(bwd.settled)
-    res.permits_issued = fwd.licensed_relaxations + bwd.licensed_relaxations
-    if meeting is not None and meeting[0][0] < res.static_cost_updated:
-        # The walk runs along the forward half's parent chain to the
-        # meeting vertex, then back along the reverse half's chain.
-        rank, key_f, key_b = meeting
-        prefix, prefix_permits = _unwind(fwd.label, key_f)
-        suffix, suffix_permits = _unwind(bwd.label, key_b)
-        prefix.reverse()
-        res.walk = Walk(source, tuple(prefix + suffix))
-        res.cost_updated = rank[0]
+    directions = certified = None
+    if closed.goal:
+        directions = _directions(network, scope, closed, source, target)
+        certified = _certificate(network, scope, *directions)
+    if certified is not None:
+        res.scanned_detour = res.scanned_detour_vertices = certified.scanned_count
+        walk, cost, permit_edges = certified.walk, certified.cost, ()
+    else:
+        ctx = _context(network, scope, closed, source, target, directions)
+        fwd, bwd, meeting = _state_search_halves(ctx)
+        res.scanned_detour = sum(len(here) for half in (fwd, bwd) for here in half.settled.values())
+        res.scanned_detour_vertices = len(fwd.settled) + len(bwd.settled)
+        res.permits_issued = fwd.licensed_relaxations + bwd.licensed_relaxations
+        walk, cost, permit_edges = None, INF, ()
+        if meeting is not None:
+            # The walk runs along the forward half's parent chain to the
+            # meeting vertex, then back along the reverse half's chain.
+            rank, key_f, key_b = meeting
+            prefix, prefix_permits = _unwind(fwd.label, key_f)
+            suffix, suffix_permits = _unwind(bwd.label, key_b)
+            prefix.reverse()
+            walk, cost = Walk(source, tuple(prefix + suffix)), rank[0]
+            permit_edges = tuple(sorted(set(prefix_permits + suffix_permits)))
+    if cost < res.static_cost_updated:
+        res.walk, res.cost_updated, res.permit_edges = walk, cost, permit_edges
         res.klass = "enhanced-detour" if enhanced else "simple-detour"
-        res.permit_edges = tuple(sorted(set(prefix_permits + suffix_permits)))
     elif res.static_walk is not None and res.static_cost_updated < INF:
         res.walk = res.static_walk
         res.cost_updated = res.static_cost_updated

@@ -165,6 +165,26 @@ class ScopeSearchResult(_ParentTree):
         return len(self.order)
 
 
+def _scope_run(
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    source: int,
+    weighting: str,
+    seed_sigma: tuple[float, ...] | None = None,
+) -> ScopeSearchResult:
+    """Fresh labels of a run from ``source``, only the source reached."""
+    if not (0 <= source < network.vertex_count):
+        raise NetworkError(f"unknown source vertex {source}")
+    scope.validate(network)
+    n = network.vertex_count
+    res = ScopeSearchResult(source, [INF] * n, [None] * n, [inf_vector(scope)] * n, [])
+    res._tails = network.tails
+    res._weights = network.weights(weighting) if isinstance(weighting, str) else weighting
+    res.dist[source] = 0.0
+    res.sigma[source] = zero_vector(scope) if seed_sigma is None else tuple(seed_sigma)
+    return res
+
+
 def _scope_search(
     network: RoadNetwork,
     scope: ScopeMapping,
@@ -176,17 +196,8 @@ def _scope_search(
 ):
     """Fresh labels from ``source`` and the stepping search that settles them;
     ``bounds`` as in ``_scope_steps``."""
-    if not (0 <= source < network.vertex_count):
-        raise NetworkError(f"unknown source vertex {source}")
-    scope.validate(network)
-    n = network.vertex_count
-    res = ScopeSearchResult(source, [INF] * n, [None] * n, [inf_vector(scope)] * n, [])
-    res._tails = network.tails
-    res._weights = network.weights(weighting) if isinstance(weighting, str) else weighting
-    res.dist[source] = 0.0
-    res.sigma[source] = zero_vector(scope) if seed_sigma is None else tuple(seed_sigma)
-    steps = _scope_steps(res, _edge_pack(network, scope), scope.nu, potential, bounds)
-    return res, steps
+    res = _scope_run(network, scope, source, weighting, seed_sigma)
+    return res, _scope_steps(res, _edge_pack(network, scope), scope.nu, potential, bounds)
 
 
 def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
@@ -506,11 +517,13 @@ def bidirectional_s_dijkstra(
     )
     runs = (fwd, bwd)
     steps = (fwd_steps, bwd_steps)
-    heads = [next(fwd_steps, None), next(bwd_steps, None)]
-    best = INF
     # Two copies of one loop: unpacking the goal-directed heads and testing
     # the strict stop cost the plain search about a tenth of its time.
-    if not goal:
+    if goal:
+        _goal_directed_meeting(runs, steps)
+    else:
+        heads = [next(fwd_steps, None), next(bwd_steps, None)]
+        best = INF
         while True:
             tops = [INF if h is None else h[0] for h in heads]
             if tops[0] >= best and tops[1] >= best:
@@ -521,21 +534,36 @@ def bidirectional_s_dijkstra(
             if d + far < best:
                 best = d + far
             heads[side] = next(steps[side], None)
-    else:
-        while True:
-            tops = [INF if h is None else h[0] for h in heads]
-            top = min(tops)
-            if top > best or top == INF:
-                break
-            side = 0 if tops[0] <= tops[1] else 1
-            _, d, u = heads[side]
-            far = runs[1 - side].dist[u]
-            if d + far < best:
-                best = d + far
-            heads[side] = next(steps[side], None)
     fwd_steps.close()
     bwd_steps.close()
     return _split_minimum(fwd, bwd)
+
+
+def _goal_directed_meeting(runs, steps, cap: float = INF) -> list:
+    """Step a forward and a reverse goal-directed run, on the smaller head
+    key, until both keys are strictly above ``best``: the least meeting sum
+    seen at a settled vertex, or ``cap`` if that is lower (the stop rule of
+    ``bidirectional_s_dijkstra``). Every vertex of a meeting of cost at
+    most ``best`` has then settled on both sides, so the runs' split
+    minimum is the drained runs' if that is at most ``cap``.
+
+    Returns each run's pending head, the ``(key, d, u)`` it has yielded but
+    not settled (``u``'s labels are final), or ``None`` for a run that ended.
+    """
+    heads = [next(steps[0], None), next(steps[1], None)]
+    best = cap
+    while True:
+        tops = [INF if h is None else h[0] for h in heads]
+        top = min(tops)
+        if top > best or top == INF:
+            break
+        side = 0 if tops[0] <= tops[1] else 1
+        _, d, u = heads[side]
+        far = runs[1 - side].dist[u]
+        if d + far < best:
+            best = d + far
+        heads[side] = next(steps[side], None)
+    return heads
 
 
 def validate_s_admissible(

@@ -10,13 +10,16 @@ import scoperoute.search
 from scoperoute import (
     NetworkError,
     Walk,
+    balance_to_proper,
     bidirectional_s_dijkstra,
     build_detour_context,
     build_network,
     derive_closures,
     enhanced_detour_route,
     find_obstructed,
+    generate_synthetic,
     make_scope,
+    place_random_closures,
     qc_closure,
     s_dijkstra,
     simple_detour_route,
@@ -27,7 +30,7 @@ from scoperoute import (
 from scoperoute.network import add_draw, zero_vector
 from scoperoute.search import _split_minimum
 
-from conftest import random_network
+from conftest import bypass_network, random_network
 
 INF = math.inf
 
@@ -392,6 +395,121 @@ def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
         assert runs[False, True] == 0 and runs[False, False] > 1000, runs
     assert runs[True, True] == 0 and runs[True, False] > 1000, runs
     assert checked > 15000, checked
+
+
+def _count_state_searches(monkeypatch) -> list:
+    """Log each permit-state search's context, with the gate runs' final
+    marks and settle orders as the search receives them."""
+    real = scoperoute.detour._state_search_halves
+    searched = []
+
+    def logging(ctx):
+        directions = (ctx.forward, ctx.backward)
+        entry = [(bytes(d.final or b""), set(d.gate.order)) for d in directions]
+        searched.append((ctx, entry))
+        return real(ctx)
+
+    monkeypatch.setattr(scoperoute.detour, "_state_search_halves", logging)
+    return searched
+
+
+def _failed_exit(res) -> bool:
+    return res.static_walk is None or res.static_cost_updated != res.static_cost_base
+
+
+def test_certificate_gives_the_costs_of_the_permit_search(landmarks_at_once, monkeypatch):
+    # The same query on a copy with the landmark table (where the
+    # certificate may answer) and on one without it (always the permit-state
+    # search) gives the same class and cost, on acceptance-grid queries with
+    # the criterion-7 closure placement and on bypass networks. A certified
+    # walk passes the validator on a fresh context with the route's closure
+    # set. Some bypass detours still take a permit, so the permit path stays
+    # reached. A fractional raise on an edge the route leaves open keeps
+    # every failed exit off the certificate.
+    searched = _count_state_searches(monkeypatch)
+    routes = ((simple_detour_route, False), (enhanced_detour_route, True))
+    tally = {"certified": 0, "searched": 0, "permits": 0, "fractional": 0}
+
+    def compare(table, plain, scope, s, t, updates, fractional=None):
+        for route, enhanced in routes:
+            del searched[:]
+            closed = table.with_updated_weights(updates)
+            res = route(closed, scope, s, t)
+            certified = _failed_exit(res) and not searched
+            if fractional is not None:
+                qc = qc_closure(closed, scope, None, s, t)
+                if fractional not in (qc.edges if enhanced else qc.hard):
+                    assert not certified, (s, t, fractional)
+                    tally["fractional"] += _failed_exit(res)
+            expected = route(plain.with_updated_weights(updates), scope, s, t)
+            assert (res.klass, res.cost_updated) == (expected.klass, expected.cost_updated), (s, t)
+            tally["certified"] += certified
+            tally["searched"] += bool(searched)
+            tally["permits"] += bool(res.permit_edges)
+            if certified and res.klass != "static":
+                fresh = table.with_updated_weights(updates)
+                assert scoperoute.detour._recheck_detour(res.walk, fresh, scope, enhanced, s, t)
+                assert res.scanned_detour == res.scanned_detour_vertices > 0
+
+    nf = generate_synthetic("grid", 50, 3, seed=42)
+    scope = balance_to_proper(nf.network, nf.scope)
+    table, plain = nf.network, generate_synthetic("grid", 50, 3, seed=42).network
+    plain._aux["landmarks"] = None  # as for weights with no table
+    rng = random.Random(18)
+    queries = 0
+    while queries < 20:
+        s, t = rng.randrange(table.vertex_count), rng.randrange(table.vertex_count)
+        static = bidirectional_s_dijkstra(table, scope, s, t)
+        if static.walk is None or len(static.walk.edges) < 40:
+            continue
+        updates, _ = place_random_closures(table, scope, static.walk, 50, seed=queries)
+        compare(table, plain, scope, s, t, updates)
+        queries += 1
+    assert table._aux["landmarks"] is not None and tally["certified"] >= 30, tally
+    grid_permits = tally["permits"]
+    for seed in range(1500):
+        table, scope, s, t = bypass_network(random.Random(seed))
+        plain = bypass_network(random.Random(seed))[0]
+        plain._aux["landmarks"] = None
+        compare(table, plain, scope, s, t, {})
+        # A fractional soft raise on another edge.
+        raised = rng.choice([e for e in range(table.edge_count) if table.weight_updated[e] < INF])
+        compare(table, plain, scope, s, t, {raised: table.weight[raised] + 0.5}, raised)
+    assert tally["certified"] >= 500 and tally["searched"] >= 500, tally
+    assert tally["fractional"] >= 500, tally
+    assert tally["permits"] - grid_permits >= 100, tally
+
+
+def test_handed_off_gate_runs_read_as_the_drained_runs(landmarks_at_once, monkeypatch):
+    # A failed certificate hands its stepped gate runs to the permit-state
+    # search: every vertex a run settled is marked final, and so is the head
+    # it has yielded but not settled. Every label final there, before the
+    # search and after it, is the drained gate run's of a fresh context with
+    # the route's closure set; runs still stop short of draining.
+    searched = _count_state_searches(monkeypatch)
+    stepped = short = checked = 0
+    cases = [bypass_network(random.Random(seed)) for seed in range(1500)]
+    cases += [_closed_random_case(seed) for seed in range(1500)]
+    for net, scope, s, t in cases:
+        for route in (simple_detour_route, enhanced_detour_route):
+            del searched[:]
+            route(net, scope, s, t)
+            for ctx, entry in searched:
+                closures = qc_closure(net, scope, None, s, t) if route is enhanced_detour_route else None
+                fresh = build_detour_context(net, scope, closures, s, t)
+                drained = (fresh.forward.gate, fresh.backward.gate)
+                for direction, run, (marks, order) in zip((ctx.forward, ctx.backward), drained, entry):
+                    gate, final = direction.gate, direction.final
+                    marked = {v for v, mark in enumerate(marks) if mark}
+                    if len(marked) < len(marks):  # a run that ended is final everywhere
+                        assert order <= marked and len(marked - order) == (1 if order else 0)
+                    stepped += bool(order)
+                    short += len(gate.order) < len(run.order)
+                    for v in range(net.vertex_count):
+                        if final[v]:
+                            assert (gate.dist[v], gate.sigma[v]) == (run.dist[v], run.sigma[v])
+                            checked += 1
+    assert stepped >= 500 and short >= 500 and checked >= 10000, (stepped, short, checked)
 
 
 class TestValidator:
@@ -763,7 +881,8 @@ def test_static_exit_runs_one_bidirectional_search(n1, n1_scope15, monkeypatch, 
 
 def _failed_exit_searches(n1, scope, monkeypatch, route, update):
     """The logged searches of ``route`` from 0 to 3 on ``n1`` with ``update``
-    raised, the static walk failing, and the record and open weightings."""
+    raised, the static walk failing, the record and open weightings, and
+    the result."""
     closed = n1.with_updated_weights(update)
     active = derive_closures(closed).hard
     if route is enhanced_detour_route:
@@ -774,7 +893,7 @@ def _failed_exit_searches(n1, scope, monkeypatch, route, update):
     calls = _log_searches(monkeypatch, closed)
     res = route(closed, scope, 0, 3)
     assert res.walk != Walk(0, (0, 1, 2))
-    return calls, record, opened
+    return calls, record, opened, res
 
 
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
@@ -783,24 +902,34 @@ def test_failed_exit_runs_two_record_runs_then_the_gates(n1, n1_scope15, monkeyp
     # the one static search come exactly two drained record runs on the
     # record weighting, then the two drained gate runs on the open weighting.
     for update in ({1: INF}, {1: 30}):
-        calls, record, opened = _failed_exit_searches(n1, n1_scope15, monkeypatch, route, update)
+        calls, record, opened, _res = _failed_exit_searches(n1, n1_scope15, monkeypatch, route, update)
         assert "landmarks" not in n1._aux
         assert calls == [("static", 0, 3), (0, record), (3, record), (0, opened), (3, opened)], update
 
 
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
 def test_failed_exit_with_the_table_drains_only_the_record_runs(
-    n1, n1_scope15, monkeypatch, route, landmarks_at_once
+    n1, n1_scope15, permit_fixture, monkeypatch, route, landmarks_at_once
 ):
-    # With the landmark table and positive integer open weights the state
-    # search steps the gate runs itself: after the static search come
-    # exactly the two drained record runs. A soft raise to a fractional
-    # weight leaves the open weights fractional, so the gate runs drain.
-    for update, drained_gates in (({1: INF}, False), ({1: 30}, False), ({1: 30.5}, True)):
-        calls, record, opened = _failed_exit_searches(n1, n1_scope15, monkeypatch, route, update)
+    # With the landmark table and positive integer open weights the gate
+    # runs are stepped, never drained. On n1 the walk 0 -> 1 -> 3 needs no
+    # permit and costs the open distance, so the certificate returns it
+    # after the static search and no drained run follows. A soft raise to a
+    # fractional weight leaves the open weights fractional: no certificate,
+    # and the gate runs drain after the record runs.
+    for update, drained in (({1: INF}, False), ({1: 30}, False), ({1: 30.5}, True)):
+        calls, record, opened, res = _failed_exit_searches(n1, n1_scope15, monkeypatch, route, update)
         assert n1._aux["landmarks"] is not None
-        gates = [(0, opened), (3, opened)] if drained_gates else []
-        assert calls == [("static", 0, 3), (0, record), (3, record)] + gates, update
+        runs = [(0, record), (3, record), (0, opened), (3, opened)] if drained else []
+        assert calls == [("static", 0, 3)] + runs, update
+        assert (res.walk, res.cost_updated, res.permit_edges) == (Walk(0, (0, 3)), 22.0, ())
+    # The permit fixture's only detour takes a permit: the certificate fails
+    # on its stepped gate runs, and exactly the two record runs drain.
+    net, scope = permit_fixture
+    calls, record, _opened, res = _failed_exit_searches(net, scope, monkeypatch, route, {1: INF})
+    assert net._aux["landmarks"] is not None
+    assert calls == [("static", 0, 3), (0, record), (3, record)]
+    assert (res.walk, res.permit_edges) == (Walk(0, (0, 3, 2)), (3,))
 
 
 @pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])

@@ -27,7 +27,12 @@ simple, enhanced and optimal walks. Unless ``--no-bench``, it also records
 the criterion-7 batch (``run_benchmark`` on the 50x50 grid: 500 queries,
 50 closures each, timing off) as its CSV. The script prints how many cases
 differ, in all and per kind (records, masks, routes, full, csv), with the
-first few, and exits 1 if any does.
+first few, and exits 1 if any does. It tallies apart the cases whose cost,
+class or verdict differs (records, masks, the full optimum and each walk's
+acceptance, the CSV without its count columns) and those that differ only
+in walk, permit edges or counts (scanned vertices and states, permits
+issued, the full verdicts' witnesses), as a change of walk among
+equal-cost walks does.
 
 Both sides import this checkout's ``tests/test_detour.py`` and
 ``tests/conftest.py``, so those files import at module level only names
@@ -48,10 +53,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FULL_SEEDS = 300
-FIELDS = (
-    "klass", "cost_updated", "permit_edges", "scanned_static", "scanned_detour",
-    "scanned_detour_vertices", "permits_issued",
+RESULT_FIELDS = ("klass", "cost_updated")
+DETAIL_FIELDS = (
+    "permit_edges", "scanned_static", "scanned_detour", "scanned_detour_vertices", "permits_issued",
 )
+# Columns of the criterion-7 CSV that count work rather than give a result.
+CSV_COUNTS = ("scanned_static", "scanned_simple", "scanned_enhanced", "permits")
 
 
 def masks(direction, scope) -> list:
@@ -66,10 +73,19 @@ def masks(direction, scope) -> list:
     return [direction.grant, gate, direction.clean]
 
 
-def outcome(res) -> list:
-    """A route result's fields and walk."""
+def outcome(res, verdicts=None) -> list:
+    """A route result as a case: its class, cost and ``verdicts``, then its
+    walk, permit edges and counts."""
     walk = None if res.walk is None else [res.walk.start, res.walk.edges]
-    return [getattr(res, f) for f in FIELDS] + [walk]
+    result = [getattr(res, f) for f in RESULT_FIELDS] + [verdicts]
+    return [result, [getattr(res, f) for f in DETAIL_FIELDS] + [walk]]
+
+
+def csv_case(body: str) -> list:
+    """The CSV as a case: without its count columns, then whole."""
+    rows = [line.split(",") for line in body.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in CSV_COUNTS]
+    return [[[row[i] for i in keep] for row in rows], body]
 
 
 def one_side(src: str, seeds: int, bench: bool) -> dict:
@@ -90,8 +106,8 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
             closed, scope, s, t = _closed_random_case(seed, fractional)
             ctx = build_detour_context(closed, scope, None, s, t)
             name = f"seed {seed}{' fractional' if fractional else ''}"
-            cases[f"{name} records"] = repr(find_obstructed(closed, scope, None, s, t))
-            cases[f"{name} masks"] = [masks(d, scope) for d in (ctx.forward, ctx.backward)]
+            cases[f"{name} records"] = [repr(find_obstructed(closed, scope, None, s, t)), None]
+            cases[f"{name} masks"] = [[masks(d, scope) for d in (ctx.forward, ctx.backward)], None]
     plain_searches = scoperoute.search._PLAIN_SEARCHES
     for table in (True, False):
         scoperoute.search._PLAIN_SEARCHES = 0 if table else sys.maxsize
@@ -115,7 +131,7 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
                         f"seed {seed}{' fractional' if fractional else ''} "
                         f"{'with' if table else 'without'} table, {route.__name__}"
                     )
-                    cases[name] = outcome(res) + [verdicts]
+                    cases[name] = outcome(res, verdicts)
                 raised = derive_closures(closed)
                 ids = sorted(raised.edges)
                 for form, given in (
@@ -135,15 +151,19 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
         net, scope, s, t = bypass_network(random.Random(seed))
         optimum = brute_force_full_optimum(net, scope, None, s, t)
         walks = [route(net, scope, s, t).walk for route in (simple_detour_route, enhanced_detour_route)]
-        cases[f"bypass seed {seed} full"] = [repr(optimum)] + [
-            None if w is None else repr(validate_full_detour(w, net, scope, None, s, t))
+        verdicts = [
+            None if w is None else validate_full_detour(w, net, scope, None, s, t)
             for w in walks + [optimum[0]]
+        ]
+        cases[f"bypass seed {seed} full"] = [
+            [repr(optimum)] + [None if v is None else v.accepted for v in verdicts],
+            [repr(v) for v in verdicts],
         ]
     if bench:
         nf = generate_synthetic("grid", 50, 3, seed=42)
         scope = balance_to_proper(nf.network, nf.scope)
         config = BenchConfig(query_count=500, closure_count=50, seed=20260810, measure_time=False)
-        cases["criterion-7 batch csv"] = run_benchmark(nf.network, scope, config).csv_body()
+        cases["criterion-7 batch csv"] = csv_case(run_benchmark(nf.network, scope, config).csv_body())
     return cases
 
 
@@ -170,11 +190,15 @@ def main() -> int:
     before, after = sides
     differ = [name for name in before.keys() | after.keys() if before.get(name) != after.get(name)]
     print(f"{len(before)} cases before, {len(after)} after, {len(differ)} differ")
-    kinds = {"records": 0, "masks": 0, "routes": 0, "full": 0, "csv": 0}
+    # Per kind: [cost, class or verdict differs; only walk, permit edges or counts differ].
+    kinds = {kind: [0, 0] for kind in ("records", "masks", "routes", "full", "csv")}
     for name in differ:
         last = name.rsplit(" ", 1)[-1]
-        kinds[last if last in kinds else "routes"] += 1
-    print("differ per kind: " + ", ".join(f"{kind} {n}" for kind, n in kinds.items()))
+        old, new = before.get(name), after.get(name)
+        only_detail = old is not None and new is not None and old[0] == new[0]
+        kinds[last if last in kinds else "routes"][only_detail] += 1
+    for i, what in enumerate(("in cost, class or verdict", "only in walk, permit edges or counts")):
+        print(f"differ {what}: " + ", ".join(f"{kind} {n[i]}" for kind, n in kinds.items()))
     for name in sorted(differ)[:5]:
         print(f"  {name}:\n    before {before.get(name)!r:.300}\n    after  {after.get(name)!r:.300}")
     return 1 if differ else 0

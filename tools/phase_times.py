@@ -29,16 +29,22 @@ runs" are the drained searches (``_drained_runs``): the record runs, and
 the static runs too where a version takes its static step from drained
 runs. "gate runs" are ``_direction``, which drains a gate run or sets up a
 lazy one, and ``_settle_gate``, which steps a lazy one from inside the
-state search.
+state search. "certificate" is ``_certificate``: stepping both lazy gate
+runs until their keys pass d_open, their split minimum, and the hand-off
+marks when it fails; "d_open run" is ``_open_distance``, the plain
+goal-directed run from the start that gives d_open.
 "potentials" are the state search's ``dijkstra`` runs; they read 0 once the
 network has its landmark table. "landmark build" is paid once per network,
 in the static search that follows the plain ones; it is not part of
 "route, whole" or "route, rest".
 
 The output holds the mean, median and p90 per phase in ms, before and
-after, and the same figures for two counts: the vertices each gate run
-settled (its ``order`` when the route returns; a lazy run's last final
-vertex is not in it yet), and the passes over all the weights outside the
+after, and each phase's mean in each round, so that a difference smaller
+than the spread between rounds shows as such. It holds the same summary
+figures for three counts: the vertices each gate run settled (its
+``order`` when the route returns; a lazy run's last final vertex is not in
+it yet), the vertices each d_open run settled (the runs of
+``detour._scope_run``), and the passes over all the weights outside the
 searches per route that fails the static exit (the outermost calls of
 ``WEIGHT_PASSES``). It adds the Python version and core count, under the
 workload's name; other workloads already in the file are kept.
@@ -78,12 +84,15 @@ PHASES = {
     ("detour", "_clean_masks"): "clean masks",
     ("detour", "dijkstra"): "potentials",
     ("detour", "_state_search_halves"): "state search",
+    ("detour", "_certificate"): "certificate",
+    ("detour", "_open_distance"): "d_open run",
     ("search", "_build_landmark_rows"): "landmark build",
 }
 # Functions of the detour module that each read all the weights, outside
 # the searches, in some version.
 WEIGHT_PASSES = (("detour", "derive_closures"), ("detour", "_distance_bound"))
 GATE_SETTLED = "gate run, vertices settled"
+OPEN_SETTLED = "d_open run, vertices settled"
 PASSES = "weight passes per failed exit"
 BUILD = "landmark build"
 ROUTE = "route, whole"
@@ -167,7 +176,18 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict:
 
     if timed_direction is not None:
         scoperoute.detour._direction = collecting
+    # And each d_open run, the only fresh run the detour module makes itself.
+    open_runs = []
+    fresh_run = getattr(scoperoute.detour, "_scope_run", None)
+
+    def collecting_run(*args, **kwargs):
+        open_runs.append(fresh_run(*args, **kwargs))
+        return open_runs[-1]
+
+    if fresh_run is not None:
+        scoperoute.detour._scope_run = collecting_run
     gate_settled: list[float] = []
+    open_settled: list[float] = []
     weight_passes: list[float] = []
     phases = sorted(set(PHASES.values()))
     per_query: dict[str, list[float]] = {p: [] for p in phases + [ROUTE, OTHER]}
@@ -195,7 +215,9 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict:
         per_query[OTHER].append(whole - sum(ms for p, ms in times.ms.items() if p != BUILD))
         gate_settled.extend(len(d.gate.order) for d in directions)
         directions.clear()
-    counts = {GATE_SETTLED: gate_settled, PASSES: weight_passes}
+        open_settled.extend(len(run.order) for run in open_runs)
+        open_runs.clear()
+    counts = {GATE_SETTLED: gate_settled, OPEN_SETTLED: open_settled, PASSES: weight_passes}
     return {"ms": per_query, "counts": counts, "missing": sorted(missing)}
 
 
@@ -237,6 +259,8 @@ def main() -> None:
         parser.error("p90 needs at least 40 queries")
     sources = {"before": args.before, "after": args.after}
     sides: dict[str, dict[str, list[float]]] = {"before": {}, "after": {}}
+    # Per phase and side, the phase's mean over each round's queries.
+    rounds: dict[str, dict[str, list[float]]] = {}
     counts: dict[str, dict[str, list[float]]] = {"before": {}, "after": {}}
     missing: dict[str, list[str]] = {}
     for r in range(args.rounds):
@@ -244,12 +268,14 @@ def main() -> None:
             measured = run_side(sources[side], args.workload, args.queries, args.seed)
             for phase, times in measured["ms"].items():
                 sides[side].setdefault(phase, []).extend(times)
+                per_side = rounds.setdefault(phase, {"before": [], "after": []})
+                per_side[side].append(round(statistics.fmean(times), 3))
             for name, values in measured["counts"].items():
                 counts[side].setdefault(name, []).extend(values)
             missing[side] = measured["missing"]
     report = {
         "workload": args.workload,
-        "what": "self time per phase of one simple_detour_route call, and of the landmark build in the static search before it, ms per query; counts: vertices settled per gate run, and passes over all the weights per failed static exit",
+        "what": "self time per phase of one simple_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per gate run and per d_open run, and passes over all the weights per failed static exit",
         "seed": args.seed,
         "queries": args.queries,
         "rounds": args.rounds,
@@ -260,10 +286,15 @@ def main() -> None:
             phase: {side: summary(times[phase]) for side, times in sides.items()}
             for phase in sides["after"]
         },
+        "round means": {phase: rounds[phase] for phase in sides["after"]},
         "counts": {
-            name: {side: summary(values[name]) for side, values in counts.items()}
+            name: {
+                side: summary(values[name])
+                for side, values in counts.items()
+                if len(values.get(name, ())) > 1
+            }
             for name in counts["after"]
-            if all(len(values.get(name, ())) > 1 for values in counts.values())
+            if len(counts["after"][name]) > 1
         },
         "missing": missing,
     }
@@ -274,9 +305,13 @@ def main() -> None:
     width = max(map(len, report["phases"]))
     for phase, row in report["phases"].items():
         b, a = row["before"]["mean"], row["after"]["mean"]
-        print(f"{phase:<{width}}  mean {b:8.2f} -> {a:8.2f} ms")
+        per_round = " | ".join(
+            " ".join(f"{x:.2f}" for x in rounds[phase][side]) for side in ("before", "after")
+        )
+        print(f"{phase:<{width}}  mean {b:8.2f} -> {a:8.2f} ms  (rounds {per_round})")
     for name, row in report["counts"].items():
-        print(f"{name}: mean {row['before']['mean']:.1f} -> {row['after']['mean']:.1f}")
+        b, a = (f"{row[side]['mean']:.1f}" if side in row else "-" for side in ("before", "after"))
+        print(f"{name}: mean {b} -> {a}")
     for side, names in missing.items():
         print(f"{side} lacks: {', '.join(names) or 'nothing'}")
 
