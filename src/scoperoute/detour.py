@@ -37,12 +37,14 @@ against labels computed independently of its lazy runs. Where the gate
 runs are lazy, a route first steps them as a certificate: when their split
 minimum equals the plain open-weight distance, no walk is cheaper and the
 split minimum's walk needs no permit, so no record is built
-(``_certificate``).
+(``_certificate``); when that distance is infinite no walk is accepted at
+all. The corridor-clean masks are built only for the permit-state search.
 
 The search explores (vertex, carried-permit mask, owed-permit mask) states
 in both directions, each goal-directed by lower bounds on the distance to
 the far end: the static search's landmark bounds once the network has its
-landmark table, else open-network distances. A state that another state
+landmark table, each evaluated once per vertex and direction in a route,
+else open-network distances. A state that another state
 settled at the same vertex dominates (carries a superset of its permits,
 owes a subset of its debt, costs no more) is not expanded; every
 transition and the meeting test are monotone in both masks, so this loses
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .network import (
     INF,
@@ -70,6 +72,7 @@ from .network import (
 from .search import (
     BidirectionalResult,
     ScopeSearchResult,
+    _bidirectional_search,
     _edge_pack,
     _goal_directed,
     _goal_directed_meeting,
@@ -81,7 +84,6 @@ from .search import (
     _split_exists,
     _split_minimum,
     _usable,
-    bidirectional_s_dijkstra,
     dijkstra,
     is_saturated,
     s_dijkstra,
@@ -356,26 +358,28 @@ class _Direction:
     records; backwards: the reversed network from the target, ``"s"``
     records. Per vertex, ``pack`` lists the edges to relax, ``grant`` the
     levels of the records there and ``clean`` the levels at which it is
-    corridor-clean; the record pass sets ``grant``. ``bound`` is the
-    landmark bound on the distance to the far end, ``None`` while the
+    corridor-clean; the record pass sets ``grant``, and ``clean`` is set
+    only on the permit path (``_context``), ``None`` before. ``bound`` is
+    the landmark bound on the distance to the far end, ``None`` while the
     network has no landmark table, and ``bounds`` its values, ``-1.0``
-    where not evaluated yet, shared by the gate run, the certificate's
-    plain run (forwards) and the permit-state half of this direction.
-    ``gate`` is the run from the endpoint on the open weighting, read
-    through ``_usable``: drained, or lazy while ``steps`` holds the rest of
-    a run goal-directed by ``bound``, in which case a label is final only
-    where ``final`` is set (``_certificate`` hands it on so, and
-    ``_settle_gate`` steps it on).
+    where not evaluated yet: in a route, the list the static search's side
+    of this direction filled (see ``search._bidirectional_search``), which
+    the gate run, the certificate's plain run (forwards) and the
+    permit-state half of this direction go on filling. ``gate`` is the run
+    from the endpoint on the open weighting, read through ``_usable``:
+    drained, or lazy while ``steps`` holds the rest of a run goal-directed
+    by ``bound``, in which case a label is final only where ``final`` is
+    set (``_certificate`` hands it on so, and ``_settle_gate`` steps it on).
     """
 
     pack: list[tuple[tuple[int, int, int], ...]]
     gate: ScopeSearchResult
     grant: list[int]
-    clean: list[int]
     bound: Callable[[int], float] | None
     bounds: list[float] | None
     steps: Iterator[tuple[float, float, int]] | None = None
     final: bytearray | None = None
+    clean: list[int] | None = None
 
 
 def _direction(
@@ -384,21 +388,21 @@ def _direction(
     endpoint: int,
     closed: _Weightings,
     bound: Callable[[int], float] | None,
+    bounds: list[float] | None,
 ) -> _Direction:
-    """One direction's tables, no grant bit set yet, and its gate run from
-    ``endpoint`` on the open weighting (``network`` reversed for the
-    backward one): drained, or where ``closed.goal`` allows it,
-    goal-directed by ``bound`` and left for the certificate and the
-    permit-state search to step."""
-    pack, clean = _edge_pack(network, scope), _clean_masks(network, scope, closed.active)
+    """One direction's tables, no grant bit and no clean mask set yet, and
+    its gate run from ``endpoint`` on the open weighting (``network``
+    reversed for the backward one): drained, or where ``closed.goal``
+    allows it, goal-directed by ``bound`` into ``bounds`` and left for the
+    certificate and the permit-state search to step."""
+    pack = _edge_pack(network, scope)
     n = network.vertex_count
     grant = [0] * n
-    bounds = None if bound is None else [-1.0] * n
     if not closed.goal:
         gate = s_dijkstra(network, scope, endpoint, closed.open)
-        return _Direction(pack, gate, grant, clean, bound, bounds)
+        return _Direction(pack, gate, grant, bound, bounds)
     gate, steps = _scope_search(network, scope, endpoint, closed.open, None, bound, bounds)
-    return _Direction(pack, gate, grant, clean, bound, bounds, steps, bytearray(n))
+    return _Direction(pack, gate, grant, bound, bounds, steps, bytearray(n))
 
 
 def _settle_gate(direction: _Direction, v: int) -> None:
@@ -423,7 +427,11 @@ def _certificate(
     network: RoadNetwork, scope: ScopeMapping, forward: _Direction, backward: _Direction
 ) -> BidirectionalResult | None:
     """The gate runs' split minimum U when it costs d_open (see ``_route``),
-    else ``None``.
+    a result with no walk and cost inf when d_open is inf, else ``None``.
+
+    When d_open is inf no walk avoids the closed edges, so no walk is
+    accepted; the gate runs are not stepped and the result counts no
+    settled vertex.
 
     The lazy gate runs are stepped as ``bidirectional_s_dijkstra`` steps
     its goal-directed runs, until both keys pass d_open; U is then d_open
@@ -436,9 +444,9 @@ def _certificate(
     labels are final once yielded; a run that ended is final everywhere.
     """
     d_open = _open_distance(network, scope, forward, backward.gate.source)
-    if d_open == INF:
-        return None
     runs = (forward.gate, backward.gate)
+    if d_open == INF:
+        return BidirectionalResult(None, INF, None, *runs)
     heads = _goal_directed_meeting(runs, (forward.steps, backward.steps), d_open)
     split = _split_minimum(*runs)
     if split.cost == d_open:
@@ -518,14 +526,24 @@ def build_detour_context(
 
 
 def _directions(
-    network: RoadNetwork, scope: ScopeMapping, closed: _Weightings, source: int, target: int
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    closed: _Weightings,
+    source: int,
+    target: int,
+    bounds: tuple[list[float], list[float]] | None = None,
 ) -> tuple[_Direction, _Direction]:
     """The forward and the backward direction, bounded by the landmark
-    potentials of ``source`` and ``target``."""
+    potentials of ``source`` and ``target``: into ``bounds``, the static
+    search's two bound lists on them where given, else into fresh lists."""
     to_target, to_source = _landmark_potentials(network, source, target)
+    if to_target is None:
+        bounds = (None, None)
+    elif bounds is None:
+        bounds = ([-1.0] * network.vertex_count, [-1.0] * network.vertex_count)
     return (
-        _direction(network, scope, source, closed, to_target),
-        _direction(network.reverse(), scope, target, closed, to_source),
+        _direction(network, scope, source, closed, to_target, bounds[0]),
+        _direction(network.reverse(), scope, target, closed, to_source, bounds[1]),
     )
 
 
@@ -536,12 +554,16 @@ def _context(
     source: int,
     target: int,
     directions: tuple[_Direction, _Direction] | None = None,
+    bounds: tuple[list[float], list[float]] | None = None,
 ) -> DetourContext:
     """``build_detour_context`` on ``closed``: the record runs, then the
     grant masks set in ``directions``, which are built after the record runs
-    where not given (with lazy gate runs where ``closed.goal`` allows)."""
+    where not given (into ``bounds`` as ``_directions`` does, with lazy gate
+    runs where ``closed.goal`` allows), and their clean masks."""
     record_runs = _drained_runs(network, scope, source, target, closed.record)
-    forward, backward = directions or _directions(network, scope, closed, source, target)
+    forward, backward = directions or _directions(network, scope, closed, source, target, bounds)
+    forward = replace(forward, clean=_clean_masks(network, scope, closed.active))
+    backward = replace(backward, clean=_clean_masks(network.reverse(), scope, closed.active))
     top = scope.top
     grant = {"t": forward.grant, "s": backward.grant}
 
@@ -686,8 +708,9 @@ def _state_search_halves(
     potential, a lower bound on the open-network distance (scope ignored)
     to the far end. When the network has its landmark table (see
     ``search._landmark_rows``) the potentials are its direction's landmark
-    bounds, evaluated once per vertex the half or its direction's lazy gate
-    run reaches (the two share ``_Direction.bounds``): they bound
+    bounds, evaluated once per vertex the half, its direction's gate run or,
+    in a route, the static search's side of that direction reaches (all
+    share ``_Direction.bounds``): they bound
     base-weight distances, and every weighting searched here is at or above
     the base one. Without a table they are the open-network distances of
     two ``dijkstra`` runs; only then do states at vertices that cannot
@@ -857,9 +880,10 @@ class DetourResult:
     copy; ``scanned_detour`` the states and ``scanned_detour_vertices`` the
     distinct vertices per side the permit-state search settled (0 after
     the static exit). A route the certificate answers (see ``_route``)
-    counts in both the vertices its two gate runs settled; its d_open run
-    is not counted, as the permit-state search's gate, record and
-    potential runs are not.
+    counts in both the vertices its two gate runs settled, which is 0 when
+    d_open is inf and the runs are never stepped; its d_open run is not
+    counted, as the permit-state search's gate, record and potential runs
+    are not.
     """
 
     walk: Walk | None
@@ -912,16 +936,20 @@ def _route(
     weights (``derive_closures``) gives the closure set and its weightings
     (``_weightings``), which everything after reads.
 
-    The static result comes from ``bidirectional_s_dijkstra`` on the base
-    weights of every copy, goal-directed once the network has its landmark
-    table. With positive weights it is the split minimum of two drained
-    base-weight runs, walk included, at a fraction of their settled
+    The static result comes from ``bidirectional_s_dijkstra``'s search on
+    the base weights of every copy, goal-directed once the network has its
+    landmark table. With positive weights it is the split minimum of two
+    drained base-weight runs, walk included, at a fraction of their settled
     vertices; the drained runs follow only a failed exit, as record runs.
     The permit-state search reads the same landmark table for its
     potentials; only without a table does it never queue a state at a
-    vertex that cannot reach the far end. With the table, and open weights
-    that are positive integers (``_Weightings.goal``), the gate runs are
-    lazy, with the drained runs' labels wherever the search reads them.
+    vertex that cannot reach the far end. The landmark bounds depend only
+    on the table and the endpoints, so the static search's two per-vertex
+    bound lists go on to the directions (``_directions``): the d_open run,
+    the gate runs and the permit-state halves evaluate only the bounds the
+    static search left unevaluated. With the table, and open weights that
+    are positive integers (``_Weightings.goal``), the gate runs are lazy,
+    with the drained runs' labels wherever the search reads them.
 
     Under the same condition a failed exit first tries a certificate
     (``_certificate``). Every walk the detour relation accepts avoids the
@@ -932,12 +960,16 @@ def _route(
     route returns it, or the static walk if that is no dearer, without any
     record run, grant or permit-state search. Among walks of equal cost it
     can differ from the permit-state search's. With quasi-closures the
-    argument is the same. Otherwise the gate runs, stepped that far, go on
-    to the permit-state search.
+    argument is the same. When d_open is inf no walk avoids the closed
+    edges, so the route returns the static walk, if its updated cost is
+    finite, or nothing, again with no record run or permit-state search.
+    Otherwise the gate runs, stepped that far, go on to the permit-state
+    search.
     """
     active = None if closures is None else _active_set(network, closures)
     res = DetourResult(None, INF, "unreachable")
-    if _static_exit(res, network, bidirectional_s_dijkstra(network, scope, source, target)):
+    static, bounds = _bidirectional_search(network, scope, source, target)
+    if _static_exit(res, network, static):
         return res
     derived = derive_closures(network)
     closed = _weightings(network, derived.hard if active is None else active, derived.edges)
@@ -947,13 +979,13 @@ def _route(
         closed = _weightings(network, qc.edges, derived.edges)
     directions = certified = None
     if closed.goal:
-        directions = _directions(network, scope, closed, source, target)
+        directions = _directions(network, scope, closed, source, target, bounds)
         certified = _certificate(network, scope, *directions)
     if certified is not None:
         res.scanned_detour = res.scanned_detour_vertices = certified.scanned_count
         walk, cost, permit_edges = certified.walk, certified.cost, ()
     else:
-        ctx = _context(network, scope, closed, source, target, directions)
+        ctx = _context(network, scope, closed, source, target, directions, bounds)
         fwd, bwd, meeting = _state_search_halves(ctx)
         res.scanned_detour = sum(len(here) for half in (fwd, bwd) for here in half.settled.values())
         res.scanned_detour_vertices = len(fwd.settled) + len(bwd.settled)

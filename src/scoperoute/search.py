@@ -14,13 +14,15 @@ brute force and is the ground truth the searches are tested against.
 On positive integer weights the bidirectional search is goal-directed by
 lower bounds from a landmark table, built once a network has served a few
 static searches; its results stay those of the plain search, walks
-included.
+included. A bound is evaluated at most once per vertex and side, into a
+per-vertex list that the detour step's searches towards the same endpoints
+go on filling (``_bidirectional_search``), and reads two rows of the table
+(``_landmark_potentials``).
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from operator import add, sub
@@ -351,7 +353,7 @@ _LANDMARKS = 8
 # serves one search (a command-line call) never pays for the table, and
 # one that serves many pays at most about twice the least it could.
 _PLAIN_SEARCHES = 9
-# Landmark distances are stored as int32, whose largest value stands for
+# Landmark distances stay below int32's largest value, which stands for
 # "unreachable"; below it every distance and heap key of a goal-directed
 # search is an exact float sum.
 _FAR = 2**31 - 1
@@ -368,7 +370,7 @@ def _distance_bound(w, vertex_count: int) -> float:
     return INF
 
 
-def _landmark_rows(network: RoadNetwork) -> array | None:
+def _landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
     """Per-vertex landmark rows on the base weights, built once the network
     has served ``_PLAIN_SEARCHES`` static searches without them.
 
@@ -388,8 +390,15 @@ def _landmark_rows(network: RoadNetwork) -> array | None:
     return aux["landmarks"]
 
 
-def _build_landmark_rows(network: RoadNetwork) -> array | None:
-    """Row ``v`` holds ``d(L, v)`` for each landmark ``L``, then ``-d(v, L)``.
+def _build_landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
+    """Row ``v``, a tuple, holds ``d(L, v)`` for each landmark ``L``, then
+    ``-d(v, L)``, then a trailing ``0``, which floors every bound read off
+    two rows at 0 (see ``_landmark_potentials``); an unreachable entry is
+    int32's largest value, as ``_FAR`` or ``-_FAR``.
+
+    Equal entries are one int object: the acceptance grid's rows hold 705
+    distinct values, so its 2500 rows take about 480 KB, against about
+    1080 KB with an int object per entry (``sys.getsizeof``, CPython 3.11).
 
     The landmarks are chosen farthest-point: each next one maximises the
     smallest round trip to those already chosen.
@@ -399,18 +408,20 @@ def _build_landmark_rows(network: RoadNetwork) -> array | None:
         return None
     k = min(_LANDMARKS, n)
     rev = network.reverse()
-    rows = array("i", bytes(4 * n * 2 * k))
+    out_columns: list[list[int]] = []
+    back_columns: list[list[int]] = []
     first = dijkstra(network, "base", 0).dist
     landmark = max(range(n), key=lambda v: (first[v] < INF, first[v], -v))
     round_trip = [INF] * n
-    for i in range(k):
+    for _ in range(k):
         out = dijkstra(network, "base", landmark).dist
         back = dijkstra(rev, "base", landmark).dist
-        rows[i :: 2 * k] = array("i", [int(x) if x < INF else _FAR for x in out])
-        rows[k + i :: 2 * k] = array("i", [-int(x) if x < INF else -_FAR for x in back])
+        out_columns.append([int(x) if x < INF else _FAR for x in out])
+        back_columns.append([-int(x) if x < INF else -_FAR for x in back])
         round_trip = list(map(min, round_trip, map(add, out, back)))
         landmark = max(range(n), key=lambda v: (round_trip[v], -v))
-    return rows
+    intern = {}.setdefault
+    return [(*map(intern, row, row), 0) for row in zip(*out_columns, *back_columns)]
 
 
 def _goal_directed(network: RoadNetwork, raised) -> bool:
@@ -452,25 +463,19 @@ def _landmark_potentials(network: RoadNetwork, source: int, target: int):
     Reading the table neither counts a static search nor builds it. By the
     triangle inequality, ``d(x, y)`` is at least ``d(L, y) - d(L, x)`` and
     ``d(x, L) - d(y, L)`` for every landmark ``L``: row ``y`` minus row
-    ``x``, entry by entry (see ``_build_landmark_rows``).
+    ``x``, entry by entry (see ``_build_landmark_rows``). The rows' trailing
+    ``0`` gives ``0 - 0``, so a bound is never negative. A bound is an int.
     """
     rows = network._aux.get("landmarks")
     if rows is None:
         return None, None
-    k = len(rows) // network.vertex_count
-    at_t = rows[target * k : target * k + k]
-    at_s = rows[source * k : source * k + k]
+    at_t, at_s = rows[target], rows[source]
 
-    def gap(later, earlier) -> float:
-        return max(0.0, max(map(sub, later, earlier)))
+    def toward_target(v: int) -> int:
+        return max(map(sub, at_t, rows[v]))
 
-    def toward_target(v: int) -> float:
-        j = v * k
-        return gap(at_t, rows[j : j + k])
-
-    def toward_source(v: int) -> float:
-        j = v * k
-        return gap(rows[j : j + k], at_s)
+    def toward_source(v: int) -> int:
+        return max(map(sub, rows[v], at_s))
 
     return toward_target, toward_source
 
@@ -506,22 +511,43 @@ def bidirectional_s_dijkstra(
     the drained runs' walks. Otherwise the keys are the distances and the
     searches stop once both reach the best sum.
     """
+    return _bidirectional_search(network, scope, source, target, weighting)[0]
+
+
+def _bidirectional_search(
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    source: int,
+    target: int,
+    weighting: str = "base",
+) -> tuple[BidirectionalResult, tuple[list[float], list[float]] | None]:
+    """``bidirectional_s_dijkstra``'s result and, when it was goal-directed,
+    the per-vertex bound lists of its two sides as ``_scope_steps`` leaves
+    them: the forward one towards ``target``, the backward one towards
+    ``source``, ``-1.0`` where not evaluated. ``None`` for a plain search.
+
+    The bounds are ``_landmark_potentials(network, source, target)``'s, so
+    a later search on the same table and endpoints may go on filling them.
+    """
     for vertex, role in ((source, "source"), (target, "target")):
         if not (0 <= vertex < network.vertex_count):
             raise NetworkError(f"unknown {role} vertex {vertex}")
     toward_target, toward_source = _goal_potentials(network, weighting, source, target)
     goal = toward_target is not None
-    fwd, fwd_steps = _scope_search(network, scope, source, weighting, potential=toward_target)
+    n = network.vertex_count
+    bounds = ([-1.0] * n, [-1.0] * n) if goal else None
+    fwd_bounds, bwd_bounds = bounds or (None, None)
+    fwd, fwd_steps = _scope_search(network, scope, source, weighting, None, toward_target, fwd_bounds)
     bwd, bwd_steps = _scope_search(
-        network.reverse(), scope, target, weighting, potential=toward_source
+        network.reverse(), scope, target, weighting, None, toward_source, bwd_bounds
     )
-    runs = (fwd, bwd)
-    steps = (fwd_steps, bwd_steps)
     # Two copies of one loop: unpacking the goal-directed heads and testing
     # the strict stop cost the plain search about a tenth of its time.
     if goal:
-        _goal_directed_meeting(runs, steps)
+        _goal_directed_meeting((fwd, bwd), (fwd_steps, bwd_steps))
     else:
+        runs = (fwd, bwd)
+        steps = (fwd_steps, bwd_steps)
         heads = [next(fwd_steps, None), next(bwd_steps, None)]
         best = INF
         while True:
@@ -536,10 +562,10 @@ def bidirectional_s_dijkstra(
             heads[side] = next(steps[side], None)
     fwd_steps.close()
     bwd_steps.close()
-    return _split_minimum(fwd, bwd)
+    return _split_minimum(fwd, bwd), bounds
 
 
-def _goal_directed_meeting(runs, steps, cap: float = INF) -> list:
+def _goal_directed_meeting(runs, steps, cap: float = INF):
     """Step a forward and a reverse goal-directed run, on the smaller head
     key, until both keys are strictly above ``best``: the least meeting sum
     seen at a settled vertex, or ``cap`` if that is lower (the stop rule of
@@ -550,20 +576,33 @@ def _goal_directed_meeting(runs, steps, cap: float = INF) -> list:
     Returns each run's pending head, the ``(key, d, u)`` it has yielded but
     not settled (``u``'s labels are final), or ``None`` for a run that ended.
     """
-    heads = [next(steps[0], None), next(steps[1], None)]
+    fwd_dist, bwd_dist = runs[0].dist, runs[1].dist
+    fwd_steps, bwd_steps = steps
+    fwd_head, bwd_head = next(fwd_steps, None), next(bwd_steps, None)
+    fwd_top = INF if fwd_head is None else fwd_head[0]
+    bwd_top = INF if bwd_head is None else bwd_head[0]
     best = cap
     while True:
-        tops = [INF if h is None else h[0] for h in heads]
-        top = min(tops)
-        if top > best or top == INF:
-            break
-        side = 0 if tops[0] <= tops[1] else 1
-        _, d, u = heads[side]
-        far = runs[1 - side].dist[u]
-        if d + far < best:
-            best = d + far
-        heads[side] = next(steps[side], None)
-    return heads
+        if fwd_top <= bwd_top:
+            if fwd_top > best or fwd_top == INF:
+                break
+            _, d, u = fwd_head
+            meet = d + bwd_dist[u]
+            if meet < best:
+                best = meet
+            fwd_head = next(fwd_steps, None)
+            fwd_top = INF if fwd_head is None else fwd_head[0]
+        else:
+            # bwd_top < fwd_top, so bwd_top is finite.
+            if bwd_top > best:
+                break
+            _, d, u = bwd_head
+            meet = d + fwd_dist[u]
+            if meet < best:
+                best = meet
+            bwd_head = next(bwd_steps, None)
+            bwd_top = INF if bwd_head is None else bwd_head[0]
+    return fwd_head, bwd_head
 
 
 def validate_s_admissible(

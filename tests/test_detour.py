@@ -1,5 +1,6 @@
 import gc
 import math
+import operator
 import random
 import weakref
 
@@ -15,6 +16,7 @@ from scoperoute import (
     build_detour_context,
     build_network,
     derive_closures,
+    dijkstra,
     enhanced_detour_route,
     find_obstructed,
     generate_synthetic,
@@ -130,6 +132,28 @@ def _closed_random_case(seed: int, fractional: bool = False):
     }
     closed = net.with_updated_weights(updates)
     return closed, scope, rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+
+
+def _tight_detour_case(seed: int):
+    """A random two-way network with budgets below 6, one edge of the
+    static optimum and three random edges closed, and the query; ``None``
+    when no static walk leaves the start. Its failed exits often need a
+    permit, on gate runs that stop short of draining."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 40)
+    edges = []
+    for v in range(n):
+        for _ in range(2):
+            u = rng.randrange(n)
+            edges += [(v, u), (u, v)]
+    net = build_network(n, edges, [rng.randint(1, 9) for _ in edges])
+    scope = make_scope([rng.randrange(3) for _ in edges], sorted(rng.sample(range(1, 6), 2)) + [INF])
+    s, t = rng.randrange(n), rng.randrange(n)
+    walk = bidirectional_s_dijkstra(net, scope, s, t).walk
+    if walk is None or not walk.edges:
+        return None
+    closures = rng.sample(walk.edges, 1) + rng.sample(range(len(edges)), 3)
+    return net.with_updated_weights({e: INF for e in closures}), scope, s, t
 
 
 def _assert_context_masks(closed, scope, s, t):
@@ -351,7 +375,10 @@ def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
     # it. At every vertex a half settles, the gate bits read off that run
     # equal _usable on a drained run over the open weighting. Fractional
     # seeds (zeros among the weights, so no table) and networks without a
-    # table keep drained gate runs.
+    # table keep drained gate runs. With the table the routes answer most
+    # integer failed exits without the state search (a certificate, or no
+    # open walk at all), so each failed exit also runs the permit path on
+    # fresh lazy gate runs, as a route does after a failed certificate.
     if table:
         request.getfixturevalue("landmarks_at_once")
     usable = scoperoute.search._usable
@@ -371,7 +398,8 @@ def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
             closed, scope, s, t = _closed_random_case(seed, fractional)
             del searched[:]
             for route in (simple_detour_route, enhanced_detour_route):
-                route(closed, scope, s, t)
+                if _failed_exit(route(closed, scope, s, t)) and table:
+                    _permit_path(closed, scope, s, t, route is enhanced_detour_route)
             assert ("landmarks" in closed._aux) == table
             for ctx, fwd, bwd in searched:
                 sides = ((fwd, closed, s), (bwd, closed.reverse(), t))
@@ -395,6 +423,18 @@ def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
         assert runs[False, True] == 0 and runs[False, False] > 1000, runs
     assert runs[True, True] == 0 and runs[True, False] > 1000, runs
     assert checked > 15000, checked
+
+
+def _permit_path(closed, scope, s, t, enhanced: bool):
+    """The permit-state search of a failed exit from ``s`` to ``t`` as a
+    route runs it, with the route's closure set, but with no certificate
+    first: on directions fresh from ``_directions``."""
+    derived = derive_closures(closed)
+    active = qc_closure(closed, scope, None, s, t).edges if enhanced else derived.hard
+    weightings = scoperoute.detour._weightings(closed, active, derived.edges)
+    directions = scoperoute.detour._directions(closed, scope, weightings, s, t)
+    ctx = scoperoute.detour._context(closed, scope, weightings, s, t, directions)
+    return scoperoute.detour._state_search_halves(ctx)
 
 
 def _count_state_searches(monkeypatch) -> list:
@@ -480,16 +520,141 @@ def test_certificate_gives_the_costs_of_the_permit_search(landmarks_at_once, mon
     assert tally["permits"] - grid_permits >= 100, tally
 
 
+def test_a_route_evaluates_each_landmark_bound_once(landmarks_at_once, monkeypatch):
+    # One route evaluates each vertex's landmark bound at most once per
+    # direction: the static search's two bound lists go on to the d_open
+    # run, the gate runs and the permit-state halves, which read exactly
+    # those lists. A route with no permit-state search builds no
+    # corridor-clean mask.
+    real_potentials = scoperoute.search._landmark_potentials
+    evaluated = []
+
+    def counting(network, source, target):
+        to_target, to_source = real_potentials(network, source, target)
+        if to_target is None:
+            return to_target, to_source
+        return (
+            lambda v: evaluated.append(("t", v)) or to_target(v),
+            lambda v: evaluated.append(("s", v)) or to_source(v),
+        )
+
+    real_static = scoperoute.detour._bidirectional_search
+    real_certificate = scoperoute.detour._certificate
+    real_clean = scoperoute.detour._clean_masks
+    static_bounds, certified_bounds, cleaned = [], [], []
+
+    def static(*args, **kwargs):
+        result, bounds = real_static(*args, **kwargs)
+        static_bounds.append(bounds)
+        return result, bounds
+
+    def certificate(network, scope, forward, backward):
+        certified_bounds.append((forward.bounds, backward.bounds))
+        return real_certificate(network, scope, forward, backward)
+
+    def clean(*args, **kwargs):
+        cleaned.append(args)
+        return real_clean(*args, **kwargs)
+
+    monkeypatch.setattr(scoperoute.search, "_landmark_potentials", counting)
+    monkeypatch.setattr(scoperoute.detour, "_landmark_potentials", counting)
+    monkeypatch.setattr(scoperoute.detour, "_bidirectional_search", static)
+    monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
+    monkeypatch.setattr(scoperoute.detour, "_clean_masks", clean)
+    searched = _count_state_searches(monkeypatch)
+    tally = {"certificates": 0, "searches": 0, "no certificate": 0, "evaluated": 0}
+    rng = random.Random(19)
+    cases = [bypass_network(random.Random(seed)) for seed in range(600)]
+    cases += [_closed_random_case(seed) for seed in range(600)]
+    for net, scope, s, t in cases[:]:
+        # A fractional raise on an open edge leaves the gate runs drained
+        # and the certificate untried.
+        raised = rng.choice([e for e in range(net.edge_count) if net.weight_updated[e] < INF])
+        cases.append((net.with_updated_weights({raised: net.weight_updated[raised] + 0.5}), scope, s, t))
+    nf = generate_synthetic("grid", 50, 3, seed=42)
+    grid, grid_scope = nf.network, balance_to_proper(nf.network, nf.scope)
+    while len(cases) < 2410:
+        s, t = rng.randrange(grid.vertex_count), rng.randrange(grid.vertex_count)
+        walk = bidirectional_s_dijkstra(grid, grid_scope, s, t).walk
+        if walk is not None and len(walk.edges) >= 40:
+            updates, _ = place_random_closures(grid, grid_scope, walk, 50, seed=len(cases))
+            cases.append((grid.with_updated_weights(updates), grid_scope, s, t))
+    for closed, scope, s, t in cases:
+        for route in (simple_detour_route, enhanced_detour_route):
+            del evaluated[:], static_bounds[:], certified_bounds[:], cleaned[:], searched[:]
+            res = route(closed, scope, s, t)
+            assert len(evaluated) == len(set(evaluated)), (s, t)
+            tally["evaluated"] += len(evaluated)
+            (bounds,) = static_bounds
+            assert bounds is not None
+            if certified_bounds:
+                tally["certificates"] += 1
+                assert all(map(operator.is_, certified_bounds[0], bounds))
+            elif _failed_exit(res):
+                tally["no certificate"] += 1
+            if searched:
+                tally["searches"] += 1
+                ctx = searched[0][0]
+                assert all(map(operator.is_, (ctx.forward.bounds, ctx.backward.bounds), bounds))
+                assert len(cleaned) == 2
+            else:
+                assert not cleaned
+    assert min(tally.values()) >= 100 and tally["certificates"] >= 1000, tally
+
+
+def test_no_open_walk_returns_without_records(landmarks_at_once, monkeypatch):
+    # When no walk from s to t avoids the closed edges (d_open is inf), the
+    # routes return the static walk or nothing, as the permit-state search
+    # on a copy without the table does, with no record run and no
+    # permit-state search; they count no settled state or vertex. Closing
+    # every raised edge, soft ones too, leaves a static walk over soft
+    # raises with a finite cost.
+    drained, searched = [], _count_state_searches(monkeypatch)
+    real = scoperoute.detour._drained_runs
+
+    def draining(*args):
+        drained.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scoperoute.detour, "_drained_runs", draining)
+    answered = {"static": 0, "unreachable": 0}
+    for seed in range(3000):
+        closed, scope, s, t = _closed_random_case(seed)
+        plain = _closed_random_case(seed)[0]
+        plain._aux["landmarks"] = None  # as for weights with no table
+        raised = derive_closures(closed).edges
+        for closures, active in ((None, derive_closures(closed).hard), (raised, raised)):
+            opened = [INF if e in active else w for e, w in enumerate(closed.weight_updated)]
+            for route in (simple_detour_route, enhanced_detour_route):
+                del drained[:], searched[:]
+                res = route(closed, scope, s, t, closures)
+                if not _failed_exit(res) or dijkstra(closed, opened, s).dist[t] < INF:
+                    continue
+                assert (drained, searched) == ([], []), seed
+                counts = (res.scanned_detour, res.scanned_detour_vertices, res.permits_issued)
+                assert counts == (0, 0, 0), seed
+                expected = route(plain, scope, s, t, closures)
+                assert drained and searched, seed
+                assert (res.klass, res.cost_updated, res.walk) == (
+                    expected.klass, expected.cost_updated, expected.walk
+                ), seed
+                answered[res.klass] += 1
+    assert min(answered.values()) >= 100, answered
+
+
 def test_handed_off_gate_runs_read_as_the_drained_runs(landmarks_at_once, monkeypatch):
     # A failed certificate hands its stepped gate runs to the permit-state
     # search: every vertex a run settled is marked final, and so is the head
     # it has yielded but not settled. Every label final there, before the
     # search and after it, is the drained gate run's of a fresh context with
-    # the route's closure set; runs still stop short of draining.
+    # the route's closure set; runs still stop short of draining. Most
+    # that do are those of the tight cases: on bypass networks a permit
+    # leads the search past the gate run's reach, which drains it.
     searched = _count_state_searches(monkeypatch)
     stepped = short = checked = 0
     cases = [bypass_network(random.Random(seed)) for seed in range(1500)]
     cases += [_closed_random_case(seed) for seed in range(1500)]
+    cases += filter(None, map(_tight_detour_case, range(2000)))
     for net, scope, s, t in cases:
         for route in (simple_detour_route, enhanced_detour_route):
             del searched[:]
@@ -624,7 +789,7 @@ def test_unknown_closure_edge_rejected_before_the_static_exit(monkeypatch, route
     res = route(net, scope, 0, 2)
     assert (res.klass, res.cost_updated) == ("static", 2.0)
     assert route(net, scope, 0, 2, {2}).klass == "static"
-    monkeypatch.setattr(scoperoute.detour, "bidirectional_s_dijkstra", failing)
+    monkeypatch.setattr(scoperoute.detour, "_bidirectional_search", failing)
     with pytest.raises(NetworkError, match=f"unknown edge id {edge}$"):
         route(net, scope, 0, 2, {edge})
 
@@ -849,7 +1014,7 @@ def _log_searches(monkeypatch, closed):
     """Log the detour module's static and drained searches, in call order:
     ``("static", s, t)`` and ``(source, weights)``."""
     calls = []
-    real_static = scoperoute.detour.bidirectional_s_dijkstra
+    real_static = scoperoute.detour._bidirectional_search
     real_drained = scoperoute.detour.s_dijkstra
 
     def static(network, scope, source, target, *args, **kwargs):
@@ -861,7 +1026,7 @@ def _log_searches(monkeypatch, closed):
         calls.append((source, tuple(w)))
         return real_drained(network, scope, source, weighting, *args, **kwargs)
 
-    monkeypatch.setattr(scoperoute.detour, "bidirectional_s_dijkstra", static)
+    monkeypatch.setattr(scoperoute.detour, "_bidirectional_search", static)
     monkeypatch.setattr(scoperoute.detour, "s_dijkstra", drained)
     return calls
 
@@ -985,7 +1150,9 @@ def test_landmark_potentials_give_the_routes_of_dijkstra_potentials(
     monkeypatch.setattr(scoperoute.detour, "dijkstra", counting)
     rng = random.Random(29)
     searched = {"hard": 0, "soft": 0}
-    for _ in range(400):
+    # With the table, a hard closure often leaves no open walk at all, which
+    # the route answers without a search.
+    for _ in range(700):
         net, scope = random_network(rng)
         s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
         static = bidirectional_s_dijkstra(net, scope, s, t)

@@ -260,6 +260,51 @@ def test_no_goal_direction_past_int32(landmarks_at_once):
     )
 
 
+def test_landmark_bounds_are_those_of_dijkstra_distances(landmarks_at_once):
+    # Every bound _landmark_potentials gives equals the one recomputed from
+    # dijkstra distances to and from the table's landmarks: on d(x, y), the
+    # largest of d(L, y) - d(L, x) and d(x, L) - d(y, L) over the landmarks
+    # L, with int32's largest value for an unreachable distance, and 0 when
+    # all of them are negative. Landmark L is the one vertex whose entry
+    # d(L, L) is 0 (the weights are positive). On a one-way ring every
+    # landmark is behind a vertex's successor, so the bound on that step
+    # back round the ring is floored.
+    far = scoperoute.search._FAR
+    rng = random.Random("landmark bounds")
+    unreachable = floored = checked = 0
+    for i in range(200):
+        net, scope = random_network(rng, max_vertices=30, max_edges=60)
+        n = net.vertex_count
+        if i % 2:
+            ring = [(v, (v + 1) % n) for v in range(n)]
+            net = build_network(n, ring, [rng.randint(1, 20) for _ in ring])
+            scope = make_scope([1] * n, [5, INF])
+        bidirectional_s_dijkstra(net, scope, 0, n - 1)  # builds the table
+        rows = _landmark_rows(net)
+        k = min(scoperoute.search._LANDMARKS, n)
+        landmarks = [[v for v in range(n) if rows[v][i] == 0] for i in range(k)]
+        assert all(len(found) == 1 for found in landmarks)
+        landmarks = [found[0] for found in landmarks]
+        assert len(set(landmarks)) == k
+        rev = net.reverse()
+        out = [[far if d == INF else int(d) for d in dijkstra(net, "base", L).dist] for L in landmarks]
+        back = [[far if d == INF else int(d) for d in dijkstra(rev, "base", L).dist] for L in landmarks]
+        for _ in range(3):
+            s, t = rng.randrange(n), rng.randrange(n)
+            toward_target, toward_source = scoperoute.search._landmark_potentials(net, s, t)
+            for v in range(n):
+                for (x, y), got in (((v, t), toward_target(v)), ((s, v), toward_source(v))):
+                    gaps = [d[y] - d[x] for d in out] + [d[x] - d[y] for d in back]
+                    assert got == max(0, *gaps), (x, y)
+                    unreachable += any(d[x] == far or d[y] == far for d in out + back)
+                    floored += max(gaps) < 0
+                    checked += 1
+                    # A lower bound on the base-weight distance wherever it is finite.
+                    d_xy = dijkstra(net, "base", x).dist[y]
+                    assert d_xy == INF or got <= d_xy
+    assert checked > 5000 and unreachable > 1000 and floored > 500, (checked, unreachable, floored)
+
+
 class TestValidateAdmissible:
     def test_empty_walk(self, n1, n1_scope5):
         assert validate_s_admissible(Walk(0), n1, n1_scope5, 0)

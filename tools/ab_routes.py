@@ -29,10 +29,11 @@ the criterion-7 batch (``run_benchmark`` on the 50x50 grid: 500 queries,
 differ, in all and per kind (records, masks, routes, full, csv), with the
 first few, and exits 1 if any does. It tallies apart the cases whose cost,
 class or verdict differs (records, masks, the full optimum and each walk's
-acceptance, the CSV without its count columns) and those that differ only
-in walk, permit edges or counts (scanned vertices and states, permits
-issued, the full verdicts' witnesses), as a change of walk among
-equal-cost walks does.
+acceptance, the CSV without its count columns), those that differ beyond
+that only in walk, permit edges or the full verdicts' witnesses, as a
+change of walk among equal-cost walks does, and those that differ only in
+counts (scanned vertices and states, permits issued, the CSV's count
+columns), as a route that does less work shows.
 
 Both sides import this checkout's ``tests/test_detour.py`` and
 ``tests/conftest.py``, so those files import at module level only names
@@ -167,6 +168,19 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
     return cases
 
 
+def difference(kind: str, old, new) -> int:
+    """How a differing case of ``kind`` differs: 0 in cost, class or
+    verdict, else 1 in walk, permit edges or witnesses, else 2 in counts."""
+    if old is None or new is None or old[0] != new[0]:
+        return 0
+    if kind == "csv":
+        return 2
+    if kind == "routes":
+        # The details are [permit edges, counts..., walk].
+        return 1 if (old[1][0], old[1][-1]) != (new[1][0], new[1][-1]) else 2
+    return 1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before")
@@ -190,14 +204,14 @@ def main() -> int:
     before, after = sides
     differ = [name for name in before.keys() | after.keys() if before.get(name) != after.get(name)]
     print(f"{len(before)} cases before, {len(after)} after, {len(differ)} differ")
-    # Per kind: [cost, class or verdict differs; only walk, permit edges or counts differ].
-    kinds = {kind: [0, 0] for kind in ("records", "masks", "routes", "full", "csv")}
+    # Per kind: [cost, class or verdict; walk, permit edges or witnesses; counts only].
+    kinds = {kind: [0, 0, 0] for kind in ("records", "masks", "routes", "full", "csv")}
     for name in differ:
         last = name.rsplit(" ", 1)[-1]
-        old, new = before.get(name), after.get(name)
-        only_detail = old is not None and new is not None and old[0] == new[0]
-        kinds[last if last in kinds else "routes"][only_detail] += 1
-    for i, what in enumerate(("in cost, class or verdict", "only in walk, permit edges or counts")):
+        kind = last if last in kinds else "routes"
+        kinds[kind][difference(kind, before.get(name), after.get(name))] += 1
+    whats = ("in cost, class or verdict", "beyond that in walk, permit edges or witnesses", "only in counts")
+    for i, what in enumerate(whats):
         print(f"differ {what}: " + ", ".join(f"{kind} {n[i]}" for kind, n in kinds.items()))
     for name in sorted(differ)[:5]:
         print(f"  {name}:\n    before {before.get(name)!r:.300}\n    after  {after.get(name)!r:.300}")

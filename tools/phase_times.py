@@ -41,13 +41,17 @@ in the static search that follows the plain ones; it is not part of
 The output holds the mean, median and p90 per phase in ms, before and
 after, and each phase's mean in each round, so that a difference smaller
 than the spread between rounds shows as such. It holds the same summary
-figures for three counts: the vertices each gate run settled (its
+figures for four counts: the vertices each gate run settled (its
 ``order`` when the route returns; a lazy run's last final vertex is not in
 it yet), the vertices each d_open run settled (the runs of
-``detour._scope_run``), and the passes over all the weights outside the
+``detour._scope_run``), the passes over all the weights outside the
 searches per route that fails the static exit (the outermost calls of
-``WEIGHT_PASSES``). It adds the Python version and core count, under the
-workload's name; other workloads already in the file are kept.
+``WEIGHT_PASSES``), and the landmark bounds each route evaluates, its
+static search's included (calls of the functions
+``search._landmark_potentials`` returns; the counting wrapper adds one
+call to each evaluation, on both sides). It adds the Python version and
+core count, under the workload's name; other workloads already in the
+file are kept.
 
 ``--src SRC`` runs one side and prints its per-query times and per-run
 counts as JSON.
@@ -71,6 +75,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Function of a scoperoute module -> the phase its self time counts towards.
 PHASES = {
     ("detour", "bidirectional_s_dijkstra"): "static search",
+    ("detour", "_bidirectional_search"): "static search",
     ("detour", "derive_closures"): "closures / weightings",
     ("detour", "_active_set"): "closures / weightings",
     ("detour", "_weightings"): "closures / weightings",
@@ -94,6 +99,7 @@ WEIGHT_PASSES = (("detour", "derive_closures"), ("detour", "_distance_bound"))
 GATE_SETTLED = "gate run, vertices settled"
 OPEN_SETTLED = "d_open run, vertices settled"
 PASSES = "weight passes per failed exit"
+BOUNDS = "bound evaluations per route"
 BUILD = "landmark build"
 ROUTE = "route, whole"
 OTHER = "route, rest"
@@ -186,9 +192,28 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict:
 
     if fresh_run is not None:
         scoperoute.detour._scope_run = collecting_run
+    # And each landmark bound evaluated, through the functions the table gives.
+    evaluated = [0]
+    real_potentials = scoperoute.search._landmark_potentials
+
+    def counted(bound):
+        def evaluate(v):
+            evaluated[0] += 1
+            return bound(v)
+
+        return evaluate
+
+    def counting_potentials(*args, **kwargs):
+        bounds = real_potentials(*args, **kwargs)
+        return bounds if bounds[0] is None else tuple(map(counted, bounds))
+
+    scoperoute.search._landmark_potentials = counting_potentials
+    if hasattr(scoperoute.detour, "_landmark_potentials"):
+        scoperoute.detour._landmark_potentials = counting_potentials
     gate_settled: list[float] = []
     open_settled: list[float] = []
     weight_passes: list[float] = []
+    bound_evaluations: list[float] = []
     phases = sorted(set(PHASES.values()))
     per_query: dict[str, list[float]] = {p: [] for p in phases + [ROUTE, OTHER]}
     spec = WORKLOADS[workload]
@@ -204,11 +229,13 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict:
             closed = base.with_updated_weights(updates)
         built = times.ms.get(BUILD, 0.0)
         passes[1] = 0
+        evaluated[0] = 0
         t0 = perf_counter()
         res = sr.simple_detour_route(closed, scope, s, t)
         whole = (perf_counter() - t0) * 1000.0 - (times.ms.get(BUILD, 0.0) - built)
         if res.static_walk is None or res.static_cost_updated != res.static_cost_base:
             weight_passes.append(passes[1])
+        bound_evaluations.append(evaluated[0])
         for p in phases:
             per_query[p].append(times.ms.get(p, 0.0))
         per_query[ROUTE].append(whole)
@@ -217,7 +244,12 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict:
         directions.clear()
         open_settled.extend(len(run.order) for run in open_runs)
         open_runs.clear()
-    counts = {GATE_SETTLED: gate_settled, OPEN_SETTLED: open_settled, PASSES: weight_passes}
+    counts = {
+        GATE_SETTLED: gate_settled,
+        OPEN_SETTLED: open_settled,
+        PASSES: weight_passes,
+        BOUNDS: bound_evaluations,
+    }
     return {"ms": per_query, "counts": counts, "missing": sorted(missing)}
 
 
@@ -275,7 +307,7 @@ def main() -> None:
             missing[side] = measured["missing"]
     report = {
         "workload": args.workload,
-        "what": "self time per phase of one simple_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per gate run and per d_open run, and passes over all the weights per failed static exit",
+        "what": "self time per phase of one simple_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per gate run and per d_open run, passes over all the weights per failed static exit, and landmark bounds evaluated per route",
         "seed": args.seed,
         "queries": args.queries,
         "rounds": args.rounds,
