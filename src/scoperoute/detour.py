@@ -7,7 +7,10 @@ level licenses nearby edges of exactly that level ("detour permits") until a
 vertex with an open higher-level departure is passed. The enhanced variant
 first grows the closure set to its quasi-closure fixed point, adding open
 edges from which the target (resp. start) cannot be reached admissibly at
-all.
+all. Most closure sets add none, and that is proved without a pass over
+the whole network: when the base graph is strongly connected and each
+closed edge's tail reaches its head on the open roads, every vertex still
+reaches every other (see ``qc_closure``).
 
 The walk validator and the routing search share one acceptance relation:
 
@@ -37,8 +40,10 @@ against labels computed independently of its lazy runs. Where the gate
 runs are lazy, a route first steps them as a certificate: when their split
 minimum equals the plain open-weight distance, no walk is cheaper and the
 split minimum's walk needs no permit, so no record is built
-(``_certificate``); when that distance is infinite no walk is accepted at
-all. The corridor-clean masks are built only for the permit-state search.
+(``_certificate``); the runs stop at their first meeting of that sum, since
+no meeting can be cheaper. When that distance is infinite no walk is
+accepted at all. The corridor-clean masks are built only for the
+permit-state search.
 
 The search explores (vertex, carried-permit mask, owed-permit mask) states
 in both directions, each goal-directed by lower bounds on the distance to
@@ -268,12 +273,15 @@ class _Weightings:
     state search, quasi-closure); ``record``, with ``active`` at base weight
     (record runs); ``goal``, whether searches on ``open`` may be
     goal-directed (``search._goal_directed``, decided on the raised edges
-    ``_weightings`` is given; false without them)."""
+    ``_weightings`` is given; false without them); ``cut``, the edges of
+    finite base weight that ``open`` closes, listed from ``active`` and
+    the raised edges (``None`` without them)."""
 
     active: frozenset[int]
     open: list[float]
     record: list[float]
     goal: bool
+    cut: tuple[int, ...] | None
 
 
 def _weightings(network: RoadNetwork, active: frozenset[int], raised=None) -> _Weightings:
@@ -283,8 +291,13 @@ def _weightings(network: RoadNetwork, active: frozenset[int], raised=None) -> _W
     for e in active:
         open_w[e] = INF
         record[e] = base[e]
-    goal = raised is not None and _goal_directed(network, [open_w[e] for e in raised])
-    return _Weightings(active, open_w, record, goal)
+    if raised is None:
+        return _Weightings(active, open_w, record, False, None)
+    goal = _goal_directed(network, [open_w[e] for e in raised])
+    # A raised edge's base weight is below its updated one, so finite.
+    cut = {e for e in active if base[e] != INF}
+    cut.update(e for e in raised if open_w[e] == INF)
+    return _Weightings(active, open_w, record, goal, tuple(sorted(cut)))
 
 
 def _drained_runs(
@@ -435,9 +448,14 @@ def _certificate(
 
     The lazy gate runs are stepped as ``bidirectional_s_dijkstra`` steps
     its goal-directed runs, until both keys pass d_open; U is then d_open
-    if the drained runs' split minimum is. U's walk is a tree walk of the
-    gate runs: each prefix edge passes the forward gate at its tail and
-    each suffix edge the backward gate at its head, so it needs no permit.
+    if the drained runs' split minimum is. They stop earlier, at their
+    first meeting of sum d_open (``_goal_directed_meeting``'s ``low``):
+    every finite meeting sum is the cost of a walk on the open weighting,
+    so none is below d_open, and U is d_open, met at that vertex or at
+    another of equal sum. U's walk is a tree walk of the gate runs: each
+    prefix edge passes the forward gate at its tail, settled when it
+    relaxed the edge, and each suffix edge the backward gate at its head,
+    so it needs no permit.
 
     Otherwise the gate runs are handed on to the permit-state search: every
     vertex a run settled is marked final, and so is its pending head, whose
@@ -447,7 +465,7 @@ def _certificate(
     runs = (forward.gate, backward.gate)
     if d_open == INF:
         return BidirectionalResult(None, INF, None, *runs)
-    heads = _goal_directed_meeting(runs, (forward.steps, backward.steps), d_open)
+    heads = _goal_directed_meeting(runs, (forward.steps, backward.steps), d_open, d_open)
     split = _split_minimum(*runs)
     if split.cost == d_open:
         return split
@@ -881,9 +899,11 @@ class DetourResult:
     distinct vertices per side the permit-state search settled (0 after
     the static exit). A route the certificate answers (see ``_route``)
     counts in both the vertices its two gate runs settled, which is 0 when
-    d_open is inf and the runs are never stepped; its d_open run is not
-    counted, as the permit-state search's gate, record and potential runs
-    are not.
+    d_open is inf and the runs are never stepped. The runs stop at their
+    first meeting of sum d_open (see ``_certificate``), so they settle
+    fewer vertices than runs stepped until both keys pass d_open. Its
+    d_open run is not counted, as the permit-state search's gate, record
+    and potential runs are not.
     """
 
     walk: Walk | None
@@ -926,9 +946,10 @@ def _route(
     enhanced: bool,
 ) -> DetourResult:
     """The detour steps in order: static result and early exit, the closure
-    set and its weightings, grown by the quasi-closure when ``enhanced``,
-    the certificate where it applies, else record runs, then the rest of
-    the context and the permit-state search.
+    set and its weightings, grown by the quasi-closure when ``enhanced``
+    (the weightings are built again only if it adds an edge), the
+    certificate where it applies, else record runs, then the rest of the
+    context and the permit-state search.
 
     A caller's ``closures`` are read once, before the static search, so an
     unknown edge id raises ``NetworkError`` even on the static exit and a
@@ -976,7 +997,8 @@ def _route(
     if enhanced:
         qc = _quasi_closure(network, scope, closures, closed, source, target)
         res.qc_iterations, res.qc_added = qc.iterations, len(qc.edges) - len(qc.hard)
-        closed = _weightings(network, qc.edges, derived.edges)
+        if len(qc.edges) > len(closed.active):
+            closed = _weightings(network, qc.edges, derived.edges)
     directions = certified = None
     if closed.goal:
         directions = _directions(network, scope, closed, source, target, bounds)
@@ -1051,19 +1073,61 @@ def _recheck_detour(walk: Walk, network: RoadNetwork, scope: ScopeMapping, enhan
     return validate_simple_detour(walk, network, scope, closures, s, t)
 
 
-def _plain_reach(pack, vertex_count: int, source: int, weights) -> list[bool]:
+def _plain_reach(
+    pack, vertex_count: int, source: int, weights, stop: int = -1, cap: int | None = None
+) -> tuple[list[int], int]:
     """Vertices reachable from ``source`` over edges finite in ``weights``,
-    gates ignored."""
-    reached = [False] * vertex_count
-    reached[source] = True
-    stack = [source]
-    while stack:
-        v = stack.pop()
+    gates ignored, in breadth-first order, ``source`` first, and how many
+    of them the search expanded (scanned the edges of).
+
+    The search ends early once it reaches ``stop``, then the last vertex
+    listed, or once it has expanded ``cap`` vertices."""
+    seen = bytearray(vertex_count)
+    seen[source] = 1
+    order = [source]
+    if source == stop:
+        return order, 0
+    for expanded, v in enumerate(order):
+        if expanded == cap:
+            return order, expanded
         for e, u, _lv in pack[v]:
-            if not reached[u] and weights[e] != INF:
-                reached[u] = True
-                stack.append(u)
-    return reached
+            if not seen[u] and weights[e] != INF:
+                seen[u] = 1
+                order.append(u)
+                if u == stop:
+                    return order, expanded + 1
+    return order, len(order)
+
+
+def _strongly_connected(network: RoadNetwork, scope: ScopeMapping) -> bool:
+    """Whether every vertex reaches every other over the edges of finite
+    base weight: a reach pass from vertex 0 over each direction's edge pack,
+    cached in ``_aux``, as it depends only on the structure and ``weight``."""
+    aux = network._aux
+    strong = aux.get("strongly connected")
+    if strong is None:
+        n = network.vertex_count
+        strong = aux["strongly connected"] = all(
+            len(_plain_reach(_edge_pack(graph, scope), n, 0, network.weight)[0]) == n
+            for graph in (network, network.reverse())
+        )
+    return strong
+
+
+def _bypassed(network: RoadNetwork, pack, closed: _Weightings) -> bool:
+    """Whether the tail of every edge of ``closed.cut`` reaches its head on
+    the open weighting, found by searches stopped at the head that together
+    expand at most as many vertices as one reach pass; ``False`` as soon as
+    one fails or the searches would expand more."""
+    tails, heads = network.tails, network.heads
+    n = budget = network.vertex_count
+    for e in closed.cut:
+        y = heads[e]
+        bypass, expanded = _plain_reach(pack, n, tails[e], closed.open, y, budget)
+        if bypass[-1] != y:
+            return False
+        budget -= expanded
+    return True
 
 
 def qc_closure(
@@ -1091,35 +1155,57 @@ def qc_closure(
     x is still reached and y still reaches, and no further edge becomes
     quasi-closed. ``iterations`` is the number of rounds a fixed-point loop
     takes: 1 when nothing is added, else 2 (the second round adds nothing).
+
+    Most closure sets add nothing, and that is proved first, without the
+    round's two reach passes. Call the edges of finite base weight the base
+    graph, those finite on the open weighting the open graph, and the cut
+    the base edges the open graph lacks. If the base graph is strongly
+    connected and the tail of every cut edge reaches its head in the open
+    graph (a bypass), then every base walk becomes an open one by replacing
+    each cut edge with its bypass; so in the open graph, too, every vertex
+    reaches the target and is reached from the start, and no edge is
+    quasi-closed. Strong connectivity is found once per network; the bypass
+    searches stop at the cut edge's head, and all of them together expand
+    at most as many vertices as one reach pass, else the round runs as above.
     """
     for vertex, role in ((source, "source"), (target, "target")):
         if not (0 <= vertex < network.vertex_count):
             raise NetworkError(f"unknown {role} vertex {vertex}")
-    closed = _weightings(network, _active_set(network, closures))
+    derived = derive_closures(network)
+    active = derived.hard if closures is None else _active_set(network, closures)
+    closed = _weightings(network, active, derived.edges)
     return _quasi_closure(network, scope, closures, closed, source, target)
 
 
 def _quasi_closure(network: RoadNetwork, scope: ScopeMapping, closures, closed, source, target):
     """``qc_closure`` on the weightings ``closed`` of ``closures``: the edges
     left open are the finite ones of ``closed.open``. Of ``closures`` only a
-    ``ClosureSet``'s hard set and tags are read, so a used-up iterable will do."""
+    ``ClosureSet``'s hard set and tags are read, so a used-up iterable will
+    do. Without ``closed.cut`` the adding round always runs."""
     base = closures if isinstance(closures, ClosureSet) else None
-    active = set(closed.active)
     hard = closed.active if base is None else base.hard
-    kind = dict(base.kind) if base is not None else {e: "hard" for e in active}
+    kind = dict(base.kind) if base is not None else {e: "hard" for e in closed.active}
     scope.validate(network)
+    pack = _edge_pack(network, scope)
+    if (
+        closed.cut is not None
+        and _strongly_connected(network, scope)
+        and _bypassed(network, pack, closed)
+    ):
+        return ClosureSet(closed.active, hard, kind, 1)
     n = network.vertex_count
     tails, heads = network.tails, network.heads
     weights = closed.open
-    t_reach = _plain_reach(_edge_pack(network.reverse(), scope), n, target, weights)
-    s_reach = _plain_reach(_edge_pack(network, scope), n, source, weights)
+    t_reach = set(_plain_reach(_edge_pack(network.reverse(), scope), n, target, weights)[0])
+    s_reach = set(_plain_reach(pack, n, source, weights)[0])
+    active = set(closed.active)
     added = 0
     for e in range(network.edge_count):
         if weights[e] == INF:
             continue
-        if not t_reach[heads[e]]:
+        if heads[e] not in t_reach:
             kind[e] = "quasi-t"
-        elif not s_reach[tails[e]]:
+        elif tails[e] not in s_reach:
             kind[e] = "quasi-s"
         else:
             continue

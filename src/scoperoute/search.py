@@ -565,13 +565,21 @@ def _bidirectional_search(
     return _split_minimum(fwd, bwd), bounds
 
 
-def _goal_directed_meeting(runs, steps, cap: float = INF):
+def _goal_directed_meeting(runs, steps, cap: float = INF, low: float = -INF):
     """Step a forward and a reverse goal-directed run, on the smaller head
     key, until both keys are strictly above ``best``: the least meeting sum
     seen at a settled vertex, or ``cap`` if that is lower (the stop rule of
     ``bidirectional_s_dijkstra``). Every vertex of a meeting of cost at
     most ``best`` has then settled on both sides, so the runs' split
     minimum is the drained runs' if that is at most ``cap``.
+
+    ``low`` is a known lower bound on every meeting sum. The runs stop as
+    soon as a head meets the other run at a sum of at most ``low``: no
+    meeting is cheaper, so the runs' split minimum costs exactly that sum,
+    though its meeting vertex (and walk) can differ from the drained runs'
+    among those of equal cost. The head that met is then pending; with
+    keys that bound the walks to the far end from below, its key is at
+    most ``low``.
 
     Returns each run's pending head, the ``(key, d, u)`` it has yielded but
     not settled (``u``'s labels are final), or ``None`` for a run that ended.
@@ -588,7 +596,9 @@ def _goal_directed_meeting(runs, steps, cap: float = INF):
                 break
             _, d, u = fwd_head
             meet = d + bwd_dist[u]
-            if meet < best:
+            if meet <= best:
+                if meet <= low:
+                    break
                 best = meet
             fwd_head = next(fwd_steps, None)
             fwd_top = INF if fwd_head is None else fwd_head[0]
@@ -598,7 +608,9 @@ def _goal_directed_meeting(runs, steps, cap: float = INF):
                 break
             _, d, u = bwd_head
             meet = d + fwd_dist[u]
-            if meet < best:
+            if meet <= best:
+                if meet <= low:
+                    break
                 best = meet
             bwd_head = next(bwd_steps, None)
             bwd_top = INF if bwd_head is None else bwd_head[0]

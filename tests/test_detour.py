@@ -677,6 +677,61 @@ def test_handed_off_gate_runs_read_as_the_drained_runs(landmarks_at_once, monkey
     assert stepped >= 500 and short >= 500 and checked >= 10000, (stepped, short, checked)
 
 
+def test_certificate_stops_at_its_first_d_open_meeting(landmarks_at_once, monkeypatch):
+    # The certificate's gate runs stop at their first meeting of sum d_open,
+    # which no meeting can undercut: a certified route leaves a gate head
+    # with a key of at most d_open, where the runs once stepped on until
+    # both keys passed it, and its walk passes the validator on a fresh
+    # context with the route's closure set. A failed certificate still
+    # steps both runs past d_open before it hands them on.
+    real_meeting = scoperoute.detour._goal_directed_meeting
+    real_certificate = scoperoute.detour._certificate
+    meetings, certified = [], []
+
+    def meeting(runs, steps, cap=INF, low=-INF):
+        heads = real_meeting(runs, steps, cap, low)
+        meetings.append((low, heads))
+        return heads
+
+    def certificate(*args):
+        certified.append(real_certificate(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(scoperoute.detour, "_goal_directed_meeting", meeting)
+    monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
+    cases = [("tight", case) for case in filter(None, map(_tight_detour_case, range(600)))]
+    nf = generate_synthetic("grid", 50, 3, seed=42)
+    grid, grid_scope = nf.network, balance_to_proper(nf.network, nf.scope)
+    rng = random.Random(20)
+    for query in range(20):
+        walk = None
+        while walk is None or len(walk.edges) < 40:
+            s, t = rng.randrange(grid.vertex_count), rng.randrange(grid.vertex_count)
+            walk = bidirectional_s_dijkstra(grid, grid_scope, s, t).walk
+        updates, _ = place_random_closures(grid, grid_scope, walk, 50, seed=query)
+        cases.append(("grid", (grid.with_updated_weights(updates), grid_scope, s, t)))
+    tally = {}
+    for name, (net, scope, s, t) in cases:
+        for route, enhanced in ((simple_detour_route, False), (enhanced_detour_route, True)):
+            del meetings[:], certified[:]
+            res = route(net, scope, s, t)
+            if not meetings:  # the static exit, or d_open is inf
+                continue
+            ((d_open, heads),) = meetings
+            keys = [head[0] for head in heads if head is not None]
+            (result,) = certified
+            if result is None:
+                assert all(key > d_open for key in keys), (s, t)
+                tally[name, "failed"] = tally.get((name, "failed"), 0) + 1
+                continue
+            assert result.cost == d_open and min(keys) <= d_open, (s, t)
+            if res.klass != "static":
+                assert scoperoute.detour._recheck_detour(res.walk, net, scope, enhanced, s, t)
+            tally[name, "stopped"] = tally.get((name, "stopped"), 0) + 1
+    assert tally.get(("grid", "stopped"), 0) >= 35, tally
+    assert tally.get(("tight", "stopped"), 0) >= 600 and tally.get(("tight", "failed"), 0) >= 100, tally
+
+
 class TestValidator:
     def test_plain_admissible_walk_accepted(self, n1, n1_scope15):
         closed = n1.with_updated_weights({3: INF})
@@ -884,7 +939,15 @@ class TestQcClosure:
             assert qc1.edges <= qc_closure(net, scope, big, s, t).edges
 
 
-    def test_single_pass_matches_fixed_point_loop(self):
+    def test_single_pass_matches_fixed_point_loop(self, monkeypatch):
+        # qc_closure's answer is the plain fixed-point loop's. It first tries
+        # to prove that nothing is quasi-closed: the base graph strongly
+        # connected, and an open bypass for every edge the open weighting
+        # closes. The proof answers on strongly connected inputs: two-way
+        # random networks, acceptance-grid closure sets, and an explicit
+        # closure set that leaves out an infinite edge. The adding round
+        # answers where a closure leaves a pocket, and on one-way networks
+        # that are not strongly connected.
         def reach(net, start, blocked, forward):
             seen = {start}
             stack = [start]
@@ -912,6 +975,34 @@ class TestQcClosure:
                     return closed, rounds
                 closed |= added
 
+        proofs = []
+        real = scoperoute.detour._bypassed
+
+        def logging(*args):
+            proofs.append(real(*args))
+            return proofs[-1]
+
+        monkeypatch.setattr(scoperoute.detour, "_bypassed", logging)
+        tally = {}
+
+        def check(name, net, scope, closures, s, t):
+            del proofs[:]
+            qc = qc_closure(net, scope, closures, s, t)
+            expected, rounds = fixed_point(net, closures or (), s, t)
+            # An infinite edge left out of an explicit set is closed, not listed.
+            infinite = {e for e in range(net.edge_count) if net.weight_updated[e] == INF}
+            expected -= infinite - (infinite if closures is None else closures)
+            assert qc.edges == frozenset(expected)
+            assert qc.iterations == rounds
+            proved = proofs == [True]
+            base = {e for e in range(net.edge_count) if net.weight[e] == INF}
+            strong = all(
+                len(reach(net, 0, base, forward)) == net.vertex_count for forward in (True, False)
+            )
+            assert not proved or (strong and rounds == 1), name
+            key = (name, "proof" if proved else "round" if strong else "round, not strong")
+            tally[key] = tally.get(key, 0) + 1
+
         rng = random.Random(33)
         for _ in range(300):
             net, scope = random_network(rng, max_vertices=10)
@@ -919,10 +1010,31 @@ class TestQcClosure:
             hard = rng.sample(pool, rng.randint(0, min(4, len(pool))))
             net = net.with_updated_weights({e: INF for e in hard})
             s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
-            qc = qc_closure(net, scope, None, s, t)
-            expected, rounds = fixed_point(net, hard, s, t)
-            assert qc.edges == frozenset(expected)
-            assert qc.iterations == rounds
+            check("one-way", net, scope, None, s, t)
+        for net, scope, s, t in filter(None, map(_tight_detour_case, range(400))):
+            check("two-way", net, scope, None, s, t)
+        nf = generate_synthetic("grid", 50, 3, seed=42)
+        grid, scope = nf.network, balance_to_proper(nf.network, nf.scope)
+        for query in range(12):
+            walk = None
+            while walk is None or len(walk.edges) < 40:
+                s, t = rng.randrange(grid.vertex_count), rng.randrange(grid.vertex_count)
+                walk = bidirectional_s_dijkstra(grid, scope, s, t).walk
+            updates, _ = place_random_closures(grid, scope, walk, 50, seed=query)
+            closed = grid.with_updated_weights(updates)
+            check("grid", closed, scope, None, s, t)
+            # An explicit set that leaves out one infinite edge, which the
+            # open weighting still closes.
+            hard = sorted(e for e in updates if updates[e] == INF)
+            check("explicit", closed, scope, frozenset(hard[1:]), s, t)
+            # Every road out of a vertex closed: the roads into it lead to a
+            # pocket.
+            pocket = next(v for v in walk.vertices(grid)[5:] if v != t)
+            check("pocket", closed, scope, frozenset(hard) | set(grid.out_edges(pocket)), s, t)
+        for name, least in (("two-way", 100), ("grid", 10), ("explicit", 10)):
+            assert tally.get((name, "proof"), 0) >= least, tally
+        assert tally.get(("pocket", "round"), 0) == 12, tally
+        assert tally.get(("one-way", "round, not strong"), 0) >= 200, tally
 
 
 class TestEnhancedDetour:

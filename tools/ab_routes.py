@@ -8,32 +8,38 @@ path. It routes the random closed networks of this checkout's
 and with fractional weights) with ``simple_detour_route`` and
 ``enhanced_detour_route``, once with every network building its landmark
 table on its first static search and once with no table, and records per
-result the class, cost, walk, permit edges and counts, and the verdicts of
-``validate_split_admissible`` and of ``validate_simple_detour`` (with
-closures ``None`` and with the ``qc_closure`` set) on the static walk and
-the returned walk. Each case is routed again with its closures given
-explicitly, as a "routes" case per form: every raised edge as a frozenset
-and as a one-shot generator, and ``derive_closures``' ``ClosureSet``.
-Per network and query it also records, as two separate
-cases, ``find_obstructed``'s records (as their ``repr``) and the grant,
-gate and clean masks of both directions of ``build_detour_context``, so
-that a difference in record states cannot hide one in the masks; a gate
-that is a run, not a mask list, is recorded as the mask list read off the
-run, the levels whose budget the settled draw of a reached vertex passes.
-For the full variant it takes the first 300 ``bypass_network`` cases of
-``tests/conftest.py`` and records, as one "full" case each, the ``repr``
-of ``brute_force_full_optimum`` and of ``validate_full_detour`` on the
-simple, enhanced and optimal walks. Unless ``--no-bench``, it also records
-the criterion-7 batch (``run_benchmark`` on the 50x50 grid: 500 queries,
-50 closures each, timing off) as its CSV. The script prints how many cases
-differ, in all and per kind (records, masks, routes, full, csv), with the
-first few, and exits 1 if any does. It tallies apart the cases whose cost,
-class or verdict differs (records, masks, the full optimum and each walk's
-acceptance, the CSV without its count columns), those that differ beyond
-that only in walk, permit edges or the full verdicts' witnesses, as a
-change of walk among equal-cost walks does, and those that differ only in
-counts (scanned vertices and states, permits issued, the CSV's count
-columns), as a route that does less work shows.
+result the class, cost, ``qc_added`` and ``qc_iterations``, walk, permit
+edges and counts, and the verdicts of ``validate_split_admissible`` and of
+``validate_simple_detour`` (with closures ``None`` and with the
+``qc_closure`` set) on the static walk and the returned walk. Each case is
+routed again with its closures given explicitly, as a "routes" case per
+form: every raised edge as a frozenset and as a one-shot generator, and
+``derive_closures``' ``ClosureSet``. Per network and query it also records,
+as two separate cases, ``find_obstructed``'s records (as their ``repr``) and
+the grant, gate and clean masks of both directions of
+``build_detour_context``, so that a difference in record states cannot hide
+one in the masks; a gate that is a run, not a mask list, is recorded as the
+mask list read off the run, the levels whose budget the settled draw of a
+reached vertex passes. It records ``qc_closure``'s result (edges, hard set,
+tags and iterations) as a "qc" case on inputs whose base graph is strongly
+connected, where its bypass proof can answer: the two-way networks of
+``_tight_detour_case`` and, with the criterion-7 placement of 50 closures on
+the 50x50 grid, 100 closure sets, each with closures ``None`` and with an
+explicit set that leaves out one infinite edge. For the full variant it
+takes the first 300 ``bypass_network`` cases of ``tests/conftest.py`` and
+records, as one "full" case each, the ``repr`` of
+``brute_force_full_optimum`` and of ``validate_full_detour`` on the simple,
+enhanced and optimal walks. Unless ``--no-bench``, it also records the
+criterion-7 batch (``run_benchmark`` on the 50x50 grid: 500 queries, 50
+closures each, timing off) as its CSV. The script prints how many cases
+differ, in all and per kind (records, masks, routes, qc, full, csv), with
+the first few, and exits 1 if any does. It tallies apart the cases whose
+cost, class or verdict differs (records, masks, quasi-closures, the full
+optimum and each walk's acceptance, the CSV without its count columns),
+those that differ beyond that only in walk, permit edges or the full
+verdicts' witnesses, as a change of walk among equal-cost walks does, and
+those that differ only in counts (scanned vertices and states, permits
+issued, the CSV's count columns), as a route that does less work shows.
 
 Both sides import this checkout's ``tests/test_detour.py`` and
 ``tests/conftest.py``, so those files import at module level only names
@@ -54,7 +60,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FULL_SEEDS = 300
-RESULT_FIELDS = ("klass", "cost_updated")
+GRID_SETS = 100
+RESULT_FIELDS = ("klass", "cost_updated", "qc_added", "qc_iterations")
 DETAIL_FIELDS = (
     "permit_edges", "scanned_static", "scanned_detour", "scanned_detour_vertices", "permits_issued",
 )
@@ -89,19 +96,42 @@ def csv_case(body: str) -> list:
     return [[[row[i] for i in keep] for row in rows], body]
 
 
+def qc_case(qc) -> list:
+    """A ``qc_closure`` result as a case: edges, hard set, tags, iterations."""
+    return [[sorted(qc.edges), sorted(qc.hard), sorted(qc.kind.items()), qc.iterations], None]
+
+
 def one_side(src: str, seeds: int, bench: bool) -> dict:
     sys.path[:0] = [src, str(ROOT / "tests")]
     import scoperoute.search
     from scoperoute import (
-        BenchConfig, balance_to_proper, build_detour_context, derive_closures,
-        enhanced_detour_route, brute_force_full_optimum, find_obstructed, generate_synthetic,
-        qc_closure, run_benchmark, simple_detour_route, validate_full_detour,
-        validate_simple_detour, validate_split_admissible,
+        BenchConfig, balance_to_proper, bidirectional_s_dijkstra, build_detour_context,
+        derive_closures, enhanced_detour_route, brute_force_full_optimum, find_obstructed,
+        generate_synthetic, place_random_closures, qc_closure, run_benchmark,
+        simple_detour_route, validate_full_detour, validate_simple_detour,
+        validate_split_admissible,
     )
     from conftest import bypass_network
-    from test_detour import _closed_random_case
+    from test_detour import _closed_random_case, _tight_detour_case
 
     cases = {}
+    for seed in range(seeds):
+        tight = _tight_detour_case(seed)
+        if tight is not None:
+            cases[f"tight seed {seed} qc"] = qc_case(qc_closure(tight[0], tight[1], None, *tight[2:]))
+    nf = generate_synthetic("grid", 50, 3, seed=42)
+    grid, scope = nf.network, balance_to_proper(nf.network, nf.scope)
+    rng = random.Random(20)
+    for q in range(GRID_SETS):
+        walk = None
+        while walk is None or len(walk.edges) < 40:
+            s, t = rng.randrange(grid.vertex_count), rng.randrange(grid.vertex_count)
+            walk = bidirectional_s_dijkstra(grid, scope, s, t).walk
+        updates, _ = place_random_closures(grid, scope, walk, 50, seed=q)
+        closed = grid.with_updated_weights(updates)
+        explicit = frozenset(sorted(e for e, w in updates.items() if w == math.inf)[1:])
+        for form, closures in (("None", None), ("explicit", explicit)):
+            cases[f"grid set {q} closures {form} qc"] = qc_case(qc_closure(closed, scope, closures, s, t))
     for seed in range(seeds):
         for fractional in (False, True):
             closed, scope, s, t = _closed_random_case(seed, fractional)
@@ -205,7 +235,7 @@ def main() -> int:
     differ = [name for name in before.keys() | after.keys() if before.get(name) != after.get(name)]
     print(f"{len(before)} cases before, {len(after)} after, {len(differ)} differ")
     # Per kind: [cost, class or verdict; walk, permit edges or witnesses; counts only].
-    kinds = {kind: [0, 0, 0] for kind in ("records", "masks", "routes", "full", "csv")}
+    kinds = {kind: [0, 0, 0] for kind in ("records", "masks", "routes", "qc", "full", "csv")}
     for name in differ:
         last = name.rsplit(" ", 1)[-1]
         kind = last if last in kinds else "routes"

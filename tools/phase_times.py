@@ -1,6 +1,6 @@
-"""Per-phase times of simple detour routing on a benchmark workload's inputs.
+"""Per-phase times of detour routing on a benchmark workload's inputs.
 
-    python3 tools/phase_times.py --workload city-detour --before OLD/src --after src --out BENCH.json
+    python3 tools/phase_times.py --workload city-detour [--route enhanced] --before OLD/src --after src --out BENCH.json
 
 Each side runs in its own interpreter with that side's ``src`` first on the
 path, ``--rounds`` times, the sides alternating which goes first so that
@@ -8,8 +8,10 @@ drift in machine speed falls on both; the rounds' samples are pooled. The
 child wraps step functions of ``scoperoute.detour`` and ``scoperoute.search``
 from outside and runs the queries of ``perfbench/workload.py`` as the
 benchmark does: a static search on the base network, then
-``simple_detour_route`` on a network copy. ``city-static`` gives every
-query an unchanged copy, ``city-detour`` a cold copy with a fresh set of 50
+``simple_detour_route`` (``--route simple``, the default) or
+``enhanced_detour_route`` (``--route enhanced``) on a network copy.
+``city-static`` gives every query an unchanged copy, ``city-detour`` a
+cold copy with a fresh set of 50
 closures (one on the static optimum), and ``city-incident`` one copy with
 50 closures to each block of 25 queries (one on the block's first static
 optimum). It reports each phase's self time per query: a wrapped call's
@@ -32,7 +34,9 @@ lazy one, and ``_settle_gate``, which steps a lazy one from inside the
 state search. "certificate" is ``_certificate``: stepping both lazy gate
 runs until their keys pass d_open, their split minimum, and the hand-off
 marks when it fails; "d_open run" is ``_open_distance``, the plain
-goal-directed run from the start that gives d_open.
+goal-directed run from the start that gives d_open. "quasi-closure" is
+``_quasi_closure``, the enhanced route's growth of the closure set; it
+reads 0 on the simple route.
 "potentials" are the state search's ``dijkstra`` runs; they read 0 once the
 network has its landmark table. "landmark build" is paid once per network,
 in the static search that follows the plain ones; it is not part of
@@ -50,8 +54,8 @@ searches per route that fails the static exit (the outermost calls of
 static search's included (calls of the functions
 ``search._landmark_potentials`` returns; the counting wrapper adds one
 call to each evaluation, on both sides). It adds the Python version and
-core count, under the workload's name; other workloads already in the
-file are kept.
+core count, under the workload's name, followed by ", enhanced route" for
+``--route enhanced``; other entries already in the file are kept.
 
 ``--src SRC`` runs one side and prints its per-query times and per-run
 counts as JSON.
@@ -91,6 +95,7 @@ PHASES = {
     ("detour", "_state_search_halves"): "state search",
     ("detour", "_certificate"): "certificate",
     ("detour", "_open_distance"): "d_open run",
+    ("detour", "_quasi_closure"): "quasi-closure",
     ("search", "_build_landmark_rows"): "landmark build",
 }
 # Functions of the detour module that each read all the weights, outside
@@ -129,7 +134,7 @@ class SelfTimes:
         return timed
 
 
-def measure(src: str, workload: str, queries: int, seed: int) -> dict:
+def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dict:
     """Per-phase self times in ms, one entry per query, the counts, and the
     functions the sources at ``src`` lack."""
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
@@ -138,6 +143,7 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict:
     import scoperoute.search
     from workload import WORKLOADS, blocks, network_text, place_closures
 
+    detour_route = sr.enhanced_detour_route if route == "enhanced" else sr.simple_detour_route
     nf = sr.parse_network(network_text(sr))
     base, scope = nf.network, sr.balance_to_proper(nf.network, nf.scope)
     # Warm the structural caches every network copy shares, as the benchmark's set-up does.
@@ -231,7 +237,7 @@ def measure(src: str, workload: str, queries: int, seed: int) -> dict:
         passes[1] = 0
         evaluated[0] = 0
         t0 = perf_counter()
-        res = sr.simple_detour_route(closed, scope, s, t)
+        res = detour_route(closed, scope, s, t)
         whole = (perf_counter() - t0) * 1000.0 - (times.ms.get(BUILD, 0.0) - built)
         if res.static_walk is None or res.static_cost_updated != res.static_cost_base:
             weight_passes.append(passes[1])
@@ -262,10 +268,10 @@ def summary(values: list[float]) -> dict[str, float]:
     }
 
 
-def run_side(src: str, workload: str, queries: int, seed: int) -> dict:
+def run_side(src: str, workload: str, queries: int, seed: int, route: str) -> dict:
     cmd = [
         sys.executable, __file__, "--src", src, "--workload", workload,
-        "--queries", str(queries), "--seed", str(seed),
+        "--queries", str(queries), "--seed", str(seed), "--route", route,
     ]
     out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -274,6 +280,7 @@ def run_side(src: str, workload: str, queries: int, seed: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS, default="city-detour")
+    parser.add_argument("--route", choices=("simple", "enhanced"), default="simple")
     parser.add_argument("--src", help="measure one side and print its per-query times")
     parser.add_argument("--before", help="src directory of the version before the change")
     parser.add_argument("--after", default=str(ROOT / "src"))
@@ -283,7 +290,7 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args()
     if args.src:
-        print(json.dumps(measure(args.src, args.workload, args.queries, args.seed)))
+        print(json.dumps(measure(args.src, args.workload, args.queries, args.seed, args.route)))
         return
     if not (args.before and args.out):
         parser.error("give --src, or --before and --out")
@@ -297,7 +304,7 @@ def main() -> None:
     missing: dict[str, list[str]] = {}
     for r in range(args.rounds):
         for side in ("before", "after") if r % 2 == 0 else ("after", "before"):
-            measured = run_side(sources[side], args.workload, args.queries, args.seed)
+            measured = run_side(sources[side], args.workload, args.queries, args.seed, args.route)
             for phase, times in measured["ms"].items():
                 sides[side].setdefault(phase, []).extend(times)
                 per_side = rounds.setdefault(phase, {"before": [], "after": []})
@@ -307,7 +314,8 @@ def main() -> None:
             missing[side] = measured["missing"]
     report = {
         "workload": args.workload,
-        "what": "self time per phase of one simple_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per gate run and per d_open run, passes over all the weights per failed static exit, and landmark bounds evaluated per route",
+        "route": args.route,
+        "what": f"self time per phase of one {args.route}_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per gate run and per d_open run, passes over all the weights per failed static exit, and landmark bounds evaluated per route",
         "seed": args.seed,
         "queries": args.queries,
         "rounds": args.rounds,
@@ -332,7 +340,8 @@ def main() -> None:
     }
     out = Path(args.out)
     reports = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    reports[args.workload] = report
+    name = args.workload if args.route == "simple" else f"{args.workload}, {args.route} route"
+    reports[name] = report
     out.write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
     width = max(map(len, report["phases"]))
     for phase, row in report["phases"].items():
