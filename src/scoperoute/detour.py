@@ -29,33 +29,36 @@ the tree path between its vertex and its closure crossing. The grant masks
 come straight from the pass's keys; full record objects are built from the
 same pass only when asked for (``find_obstructed``, ``DetourContext.records``).
 
+Each direction has one consistent lower bound on the open-network
+distance to its far end, which its gate run, the certificate and the
+permit-state search all read: the landmark bounds of the static search
+once the network has its landmark table, each evaluated once per vertex
+and direction in a route, else the exact open-network distances. The
+table only tightens the bound; the weights alone choose the steps.
+
 A gate run is read only at the vertices the search settles, so the routes
-run it lazily where that is exact: once the network has its landmark table
-and the open weights are positive integers, each gate run is goal-directed
-by the landmark bounds the search uses and stepped only until the vertex a
-search state settles at is final. Its labels there are the drained run's
-(see ``_settle_gate``). Elsewhere, and in ``build_detour_context`` and the
-validators always, the gate runs are drained, so a route is checked
-against labels computed independently of its lazy runs. Where the gate
-runs are lazy, a route first steps them as a certificate: when their split
-minimum equals the plain open-weight distance, no walk is cheaper and the
-split minimum's walk needs no permit, so no record is built
-(``_certificate``); the runs stop at their first meeting of that sum, since
-no meeting can be cheaper. When that distance is infinite no walk is
-accepted at all. The corridor-clean masks are built only for the
-permit-state search.
+run it lazily where that is exact: where the open weights are positive
+integers, each gate run is goal-directed by its direction's bound and
+stepped only until the vertex a search state settles at is final. Its
+labels there are the drained run's (see ``_settle_gate``). Elsewhere, and
+in ``build_detour_context`` and the validators always, the gate runs are
+drained, so a route is checked against labels computed independently of
+its lazy runs. Where the gate runs are lazy, a route first steps them as a
+certificate: when their split minimum equals the plain open-weight
+distance, no walk is cheaper and the split minimum's walk needs no permit,
+so no record is built (``_certificate``); the runs stop at their first
+meeting of that sum, since no meeting can be cheaper. When that distance
+is infinite no walk is accepted at all. The corridor-clean masks are built
+only for the permit-state search.
 
 The search explores (vertex, carried-permit mask, owed-permit mask) states
-in both directions, each goal-directed by lower bounds on the distance to
-the far end: the static search's landmark bounds once the network has its
-landmark table, each evaluated once per vertex and direction in a route,
-else open-network distances. A state that another state
-settled at the same vertex dominates (carries a superset of its permits,
-owes a subset of its debt, costs no more) is not expanded; every
-transition and the meeting test are monotone in both masks, so this loses
-no optimum. Each settled state is joined at once with the compatible
-states settled at its vertex by the other direction, so the search is
-complete for exactly the relation the validator decides.
+in both directions, each goal-directed by its direction's bound. A state
+that another state settled at the same vertex dominates (carries a
+superset of its permits, owes a subset of its debt, costs no more) is not
+expanded; every transition and the meeting test are monotone in both
+masks, so this loses no optimum. Each settled state is joined at once
+with the compatible states settled at its vertex by the other direction,
+so the search is complete for exactly the relation the validator decides.
 """
 
 from __future__ import annotations
@@ -272,8 +275,10 @@ class _Weightings:
     it: ``open``, the updated weights with ``active`` at infinity (gate runs,
     state search, quasi-closure); ``record``, with ``active`` at base weight
     (record runs); ``goal``, whether searches on ``open`` may be
-    goal-directed (``search._goal_directed``, decided on the raised edges
-    ``_weightings`` is given; false without them); ``cut``, the edges of
+    goal-directed with exact sums, with or without the landmark table
+    (``search._goal_directed``, decided on the base weights as
+    ``build_network`` measured them and on the raised edges ``_weightings``
+    is given; false without them); ``cut``, the edges of
     finite base weight that ``open`` closes, listed from ``active`` and
     the raised edges (``None`` without them)."""
 
@@ -373,12 +378,14 @@ class _Direction:
     levels of the records there and ``clean`` the levels at which it is
     corridor-clean; the record pass sets ``grant``, and ``clean`` is set
     only on the permit path (``_context``), ``None`` before. ``bound`` is
-    the landmark bound on the distance to the far end, ``None`` while the
-    network has no landmark table, and ``bounds`` its values, ``-1.0``
-    where not evaluated yet: in a route, the list the static search's side
-    of this direction filled (see ``search._bidirectional_search``), which
-    the gate run, the certificate's plain run (forwards) and the
-    permit-state half of this direction go on filling. ``gate`` is the run
+    a consistent lower bound on the open-network distance to the far end
+    and ``bounds`` its values, ``-1.0`` where not evaluated yet: the
+    landmark bound, in a route into the list the static search's side of
+    this direction filled (see ``search._bidirectional_search``), or
+    without the table the exact distance, every value evaluated (see
+    ``_directions``). The gate run, the certificate's plain run (forwards)
+    and the permit-state half of this direction go on filling the same
+    list. ``gate`` is the run
     from the endpoint on the open weighting, read through ``_usable``:
     drained, or lazy while ``steps`` holds the rest of a run goal-directed
     by ``bound``, in which case a label is final only where ``final`` is
@@ -388,8 +395,8 @@ class _Direction:
     pack: list[tuple[tuple[int, int, int], ...]]
     gate: ScopeSearchResult
     grant: list[int]
-    bound: Callable[[int], float] | None
-    bounds: list[float] | None
+    bound: Callable[[int], float]
+    bounds: list[float]
     steps: Iterator[tuple[float, float, int]] | None = None
     final: bytearray | None = None
     clean: list[int] | None = None
@@ -400,8 +407,8 @@ def _direction(
     scope: ScopeMapping,
     endpoint: int,
     closed: _Weightings,
-    bound: Callable[[int], float] | None,
-    bounds: list[float] | None,
+    bound: Callable[[int], float],
+    bounds: list[float],
 ) -> _Direction:
     """One direction's tables, no grant bit and no clean mask set yet, and
     its gate run from ``endpoint`` on the open weighting (``network``
@@ -551,12 +558,20 @@ def _directions(
     target: int,
     bounds: tuple[list[float], list[float]] | None = None,
 ) -> tuple[_Direction, _Direction]:
-    """The forward and the backward direction, bounded by the landmark
-    potentials of ``source`` and ``target``: into ``bounds``, the static
-    search's two bound lists on them where given, else into fresh lists."""
+    """The forward and the backward direction, each bounded towards its far
+    end. With the landmark table the bounds are its potentials of ``source``
+    and ``target``, into ``bounds``, the static search's two bound lists on
+    them where given, else into fresh lists. Without it they are the exact
+    distances to ``target`` and from ``source`` on the open weighting, two
+    whole ``dijkstra`` runs: consistent on it, and infinite where the far
+    end cannot be reached."""
     to_target, to_source = _landmark_potentials(network, source, target)
     if to_target is None:
-        bounds = (None, None)
+        bounds = (
+            dijkstra(network.reverse(), closed.open, target).dist,
+            dijkstra(network, closed.open, source).dist,
+        )
+        to_target, to_source = bounds[0].__getitem__, bounds[1].__getitem__
     elif bounds is None:
         bounds = ([-1.0] * network.vertex_count, [-1.0] * network.vertex_count)
     return (
@@ -572,14 +587,12 @@ def _context(
     source: int,
     target: int,
     directions: tuple[_Direction, _Direction] | None = None,
-    bounds: tuple[list[float], list[float]] | None = None,
 ) -> DetourContext:
     """``build_detour_context`` on ``closed``: the record runs, then the
-    grant masks set in ``directions``, which are built after the record runs
-    where not given (into ``bounds`` as ``_directions`` does, with lazy gate
-    runs where ``closed.goal`` allows), and their clean masks."""
+    grant masks set in ``directions``, which ``_directions`` builds after
+    the record runs where not given, and their clean masks."""
     record_runs = _drained_runs(network, scope, source, target, closed.record)
-    forward, backward = directions or _directions(network, scope, closed, source, target, bounds)
+    forward, backward = directions or _directions(network, scope, closed, source, target)
     forward = replace(forward, clean=_clean_masks(network, scope, closed.active))
     backward = replace(backward, clean=_clean_masks(network.reverse(), scope, closed.active))
     top = scope.top
@@ -602,7 +615,7 @@ def _clean_mask(row, active: frozenset[int], top: int) -> int:
     for e, _far, lv in row:
         if lv > high and e not in active:
             high = lv
-    return ((1 << top) - 1) & ~((1 << min(high, top)) - 1)
+    return ((1 << top) - 1) & ~((1 << high) - 1)
 
 
 def _clean_masks(network: RoadNetwork, scope: ScopeMapping, active: frozenset[int]) -> list[int]:
@@ -723,19 +736,14 @@ def _state_search_halves(
     """Interleaved forward/backward permit-aware searches, joined as they settle.
 
     Each half is goal-directed: it pops states in order of cost plus a
-    potential, a lower bound on the open-network distance (scope ignored)
-    to the far end. When the network has its landmark table (see
-    ``search._landmark_rows``) the potentials are its direction's landmark
-    bounds, evaluated once per vertex the half, its direction's gate run or,
-    in a route, the static search's side of that direction reaches (all
-    share ``_Direction.bounds``): they bound
-    base-weight distances, and every weighting searched here is at or above
-    the base one. Without a table they are the open-network distances of
-    two ``dijkstra`` runs; only then do states at vertices that cannot
-    reach the far end get an infinite potential and are never queued (no
-    partner can meet them). Every walk a half can extend to a meeting also
-    runs in the open network, so either potential is a consistent lower
-    bound and keys never fall along a walk.
+    potential, its direction's bound (``_Direction.bound``), a consistent
+    lower bound on the open-network distance (scope ignored) to the far
+    end, each value evaluated once and shared through ``_Direction.bounds``
+    with its gate run and, in a route, the static search's side of that
+    direction. Every walk a half can extend to a meeting also runs in the
+    open network, so keys never fall along a walk. A state at a vertex of
+    infinite potential (without the landmark table, one that cannot reach
+    the far end) is never queued: no partner can meet it.
 
     An edge whose level the gate at its tail does not pass takes a permit,
     and owes its level unless a carried permit covers it. A half reads its
@@ -771,21 +779,18 @@ def _state_search_halves(
     bits = max(top, 1)
     vshift = 2 * bits
 
-    def half(own, other, start, far_end, network) -> _StateSearch:
-        if own.bound is None:
-            potential = dijkstra(network, weights, far_end).dist
-        else:
-            potential = own.bounds
-            if potential[start] < 0.0:
-                potential[start] = own.bound(start)
+    def half(own, other, start) -> _StateSearch:
+        potential = own.bounds
+        if potential[start] < 0.0:
+            potential[start] = own.bound(start)
         live = own.grant[start]
         heap = [(potential[start], 0, start, live, 0, 0.0)] if potential[start] < INF else []
         label = {(start << vshift) | (live << bits): (0.0, 0, None, None, False)}
         return _StateSearch(own, other, potential, heap, label)
 
     halves = (
-        half(ctx.forward, ctx.backward, ctx.source, ctx.target, ctx.network.reverse()),
-        half(ctx.backward, ctx.forward, ctx.target, ctx.source, ctx.network),
+        half(ctx.forward, ctx.backward, ctx.source),
+        half(ctx.backward, ctx.forward, ctx.target),
     )
     best = INF
     limit = INF
@@ -797,7 +802,7 @@ def _state_search_halves(
         t0 = heap0[0][0] if heap0 else INF
         t1 = heap1[0][0] if heap1 else INF
         # Raw heap tops may be stale (too small); that only delays the stop.
-        if (t0 >= limit and t1 >= limit) or (t0 == INF and t1 == INF):
+        if t0 >= limit and t1 >= limit:
             break
         side = 0 if t0 <= t1 else 1
         search = halves[side]
@@ -902,8 +907,9 @@ class DetourResult:
     d_open is inf and the runs are never stepped. The runs stop at their
     first meeting of sum d_open (see ``_certificate``), so they settle
     fewer vertices than runs stepped until both keys pass d_open. Its
-    d_open run is not counted, as the permit-state search's gate, record
-    and potential runs are not.
+    d_open run is not counted, as the permit-state search's gate and
+    record runs are not, nor the ``dijkstra`` runs that bound the
+    directions without the landmark table.
     """
 
     walk: Walk | None
@@ -947,9 +953,11 @@ def _route(
 ) -> DetourResult:
     """The detour steps in order: static result and early exit, the closure
     set and its weightings, grown by the quasi-closure when ``enhanced``
-    (the weightings are built again only if it adds an edge), the
-    certificate where it applies, else record runs, then the rest of the
-    context and the permit-state search.
+    (the weightings are built again only if it adds an edge), both
+    directions with their bounds, the certificate where the weights allow
+    it, else record runs, then the rest of the context and the permit-state
+    search. The weights alone choose these steps; the landmark table only
+    tightens the directions' bounds.
 
     A caller's ``closures`` are read once, before the static search, so an
     unknown edge id raises ``NetworkError`` even on the static exit and a
@@ -962,15 +970,14 @@ def _route(
     landmark table. With positive weights it is the split minimum of two
     drained base-weight runs, walk included, at a fraction of their settled
     vertices; the drained runs follow only a failed exit, as record runs.
-    The permit-state search reads the same landmark table for its
-    potentials; only without a table does it never queue a state at a
-    vertex that cannot reach the far end. The landmark bounds depend only
-    on the table and the endpoints, so the static search's two per-vertex
-    bound lists go on to the directions (``_directions``): the d_open run,
-    the gate runs and the permit-state halves evaluate only the bounds the
-    static search left unevaluated. With the table, and open weights that
-    are positive integers (``_Weightings.goal``), the gate runs are lazy,
-    with the drained runs' labels wherever the search reads them.
+    The landmark bounds depend only on the table and the endpoints, so the
+    static search's two per-vertex bound lists go on to the directions
+    (``_directions``): the d_open run, the gate runs and the permit-state
+    halves evaluate only the bounds the static search left unevaluated.
+    Without the table the directions' bounds are the exact open-network
+    distances instead. Where the open weights are positive integers
+    (``_Weightings.goal``) the gate runs are lazy, with the drained runs'
+    labels wherever the search reads them.
 
     Under the same condition a failed exit first tries a certificate
     (``_certificate``). Every walk the detour relation accepts avoids the
@@ -996,18 +1003,16 @@ def _route(
     closed = _weightings(network, derived.hard if active is None else active, derived.edges)
     if enhanced:
         qc = _quasi_closure(network, scope, closures, closed, source, target)
-        res.qc_iterations, res.qc_added = qc.iterations, len(qc.edges) - len(qc.hard)
-        if len(qc.edges) > len(closed.active):
+        res.qc_iterations, res.qc_added = qc.iterations, len(qc.edges) - len(closed.active)
+        if res.qc_added:
             closed = _weightings(network, qc.edges, derived.edges)
-    directions = certified = None
-    if closed.goal:
-        directions = _directions(network, scope, closed, source, target, bounds)
-        certified = _certificate(network, scope, *directions)
+    directions = _directions(network, scope, closed, source, target, bounds)
+    certified = _certificate(network, scope, *directions) if closed.goal else None
     if certified is not None:
         res.scanned_detour = res.scanned_detour_vertices = certified.scanned_count
         walk, cost, permit_edges = certified.walk, certified.cost, ()
     else:
-        ctx = _context(network, scope, closed, source, target, directions, bounds)
+        ctx = _context(network, scope, closed, source, target, directions)
         fwd, bwd, meeting = _state_search_halves(ctx)
         res.scanned_detour = sum(len(here) for half in (fwd, bwd) for here in half.settled.values())
         res.scanned_detour_vertices = len(fwd.settled) + len(bwd.settled)
@@ -1025,7 +1030,7 @@ def _route(
     if cost < res.static_cost_updated:
         res.walk, res.cost_updated, res.permit_edges = walk, cost, permit_edges
         res.klass = "enhanced-detour" if enhanced else "simple-detour"
-    elif res.static_walk is not None and res.static_cost_updated < INF:
+    elif res.static_cost_updated < INF:
         res.walk = res.static_walk
         res.cost_updated = res.static_cost_updated
         res.klass = "static"
@@ -1181,17 +1186,13 @@ def _quasi_closure(network: RoadNetwork, scope: ScopeMapping, closures, closed, 
     """``qc_closure`` on the weightings ``closed`` of ``closures``: the edges
     left open are the finite ones of ``closed.open``. Of ``closures`` only a
     ``ClosureSet``'s hard set and tags are read, so a used-up iterable will
-    do. Without ``closed.cut`` the adding round always runs."""
+    do."""
     base = closures if isinstance(closures, ClosureSet) else None
     hard = closed.active if base is None else base.hard
     kind = dict(base.kind) if base is not None else {e: "hard" for e in closed.active}
     scope.validate(network)
     pack = _edge_pack(network, scope)
-    if (
-        closed.cut is not None
-        and _strongly_connected(network, scope)
-        and _bypassed(network, pack, closed)
-    ):
+    if _strongly_connected(network, scope) and _bypassed(network, pack, closed):
         return ClosureSet(closed.active, hard, kind, 1)
     n = network.vertex_count
     tails, heads = network.tails, network.heads

@@ -37,7 +37,9 @@ class RoadNetwork:
     _in: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
     # Scratch cache (adjacency packs, landmark distances); shared between
     # weight variants of the same graph, so entries may depend on ``weight``,
-    # which they all share, but never on ``weight_updated``.
+    # which they all share, but never on ``weight_updated``. ``build_network``
+    # stores ``_distance_bound(weight)`` under "distance bound", and a
+    # reversal shares it; without it the base weights count as unbounded.
     _aux: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
@@ -70,6 +72,7 @@ class RoadNetwork:
         """
         rev_aux = self._aux.setdefault("revaux", {})
         rev_aux.setdefault("revaux", self._aux)
+        rev_aux.setdefault("distance bound", self._aux.get("distance bound", INF))
         return RoadNetwork(
             self.vertex_count,
             self.heads,
@@ -108,6 +111,17 @@ class RoadNetwork:
             self._in,
             self._aux,
         )
+
+
+def _distance_bound(w, vertex_count: int) -> float:
+    """``n - 1`` times the largest finite weight, a bound on every finite
+    shortest distance, when every finite weight is a positive integer;
+    otherwise ``inf``."""
+    values = set(w)
+    values.discard(INF)
+    if all(x >= 1.0 and x.is_integer() for x in values):
+        return max(vertex_count - 1, 0) * max(values, default=0.0)
+    return INF
 
 
 def build_network(
@@ -152,6 +166,7 @@ def build_network(
         tuple(w),
         tuple(tuple(es) for es in out),
         tuple(tuple(es) for es in inc),
+        {"distance bound": _distance_bound(w, vertex_count)},
     )
     if updated_weights is None:
         return network
@@ -405,7 +420,7 @@ def balance_to_proper(network: RoadNetwork, scope: ScopeMapping) -> ScopeMapping
     level = list(scope.level)
     if scope.top not in set(level):
         # The unbounded level must be inhabited; promote one shortest cycle.
-        seed = min(range(network.edge_count))
+        seed = 0
         cycle = _shortest_edge_path_between(
             network, [network.heads[seed]], [network.tails[seed]]
         ) or []

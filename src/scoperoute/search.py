@@ -33,6 +33,7 @@ from .network import (
     RoadNetwork,
     ScopeMapping,
     Walk,
+    _distance_bound,
     add_draw,
     check_walk,
     inf_vector,
@@ -359,17 +360,6 @@ _PLAIN_SEARCHES = 9
 _FAR = 2**31 - 1
 
 
-def _distance_bound(w, vertex_count: int) -> float:
-    """``n - 1`` times the largest finite weight, a bound on every finite
-    shortest distance, when every finite weight is a positive integer;
-    otherwise ``inf``."""
-    values = set(w)
-    values.discard(INF)
-    if all(x >= 1.0 and x.is_integer() for x in values):
-        return max(vertex_count - 1, 0) * max(values, default=0.0)
-    return INF
-
-
 def _landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
     """Per-vertex landmark rows on the base weights, built once the network
     has served ``_PLAIN_SEARCHES`` static searches without them.
@@ -404,7 +394,7 @@ def _build_landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
     smallest round trip to those already chosen.
     """
     n = network.vertex_count
-    if _distance_bound(network.weight, n) >= _FAR:
+    if network._aux.get("distance bound", INF) >= _FAR:
         return None
     k = min(_LANDMARKS, n)
     rev = network.reverse()
@@ -426,12 +416,13 @@ def _build_landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
 
 def _goal_directed(network: RoadNetwork, raised) -> bool:
     """Whether a search on a weighting at or above the base one may be
-    goal-directed: the network has its landmark table, which its base
-    weights pass, and ``raised``, the entries above their base weight (or
-    all), are positive integers whose distances stay below int32's largest
-    value. Neither counts a static search nor builds the table."""
+    goal-directed, its keys exact sums: the base weights, as
+    ``build_network`` measured them, and ``raised``, the entries above their
+    base weight (or all), are positive integers whose distances stay below
+    int32's largest value. Reads only ``raised``, with or without the
+    landmark table; neither counts a static search nor builds the table."""
     return (
-        network._aux.get("landmarks") is not None
+        network._aux.get("distance bound", INF) < _FAR
         and _distance_bound(raised, network.vertex_count) < _FAR
     )
 
@@ -449,8 +440,10 @@ def _goal_potentials(network: RoadNetwork, weighting, source: int, target: int):
     """
     if weighting not in ("base", "updated"):
         return None, None
-    _landmark_rows(network)  # counts this search, and builds the table when due
-    if not _goal_directed(network, network.weight_updated if weighting == "updated" else ()):
+    # Counts this search, and builds the table when due.
+    if _landmark_rows(network) is None or not _goal_directed(
+        network, network.weight_updated if weighting == "updated" else ()
+    ):
         return None, None
     return _landmark_potentials(network, source, target)
 

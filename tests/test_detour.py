@@ -370,15 +370,15 @@ def test_state_search_licenses_exactly_where_the_gate_fails():
 
 @pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
 def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
-    # With the landmark table and positive integer open weights, the routes
-    # step each gate run only as far as its half of the state search reads
-    # it. At every vertex a half settles, the gate bits read off that run
-    # equal _usable on a drained run over the open weighting. Fractional
-    # seeds (zeros among the weights, so no table) and networks without a
-    # table keep drained gate runs. With the table the routes answer most
-    # integer failed exits without the state search (a certificate, or no
-    # open walk at all), so each failed exit also runs the permit path on
-    # fresh lazy gate runs, as a route does after a failed certificate.
+    # With positive integer open weights, with the landmark table or
+    # without it, the routes step each gate run only as far as its half of
+    # the state search reads it. At every vertex a half settles, the gate
+    # bits read off that run equal _usable on a drained run over the open
+    # weighting. Fractional seeds (zeros among the weights) keep drained
+    # gate runs. The routes answer most integer failed exits without the
+    # state search (a certificate, or no open walk at all), so each failed
+    # exit also runs the permit path on fresh lazy gate runs, as a route
+    # does after a failed certificate.
     if table:
         request.getfixturevalue("landmarks_at_once")
     usable = scoperoute.search._usable
@@ -398,7 +398,7 @@ def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
             closed, scope, s, t = _closed_random_case(seed, fractional)
             del searched[:]
             for route in (simple_detour_route, enhanced_detour_route):
-                if _failed_exit(route(closed, scope, s, t)) and table:
+                if _failed_exit(route(closed, scope, s, t)):
                     _permit_path(closed, scope, s, t, route is enhanced_detour_route)
             assert ("landmarks" in closed._aux) == table
             for ctx, fwd, bwd in searched:
@@ -416,25 +416,41 @@ def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
                             got = usable(own.gate, scope.nu, v, lv)
                             assert got == usable(drained, scope.nu, v, lv), (seed, fractional, v, lv)
                             checked += 1
-    if table:
-        assert runs[False, False] == 0 and runs[False, True] > 1000, runs
-        assert stopped_short > 3000, stopped_short
-    else:
-        assert runs[False, True] == 0 and runs[False, False] > 1000, runs
+    assert runs[False, False] == 0 and runs[False, True] > 1000, runs
+    assert stopped_short > 3000, stopped_short
     assert runs[True, True] == 0 and runs[True, False] > 1000, runs
     assert checked > 15000, checked
 
 
-def _permit_path(closed, scope, s, t, enhanced: bool):
+def _permit_path(closed, scope, s, t, enhanced: bool, closures=None):
     """The permit-state search of a failed exit from ``s`` to ``t`` as a
     route runs it, with the route's closure set, but with no certificate
     first: on directions fresh from ``_directions``."""
     derived = derive_closures(closed)
-    active = qc_closure(closed, scope, None, s, t).edges if enhanced else derived.hard
+    if enhanced:
+        active = qc_closure(closed, scope, closures, s, t).edges
+    else:
+        active = scoperoute.detour._active_set(closed, closures)
     weightings = scoperoute.detour._weightings(closed, active, derived.edges)
     directions = scoperoute.detour._directions(closed, scope, weightings, s, t)
     ctx = scoperoute.detour._context(closed, scope, weightings, s, t, directions)
     return scoperoute.detour._state_search_halves(ctx)
+
+
+def _permit_result(closed, scope, s, t, enhanced: bool, closures=None):
+    """Class and cost of a route from ``s`` to ``t`` that always takes the
+    permit-state search after a failed static exit (``_permit_path``): the
+    detour's if cheaper than the static walk's updated cost, else the
+    static walk's, else none."""
+    static = bidirectional_s_dijkstra(closed, scope, s, t)
+    static_cost = INF if static.walk is None else static.walk.cost(closed, "updated")
+    if static.walk is not None and static_cost == static.cost:
+        return "static", static_cost
+    meeting = _permit_path(closed, scope, s, t, enhanced, closures)[2]
+    cost = INF if meeting is None else meeting[0][0]
+    if cost < static_cost:
+        return ("enhanced-detour" if enhanced else "simple-detour"), cost
+    return ("static", static_cost) if static_cost < INF else ("unreachable", INF)
 
 
 def _count_state_searches(monkeypatch) -> list:
@@ -458,14 +474,14 @@ def _failed_exit(res) -> bool:
 
 
 def test_certificate_gives_the_costs_of_the_permit_search(landmarks_at_once, monkeypatch):
-    # The same query on a copy with the landmark table (where the
-    # certificate may answer) and on one without it (always the permit-state
-    # search) gives the same class and cost, on acceptance-grid queries with
-    # the criterion-7 closure placement and on bypass networks. A certified
-    # walk passes the validator on a fresh context with the route's closure
-    # set. Some bypass detours still take a permit, so the permit path stays
-    # reached. A fractional raise on an edge the route leaves open keeps
-    # every failed exit off the certificate.
+    # A route with the landmark table (where the certificate may answer)
+    # and the permit-state search with no certificate first, on a copy
+    # without the table (``_permit_result``), give the same class and cost,
+    # on acceptance-grid queries with the criterion-7 closure placement and
+    # on bypass networks. A certified walk passes the validator on a fresh
+    # context with the route's closure set. Some bypass detours still take
+    # a permit, so the permit path stays reached. A fractional raise on an
+    # edge the route leaves open keeps every failed exit off the certificate.
     searched = _count_state_searches(monkeypatch)
     routes = ((simple_detour_route, False), (enhanced_detour_route, True))
     tally = {"certified": 0, "searched": 0, "permits": 0, "fractional": 0}
@@ -481,8 +497,8 @@ def test_certificate_gives_the_costs_of_the_permit_search(landmarks_at_once, mon
                 if fractional not in (qc.edges if enhanced else qc.hard):
                     assert not certified, (s, t, fractional)
                     tally["fractional"] += _failed_exit(res)
-            expected = route(plain.with_updated_weights(updates), scope, s, t)
-            assert (res.klass, res.cost_updated) == (expected.klass, expected.cost_updated), (s, t)
+            expected = _permit_result(plain.with_updated_weights(updates), scope, s, t, enhanced)
+            assert (res.klass, res.cost_updated) == expected, (s, t)
             tally["certified"] += certified
             tally["searched"] += bool(searched)
             tally["permits"] += bool(res.permit_edges)
@@ -605,10 +621,10 @@ def test_a_route_evaluates_each_landmark_bound_once(landmarks_at_once, monkeypat
 def test_no_open_walk_returns_without_records(landmarks_at_once, monkeypatch):
     # When no walk from s to t avoids the closed edges (d_open is inf), the
     # routes return the static walk or nothing, as the permit-state search
-    # on a copy without the table does, with no record run and no
-    # permit-state search; they count no settled state or vertex. Closing
-    # every raised edge, soft ones too, leaves a static walk over soft
-    # raises with a finite cost.
+    # with no certificate first on a copy without the table does
+    # (``_permit_result``), with no record run and no permit-state search;
+    # they count no settled state or vertex. Closing every raised edge, soft
+    # ones too, leaves a static walk over soft raises with a finite cost.
     drained, searched = [], _count_state_searches(monkeypatch)
     real = scoperoute.detour._drained_runs
 
@@ -625,7 +641,7 @@ def test_no_open_walk_returns_without_records(landmarks_at_once, monkeypatch):
         raised = derive_closures(closed).edges
         for closures, active in ((None, derive_closures(closed).hard), (raised, raised)):
             opened = [INF if e in active else w for e, w in enumerate(closed.weight_updated)]
-            for route in (simple_detour_route, enhanced_detour_route):
+            for route, enhanced in ((simple_detour_route, False), (enhanced_detour_route, True)):
                 del drained[:], searched[:]
                 res = route(closed, scope, s, t, closures)
                 if not _failed_exit(res) or dijkstra(closed, opened, s).dist[t] < INF:
@@ -633,11 +649,10 @@ def test_no_open_walk_returns_without_records(landmarks_at_once, monkeypatch):
                 assert (drained, searched) == ([], []), seed
                 counts = (res.scanned_detour, res.scanned_detour_vertices, res.permits_issued)
                 assert counts == (0, 0, 0), seed
-                expected = route(plain, scope, s, t, closures)
+                expected = _permit_result(plain, scope, s, t, enhanced, closures)
                 assert drained and searched, seed
-                assert (res.klass, res.cost_updated, res.walk) == (
-                    expected.klass, expected.cost_updated, expected.walk
-                ), seed
+                assert (res.klass, res.cost_updated) == expected, seed
+                assert res.walk == (res.static_walk if res.klass == "static" else None), seed
                 answered[res.klass] += 1
     assert min(answered.values()) >= 100, answered
 
@@ -913,6 +928,18 @@ class TestQcClosure:
         assert qc.kind[1] == "quasi-t"
         assert qc.iterations == 2
 
+    def test_route_counts_only_the_edges_it_adds(self):
+        # The dead-end line's own quasi-closure, passed to the route, is
+        # already a fixed point: the route adds no edge to it.
+        net = build_network(4, [(0, 1), (1, 2), (2, 3), (1, 3)], [1, 1, 1, 5])
+        net = net.with_updated_weights({2: INF})
+        scope = make_scope([1, 1, 1, 1], [5, INF])
+        res = enhanced_detour_route(net, scope, 0, 3, qc_closure(net, scope, None, 0, 3))
+        assert (res.klass, res.walk, res.qc_iterations, res.qc_added) == (
+            "enhanced-detour", Walk(0, (0, 3)), 1, 0
+        )
+        assert enhanced_detour_route(net, scope, 0, 3).qc_added == 1
+
     def test_open_alternative_no_additions(self):
         # Closing x->y leaves every remaining edge on some live route, so the
         # first round already is the fixed point.
@@ -1174,14 +1201,29 @@ def _failed_exit_searches(n1, scope, monkeypatch, route, update):
 
 
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
-def test_failed_exit_runs_two_record_runs_then_the_gates(n1, n1_scope15, monkeypatch, route):
-    # A hard or a soft closure on the static walk, no landmark table: after
-    # the one static search come exactly two drained record runs on the
-    # record weighting, then the two drained gate runs on the open weighting.
-    for update in ({1: INF}, {1: 30}):
-        calls, record, opened, _res = _failed_exit_searches(n1, n1_scope15, monkeypatch, route, update)
+def test_failed_exit_without_the_table_drains_as_with_it(
+    n1, n1_scope15, permit_fixture, monkeypatch, route
+):
+    # No landmark table: a failed exit drains what it drains with the table
+    # (see the next test). On n1 a hard or a soft closure of edge 1 leaves
+    # the permit-free walk 0 -> 1 -> 3 at the open distance, so the
+    # certificate returns it after the static search and nothing drains. A
+    # fractional raise of edge 3 leaves the open weights fractional: no
+    # certificate, and the two gate runs drain on the open weighting, then
+    # the two record runs on the record weighting. On the permit fixture
+    # the certificate fails on its stepped gate runs, and exactly the two
+    # record runs drain.
+    for update, drained in (({1: INF}, False), ({1: 30}, False), ({1: INF, 3: 20.5}, True)):
+        calls, record, opened, res = _failed_exit_searches(n1, n1_scope15, monkeypatch, route, update)
         assert "landmarks" not in n1._aux
-        assert calls == [("static", 0, 3), (0, record), (3, record), (0, opened), (3, opened)], update
+        runs = [(0, opened), (3, opened), (0, record), (3, record)] if drained else []
+        assert calls == [("static", 0, 3)] + runs, update
+        assert (res.walk, res.permit_edges) == (Walk(0, (0, 3)), ())
+    net, scope = permit_fixture
+    calls, record, _opened, res = _failed_exit_searches(net, scope, monkeypatch, route, {1: INF})
+    assert "landmarks" not in net._aux
+    assert calls == [("static", 0, 3), (0, record), (3, record)]
+    assert (res.walk, res.permit_edges) == (Walk(0, (0, 3, 2)), (3,))
 
 
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
@@ -1216,7 +1258,8 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
     # with closures None or given: the closure set, the quasi-closure, both
     # weightings and the test whether the gate runs may be goal-directed
     # all come from it. That test reads only the raised edges, never all m
-    # weights. A static exit reads none.
+    # weights, with the landmark table or without it: build_network measured
+    # the base weights. A static exit reads none.
     if table:
         request.getfixturevalue("landmarks_at_once")
         bidirectional_s_dijkstra(n1, n1_scope15, 0, 3)  # builds the table
@@ -1241,14 +1284,14 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
         res = route(n1.with_updated_weights(update), n1_scope15, 0, 3, closures)
         assert (res.klass == "static", len(passes)) == (not failed, failed), update
     assert ("landmarks" in n1._aux) == table
-    assert bounded if table else not bounded
+    assert bounded
     assert all(length < n1.edge_count for length in bounded), bounded
 
 
 def test_landmark_potentials_give_the_routes_of_dijkstra_potentials(
     landmarks_at_once, monkeypatch
 ):
-    # The permit-state search takes its potentials from the landmark table
+    # A failed exit's directions take their bounds from the landmark table
     # when the network has one, and from two open-network dijkstra runs
     # without it. Both are consistent lower bounds, so cost and class agree
     # (the walk may differ among equal-cost ones).

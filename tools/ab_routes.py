@@ -14,11 +14,15 @@ edges and counts, and the verdicts of ``validate_split_admissible`` and of
 ``qc_closure`` set) on the static walk and the returned walk. Each case is
 routed again with its closures given explicitly, as a "routes" case per
 form: every raised edge as a frozenset and as a one-shot generator, and
-``derive_closures``' ``ClosureSet``. Per network and query it also records,
-as two separate cases, ``find_obstructed``'s records (as their ``repr``) and
-the grant, gate and clean masks of both directions of
-``build_detour_context``, so that a difference in record states cannot hide
-one in the masks; a gate that is a run, not a mask list, is recorded as the
+``derive_closures``' ``ClosureSet``. It routes the first 20 of the grid
+closure sets below the same way (without the closures given explicitly)
+on a fresh 50x50 grid that never builds its table, so that the route
+without the table is compared at grid scale: the other grid cases, and the
+criterion-7 batch, build theirs while they sample queries. Per network
+and query it also records, as two separate cases, ``find_obstructed``'s
+records (as their ``repr``) and the grant, gate and clean masks of both
+directions of ``build_detour_context``, so that a difference in record
+states cannot hide one in the masks; a gate that is a run, not a mask list, is recorded as the
 mask list read off the run, the levels whose budget the settled draw of a
 reached vertex passes. It records ``qc_closure``'s result (edges, hard set,
 tags and iterations) as a "qc" case on inputs whose base graph is strongly
@@ -61,6 +65,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FULL_SEEDS = 300
 GRID_SETS = 100
+# Grid closure sets also routed on a grid without the landmark table.
+GRID_ROUTES = 20
 RESULT_FIELDS = ("klass", "cost_updated", "qc_added", "qc_iterations")
 DETAIL_FIELDS = (
     "permit_edges", "scanned_static", "scanned_detour", "scanned_detour_vertices", "permits_issued",
@@ -120,18 +126,21 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
         if tight is not None:
             cases[f"tight seed {seed} qc"] = qc_case(qc_closure(tight[0], tight[1], None, *tight[2:]))
     nf = generate_synthetic("grid", 50, 3, seed=42)
-    grid, scope = nf.network, balance_to_proper(nf.network, nf.scope)
+    grid, grid_scope = nf.network, balance_to_proper(nf.network, nf.scope)
     rng = random.Random(20)
+    grid_sets = []
     for q in range(GRID_SETS):
         walk = None
         while walk is None or len(walk.edges) < 40:
             s, t = rng.randrange(grid.vertex_count), rng.randrange(grid.vertex_count)
-            walk = bidirectional_s_dijkstra(grid, scope, s, t).walk
-        updates, _ = place_random_closures(grid, scope, walk, 50, seed=q)
+            walk = bidirectional_s_dijkstra(grid, grid_scope, s, t).walk
+        updates, _ = place_random_closures(grid, grid_scope, walk, 50, seed=q)
+        grid_sets.append((s, t, updates))
         closed = grid.with_updated_weights(updates)
         explicit = frozenset(sorted(e for e, w in updates.items() if w == math.inf)[1:])
         for form, closures in (("None", None), ("explicit", explicit)):
-            cases[f"grid set {q} closures {form} qc"] = qc_case(qc_closure(closed, scope, closures, s, t))
+            qc = qc_closure(closed, grid_scope, closures, s, t)
+            cases[f"grid set {q} closures {form} qc"] = qc_case(qc)
     for seed in range(seeds):
         for fractional in (False, True):
             closed, scope, s, t = _closed_random_case(seed, fractional)
@@ -139,30 +148,35 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
             name = f"seed {seed}{' fractional' if fractional else ''}"
             cases[f"{name} records"] = [repr(find_obstructed(closed, scope, None, s, t)), None]
             cases[f"{name} masks"] = [[masks(d, scope) for d in (ctx.forward, ctx.backward)], None]
+    routes = (simple_detour_route, enhanced_detour_route)
+
+    def route_cases(closed, scope, s, t, label):
+        """Both routes' results, with the verdicts on their walks, as cases."""
+        results = [route(closed, scope, s, t) for route in routes]
+        # Validated after both routes, so they run as they would alone.
+        qc = qc_closure(closed, scope, None, s, t)
+        for route, res in zip(routes, results):
+            verdicts = [
+                None if w is None else [
+                    validate_split_admissible(w, closed, scope, s, t),
+                    validate_simple_detour(w, closed, scope, None, s, t),
+                    validate_simple_detour(w, closed, scope, qc, s, t),
+                ]
+                for w in (res.static_walk, res.walk)
+            ]
+            cases[f"{label}, {route.__name__}"] = outcome(res, verdicts)
+
     plain_searches = scoperoute.search._PLAIN_SEARCHES
     for table in (True, False):
         scoperoute.search._PLAIN_SEARCHES = 0 if table else sys.maxsize
         for seed in range(seeds):
             for fractional in (False, True):
                 closed, scope, s, t = _closed_random_case(seed, fractional)
-                routes = (simple_detour_route, enhanced_detour_route)
-                results = [route(closed, scope, s, t) for route in routes]
-                # Validated after both routes, so they run as they would alone.
-                qc = qc_closure(closed, scope, None, s, t)
-                for route, res in zip(routes, results):
-                    verdicts = [
-                        None if w is None else [
-                            validate_split_admissible(w, closed, scope, s, t),
-                            validate_simple_detour(w, closed, scope, None, s, t),
-                            validate_simple_detour(w, closed, scope, qc, s, t),
-                        ]
-                        for w in (res.static_walk, res.walk)
-                    ]
-                    name = (
-                        f"seed {seed}{' fractional' if fractional else ''} "
-                        f"{'with' if table else 'without'} table, {route.__name__}"
-                    )
-                    cases[name] = outcome(res, verdicts)
+                route_cases(
+                    closed, scope, s, t,
+                    f"seed {seed}{' fractional' if fractional else ''} "
+                    f"{'with' if table else 'without'} table",
+                )
                 raised = derive_closures(closed)
                 ids = sorted(raised.edges)
                 for form, given in (
@@ -177,6 +191,10 @@ def one_side(src: str, seeds: int, bench: bool) -> dict:
                             f"closures {form}"
                         )
                         cases[name] = outcome(route(closed, scope, s, t, given()))
+    # Still without the table: a fresh grid, which has served no search.
+    plain = generate_synthetic("grid", 50, 3, seed=42).network
+    for q, (s, t, updates) in enumerate(grid_sets[:GRID_ROUTES]):
+        route_cases(plain.with_updated_weights(updates), grid_scope, s, t, f"grid set {q} without table")
     scoperoute.search._PLAIN_SEARCHES = plain_searches
     for seed in range(FULL_SEEDS):
         net, scope, s, t = bypass_network(random.Random(seed))

@@ -16,7 +16,7 @@ closures (one on the static optimum), and ``city-incident`` one copy with
 50 closures to each block of 25 queries (one on the block's first static
 optimum). It reports each phase's self time per query: a wrapped call's
 time minus that of the wrapped calls it makes. A phase lists the
-functions of every version it has been measured on, so that two versions
+functions of the last two versions it has been measured on, so that they
 can still be compared across a rename; the functions a side lacks are
 named on stderr and under ``missing`` in the output, and a phase none of
 whose functions a side has reads 0 there.
@@ -24,12 +24,8 @@ whose functions a side has reads 0 there.
 "closures / weightings" is reading the closure set after a failed static
 exit and building the record and open weightings from it, with the test
 whether the gate runs may be goal-directed: ``derive_closures`` (the one
-pass over the weights), ``_active_set`` and ``_weightings``; in older
-versions also ``_record_weights`` and ``_lazy_gate_potentials``, while the
-open weighting was built inside the context, under "route, rest". "record
-runs" are the drained searches (``_drained_runs``): the record runs, and
-the static runs too where a version takes its static step from drained
-runs. "gate runs" are ``_direction``, which drains a gate run or sets up a
+pass over the weights), ``_active_set`` and ``_weightings``. "record
+runs" are the two drained record searches (``_drained_runs``). "gate runs" are ``_direction``, which drains a gate run or sets up a
 lazy one, and ``_settle_gate``, which steps a lazy one from inside the
 state search. "certificate" is ``_certificate``: stepping both lazy gate
 runs until their keys pass d_open, their split minimum, and the hand-off
@@ -37,8 +33,9 @@ marks when it fails; "d_open run" is ``_open_distance``, the plain
 goal-directed run from the start that gives d_open. "quasi-closure" is
 ``_quasi_closure``, the enhanced route's growth of the closure set; it
 reads 0 on the simple route.
-"potentials" are the state search's ``dijkstra`` runs; they read 0 once the
-network has its landmark table. "landmark build" is paid once per network,
+"potentials" are the detour module's ``dijkstra`` runs, the exact open-network
+distances that bound the directions without the landmark table; they read
+0 once the network has it. "landmark build" is paid once per network,
 in the static search that follows the plain ones; it is not part of
 "route, whole" or "route, rest".
 
@@ -78,13 +75,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Function of a scoperoute module -> the phase its self time counts towards.
 PHASES = {
-    ("detour", "bidirectional_s_dijkstra"): "static search",
     ("detour", "_bidirectional_search"): "static search",
     ("detour", "derive_closures"): "closures / weightings",
     ("detour", "_active_set"): "closures / weightings",
     ("detour", "_weightings"): "closures / weightings",
-    ("detour", "_record_weights"): "closures / weightings",
-    ("detour", "_lazy_gate_potentials"): "closures / weightings",
     ("detour", "_drained_runs"): "record runs",
     ("detour", "_records_from_runs"): "records / grants",
     ("detour", "_record_pass"): "records / grants",
@@ -99,8 +93,8 @@ PHASES = {
     ("search", "_build_landmark_rows"): "landmark build",
 }
 # Functions of the detour module that each read all the weights, outside
-# the searches, in some version.
-WEIGHT_PASSES = (("detour", "derive_closures"), ("detour", "_distance_bound"))
+# the searches.
+WEIGHT_PASSES = (("detour", "derive_closures"),)
 GATE_SETTLED = "gate run, vertices settled"
 OPEN_SETTLED = "d_open run, vertices settled"
 PASSES = "weight passes per failed exit"
