@@ -33,8 +33,9 @@ Each direction has one consistent lower bound on the open-network
 distance to its far end, which its gate run, the certificate and the
 permit-state search all read: the landmark bounds of the static search
 once the network has its landmark table, each evaluated once per vertex
-and direction in a route, else the exact open-network distances. The
-table only tightens the bound; the weights alone choose the steps.
+and direction in a route, else in a route the exact open-network
+distances, and 0 in ``build_detour_context``, whose readers read no bound.
+The table only tightens the bound; the weights alone choose the steps.
 
 A gate run is read only at the vertices the search settles, so the routes
 run it lazily where that is exact: where the open weights are positive
@@ -120,9 +121,15 @@ class ClosureSet:
 
 
 def derive_closures(network: RoadNetwork) -> ClosureSet:
-    """Edges with raised weight; those raised to infinity are flagged hard."""
-    raised = [e for e in range(network.edge_count) if network.weight_updated[e] > network.weight[e]]
-    hard = frozenset(e for e in raised if network.weight_updated[e] == INF)
+    """Edges with raised weight; those raised to infinity are flagged hard.
+
+    Reads the raised edges the network recorded when its weights were
+    written (``RoadNetwork._raised``) and their updated weights only, so it
+    costs O(raised), not a pass over all m weights.
+    """
+    raised = network._raised
+    wstar = network.weight_updated
+    hard = frozenset(e for e in raised if wstar[e] == INF)
     kind = {e: ("hard" if e in hard else "soft") for e in raised}
     return ClosureSet(frozenset(raised), hard, kind)
 
@@ -382,11 +389,11 @@ class _Direction:
     and ``bounds`` its values, ``-1.0`` where not evaluated yet: the
     landmark bound, in a route into the list the static search's side of
     this direction filled (see ``search._bidirectional_search``), or
-    without the table the exact distance, every value evaluated (see
-    ``_directions``). The gate run, the certificate's plain run (forwards)
-    and the permit-state half of this direction go on filling the same
-    list. ``gate`` is the run
-    from the endpoint on the open weighting, read through ``_usable``:
+    without the table the exact distance in a route and 0 in
+    ``build_detour_context``, every value evaluated (see ``_directions``).
+    The gate run, the certificate's plain run (forwards) and the
+    permit-state half of this direction go on filling the same list.
+    ``gate`` is the run from the endpoint on the open weighting, read through ``_usable``:
     drained, or lazy while ``steps`` holds the rest of a run goal-directed
     by ``bound``, in which case a label is final only where ``final`` is
     set (``_certificate`` hands it on so, and ``_settle_gate`` steps it on).
@@ -464,6 +471,14 @@ def _certificate(
     relaxed the edge, and each suffix edge the backward gate at its head,
     so it needs no permit.
 
+    U is scanned over the vertices either run settled and the pending
+    heads, the meeting the early stop found among them. Whether U is d_open
+    is what a scan over all n would say: a vertex whose labels sum to at
+    most d_open has a key of at most d_open on both sides (a side's bound
+    there is at most the other side's label), so both runs yield it before
+    they stop, and the later yield, on final labels, meets at a sum of at
+    most d_open and stops the runs there.
+
     Otherwise the gate runs are handed on to the permit-state search: every
     vertex a run settled is marked final, and so is its pending head, whose
     labels are final once yielded; a run that ended is final everywhere.
@@ -473,7 +488,8 @@ def _certificate(
     if d_open == INF:
         return BidirectionalResult(None, INF, None, *runs)
     heads = _goal_directed_meeting(runs, (forward.steps, backward.steps), d_open, d_open)
-    split = _split_minimum(*runs)
+    pending = [head[2] for head in heads if head is not None]
+    split = _split_minimum(*runs, forward.gate.order + backward.gate.order + pending)
     if split.cost == d_open:
         return split
     for direction, head in zip((forward, backward), heads):
@@ -557,20 +573,26 @@ def _directions(
     source: int,
     target: int,
     bounds: tuple[list[float], list[float]] | None = None,
+    exact: bool = True,
 ) -> tuple[_Direction, _Direction]:
     """The forward and the backward direction, each bounded towards its far
     end. With the landmark table the bounds are its potentials of ``source``
     and ``target``, into ``bounds``, the static search's two bound lists on
-    them where given, else into fresh lists. Without it they are the exact
-    distances to ``target`` and from ``source`` on the open weighting, two
-    whole ``dijkstra`` runs: consistent on it, and infinite where the far
-    end cannot be reached."""
+    them where given, else into fresh lists. Without it they are, if
+    ``exact``, the exact distances to ``target`` and from ``source`` on the
+    open weighting, two whole ``dijkstra`` runs: consistent on it, and
+    infinite where the far end cannot be reached. Otherwise they are 0
+    everywhere, also consistent: a context for the validators, whose gate
+    runs are drained and which read no bound, makes no run for them."""
     to_target, to_source = _landmark_potentials(network, source, target)
     if to_target is None:
-        bounds = (
-            dijkstra(network.reverse(), closed.open, target).dist,
-            dijkstra(network, closed.open, source).dist,
-        )
+        if exact:
+            bounds = (
+                dijkstra(network.reverse(), closed.open, target).dist,
+                dijkstra(network, closed.open, source).dist,
+            )
+        else:
+            bounds = ([0.0] * network.vertex_count, [0.0] * network.vertex_count)
         to_target, to_source = bounds[0].__getitem__, bounds[1].__getitem__
     elif bounds is None:
         bounds = ([-1.0] * network.vertex_count, [-1.0] * network.vertex_count)
@@ -590,9 +612,12 @@ def _context(
 ) -> DetourContext:
     """``build_detour_context`` on ``closed``: the record runs, then the
     grant masks set in ``directions``, which ``_directions`` builds after
-    the record runs where not given, and their clean masks."""
+    the record runs where not given, without exact bounds, and their clean
+    masks."""
     record_runs = _drained_runs(network, scope, source, target, closed.record)
-    forward, backward = directions or _directions(network, scope, closed, source, target)
+    forward, backward = directions or _directions(
+        network, scope, closed, source, target, exact=False
+    )
     forward = replace(forward, clean=_clean_masks(network, scope, closed.active))
     backward = replace(backward, clean=_clean_masks(network.reverse(), scope, closed.active))
     top = scope.top
@@ -961,9 +986,9 @@ def _route(
 
     A caller's ``closures`` are read once, before the static search, so an
     unknown edge id raises ``NetworkError`` even on the static exit and a
-    one-shot iterable is not used up. After a failed exit one pass over the
-    weights (``derive_closures``) gives the closure set and its weightings
-    (``_weightings``), which everything after reads.
+    one-shot iterable is not used up. After a failed exit the raised edges
+    the network recorded (``derive_closures``, O(raised)) give the closure
+    set and its weightings (``_weightings``), which everything after reads.
 
     The static result comes from ``bidirectional_s_dijkstra``'s search on
     the base weights of every copy, goal-directed once the network has its

@@ -26,6 +26,13 @@ class RoadNetwork:
     Vertices are contiguous ints ``0..n-1``. Edges are kept in insertion
     order; parallel edges and self-loops are allowed. ``weight_updated``
     defaults to ``weight`` and may only be raised (closures use ``inf``).
+
+    ``_raised`` lists, in id order, the edges whose updated weight is above
+    their base weight, so that reading the closures costs O(raised) rather
+    than a pass over all m weights. ``build_network`` and
+    ``with_updated_weights`` record it as they write the weights, and a
+    reversal shares it; a network built directly without it finds it in one
+    pass here.
     """
 
     vertex_count: int
@@ -41,6 +48,13 @@ class RoadNetwork:
     # stores ``_distance_bound(weight)`` under "distance bound", and a
     # reversal shares it; without it the base weights count as unbounded.
     _aux: dict = field(repr=False, compare=False, default_factory=dict)
+    # Not in ``_aux``: every weight variant shares that, and each has its own.
+    _raised: tuple[int, ...] | None = field(repr=False, compare=False, default=None)
+
+    def __post_init__(self) -> None:
+        if self._raised is None:
+            pairs = enumerate(zip(self.weight, self.weight_updated))
+            object.__setattr__(self, "_raised", tuple(e for e, (w, wu) in pairs if wu > w))
 
     @property
     def edge_count(self) -> int:
@@ -82,15 +96,20 @@ class RoadNetwork:
             self._in,
             self._out,
             rev_aux,
+            self._raised,
         )
 
     def with_updated_weights(self, updates: dict[int, float]) -> "RoadNetwork":
         """Copy of the network with ``w*`` raised on the given edges.
 
         Shares the adjacency structure and the structural cache with the
-        original; only the updated weighting differs.
+        original; only the updated weighting differs. The copy's raised
+        edges are this network's joined with the updated ones above their
+        base weight, less those updated back down to it, found in the one
+        loop over ``updates``.
         """
         wstar = list(self.weight_updated)
+        raised = set(self._raised)
         for e, value in updates.items():
             if e < 0 or e >= self.edge_count:
                 raise NetworkError(f"unknown edge id {e}")
@@ -101,6 +120,10 @@ class RoadNetwork:
                     f"edge {e}: updated weight {value} below base weight {self.weight[e]}"
                 )
             wstar[e] = float(value)
+            if value > self.weight[e]:
+                raised.add(e)
+            else:
+                raised.discard(e)
         return RoadNetwork(
             self.vertex_count,
             self.tails,
@@ -110,6 +133,7 @@ class RoadNetwork:
             self._out,
             self._in,
             self._aux,
+            tuple(sorted(raised)),
         )
 
 
@@ -167,6 +191,7 @@ def build_network(
         tuple(tuple(es) for es in out),
         tuple(tuple(es) for es in inc),
         {"distance bound": _distance_bound(w, vertex_count)},
+        (),
     )
     if updated_weights is None:
         return network

@@ -218,9 +218,9 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
     arrivals.
 
     Without ``potential`` the key is ``d``. With it the key is ``d + h(v)``,
-    ``h = potential`` evaluated at most once per vertex, into ``bounds`` if
-    given: a per-vertex list, ``-1.0`` where not evaluated yet, that the
-    caller may share with another search on the same potential. The caller
+    ``h = potential`` evaluated at most once per vertex, into ``bounds``: a
+    per-vertex list, ``-1.0`` where not evaluated yet, that the caller may
+    share with another search on the same potential. The caller
     guarantees positive integer weights and a consistent ``h`` (see
     ``_goal_potentials``); equal keys then settle the smaller ``d`` first, so
     every tight arrival still reaches its head before the head settles.
@@ -234,10 +234,9 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
     done = [False] * len(dist)
     goal = potential is not None
     if goal:
-        h = [-1.0] * len(dist) if bounds is None else bounds
-        if h[res.source] < 0.0:
-            h[res.source] = potential(res.source)
-        heap: list[tuple] = [(h[res.source], 0.0, res.source)]
+        if bounds[res.source] < 0.0:
+            bounds[res.source] = potential(res.source)
+        heap: list[tuple] = [(bounds[res.source], 0.0, res.source)]
     else:
         heap = [(0.0, res.source)]
     push = heapq.heappush
@@ -246,7 +245,10 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
     try:
         while heap:
             head = pop(heap)
-            d, u = head[1:] if goal else head
+            if goal:
+                _, d, u = head
+            else:
+                d, u = head
             if done[u] or d > dist[u]:
                 continue
             yield head
@@ -263,16 +265,17 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
                 dv = dist[v]
                 if nd > dv:
                     continue
-                arrival = add_draw(sig_u, lv, we)
+                # A level-0 edge charges no budget: add_draw would return sig_u.
+                arrival = add_draw(sig_u, lv, we) if lv else sig_u
                 if nd < dv:
                     dist[v] = nd
                     parent[v] = e
                     sigma[v] = arrival
                     relaxed += 1
                     if goal:
-                        hv = h[v]
+                        hv = bounds[v]
                         if hv < 0.0:
-                            hv = h[v] = potential(v)
+                            hv = bounds[v] = potential(v)
                         push(heap, (nd + hv, nd, v))
                     else:
                         push(heap, (nd, v))
@@ -323,19 +326,38 @@ class BidirectionalResult:
         return self.forward.scanned_count + self.backward.scanned_count
 
 
-def _split_minimum(forward: ScopeSearchResult, backward: ScopeSearchResult) -> BidirectionalResult:
+def _split_minimum(
+    forward: ScopeSearchResult, backward: ScopeSearchResult, candidates: list[int]
+) -> BidirectionalResult:
     """The cheapest meeting of a forward run and a reverse run, stitched.
 
-    Minimises ``forward.dist[v] + backward.dist[v]`` over all vertices (the
-    lowest such vertex on ties) and joins the forward tree walk to ``v``
-    with the reversed reverse-tree walk to ``v``. The runs may be partial:
-    only vertices labelled on both sides can meet.
+    Minimises ``forward.dist[v] + backward.dist[v]`` over the vertices
+    ``candidates`` (the lowest such vertex on ties) and joins the forward
+    tree walk to ``v`` with the reversed reverse-tree walk to ``v``. The
+    runs may be partial: only vertices labelled on both sides can meet.
+    A caller passes a set it has shown to hold every vertex of least sum
+    over all n, so that the result is the full scan's at the cost of the
+    candidates:
+
+    * a goal-directed ``bidirectional_s_dijkstra``: the forward settle
+      order, since its stop rule settles every cheapest meeting vertex on
+      both sides (see its docstring);
+    * a plain one: both settle orders. A vertex settled on neither side but
+      labelled on both has labels no lower than the queue heads, so with the
+      stop rule (both heads at least ``best``) a sum of at least twice
+      ``best``, and ``best`` is a sum at a settled vertex. So it can hold
+      the least sum only if that is 0, ties at weight 0 included; but
+      while the forward head is 0 it takes every turn, the backward side
+      settles nothing and labels only ``target``, and ``best`` becomes 0
+      only once the forward side has settled ``target``;
+    * the certificate (``detour._certificate``): both settle orders and
+      both pending heads, where its early stop leaves the meeting it found.
     """
-    sums = list(map(add, forward.dist, backward.dist))
-    cost = min(sums, default=INF)
+    fd, bd = forward.dist, backward.dist
+    sums = map(add, map(fd.__getitem__, candidates), map(bd.__getitem__, candidates))
+    cost, meeting = min(zip(sums, candidates), default=(INF, None))
     if cost == INF:
         return BidirectionalResult(None, INF, None, forward, backward)
-    meeting = sums.index(cost)
     prefix = forward.walk_to(meeting)
     suffix_rev = backward.walk_to(meeting)
     assert prefix is not None and suffix_rev is not None
@@ -555,7 +577,7 @@ def _bidirectional_search(
             heads[side] = next(steps[side], None)
     fwd_steps.close()
     bwd_steps.close()
-    return _split_minimum(fwd, bwd), bounds
+    return _split_minimum(fwd, bwd, fwd.order if goal else fwd.order + bwd.order), bounds
 
 
 def _goal_directed_meeting(runs, steps, cap: float = INF, low: float = -INF):

@@ -1,12 +1,32 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import scoperoute.search
-from scoperoute import build_network, make_scope
+from scoperoute import Walk, build_network, make_scope
 
 INF = math.inf
+
+
+def full_split_minimum(forward, backward):
+    """The split minimum of two runs' labels scanned over all n vertices,
+    the lowest vertex on ties, and its stitched walk: forward tree walk to
+    the meeting vertex, then the reversed backward tree walk. Written here,
+    apart from ``search._split_minimum``, whose scans over fewer vertices
+    it checks."""
+    cost, meeting = INF, None
+    for v in range(len(forward.dist)):
+        total = forward.dist[v] + backward.dist[v]
+        if total < cost:
+            cost, meeting = total, v
+    walk = None
+    if meeting is not None:
+        prefix, suffix = forward.walk_to(meeting).edges, backward.walk_to(meeting).edges
+        walk = Walk(forward.source, prefix + suffix[::-1])
+    scanned = forward.scanned_count + backward.scanned_count
+    return SimpleNamespace(cost=cost, meeting=meeting, walk=walk, scanned_count=scanned)
 
 
 @pytest.fixture

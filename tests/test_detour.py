@@ -2,6 +2,7 @@ import gc
 import math
 import operator
 import random
+import sys
 import weakref
 
 import pytest
@@ -10,6 +11,7 @@ import scoperoute.detour
 import scoperoute.search
 from scoperoute import (
     NetworkError,
+    RoadNetwork,
     Walk,
     balance_to_proper,
     bidirectional_s_dijkstra,
@@ -30,9 +32,7 @@ from scoperoute import (
 )
 
 from scoperoute.network import add_draw, zero_vector
-from scoperoute.search import _split_minimum
-
-from conftest import bypass_network, random_network
+from conftest import bypass_network, full_split_minimum, random_network
 
 INF = math.inf
 
@@ -747,6 +747,50 @@ def test_certificate_stops_at_its_first_d_open_meeting(landmarks_at_once, monkey
     assert tally.get(("tight", "stopped"), 0) >= 600 and tally.get(("tight", "failed"), 0) >= 100, tally
 
 
+def test_certificate_scan_agrees_with_a_full_scan_of_its_gate_runs(landmarks_at_once, monkeypatch):
+    # The certificate scans its split minimum over the vertices its gate
+    # runs settled and their pending heads only. A scan of the runs' labels
+    # over all n vertices, as they stand when it returns, decides the same:
+    # a certified route costs the full scan's minimum, met at a vertex whose
+    # labels sum to it, and a failed certificate's full scan stays above
+    # d_open. The meeting vertex may differ among those of equal sum.
+    real_open = scoperoute.detour._open_distance
+    real_certificate = scoperoute.detour._certificate
+    d_opens = []
+    tally = {"certified": 0, "failed": 0, "no open walk": 0}
+
+    def open_distance(*args):
+        d_opens.append(real_open(*args))
+        return d_opens[-1]
+
+    def certificate(network, scope, forward, backward):
+        del d_opens[:]
+        result = real_certificate(network, scope, forward, backward)
+        (d_open,) = d_opens
+        full = full_split_minimum(forward.gate, backward.gate)
+        if result is None:
+            assert full.cost > d_open
+            tally["failed"] += 1
+        elif result.walk is None:
+            assert result.cost == full.cost == d_open == INF
+            tally["no open walk"] += 1
+        else:
+            meeting = result.meeting
+            assert result.cost == full.cost == d_open
+            assert forward.gate.dist[meeting] + backward.gate.dist[meeting] == d_open
+            tally["certified"] += 1
+        return result
+
+    monkeypatch.setattr(scoperoute.detour, "_open_distance", open_distance)
+    monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
+    cases = [bypass_network(random.Random(seed)) for seed in range(1500)]
+    cases += [_closed_random_case(seed) for seed in range(1500)]
+    for net, scope, s, t in cases:
+        for route in (simple_detour_route, enhanced_detour_route):
+            route(net, scope, s, t)
+    assert tally["certified"] >= 700 and min(tally.values()) >= 400, tally
+
+
 class TestValidator:
     def test_plain_admissible_walk_accepted(self, n1, n1_scope15):
         closed = n1.with_updated_weights({3: INF})
@@ -1251,38 +1295,95 @@ def test_failed_exit_with_the_table_drains_only_the_record_runs(
     assert (res.walk, res.permit_edges) == (Walk(0, (0, 3, 2)), (3,))
 
 
+def _logged_weights(values, reads: set, passes: list, quiet: list):
+    """``values`` as a tuple that, unless ``quiet[0]``, logs into ``reads``
+    each edge read one by one and into ``passes`` the function that makes
+    each whole pass over it."""
+
+    class Logged(tuple):
+        def __getitem__(self, e):
+            if not quiet[0]:
+                reads.add(e)
+            return tuple.__getitem__(self, e)
+
+        def __iter__(self):
+            if not quiet[0]:
+                passes.append(sys._getframe(1).f_code.co_name)
+            return tuple.__iter__(self)
+
+    return Logged(values)
+
+
 @pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
 def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request, route, table):
-    # A failed static exit reads the weights in one pass, derive_closures,
-    # with closures None or given: the closure set, the quasi-closure, both
-    # weightings and the test whether the gate runs may be goal-directed
-    # all come from it. That test reads only the raised edges, never all m
-    # weights, with the landmark table or without it: build_network measured
-    # the base weights. A static exit reads none.
+    # Outside the searches a failed static exit reads the weights whole only
+    # to copy the updated weights into its open weighting (_weightings), and
+    # one by one no weight of an unraised edge but those of the closed edges
+    # and the static walk (for its updated cost), with closures None or
+    # given: the closure set comes from the raised edges the network
+    # recorded, and whether the gate runs may be goal-directed from their
+    # weights and the bound build_network measured on the base weights,
+    # with the landmark table or without it. A static exit reads only the
+    # static walk's weights. The searches (scope-aware steps, dijkstra runs,
+    # reach passes) read the weights of what they relax and are left out.
     if table:
         request.getfixturevalue("landmarks_at_once")
         bidirectional_s_dijkstra(n1, n1_scope15, 0, 3)  # builds the table
-    passes, bounded = [], []
-    real_derive = scoperoute.detour.derive_closures
-    real_bound = scoperoute.search._distance_bound
+    reads, passes, quiet, bounded = set(), [], [0], []
 
-    def derive(network):
-        passes.append(network)
-        return real_derive(network)
+    def quieted(fn):
+        def call(*args, **kwargs):
+            quiet[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                quiet[0] -= 1
+
+        return call
+
+    real_steps = scoperoute.search._scope_steps
+
+    def quiet_steps(*args, **kwargs):
+        steps = real_steps(*args, **kwargs)
+        while (head := quieted(next)(steps, None)) is not None:
+            yield head
+
+    for module, name in ((scoperoute.search, "dijkstra"), (scoperoute.detour, "dijkstra"),
+                         (scoperoute.detour, "_plain_reach")):
+        monkeypatch.setattr(module, name, quieted(getattr(module, name)))
+    monkeypatch.setattr(scoperoute.search, "_scope_steps", quiet_steps)
+    monkeypatch.setattr(scoperoute.detour, "_scope_steps", quiet_steps)
+    real_bound = scoperoute.search._distance_bound
 
     def bound(weights, vertex_count):
         bounded.append(len(weights))
         return real_bound(weights, vertex_count)
 
-    monkeypatch.setattr(scoperoute.detour, "derive_closures", derive)
     monkeypatch.setattr(scoperoute.search, "_distance_bound", bound)
     cases = [({3: INF}, None, 0), ({1: INF}, None, 1), ({1: 30}, None, 1), ({1: 30.5}, None, 1)]
     cases += [({1: 30}, frozenset({1}), 1), ({1: INF, 3: 25}, frozenset({1, 3}), 1)]
     for update, closures, failed in cases:
-        del passes[:]
-        res = route(n1.with_updated_weights(update), n1_scope15, 0, 3, closures)
-        assert (res.klass == "static", len(passes)) == (not failed, failed), update
+        closed = n1.with_updated_weights(update)
+        logged = RoadNetwork(
+            closed.vertex_count, closed.tails, closed.heads,
+            _logged_weights(closed.weight, reads, passes, quiet),
+            _logged_weights(closed.weight_updated, reads, passes, quiet),
+            closed._out, closed._in, closed._aux, closed._raised,
+        )
+        reads.clear()
+        passes.clear()
+        res = route(logged, n1_scope15, 0, 3, closures)
+        assert (res.klass == "static") == (not failed), update
+        static_walk = set(res.static_walk.edges if res.static_walk else ())
+        if not failed:
+            assert (reads <= static_walk, passes) == (True, []), update
+            continue
+        closed_edges = set(closures or ())
+        if route is enhanced_detour_route:
+            closed_edges |= qc_closure(closed, n1_scope15, closures, 0, 3).edges
+        assert reads <= set(update) | closed_edges | static_walk, (update, reads)
+        assert passes and set(passes) == {"_weightings"}, (update, passes)
     assert ("landmarks" in n1._aux) == table
     assert bounded
     assert all(length < n1.edge_count for length in bounded), bounded
@@ -1336,13 +1437,46 @@ def test_landmark_potentials_give_the_routes_of_dijkstra_potentials(
 
 def test_state_search_neither_counts_nor_builds_the_table(permit_fixture, landmarks_at_once):
     # The state search only reads a table that exists: on a network that
-    # has served no static search it runs the dijkstra potentials, and it
-    # leaves the count and the table alone.
+    # has served no static search it runs on the context's zero bounds, and
+    # it leaves the count and the table alone.
     net, scope = permit_fixture
     ctx = build_detour_context(net, scope, None, 0, 3)
     fwd, bwd, meeting = scoperoute.detour._state_search_halves(ctx)
     assert meeting is not None
     assert "plain searches" not in net._aux and "landmarks" not in net._aux
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
+def test_detour_context_makes_no_bound_runs(permit_fixture, monkeypatch, request, table):
+    # build_detour_context's readers (validate_simple_detour, _recheck_detour
+    # and so the CLI's re-check) read no direction bound, so it makes no
+    # dijkstra run for one, with the landmark table or without it. A route's
+    # permit path without the table keeps its two exact-distance runs.
+    runs = []
+    real = scoperoute.detour.dijkstra
+
+    def counting(*args, **kwargs):
+        runs.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scoperoute.detour, "dijkstra", counting)
+    if table:
+        request.getfixturevalue("landmarks_at_once")
+    nf = generate_synthetic("grid", 12, 3, seed=3)
+    grid, grid_scope = nf.network, balance_to_proper(nf.network, nf.scope)
+    grid = grid.with_updated_weights({e: INF for e in range(0, grid.edge_count, 17)})
+    for closed, scope, t in (permit_fixture + (3,), (grid, grid_scope, grid.vertex_count - 1)):
+        if table:
+            bidirectional_s_dijkstra(closed, scope, 0, t)  # builds the table
+        assert ("landmarks" in closed._aux) == table
+        res = simple_detour_route(closed, scope, 0, t)
+        del runs[:]
+        build_detour_context(closed, scope, None, 0, t)
+        assert validate_simple_detour(res.walk, closed, scope, None, 0, t)
+        assert scoperoute.detour._recheck_detour(res.walk, closed, scope, True, 0, t)
+        assert runs == []
+        _permit_path(closed, scope, 0, t, False)
+        assert runs == ([] if table else [t, 0])
 
 
 def test_closed_copy_freed_by_reference_counting(permit_fixture):
@@ -1379,7 +1513,7 @@ def test_copy_without_raised_edges_runs_no_drained_search(monkeypatch, route, pl
     while len(cases) < 40:
         net, scope = random_network(rng, max_vertices=10)
         s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
-        drained = _split_minimum(s_dijkstra(net, scope, s), s_dijkstra(net.reverse(), scope, t))
+        drained = full_split_minimum(s_dijkstra(net, scope, s), s_dijkstra(net.reverse(), scope, t))
         if drained.walk is not None:
             cases.append((net, scope, s, t, drained))
     monkeypatch.setattr(scoperoute.detour, "s_dijkstra", failing)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from scoperoute import (
     NetworkError,
+    RoadNetwork,
     Walk,
     balance_to_proper,
     build_network,
     contract_degree2_chains,
+    derive_closures,
     dijkstra,
     is_proper,
     is_routing_connected,
@@ -249,3 +251,68 @@ def test_reverse_involution_property(data):
     back = net.reverse().reverse()
     assert back.tails == net.tails and back.heads == net.heads
     assert back.weight == net.weight and back.weight_updated == net.weight_updated
+
+
+def _full_pass_closures(net):
+    """The raised edges, the hard ones and their tags, read off every weight."""
+    raised = {e for e in range(net.edge_count) if net.weight_updated[e] > net.weight[e]}
+    hard = {e for e in raised if net.weight_updated[e] == INF}
+    return raised, hard, {e: "hard" if e in hard else "soft" for e in raised}
+
+
+def _closures(net):
+    cs = derive_closures(net)
+    return set(cs.edges), set(cs.hard), cs.kind
+
+
+_RAISES = st.sampled_from([0, 0, 0.5, 3, INF])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([0, 1, 2.5, 7, INF])),
+            min_size=1,
+            max_size=8,
+        ).flatmap(
+            lambda edges: st.tuples(
+                st.just(n),
+                st.just(edges),
+                st.lists(
+                    st.tuples(
+                        st.dictionaries(st.integers(0, len(edges) - 1), _RAISES, max_size=len(edges)),
+                        st.booleans(),
+                    ),
+                    max_size=5,
+                ),
+            )
+        )
+    )
+)
+def test_raised_edges_recorded_as_the_weights_are_written(data):
+    # Each network keeps the edges above their base weight as its weights
+    # are written, so derive_closures reads only those; it gives what a
+    # pass over all the weights gives: after chained updates, raises and
+    # updates back down to the base weight among them, through reversals,
+    # from build_network's updated weights, and for a network built
+    # directly. The list is left out of equality and repr.
+    n, edges, steps = data
+    base = [w for _, _, w in edges]
+    net = build_network(n, [(u, v) for u, v, _ in edges], base)
+    assert _closures(net) == _full_pass_closures(net) == (set(), set(), {})
+    for raises, reverse in steps:
+        net = net.with_updated_weights({e: base[e] + r for e, r in raises.items()})
+        if reverse:
+            net = net.reverse()
+        assert _closures(net) == _full_pass_closures(net)
+    pairs = [(net.tails[e], net.heads[e]) for e in range(net.edge_count)]
+    built = build_network(n, pairs, net.weight, net.weight_updated)
+    direct = RoadNetwork(
+        n, net.tails, net.heads, net.weight, net.weight_updated, net._out, net._in
+    )
+    for copy in (built, direct, direct.reverse()):
+        assert _closures(copy) == _full_pass_closures(net)
+    assert built == direct == net and repr(built) == repr(net)
+    assert "_raised" not in repr(net)
+    assert net.reverse()._raised is net._raised  # passed on, not found again

@@ -21,9 +21,9 @@ from scoperoute import (
 )
 from scoperoute.netio import generate_synthetic
 from scoperoute.network import balance_to_proper
-from scoperoute.search import _edge_pack, _goal_potentials, _landmark_rows, _split_minimum
+from scoperoute.search import _edge_pack, _goal_potentials, _landmark_rows
 
-from conftest import random_network
+from conftest import full_split_minimum, random_network
 
 INF = math.inf
 
@@ -112,7 +112,7 @@ class TestBidirectional:
 
 
 def _drained_split_minimum(net, scope, s, t, weighting="base"):
-    return _split_minimum(
+    return full_split_minimum(
         s_dijkstra(net, scope, s, weighting), s_dijkstra(net.reverse(), scope, t, weighting)
     )
 
@@ -140,7 +140,10 @@ def test_bidirectional_matches_drained_split_minimum(kind, landmarks_at_once):
     # weights the result is the drained runs' split minimum: cost, lowest
     # meeting vertex and walk. With zero weights the cost is, and the walk
     # is a split-admissible walk of that cost. Large integers put distances
-    # past int16.
+    # past int16. Whatever the weights, the search scans only its settled
+    # vertices (forwards when goal-directed, both sides when plain), and
+    # that gives what a scan of its labels over all n gives, zero-weight
+    # ties included.
     rng = random.Random(f"bidirectional/{kind}")
     integer = kind in ("integer", "large")
     for _ in range(300):
@@ -156,6 +159,8 @@ def test_bidirectional_matches_drained_split_minimum(kind, landmarks_at_once):
             goal = _goal_potentials(graph, weighting, s, t)[0] is not None
             assert goal == integer
             bid = bidirectional_s_dijkstra(graph, scope, s, t, weighting)
+            own = full_split_minimum(bid.forward, bid.backward)
+            assert (bid.cost, bid.meeting, bid.walk) == (own.cost, own.meeting, own.walk)
             ref = _drained_split_minimum(graph, scope, s, t, weighting)
             assert bid.cost == ref.cost
             if kind != "zero":

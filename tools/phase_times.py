@@ -23,8 +23,9 @@ whose functions a side has reads 0 there.
 
 "closures / weightings" is reading the closure set after a failed static
 exit and building the record and open weightings from it, with the test
-whether the gate runs may be goal-directed: ``derive_closures`` (the one
-pass over the weights), ``_active_set`` and ``_weightings``. "record
+whether the gate runs may be goal-directed: ``derive_closures`` (which
+reads the raised edges the network recorded; a pass over all the weights
+in versions before that), ``_active_set`` and ``_weightings``. "record
 runs" are the two drained record searches (``_drained_runs``). "gate runs" are ``_direction``, which drains a gate run or sets up a
 lazy one, and ``_settle_gate``, which steps a lazy one from inside the
 state search. "certificate" is ``_certificate``: stepping both lazy gate
@@ -45,9 +46,11 @@ than the spread between rounds shows as such. It holds the same summary
 figures for four counts: the vertices each gate run settled (its
 ``order`` when the route returns; a lazy run's last final vertex is not in
 it yet), the vertices each d_open run settled (the runs of
-``detour._scope_run``), the passes over all the weights outside the
-searches per route that fails the static exit (the outermost calls of
-``WEIGHT_PASSES``), and the landmark bounds each route evaluates, its
+``detour._scope_run``), the weights read one by one per route that fails
+the static exit by the outermost calls of ``WEIGHT_READERS`` (counted on an
+untimed replay of each such call with counting weight tuples swapped into
+the network it was given: about 2m per call for a pass over all the weights),
+and the landmark bounds each route evaluates, its
 static search's included (calls of the functions
 ``search._landmark_potentials`` returns; the counting wrapper adds one
 call to each evaluation, on both sides). It adds the Python version and
@@ -92,17 +95,46 @@ PHASES = {
     ("detour", "_quasi_closure"): "quasi-closure",
     ("search", "_build_landmark_rows"): "landmark build",
 }
-# Functions of the detour module that each read all the weights, outside
-# the searches.
-WEIGHT_PASSES = (("detour", "derive_closures"),)
+# Functions of the detour module that read weights one by one outside the
+# searches, whose reads are counted.
+WEIGHT_READERS = (("detour", "derive_closures"),)
 GATE_SETTLED = "gate run, vertices settled"
 OPEN_SETTLED = "d_open run, vertices settled"
-PASSES = "weight passes per failed exit"
+READS = "weights read per failed exit"
 BOUNDS = "bound evaluations per route"
 BUILD = "landmark build"
 ROUTE = "route, whole"
 OTHER = "route, rest"
 WORKLOADS = ("city-static", "city-detour", "city-incident")
+
+
+class CountingWeights(tuple):
+    """A weight tuple that counts the weights read from it, all of them for
+    a whole pass."""
+
+    reads = 0
+
+    def __getitem__(self, e):
+        CountingWeights.reads += 1
+        return tuple.__getitem__(self, e)
+
+    def __iter__(self):
+        CountingWeights.reads += len(self)
+        return tuple.__iter__(self)
+
+
+def weights_read(fn, network, args, kwargs) -> int:
+    """The weights ``fn(network, *args, **kwargs)`` reads from ``network``."""
+    saved = network.weight, network.weight_updated
+    for name, values in zip(("weight", "weight_updated"), saved):
+        object.__setattr__(network, name, CountingWeights(values))
+    CountingWeights.reads = 0
+    try:
+        fn(network, *args, **kwargs)
+    finally:
+        for name, values in zip(("weight", "weight_updated"), saved):
+            object.__setattr__(network, name, values)
+    return CountingWeights.reads
 
 
 class SelfTimes:
@@ -145,6 +177,11 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
     top_edges = [e for e in range(base.edge_count) if scope.level[e] == scope.top]
     times = SelfTimes()
     missing = []
+    originals = {
+        (module_name, name): getattr(getattr(scoperoute, module_name), name)
+        for module_name, name in WEIGHT_READERS
+        if hasattr(getattr(scoperoute, module_name), name)
+    }
     for (module_name, name), phase in PHASES.items():
         module = getattr(scoperoute, module_name)
         if hasattr(module, name):
@@ -152,26 +189,29 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
         else:
             missing.append(f"{module_name}.{name}")
             print(f"{src}: no scoperoute.{module_name}.{name} for {phase!r}", file=sys.stderr)
-    # [depth, outermost calls] of the weight-pass functions.
-    passes = [0, 0]
+    # The outermost calls of the weight readers, replayed after each route.
+    depth = [0]
+    reader_calls = []
 
-    def counted(fn):
-        def call(*args, **kwargs):
-            passes[1] += passes[0] == 0
-            passes[0] += 1
+    def logged(fn, original):
+        def call(network, *args, **kwargs):
+            if depth[0] == 0:
+                reader_calls.append((original, network, args, kwargs))
+            depth[0] += 1
             try:
-                return fn(*args, **kwargs)
+                return fn(network, *args, **kwargs)
             finally:
-                passes[0] -= 1
+                depth[0] -= 1
 
         return call
 
-    for module_name, name in WEIGHT_PASSES:
+    for (module_name, name), original in originals.items():
         module = getattr(scoperoute, module_name)
-        if hasattr(module, name):
-            setattr(module, name, counted(getattr(module, name)))
-        elif f"{module_name}.{name}" not in missing:
-            missing.append(f"{module_name}.{name}")
+        setattr(module, name, logged(getattr(module, name), original))
+    missing.extend(
+        f"{module_name}.{name}" for module_name, name in WEIGHT_READERS
+        if (module_name, name) not in originals and f"{module_name}.{name}" not in missing
+    )
     # Keep each direction a route builds, to count its gate run's settled vertices.
     directions = []
     timed_direction = getattr(scoperoute.detour, "_direction", None)
@@ -212,7 +252,7 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
         scoperoute.detour._landmark_potentials = counting_potentials
     gate_settled: list[float] = []
     open_settled: list[float] = []
-    weight_passes: list[float] = []
+    weight_reads: list[float] = []
     bound_evaluations: list[float] = []
     phases = sorted(set(PHASES.values()))
     per_query: dict[str, list[float]] = {p: [] for p in phases + [ROUTE, OTHER]}
@@ -228,13 +268,13 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
             updates = place_closures(rng, base, static.walk, top_edges, spec.closures) if spec.closures else {}
             closed = base.with_updated_weights(updates)
         built = times.ms.get(BUILD, 0.0)
-        passes[1] = 0
+        reader_calls.clear()
         evaluated[0] = 0
         t0 = perf_counter()
         res = detour_route(closed, scope, s, t)
         whole = (perf_counter() - t0) * 1000.0 - (times.ms.get(BUILD, 0.0) - built)
         if res.static_walk is None or res.static_cost_updated != res.static_cost_base:
-            weight_passes.append(passes[1])
+            weight_reads.append(sum(weights_read(*call) for call in reader_calls))
         bound_evaluations.append(evaluated[0])
         for p in phases:
             per_query[p].append(times.ms.get(p, 0.0))
@@ -247,7 +287,7 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
     counts = {
         GATE_SETTLED: gate_settled,
         OPEN_SETTLED: open_settled,
-        PASSES: weight_passes,
+        READS: weight_reads,
         BOUNDS: bound_evaluations,
     }
     return {"ms": per_query, "counts": counts, "missing": sorted(missing)}
@@ -309,7 +349,7 @@ def main() -> None:
     report = {
         "workload": args.workload,
         "route": args.route,
-        "what": f"self time per phase of one {args.route}_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per gate run and per d_open run, passes over all the weights per failed static exit, and landmark bounds evaluated per route",
+        "what": f"self time per phase of one {args.route}_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per gate run and per d_open run, weights read one by one outside the searches (by derive_closures) per failed static exit, and landmark bounds evaluated per route",
         "seed": args.seed,
         "queries": args.queries,
         "rounds": args.rounds,
