@@ -272,7 +272,7 @@ def find_obstructed(
     the blocking spot.
     """
     closed = _weightings(network, _active_set(network, closures))
-    runs = _drained_runs(network, scope, source, target, closed.record)
+    runs = _drained_runs(network, scope, source, target, _record_weighting(network, closed))
     return _records_from_runs(scope, closed.active, *runs)
 
 
@@ -280,8 +280,8 @@ def find_obstructed(
 class _Weightings:
     """The set treated as closed, ``active``, and what the searches read of
     it: ``open``, the updated weights with ``active`` at infinity (gate runs,
-    state search, quasi-closure); ``record``, with ``active`` at base weight
-    (record runs); ``goal``, whether searches on ``open`` may be
+    state search, quasi-closure; the record runs read it through
+    ``_record_weighting``); ``goal``, whether searches on ``open`` may be
     goal-directed with exact sums, with or without the landmark table
     (``search._goal_directed``, decided on the base weights as
     ``build_network`` measured them and on the raised edges ``_weightings``
@@ -291,25 +291,32 @@ class _Weightings:
 
     active: frozenset[int]
     open: list[float]
-    record: list[float]
     goal: bool
     cut: tuple[int, ...] | None
 
 
 def _weightings(network: RoadNetwork, active: frozenset[int], raised=None) -> _Weightings:
     open_w = list(network.weight_updated)
-    record = open_w.copy()
-    base = network.weight
     for e in active:
         open_w[e] = INF
-        record[e] = base[e]
     if raised is None:
-        return _Weightings(active, open_w, record, False, None)
+        return _Weightings(active, open_w, False, None)
     goal = _goal_directed(network, [open_w[e] for e in raised])
     # A raised edge's base weight is below its updated one, so finite.
+    base = network.weight
     cut = {e for e in active if base[e] != INF}
     cut.update(e for e in raised if open_w[e] == INF)
-    return _Weightings(active, open_w, record, goal, tuple(sorted(cut)))
+    return _Weightings(active, open_w, goal, tuple(sorted(cut)))
+
+
+def _record_weighting(network: RoadNetwork, closed: _Weightings) -> list[float]:
+    """The record runs' weights: ``closed.open`` with its closed edges at
+    base weight, built only where records are read."""
+    record = closed.open.copy()
+    base = network.weight
+    for e in closed.active:
+        record[e] = base[e]
+    return record
 
 
 def _drained_runs(
@@ -614,7 +621,7 @@ def _context(
     grant masks set in ``directions``, which ``_directions`` builds after
     the record runs where not given, without exact bounds, and their clean
     masks."""
-    record_runs = _drained_runs(network, scope, source, target, closed.record)
+    record_runs = _drained_runs(network, scope, source, target, _record_weighting(network, closed))
     forward, backward = directions or _directions(
         network, scope, closed, source, target, exact=False
     )
@@ -988,7 +995,9 @@ def _route(
     unknown edge id raises ``NetworkError`` even on the static exit and a
     one-shot iterable is not used up. After a failed exit the raised edges
     the network recorded (``derive_closures``, O(raised)) give the closure
-    set and its weightings (``_weightings``), which everything after reads.
+    set and its open weighting (``_weightings``), which everything after
+    reads; the record runs' weighting is built only on the permit path
+    (``_record_weighting``).
 
     The static result comes from ``bidirectional_s_dijkstra``'s search on
     the base weights of every copy, goal-directed once the network has its

@@ -14,10 +14,11 @@ brute force and is the ground truth the searches are tested against.
 On positive integer weights the bidirectional search is goal-directed by
 lower bounds from a landmark table, built once a network has served a few
 static searches; its results stay those of the plain search, walks
-included. A bound is evaluated at most once per vertex and side, into a
-per-vertex list that the detour step's searches towards the same endpoints
-go on filling (``_bidirectional_search``), and reads two rows of the table
-(``_landmark_potentials``).
+included. Each search reads only the few landmark terms of the table that
+best bound the distance between its endpoints (``_landmark_potentials``).
+A bound is evaluated at most once per vertex and side, into a per-vertex
+list that the detour step's searches towards the same endpoints go on
+filling (``_bidirectional_search``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add
 
 from .network import (
     INF,
@@ -365,17 +366,32 @@ def _split_minimum(
     return BidirectionalResult(walk, cost, meeting, forward, backward)
 
 
-# Landmarks of the goal-directed static search. On long queries of the
-# acceptance grid 4 landmarks settle about 465 vertices, 8 about 342 and 16
-# about 264; past 8 the time per query gains less than run-to-run noise
-# while the one-time build keeps growing (see CHANGES.md).
-_LANDMARKS = 8
+# Landmarks of the table, and the terms of it each goal-directed search
+# reads (see _landmark_potentials). Vertices a static search settles, mean
+# over 200 pairs of the acceptance grid at least 40 cells apart, by K
+# landmarks (rows) and T terms read (columns):
+#
+#            T = 4     6     8    12   all
+#   K =  8     382   360   350   346   345
+#   K = 16     366   324   299   279   266
+#   K = 24     311   281   264   247   225
+#   K = 32     314   270   253   233   197
+#
+# A bound over 8 terms, written out, takes about 0.8 us; a map over all 49
+# terms of 24 landmarks 3.2-3.9 us. So a long search takes 1.4-1.8 ms with
+# 8 terms of 24 landmarks, 2.6 ms with all 17 of 8 landmarks, and
+# 2.7-3.0 ms with all 49 of 24. With 8 terms of 32 landmarks it took about
+# a tenth less than with 24, for a build about a third longer, which the
+# plain searches below would then have to pay back (CPython 3.11, 2 cores).
+_LANDMARKS = 24
+_TERMS = 8
 # Static searches a network serves plain before it builds the landmark
-# table. On the acceptance grid the build costs about as much as this many
-# plain long searches cost over goal-directed ones, so a network that
-# serves one search (a command-line call) never pays for the table, and
-# one that serves many pays at most about twice the least it could.
-_PLAIN_SEARCHES = 9
+# table. On the acceptance grid the build (0.2-0.35 s) costs about as
+# much as this many plain long searches cost over goal-directed ones
+# (about 21-27 measured), so a network that serves one search (a
+# command-line call) never pays for the table, and one that serves many
+# pays at most about twice the least it could.
+_PLAIN_SEARCHES = 24
 # Landmark distances stay below int32's largest value, which stands for
 # "unreachable"; below it every distance and heap key of a goal-directed
 # search is an exact float sum.
@@ -398,8 +414,17 @@ def _landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
         if plain < _PLAIN_SEARCHES:
             aux["plain searches"] = plain + 1
             return None
-        aux["landmarks"] = _build_landmark_rows(network)
+        _landmarks_now(network)
     return aux["landmarks"]
+
+
+def _landmarks_now(network: RoadNetwork) -> None:
+    """Build the landmark table unless the network has it: in the static
+    search that follows the plain ones (``_landmark_rows``), or at once for
+    a caller about to serve many static searches (``bench.run_benchmark``),
+    none of which then runs plain, whatever the network served before."""
+    if "landmarks" not in network._aux:
+        network._aux["landmarks"] = _build_landmark_rows(network)
 
 
 def _build_landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
@@ -409,8 +434,9 @@ def _build_landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
     int32's largest value, as ``_FAR`` or ``-_FAR``.
 
     Equal entries are one int object: the acceptance grid's rows hold 705
-    distinct values, so its 2500 rows take about 480 KB, against about
-    1080 KB with an int object per entry (``sys.getsizeof``, CPython 3.11).
+    distinct values, so its 2500 rows of 49 entries take about 1.1 MB,
+    against about 2.9 MB with an int object per entry (``sys.getsizeof``,
+    CPython 3.11).
 
     The landmarks are chosen farthest-point: each next one maximises the
     smallest round trip to those already chosen.
@@ -478,19 +504,38 @@ def _landmark_potentials(network: RoadNetwork, source: int, target: int):
     Reading the table neither counts a static search nor builds it. By the
     triangle inequality, ``d(x, y)`` is at least ``d(L, y) - d(L, x)`` and
     ``d(x, L) - d(y, L)`` for every landmark ``L``: row ``y`` minus row
-    ``x``, entry by entry (see ``_build_landmark_rows``). The rows' trailing
-    ``0`` gives ``0 - 0``, so a bound is never negative. A bound is an int.
+    ``x``, entry by entry (see ``_build_landmark_rows``), each entry a term.
+    Every term is a consistent lower bound, and so is the largest of any of
+    them. A bound reads the ``_TERMS`` terms largest on ``(source,
+    target)``, the earlier one in the row on ties: a term's value there,
+    ``at_t[i] - at_s[i]``, is its bound at the start of either side, so one
+    ranking serves both. A table with fewer terms pads them with its
+    trailing ``0`` term. A bound is the largest of the terms read and 0,
+    so never negative, and an int. Fewer terms give lower bounds away
+    from the start, so the searches settle more vertices than with every
+    term, but each bound costs a fraction; ``bidirectional_s_dijkstra``
+    returns the same on every consistent bound.
     """
     rows = network._aux.get("landmarks")
     if rows is None:
         return None, None
     at_t, at_s = rows[target], rows[source]
+    terms = sorted(range(len(at_t)), key=lambda i: at_s[i] - at_t[i])[:_TERMS]
+    terms += [len(at_t) - 1] * (_TERMS - len(terms))
+    # Written out for the _TERMS = 8 terms: about half the time of a map.
+    i0, i1, i2, i3, i4, i5, i6, i7 = terms
+    t0, t1, t2, t3, t4, t5, t6, t7 = (at_t[i] for i in terms)
+    s0, s1, s2, s3, s4, s5, s6, s7 = (at_s[i] for i in terms)
 
     def toward_target(v: int) -> int:
-        return max(map(sub, at_t, rows[v]))
+        r = rows[v]
+        return max(t0 - r[i0], t1 - r[i1], t2 - r[i2], t3 - r[i3],
+                   t4 - r[i4], t5 - r[i5], t6 - r[i6], t7 - r[i7], 0)
 
     def toward_source(v: int) -> int:
-        return max(map(sub, rows[v], at_s))
+        r = rows[v]
+        return max(r[i0] - s0, r[i1] - s1, r[i2] - s2, r[i3] - s3,
+                   r[i4] - s4, r[i5] - s5, r[i6] - s6, r[i7] - s7, 0)
 
     return toward_target, toward_source
 

@@ -89,6 +89,17 @@ class TestRunBenchmark:
         assert report.csv_body() == run_benchmark(net, scope, cfg).csv_body()
         assert "queries: 6" in report.summary()
 
+    def test_counts_do_not_depend_on_earlier_searches(self):
+        # A batch too small to pass the plain-search count on its own gives
+        # the same count columns on a fresh network as on one that has
+        # served many searches.
+        nf = generate_synthetic("grid", 8, 3, seed=6)
+        net, scope = nf.network, balance_to_proper(nf.network, nf.scope)
+        cfg = BenchConfig(query_count=2, closure_count=3, seed=5, measure_time=False)
+        fresh = run_benchmark(net, scope, cfg).csv_body()
+        assert "landmarks" in net._aux
+        assert fresh == run_benchmark(net, scope, cfg).csv_body()
+
     def test_timing_columns_blank_without_measurement(self, small_grid):
         net, scope = small_grid
         cfg = BenchConfig(query_count=2, closure_count=3, seed=4, measure_time=False)

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import time
 
@@ -265,15 +266,44 @@ def test_no_goal_direction_past_int32(landmarks_at_once):
     )
 
 
+def _landmark_terms(net, rows):
+    """The table's terms recomputed from ``dijkstra`` distances, in table
+    order: ``d(L, y) - d(L, x)`` for each landmark ``L``, then
+    ``d(x, L) - d(y, L)``, then 0, each as a function of ``(x, y)``, with
+    int32's largest value for an unreachable distance. Landmark ``L`` is the
+    one vertex whose entry ``d(L, L)`` is 0 (the weights are positive)."""
+    far = scoperoute.search._FAR
+    n = net.vertex_count
+    k = min(scoperoute.search._LANDMARKS, n)
+    landmarks = [[v for v in range(n) if rows[v][i] == 0] for i in range(k)]
+    assert all(len(found) == 1 for found in landmarks)
+    landmarks = [found[0] for found in landmarks]
+    assert len(set(landmarks)) == k and len(rows[0]) == 2 * k + 1
+    rev = net.reverse()
+    out = [[far if d == INF else int(d) for d in dijkstra(net, "base", L).dist] for L in landmarks]
+    back = [[far if d == INF else int(d) for d in dijkstra(rev, "base", L).dist] for L in landmarks]
+    terms = [lambda x, y, d=d: d[y] - d[x] for d in out]
+    terms += [lambda x, y, d=d: d[x] - d[y] for d in back]
+    return terms + [lambda x, y: 0], out + back
+
+
+def _selected(terms, s, t):
+    """The indices of the _TERMS terms largest on ``(s, t)``, the earlier
+    one in table order on ties, padded with the 0 term."""
+    count = scoperoute.search._TERMS
+    ranked = sorted(range(len(terms)), key=lambda i: (-terms[i](s, t), i))[:count]
+    return ranked + [len(terms) - 1] * (count - len(ranked))
+
+
 def test_landmark_bounds_are_those_of_dijkstra_distances(landmarks_at_once):
-    # Every bound _landmark_potentials gives equals the one recomputed from
-    # dijkstra distances to and from the table's landmarks: on d(x, y), the
-    # largest of d(L, y) - d(L, x) and d(x, L) - d(y, L) over the landmarks
-    # L, with int32's largest value for an unreachable distance, and 0 when
-    # all of them are negative. Landmark L is the one vertex whose entry
-    # d(L, L) is 0 (the weights are positive). On a one-way ring every
-    # landmark is behind a vertex's successor, so the bound on that step
-    # back round the ring is floored.
+    # Every bound _landmark_potentials gives on (s, t) equals the one
+    # recomputed from dijkstra distances to and from the table's landmarks:
+    # on d(x, y), the largest of 0 and the _TERMS terms d(L, y) - d(L, x)
+    # and d(x, L) - d(y, L) that are largest on (s, t) itself, so at the
+    # start vertex of either side it is the bound of all the terms, and
+    # everywhere at most that bound. On a one-way ring every landmark is
+    # behind a vertex's successor, so the bound on that step back round the
+    # ring is floored.
     far = scoperoute.search._FAR
     rng = random.Random("landmark bounds")
     unreachable = floored = checked = 0
@@ -285,29 +315,102 @@ def test_landmark_bounds_are_those_of_dijkstra_distances(landmarks_at_once):
             net = build_network(n, ring, [rng.randint(1, 20) for _ in ring])
             scope = make_scope([1] * n, [5, INF])
         bidirectional_s_dijkstra(net, scope, 0, n - 1)  # builds the table
-        rows = _landmark_rows(net)
-        k = min(scoperoute.search._LANDMARKS, n)
-        landmarks = [[v for v in range(n) if rows[v][i] == 0] for i in range(k)]
-        assert all(len(found) == 1 for found in landmarks)
-        landmarks = [found[0] for found in landmarks]
-        assert len(set(landmarks)) == k
-        rev = net.reverse()
-        out = [[far if d == INF else int(d) for d in dijkstra(net, "base", L).dist] for L in landmarks]
-        back = [[far if d == INF else int(d) for d in dijkstra(rev, "base", L).dist] for L in landmarks]
+        terms, columns = _landmark_terms(net, _landmark_rows(net))
         for _ in range(3):
             s, t = rng.randrange(n), rng.randrange(n)
+            chosen = _selected(terms, s, t)
+            # The kept terms (padding left out) are the largest on (s, t).
+            kept = sorted((terms[j](s, t) for j in chosen[: len(terms)]), reverse=True)
+            values = sorted((term(s, t) for term in terms), reverse=True)
+            assert kept == values[: len(kept)]
             toward_target, toward_source = scoperoute.search._landmark_potentials(net, s, t)
+            assert toward_target(s) == toward_source(t) == max(values)
             for v in range(n):
                 for (x, y), got in (((v, t), toward_target(v)), ((s, v), toward_source(v))):
-                    gaps = [d[y] - d[x] for d in out] + [d[x] - d[y] for d in back]
+                    gaps = [terms[j](x, y) for j in chosen]
                     assert got == max(0, *gaps), (x, y)
-                    unreachable += any(d[x] == far or d[y] == far for d in out + back)
+                    assert got <= max(term(x, y) for term in terms), (x, y)
+                    unreachable += any(d[x] == far or d[y] == far for d in columns)
                     floored += max(gaps) < 0
                     checked += 1
                     # A lower bound on the base-weight distance wherever it is finite.
                     d_xy = dijkstra(net, "base", x).dist[y]
                     assert d_xy == INF or got <= d_xy
     assert checked > 5000 and unreachable > 1000 and floored > 500, (checked, unreachable, floored)
+
+
+def test_landmark_bounds_pad_a_small_table_with_the_zero_term(landmarks_at_once):
+    # A network of 3 vertices has 3 landmarks and 7 terms, fewer than
+    # _TERMS: every term is kept and the 0 term pads the rest, so each bound
+    # is that of all the terms, and the search still finds the drained
+    # runs' walk.
+    net = build_network(3, [(0, 1), (1, 2), (2, 0), (0, 2)], [2, 3, 4, 9])
+    scope = make_scope([1, 1, 1, 1], [5, INF])
+    bid = bidirectional_s_dijkstra(net, scope, 0, 2)  # builds the table
+    rows = _landmark_rows(net)
+    assert len(rows[0]) == 7 < scoperoute.search._TERMS
+    terms, _ = _landmark_terms(net, rows)
+    for s in range(3):
+        for t in range(3):
+            toward_target, toward_source = scoperoute.search._landmark_potentials(net, s, t)
+            for v in range(3):
+                assert toward_target(v) == max(term(v, t) for term in terms)
+                assert toward_source(v) == max(term(s, v) for term in terms)
+    ref = _drained_split_minimum(net, scope, 0, 2)
+    assert (bid.cost, bid.meeting, bid.walk) == (ref.cost, ref.meeting, ref.walk) == (5, 0, Walk(0, (0, 1)))
+
+
+def _all_terms_potentials(network, source, target):
+    """Bounds of every term of the landmark table, the largest of them and 0."""
+    rows = network._aux.get("landmarks")
+    if rows is None:
+        return None, None
+    at_t, at_s = rows[target], rows[source]
+
+    def toward_target(v):
+        return max(map(operator.sub, at_t, rows[v]))
+
+    def toward_source(v):
+        return max(map(operator.sub, rows[v], at_s))
+
+    return toward_target, toward_source
+
+
+def test_selected_terms_give_the_results_of_all_terms(acceptance_grid, landmarks_at_once, monkeypatch):
+    # The search's cost, meeting vertex and walk do not depend on the
+    # potential: the _TERMS selected terms give those of every term of the
+    # table, on integer random networks (raised copies included) and on
+    # long pairs of the acceptance grid, where they settle more vertices.
+    def both(graph, scope, s, t, weighting="base"):
+        selected = bidirectional_s_dijkstra(graph, scope, s, t, weighting)
+        with monkeypatch.context() as patched:
+            patched.setattr(scoperoute.search, "_landmark_potentials", _all_terms_potentials)
+            every = bidirectional_s_dijkstra(graph, scope, s, t, weighting)
+        assert (selected.cost, selected.meeting, selected.walk) == (every.cost, every.meeting, every.walk)
+        return selected.scanned_count, every.scanned_count
+
+    rng = random.Random("selected terms")
+    for _ in range(300):
+        net, scope = random_network(rng, max_vertices=40, max_edges=90)
+        net = _reweighted(net, rng, rng.choice(["integer", "large"]))
+        s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+        both(net, scope, s, t)
+        e = rng.randrange(net.edge_count)
+        raised = net.with_updated_weights({e: rng.choice([INF, net.weight[e] + 5])})
+        both(raised, scope, s, t, "updated")
+        assert net._aux["landmarks"] is not None
+    net, scope, coordinates = acceptance_grid
+    vertices = sorted(coordinates)
+    settled = [0, 0]
+    pairs = 0
+    while pairs < 40:
+        s, t = rng.choice(vertices), rng.choice(vertices)
+        (xs, ys), (xt, yt) = coordinates[s], coordinates[t]
+        if abs(xs - xt) + abs(ys - yt) < 40:
+            continue
+        pairs += 1
+        settled = list(map(operator.add, settled, both(net, scope, s, t)))
+    assert settled[1] < settled[0], settled
 
 
 class TestValidateAdmissible:

@@ -22,10 +22,13 @@ named on stderr and under ``missing`` in the output, and a phase none of
 whose functions a side has reads 0 there.
 
 "closures / weightings" is reading the closure set after a failed static
-exit and building the record and open weightings from it, with the test
-whether the gate runs may be goal-directed: ``derive_closures`` (which
-reads the raised edges the network recorded; a pass over all the weights
-in versions before that), ``_active_set`` and ``_weightings``. "record
+exit and building the open weighting (and, on the permit path, the
+record weighting) from it, with the test whether the gate runs may be
+goal-directed: ``derive_closures`` (which reads the raised edges the
+network recorded; a pass over all the weights in versions before that),
+``_active_set``, ``_weightings`` and ``_record_weighting`` (in versions
+before it ``_weightings`` built the record weighting on every failed
+exit). "record
 runs" are the two drained record searches (``_drained_runs``). "gate runs" are ``_direction``, which drains a gate run or sets up a
 lazy one, and ``_settle_gate``, which steps a lazy one from inside the
 state search. "certificate" is ``_certificate``: stepping both lazy gate
@@ -37,15 +40,16 @@ reads 0 on the simple route.
 "potentials" are the detour module's ``dijkstra`` runs, the exact open-network
 distances that bound the directions without the landmark table; they read
 0 once the network has it. "landmark build" is paid once per network,
-in the static search that follows the plain ones; it is not part of
-"route, whole" or "route, rest".
+in its first static search; it is not part of "route, whole" or "route,
+rest".
 
 The output holds the mean, median and p90 per phase in ms, before and
 after, and each phase's mean in each round, so that a difference smaller
 than the spread between rounds shows as such. It holds the same summary
-figures for four counts: the vertices each gate run settled (its
-``order`` when the route returns; a lazy run's last final vertex is not in
-it yet), the vertices each d_open run settled (the runs of
+figures for five counts: the vertices each route's static search settled
+on both sides (``DetourResult.scanned_static``), the vertices each gate
+run settled (its ``order`` when the route returns; a lazy run's last final
+vertex is not in it yet), the vertices each d_open run settled (the runs of
 ``detour._scope_run``), the weights read one by one per route that fails
 the static exit by the outermost calls of ``WEIGHT_READERS`` (counted on an
 untimed replay of each such call with counting weight tuples swapped into
@@ -56,6 +60,12 @@ static search's included (calls of the functions
 call to each evaluation, on both sides). It adds the Python version and
 core count, under the workload's name, followed by ", enhanced route" for
 ``--route enhanced``; other entries already in the file are kept.
+
+Every network builds its landmark table on its first static search
+(``search._PLAIN_SEARCHES`` set to 0), so that on both sides every route
+reads the table, whatever number of plain searches a version runs before
+it builds one (``BENCH_23.json`` and earlier were measured with each
+version's own number).
 
 ``--src SRC`` runs one side and prints its per-query times and per-run
 counts as JSON.
@@ -82,6 +92,7 @@ PHASES = {
     ("detour", "derive_closures"): "closures / weightings",
     ("detour", "_active_set"): "closures / weightings",
     ("detour", "_weightings"): "closures / weightings",
+    ("detour", "_record_weighting"): "closures / weightings",
     ("detour", "_drained_runs"): "record runs",
     ("detour", "_records_from_runs"): "records / grants",
     ("detour", "_record_pass"): "records / grants",
@@ -98,6 +109,7 @@ PHASES = {
 # Functions of the detour module that read weights one by one outside the
 # searches, whose reads are counted.
 WEIGHT_READERS = (("detour", "derive_closures"),)
+STATIC_SETTLED = "static search, vertices settled"
 GATE_SETTLED = "gate run, vertices settled"
 OPEN_SETTLED = "d_open run, vertices settled"
 READS = "weights read per failed exit"
@@ -168,6 +180,8 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
     import scoperoute.detour
     import scoperoute.search
     from workload import WORKLOADS, blocks, network_text, place_closures
+
+    scoperoute.search._PLAIN_SEARCHES = 0
 
     detour_route = sr.enhanced_detour_route if route == "enhanced" else sr.simple_detour_route
     nf = sr.parse_network(network_text(sr))
@@ -250,6 +264,7 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
     scoperoute.search._landmark_potentials = counting_potentials
     if hasattr(scoperoute.detour, "_landmark_potentials"):
         scoperoute.detour._landmark_potentials = counting_potentials
+    static_settled: list[float] = []
     gate_settled: list[float] = []
     open_settled: list[float] = []
     weight_reads: list[float] = []
@@ -276,6 +291,7 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
         if res.static_walk is None or res.static_cost_updated != res.static_cost_base:
             weight_reads.append(sum(weights_read(*call) for call in reader_calls))
         bound_evaluations.append(evaluated[0])
+        static_settled.append(res.scanned_static)
         for p in phases:
             per_query[p].append(times.ms.get(p, 0.0))
         per_query[ROUTE].append(whole)
@@ -285,6 +301,7 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
         open_settled.extend(len(run.order) for run in open_runs)
         open_runs.clear()
     counts = {
+        STATIC_SETTLED: static_settled,
         GATE_SETTLED: gate_settled,
         OPEN_SETTLED: open_settled,
         READS: weight_reads,
@@ -349,7 +366,7 @@ def main() -> None:
     report = {
         "workload": args.workload,
         "route": args.route,
-        "what": f"self time per phase of one {args.route}_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per gate run and per d_open run, weights read one by one outside the searches (by derive_closures) per failed static exit, and landmark bounds evaluated per route",
+        "what": f"self time per phase of one {args.route}_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per route by its static search, per gate run and per d_open run, weights read one by one outside the searches (by derive_closures) per failed static exit, and landmark bounds evaluated per route",
         "seed": args.seed,
         "queries": args.queries,
         "rounds": args.rounds,
