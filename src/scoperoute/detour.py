@@ -74,6 +74,9 @@ from .network import (
     RoadNetwork,
     ScopeMapping,
     Walk,
+    _edge_pack,
+    _level_cached,
+    _reach,
     add_draw,
     check_walk,
     zero_vector,
@@ -82,11 +85,9 @@ from .search import (
     BidirectionalResult,
     ScopeSearchResult,
     _bidirectional_search,
-    _edge_pack,
     _goal_directed,
     _goal_directed_meeting,
     _landmark_potentials,
-    _level_cached,
     _scope_run,
     _scope_search,
     _scope_steps,
@@ -1112,32 +1113,6 @@ def _recheck_detour(walk: Walk, network: RoadNetwork, scope: ScopeMapping, enhan
     return validate_simple_detour(walk, network, scope, closures, s, t)
 
 
-def _plain_reach(
-    pack, vertex_count: int, source: int, weights, stop: int = -1, cap: int | None = None
-) -> tuple[list[int], int]:
-    """Vertices reachable from ``source`` over edges finite in ``weights``,
-    gates ignored, in breadth-first order, ``source`` first, and how many
-    of them the search expanded (scanned the edges of).
-
-    The search ends early once it reaches ``stop``, then the last vertex
-    listed, or once it has expanded ``cap`` vertices."""
-    seen = bytearray(vertex_count)
-    seen[source] = 1
-    order = [source]
-    if source == stop:
-        return order, 0
-    for expanded, v in enumerate(order):
-        if expanded == cap:
-            return order, expanded
-        for e, u, _lv in pack[v]:
-            if not seen[u] and weights[e] != INF:
-                seen[u] = 1
-                order.append(u)
-                if u == stop:
-                    return order, expanded + 1
-    return order, len(order)
-
-
 def _strongly_connected(network: RoadNetwork, scope: ScopeMapping) -> bool:
     """Whether every vertex reaches every other over the edges of finite
     base weight: a reach pass from vertex 0 over each direction's edge pack,
@@ -1147,7 +1122,7 @@ def _strongly_connected(network: RoadNetwork, scope: ScopeMapping) -> bool:
     if strong is None:
         n = network.vertex_count
         strong = aux["strongly connected"] = all(
-            len(_plain_reach(_edge_pack(graph, scope), n, 0, network.weight)[0]) == n
+            len(_reach(_edge_pack(graph, scope), 0, network.weight)[0]) == n
             for graph in (network, network.reverse())
         )
     return strong
@@ -1159,10 +1134,10 @@ def _bypassed(network: RoadNetwork, pack, closed: _Weightings) -> bool:
     expand at most as many vertices as one reach pass; ``False`` as soon as
     one fails or the searches would expand more."""
     tails, heads = network.tails, network.heads
-    n = budget = network.vertex_count
+    budget = network.vertex_count
     for e in closed.cut:
         y = heads[e]
-        bypass, expanded = _plain_reach(pack, n, tails[e], closed.open, y, budget)
+        bypass, expanded = _reach(pack, tails[e], closed.open, y, budget)
         if bypass[-1] != y:
             return False
         budget -= expanded
@@ -1228,11 +1203,10 @@ def _quasi_closure(network: RoadNetwork, scope: ScopeMapping, closures, closed, 
     pack = _edge_pack(network, scope)
     if _strongly_connected(network, scope) and _bypassed(network, pack, closed):
         return ClosureSet(closed.active, hard, kind, 1)
-    n = network.vertex_count
     tails, heads = network.tails, network.heads
     weights = closed.open
-    t_reach = set(_plain_reach(_edge_pack(network.reverse(), scope), n, target, weights)[0])
-    s_reach = set(_plain_reach(pack, n, source, weights)[0])
+    t_reach = set(_reach(_edge_pack(network.reverse(), scope), target, weights)[0])
+    s_reach = set(_reach(pack, source, weights)[0])
     active = set(closed.active)
     added = 0
     for e in range(network.edge_count):

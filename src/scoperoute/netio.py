@@ -74,6 +74,14 @@ def load_network(path: str) -> NetworkFile:
 
 
 def parse_network(text: str) -> NetworkFile:
+    """Parse the network file format; the first bad line raises ``ParseError``.
+
+    A vertex or number token is checked once: a token that passed is kept
+    with its value, so a later line with the same token reads the value
+    back, and only a token not seen before runs the checks. The sign and
+    finiteness checks a line's use of a number needs still run on every
+    line.
+    """
     vertex_count: int | None = None
     label_nu: dict[str, float] | None = None
     edges: list[tuple[int, int]] = []
@@ -82,12 +90,58 @@ def parse_network(text: str) -> NetworkFile:
     first_use: dict[str, int] = {}  # level label -> line of its first E line
     categories: list[str | None] = []
     coordinates: dict[int, tuple[float, float]] = {}
+    vertex_of: dict[str, int] = {}  # token -> vertex, for tokens in 0..V-1
+    number_of: dict[str, float] = {}  # token -> number, for tokens _parse_number accepts
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.partition("#")[0].split()
         if not parts:
             continue
         tag = parts[0]
-        if tag == "V":
+        if tag == "E":
+            if vertex_count is None:
+                raise ParseError(line_no, "E line before V line")
+            if len(parts) not in (5, 6):
+                raise ParseError(line_no, "expected: E <tail> <head> <weight> <level> [category]")
+            u, v = vertex_of.get(parts[1]), vertex_of.get(parts[2])
+            if u is None or v is None:
+                u, v = _canonical_int(parts[1]), _canonical_int(parts[2])
+                if u is None or v is None or u < 0 or v < 0:
+                    raise ParseError(line_no, "bad endpoint")
+                if u >= vertex_count or v >= vertex_count:
+                    raise ParseError(line_no, f"endpoint out of range: ({u}, {v})")
+                vertex_of[parts[1]], vertex_of[parts[2]] = u, v
+            weight = number_of.get(parts[3])
+            if weight is None:
+                weight = number_of[parts[3]] = _parse_number(parts[3], line_no)
+            if weight < 0:
+                raise ParseError(line_no, f"negative weight {weight}")
+            edges.append((u, v))
+            weights.append(weight)
+            edge_labels.append(parts[4])
+            first_use.setdefault(parts[4], line_no)
+            categories.append(parts[5] if len(parts) == 6 else None)
+        elif tag == "C":
+            if vertex_count is None:
+                raise ParseError(line_no, "C line before V line")
+            if len(parts) != 4:
+                raise ParseError(line_no, "expected: C <vertex> <lon> <lat>")
+            vertex = vertex_of.get(parts[1])
+            if vertex is None:
+                vertex = _canonical_int(parts[1])
+                if vertex is None or vertex < 0:
+                    raise ParseError(line_no, "expected: C <vertex> <lon> <lat>")
+                if vertex >= vertex_count:
+                    raise ParseError(line_no, f"vertex out of range: {vertex}")
+                vertex_of[parts[1]] = vertex
+            lon, lat = number_of.get(parts[2]), number_of.get(parts[3])
+            if lon is None:
+                lon = number_of[parts[2]] = _parse_number(parts[2], line_no)
+            if lat is None:
+                lat = number_of[parts[3]] = _parse_number(parts[3], line_no)
+            if not (math.isfinite(lon) and math.isfinite(lat)):
+                raise ParseError(line_no, f"coordinates must be finite, got {lon} {lat}")
+            coordinates[vertex] = (lon, lat)
+        elif tag == "V":
             if vertex_count is not None:
                 raise ParseError(line_no, "second V line")
             vertex_count = _canonical_int(parts[1]) if len(parts) == 2 else None
@@ -114,36 +168,6 @@ def parse_network(text: str) -> NetworkFile:
                 label_nu[lbl] = value
             if not label_nu or "inf" not in label_nu or label_nu["inf"] != INF:
                 raise ParseError(line_no, "scope declaration must end with inf:inf")
-        elif tag == "E":
-            if vertex_count is None:
-                raise ParseError(line_no, "E line before V line")
-            if len(parts) not in (5, 6):
-                raise ParseError(line_no, "expected: E <tail> <head> <weight> <level> [category]")
-            u, v = _canonical_int(parts[1]), _canonical_int(parts[2])
-            if u is None or v is None or u < 0 or v < 0:
-                raise ParseError(line_no, "bad endpoint")
-            if u >= vertex_count or v >= vertex_count:
-                raise ParseError(line_no, f"endpoint out of range: ({u}, {v})")
-            weight = _parse_number(parts[3], line_no)
-            if weight < 0:
-                raise ParseError(line_no, f"negative weight {weight}")
-            edges.append((u, v))
-            weights.append(weight)
-            edge_labels.append(parts[4])
-            first_use.setdefault(parts[4], line_no)
-            categories.append(parts[5] if len(parts) == 6 else None)
-        elif tag == "C":
-            if vertex_count is None:
-                raise ParseError(line_no, "C line before V line")
-            vertex = _canonical_int(parts[1]) if len(parts) == 4 else None
-            if vertex is None or vertex < 0:
-                raise ParseError(line_no, "expected: C <vertex> <lon> <lat>")
-            if vertex >= vertex_count:
-                raise ParseError(line_no, f"vertex out of range: {vertex}")
-            lon, lat = _parse_number(parts[2], line_no), _parse_number(parts[3], line_no)
-            if not (math.isfinite(lon) and math.isfinite(lat)):
-                raise ParseError(line_no, f"coordinates must be finite, got {lon} {lat}")
-            coordinates[vertex] = (lon, lat)
         else:
             raise ParseError(line_no, f"unknown record {tag!r}")
     if vertex_count is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 INF = math.inf
 
@@ -163,33 +164,40 @@ def build_network(
         raise NetworkError("vertex_count must be non-negative")
     if len(edge_list) != len(weights):
         raise NetworkError("edge_list and weights length mismatch")
-    tails: list[int] = []
-    heads: list[int] = []
-    for e, (u, v) in enumerate(edge_list):
-        if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
-            raise NetworkError(f"edge {e}: endpoint out of range: ({u}, {v})")
-        tails.append(u)
-        heads.append(v)
-    w = []
-    for e, value in enumerate(weights):
-        if math.isnan(value):
-            raise NetworkError(f"edge {e}: weight is NaN")
-        if value < 0:
-            raise NetworkError(f"edge {e}: negative weight {value}")
-        w.append(float(value))
+    # The checks run in bulk; only when one fails does the per-edge loop run,
+    # to name the first bad edge: endpoints before weights, NaN before negative.
+    # Each distinct endpoint is compared, where min and max could pass a NaN.
+    try:
+        tails = [u for u, _ in edge_list]
+        heads = [v for _, v in edge_list]
+        ends = set(tails).union(heads)
+    except (TypeError, ValueError):
+        ends = None
+    if ends is None or not all(0 <= u < vertex_count for u in ends):
+        for e, (u, v) in enumerate(edge_list):
+            if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
+                raise NetworkError(f"edge {e}: endpoint out of range: ({u}, {v})")
+    if any(map(math.isnan, weights)) or min(weights, default=0.0) < 0:
+        for e, value in enumerate(weights):
+            if math.isnan(value):
+                raise NetworkError(f"edge {e}: weight is NaN")
+            if value < 0:
+                raise NetworkError(f"edge {e}: negative weight {value}")
+    w = [float(value) for value in weights]
     out: list[list[int]] = [[] for _ in range(vertex_count)]
     inc: list[list[int]] = [[] for _ in range(vertex_count)]
-    for e in range(len(tails)):
-        out[tails[e]].append(e)
-        inc[heads[e]].append(e)
+    for e, u in enumerate(tails):
+        out[u].append(e)
+    for e, v in enumerate(heads):
+        inc[v].append(e)
     network = RoadNetwork(
         vertex_count,
         tuple(tails),
         tuple(heads),
         tuple(w),
         tuple(w),
-        tuple(tuple(es) for es in out),
-        tuple(tuple(es) for es in inc),
+        tuple(map(tuple, out)),
+        tuple(map(tuple, inc)),
         {"distance bound": _distance_bound(w, vertex_count)},
         (),
     )
@@ -228,9 +236,11 @@ class ScopeMapping:
                     f"scope values must be strictly increasing, got {self.nu[i - 1]} then {value}"
                 )
         top = len(self.nu) - 1
-        for e, lv in enumerate(self.level):
-            if not (0 <= lv <= top):
-                raise NetworkError(f"edge {e}: level {lv} out of range")
+        # Each distinct level is checked; the loop names the first bad edge.
+        if not all(0 <= lv <= top for lv in set(self.level)):
+            for e, lv in enumerate(self.level):
+                if not (0 <= lv <= top):
+                    raise NetworkError(f"edge {e}: level {lv} out of range")
 
     @property
     def top(self) -> int:
@@ -274,7 +284,7 @@ def scope_from_labels(edge_labels, label_nu: dict) -> ScopeMapping:
     index = {lbl: i for i, lbl in enumerate(declared)}
     nu = tuple(float(label_nu[lbl]) for lbl in declared)
     try:
-        levels = tuple(index[lbl] for lbl in edge_labels)
+        levels = tuple(map(index.__getitem__, edge_labels))
     except KeyError as exc:
         raise NetworkError(f"edge uses undeclared level label {exc.args[0]!r}") from exc
     return ScopeMapping(levels, nu, tuple(str(lbl) for lbl in declared))
@@ -402,13 +412,93 @@ def _strongly_connected_components(vertex_count: int, out_edges) -> list[int]:
     return comp
 
 
+def _level_cached(network: RoadNetwork, name: str, level: tuple[int, ...], build):
+    """``build()`` cached on the network under ``name`` for one level tuple.
+
+    The tuple (one entry per edge) is kept beside the value and compared by
+    identity first, so a hit never hashes it; another tuple replaces the entry.
+    """
+    entry = network._aux.get(name)
+    if entry is not None and (entry[0] is level or entry[0] == level):
+        return entry[1]
+    value = build()
+    network._aux[name] = (level, value)
+    return value
+
+
+def _pack(network: RoadNetwork, level) -> list[tuple[tuple[int, int, int], ...]]:
+    """Per-vertex (edge, head, level) triples of the out-edges, in id order."""
+    heads = network.heads
+    return [tuple((e, heads[e], level[e]) for e in es) for es in network._out]
+
+
+def _edge_pack(network: RoadNetwork, scope: ScopeMapping):
+    """Per-vertex (edge, head, level) triples, cached on the network.
+
+    Packs are weight-independent, so weight variants produced by
+    ``with_updated_weights`` and their reversals all share them.
+    """
+    level = scope.level
+    return _level_cached(network, "pack", level, lambda: _pack(network, level))
+
+
+def _reach(
+    pack, source: int, weights, stop: int = -1, cap: int | None = None
+) -> tuple[list[int], int]:
+    """Vertices reachable from ``source`` over edges finite in ``weights``,
+    levels ignored, in breadth-first order, ``source`` first, and how many
+    of them the search expanded (scanned the edges of). ``pack`` holds each
+    vertex's (edge, head, level) triples: a network's edge pack for forward
+    reach, its reversal's for backward reach.
+
+    The search ends early once it reaches ``stop``, then the last vertex
+    listed, or once it has expanded ``cap`` vertices."""
+    seen = bytearray(len(pack))
+    seen[source] = 1
+    order = [source]
+    if source == stop:
+        return order, 0
+    for expanded, v in enumerate(order):
+        if expanded == cap:
+            return order, expanded
+        for e, u, _lv in pack[v]:
+            if not seen[u] and weights[e] != INF:
+                seen[u] = 1
+                order.append(u)
+                if u == stop:
+                    return order, expanded + 1
+    return order, len(order)
+
+
+def _routing_connected(network: RoadNetwork, fwd, bwd, keep) -> bool:
+    """Whether the edges finite in ``keep`` are routing-connected, on the
+    network's edge pack ``fwd`` and its reversal's ``bwd``.
+
+    Both reach passes from one endpoint move along those edges only, so each
+    lists a subset of their endpoints; all endpoints lie in one strongly
+    connected component exactly when both list all of them."""
+    kept = [x != INF for x in keep]
+    ends = set(compress(network.tails, kept)).union(compress(network.heads, kept))
+    if not ends:
+        return True
+    root = next(compress(network.tails, kept))
+    return all(len(_reach(pack, root, keep)[0]) == len(ends) for pack in (fwd, bwd))
+
+
+def _at_least(level, lv: int) -> list[float]:
+    """A weight list keeping (finite) the edges of level ``lv`` and above."""
+    return [0.0 if x >= lv else INF for x in level]
+
+
 def is_routing_connected(network: RoadNetwork) -> bool:
     """True iff for every ordered edge pair (e, f) some walk starts with e and ends with f.
 
     Equivalent to: all endpoints of edges lie in one strongly connected
     component. Vacuously true without edges.
     """
-    return len(_scc_groups(network, range(network.edge_count))) <= 1
+    every = (0,) * network.edge_count
+    fwd, bwd = _pack(network, every), _pack(network.reverse(), every)
+    return _routing_connected(network, fwd, bwd, every)
 
 
 def is_proper(network: RoadNetwork, scope: ScopeMapping) -> bool:
@@ -418,15 +508,14 @@ def is_proper(network: RoadNetwork, scope: ScopeMapping) -> bool:
     a non-routing-connected network is never proper.
     """
     scope.validate(network)
-    if not is_routing_connected(network):
+    used = set(scope.level)
+    if network.edge_count and scope.top not in used:
         return False
-    if network.edge_count and scope.top not in set(scope.level):
-        return False
-    for lv in sorted(set(scope.level)):
-        sub = [e for e in range(network.edge_count) if scope.level[e] >= lv]
-        if len(_scc_groups(network, sub)) > 1:
-            return False
-    return True
+    fwd, bwd = _edge_pack(network, scope), _edge_pack(network.reverse(), scope)
+    # The lowest used level keeps every edge, so its proof is the network's.
+    return all(
+        _routing_connected(network, fwd, bwd, _at_least(scope.level, lv)) for lv in sorted(used)
+    )
 
 
 def balance_to_proper(network: RoadNetwork, scope: ScopeMapping) -> ScopeMapping:
@@ -436,9 +525,17 @@ def balance_to_proper(network: RoadNetwork, scope: ScopeMapping) -> ScopeMapping
     splits into several strongly connected pieces, greedily promotes the
     edges of shortest (hop-count, then edge-id) connecting paths. Never
     lowers a level; deterministic for a given input.
+
+    Each subgraph is first proved routing-connected by two reach passes;
+    only when that fails are its pieces found (``_scc_groups``). The passes
+    run on the edge packs of ``scope``, cached for the searches that follow;
+    a mapping that needs no promotion is returned as it is, so that they
+    find the packs under its level tuple by identity.
     """
     scope.validate(network)
-    if not is_routing_connected(network):
+    fwd, bwd = _edge_pack(network, scope), _edge_pack(network.reverse(), scope)
+    # Levels are finite, so the level tuple keeps every edge.
+    if not _routing_connected(network, fwd, bwd, scope.level):
         raise NetworkError("network is not routing-connected; no proper scope mapping exists")
     if network.edge_count == 0:
         return scope
@@ -455,11 +552,8 @@ def balance_to_proper(network: RoadNetwork, scope: ScopeMapping) -> ScopeMapping
         if lv not in set(level):
             continue
         guard = 0
-        while True:
-            sub = [e for e in range(network.edge_count) if level[e] >= lv]
-            groups = _scc_groups(network, sub)
-            if len(groups) <= 1:
-                break
+        while not _routing_connected(network, fwd, bwd, _at_least(level, lv)):
+            groups = _scc_groups(network, [e for e, x in enumerate(level) if x >= lv])
             guard += 1
             if guard > network.vertex_count + 2:
                 raise NetworkError("cannot balance scope mapping to proper")
@@ -477,6 +571,8 @@ def balance_to_proper(network: RoadNetwork, scope: ScopeMapping) -> ScopeMapping
                 # Components already linked one-way by >=lv edges; nothing
                 # promotable contradicts the routing-connected precondition.
                 raise NetworkError("cannot balance scope mapping to proper")
+    if tuple(level) == scope.level:
+        return scope
     return ScopeMapping(tuple(level), scope.nu, scope.labels)
 
 

@@ -35,6 +35,7 @@ from .network import (
     ScopeMapping,
     Walk,
     _distance_bound,
+    _edge_pack,
     add_draw,
     check_walk,
     inf_vector,
@@ -112,34 +113,6 @@ def dijkstra(
                 res.relaxed_count += 1
                 heapq.heappush(heap, (nd, v))
     return res
-
-
-def _level_cached(network: RoadNetwork, name: str, level: tuple[int, ...], build):
-    """``build()`` cached on the network under ``name`` for one level tuple.
-
-    The tuple (one entry per edge) is kept beside the value and compared by
-    identity first, so a hit never hashes it; another tuple replaces the entry.
-    """
-    entry = network._aux.get(name)
-    if entry is not None and (entry[0] is level or entry[0] == level):
-        return entry[1]
-    value = build()
-    network._aux[name] = (level, value)
-    return value
-
-
-def _edge_pack(network: RoadNetwork, scope: ScopeMapping):
-    """Per-vertex (edge, head, level) triples, cached on the network.
-
-    Packs are weight-independent, so weight variants produced by
-    ``with_updated_weights`` and their reversals all share them.
-    """
-    level = scope.level
-    heads = network.heads
-    return _level_cached(network, "pack", level, lambda: [
-        tuple((e, heads[e], level[e]) for e in network.out_edges(v))
-        for v in range(network.vertex_count)
-    ])
 
 
 @dataclass

@@ -1350,7 +1350,7 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
             yield head
 
     for module, name in ((scoperoute.search, "dijkstra"), (scoperoute.detour, "dijkstra"),
-                         (scoperoute.detour, "_plain_reach")):
+                         (scoperoute.detour, "_reach")):
         monkeypatch.setattr(module, name, quieted(getattr(module, name)))
     monkeypatch.setattr(scoperoute.search, "_scope_steps", quiet_steps)
     monkeypatch.setattr(scoperoute.detour, "_scope_steps", quiet_steps)

@@ -141,6 +141,51 @@ class TestParseNetwork:
         with pytest.raises(ParseError, match=message):
             parse_network(text)
 
+    # A token accepted on an earlier line is read back without its checks;
+    # a similar token on a later line must still take them and fail there.
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param("E 07 1 2 0", "line 6: bad endpoint", id="leading-zero"),
+            pytest.param("E 1 -0 2 0", "line 6: bad endpoint", id="minus-zero"),
+            pytest.param("E \u0667 1 2 0", "line 6: bad endpoint", id="arabic-seven"),
+            pytest.param("E 1 \uff17 2 0", "line 6: bad endpoint", id="fullwidth-seven"),
+            pytest.param("E 7 10 2 0", r"line 6: endpoint out of range: \(7, 10\)", id="head-at-v"),
+            pytest.param("E 12 0 2 0", r"line 6: endpoint out of range: \(12, 0\)", id="tail-past-v"),
+            pytest.param("E 7 1 nan 0", "line 6: bad number 'nan'", id="nan"),
+            pytest.param("E 7 1 NaN 0", "line 6: bad number 'NaN'", id="nan-spelled"),
+            pytest.param("E 7 1 -2 0", "line 6: negative weight -2.0", id="negative"),
+            pytest.param("E 7 1 -3 0", "line 6: negative weight -3.0", id="negative-as-coordinate"),
+            pytest.param("E 7 1 -inf 0", "line 6: negative weight -inf", id="minus-inf"),
+            pytest.param("C 07 1 1", "line 6: expected: C <vertex> <lon> <lat>", id="c-leading-zero"),
+            pytest.param("C 10 1 1", "line 6: vertex out of range: 10", id="c-at-v"),
+            pytest.param("C 1 inf 1", "line 6: coordinates must be finite, got inf 1.0", id="c-inf"),
+            pytest.param("C 1 2 nan", "line 6: bad number 'nan'", id="c-nan"),
+        ],
+    )
+    def test_later_bad_token_rejected_at_its_line(self, line, message):
+        accepted = "V 10\nL 0:5 inf:inf\nE 7 1 2 0\nE 0 1 inf 0\nC 0 -3 1\n"
+        parse_network(accepted)
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_network(accepted + line + "\nE 1 7 2 0\n")
+
+    def test_comments_tabs_and_categories_read_as_dumped(self):
+        text = (
+            "# a small file\nV 5\n\tL 0:5 1:12.5 inf:inf  # budgets\n"
+            "E 0\t1 2 0 local\nE 1 2 2.5 1 # a comment\n\nE 2 0 inf inf motorway\n"
+            "E 0 1 2 0\nE\t3 4 7 1\tprimary\nC 0 1.5 -2\nC 4\t0 0\n"
+        )
+        nf = parse_network(text)
+        assert nf.network == build_network(
+            5, [(0, 1), (1, 2), (2, 0), (0, 1), (3, 4)], [2, 2.5, INF, 2, 7]
+        )
+        assert nf.scope == make_scope([0, 1, 2, 0, 1], [5, 12.5, INF], ("0", "1", "inf"))
+        assert nf.categories == ["local", None, "motorway", None, "primary"]
+        assert nf.coordinates == {0: (1.5, -2.0), 4: (0.0, 0.0)}
+        again = parse_network(dump_network(nf))
+        assert (again.network, again.scope) == (nf.network, nf.scope)
+        assert (again.categories, again.coordinates) == (nf.categories, nf.coordinates)
+
     def test_coordinates_and_categories(self):
         text = "V 2\nL 0:5 inf:inf\nE 0 1 1 inf motorway\nC 0 1.5 2.5\nC 1 2 3\n"
         nf = parse_network(text)

@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 from scoperoute import (
     NetworkError,
     RoadNetwork,
+    ScopeMapping,
     Walk,
     balance_to_proper,
     build_network,
     contract_degree2_chains,
     derive_closures,
     dijkstra,
+    generate_synthetic,
     is_proper,
     is_routing_connected,
     make_scope,
     s_draw,
 )
+from scoperoute.network import _scc_groups, _shortest_edge_path_between, scope_from_labels
 
 INF = math.inf
 
@@ -52,6 +55,60 @@ class TestBuildNetwork:
     def test_updated_weight_below_base_rejected(self, n1):
         with pytest.raises(NetworkError):
             n1.with_updated_weights({0: 1})
+
+    # The checks run in bulk and name the first bad edge only once one
+    # fails: every endpoint before any weight, and per edge NaN before
+    # negative, in edge order.
+    @pytest.mark.parametrize(
+        "edges, weights, message",
+        [
+            pytest.param(
+                [(0, 1)] * 5 + [(0, 9)] + [(1, 0)] * 2, [1, 1, -1, 1, 1, 1, 1, 1],
+                r"^edge 5: endpoint out of range: \(0, 9\)$", id="endpoint-before-weight",
+            ),
+            pytest.param(
+                [(0, 1)] * 3 + [(-1, 1), (0, 5)], [1] * 5,
+                r"^edge 3: endpoint out of range: \(-1, 1\)$", id="first-of-two-endpoints",
+            ),
+            pytest.param(
+                [(0, 1), (1, 0), (float("nan"), 1), (0, 1)], [1] * 4,
+                r"^edge 2: endpoint out of range: \(nan, 1\)$", id="nan-endpoint",
+            ),
+            pytest.param(
+                [(0, 1)] * 6, [1, 1, float("nan"), 1, -2, 1],
+                r"^edge 2: weight is NaN$", id="nan-before-later-negative",
+            ),
+            pytest.param(
+                [(0, 1)] * 6, [1, 1, -INF, 1, float("nan"), 1],
+                r"^edge 2: negative weight -inf$", id="negative-before-later-nan",
+            ),
+            pytest.param(
+                [(0, 1)] * 4, [1, 1, 1, -0.5], r"^edge 3: negative weight -0.5$", id="last-edge",
+            ),
+        ],
+    )
+    def test_first_bad_edge_named(self, edges, weights, message):
+        with pytest.raises(NetworkError, match=message):
+            build_network(2, edges, weights)
+
+    def test_bad_arity_edge_after_good_ones_still_fails(self):
+        with pytest.raises(ValueError):
+            build_network(3, [(0, 1), (1, 2), (2, 0, 1)], [1, 1, 1])
+        with pytest.raises(NetworkError, match="edge 0: endpoint"):
+            build_network(3, [(0, 7), (2, 0, 1)], [1, 1])
+
+
+class TestScopeChecks:
+    def test_first_bad_level_named(self):
+        with pytest.raises(NetworkError, match=r"^edge 3: level 5 out of range$"):
+            ScopeMapping((0, 1, 0, 5, -1, 2), (5.0, INF), ("0", "inf"))
+        with pytest.raises(NetworkError, match=r"^edge 2: level -1 out of range$"):
+            make_scope([1, 0, -1, 0, 7], [5, 9, INF])
+
+    def test_first_undeclared_label_named(self):
+        labels = ["0", "inf", "0", "x", "inf", "y"]
+        with pytest.raises(NetworkError, match=r"^edge uses undeclared level label 'x'$"):
+            scope_from_labels(labels, {"0": 5.0, "inf": INF})
 
 
 class TestReverse:
@@ -175,6 +232,114 @@ class TestBalanceToProper:
     def test_not_routing_connected_rejected(self, n1, n1_scope5):
         with pytest.raises(NetworkError):
             balance_to_proper(n1, n1_scope5)
+
+
+def _reference_connected(net, edge_ids) -> bool:
+    """Routing-connectivity of an edge subgraph by its strongly connected
+    components (Tarjan), apart from the reach passes it checks."""
+    return len(_scc_groups(net, edge_ids)) <= 1
+
+
+def _reference_is_proper(net, scope) -> bool:
+    m = net.edge_count
+    if not _reference_connected(net, range(m)):
+        return False
+    if m and scope.top not in set(scope.level):
+        return False
+    return all(
+        _reference_connected(net, [e for e in range(m) if scope.level[e] >= lv])
+        for lv in set(scope.level)
+    )
+
+
+def _reference_balance(net, scope):
+    """``balance_to_proper`` with every subgraph tested by its components."""
+    if not _reference_connected(net, range(net.edge_count)):
+        raise NetworkError("network is not routing-connected; no proper scope mapping exists")
+    if net.edge_count == 0:
+        return scope
+    level = list(scope.level)
+    if scope.top not in set(level):
+        cycle = _shortest_edge_path_between(net, [net.heads[0]], [net.tails[0]]) or []
+        for e in [0] + cycle:
+            level[e] = scope.top
+    for lv in range(scope.top, 0, -1):
+        if lv not in set(level):
+            continue
+        guard = 0
+        while True:
+            groups = _scc_groups(net, [e for e in range(net.edge_count) if level[e] >= lv])
+            if len(groups) <= 1:
+                break
+            guard += 1
+            if guard > net.vertex_count + 2:
+                raise NetworkError("cannot balance scope mapping to proper")
+            groups.sort(key=min)
+            promoted = False
+            for a, b in zip(groups, groups[1:] + groups[:1]):
+                for e in _shortest_edge_path_between(net, a, b) or ():
+                    if level[e] < lv:
+                        level[e] = lv
+                        promoted = True
+            if not promoted:
+                raise NetworkError("cannot balance scope mapping to proper")
+    return make_scope(level, scope.nu, scope.labels)
+
+
+def _balanced_or_error(balance, net, scope):
+    try:
+        return balance(net, scope)
+    except NetworkError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            # Self-loops, parallel edges, vertices no edge touches and
+            # infinite weights all occur.
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1), st.integers(0, n - 1),
+                    st.sampled_from([1, 2, INF]), st.integers(0, 2),
+                ),
+                max_size=14,
+            ),
+        )
+    )
+)
+def test_connectivity_proof_agrees_with_components_property(data):
+    # is_routing_connected, is_proper and balance_to_proper prove
+    # connectivity with reach passes; they agree with the components.
+    n, edges = data
+    net = build_network(n, [(u, v) for u, v, _, _ in edges], [w for _, _, w, _ in edges])
+    scope = make_scope([lv for *_, lv in edges], [3, 11, INF])
+    assert is_routing_connected(net) == _reference_connected(net, range(net.edge_count))
+    assert is_proper(net, scope) == _reference_is_proper(net, scope)
+    balanced = _balanced_or_error(balance_to_proper, net, scope)
+    assert balanced == _balanced_or_error(_reference_balance, net, scope)
+    if not isinstance(balanced, str):
+        assert is_proper(net, balanced) and _reference_is_proper(net, balanced)
+
+
+@pytest.mark.parametrize(
+    "kind, size, levels, options",
+    [
+        pytest.param("grid", 6, 3, {}, id="grid"),
+        pytest.param("grid", 7, 4, {"oneway": True}, id="grid-oneway"),
+        pytest.param("grid", 5, 3, {"subdivisions": 2}, id="grid-subdivisions"),
+        pytest.param("random", 25, 3, {}, id="random"),
+        pytest.param("random", 40, 4, {}, id="random-four-levels"),
+    ],
+)
+def test_balance_gives_the_reference_scopes_on_synthetic_networks(kind, size, levels, options):
+    for seed in range(40):
+        nf = generate_synthetic(kind, size, levels, seed, **options)
+        balanced = balance_to_proper(nf.network, nf.scope)
+        assert balanced == _reference_balance(nf.network, nf.scope), seed
+        assert _reference_is_proper(nf.network, balanced)
 
 
 class TestContraction:

@@ -67,8 +67,15 @@ reads the table, whatever number of plain searches a version runs before
 it builds one (``BENCH_23.json`` and earlier were measured with each
 version's own number).
 
-``--src SRC`` runs one side and prints its per-query times and per-run
-counts as JSON.
+``--setup`` times the benchmark's set-up instead of routes, in the same
+alternating rounds, ``--queries`` set-ups per side and round: parsing the
+acceptance grid's text (``parse_network``, less the ``build_network`` it
+calls), ``build_network``, ``balance_to_proper`` and the warm-up
+``qc_closure`` that builds the shared caches, each in ms per set-up, and
+the whole set-up; the report goes under "set-up".
+
+``--src SRC`` runs one side and prints its per-query (or per-set-up)
+times and per-run counts as JSON.
 """
 
 from __future__ import annotations
@@ -118,6 +125,14 @@ BUILD = "landmark build"
 ROUTE = "route, whole"
 OTHER = "route, rest"
 WORKLOADS = ("city-static", "city-detour", "city-incident")
+# Set-up phases: the module and function each one times, and its name.
+SETUP_PHASES = (
+    ("netio", "parse_network", "parse"),
+    ("netio", "build_network", "build_network"),
+    ("network", "balance_to_proper", "balance"),
+    ("detour", "qc_closure", "warm"),
+)
+SETUP = "set-up, whole"
 
 
 class CountingWeights(tuple):
@@ -310,6 +325,39 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
     return {"ms": per_query, "counts": counts, "missing": sorted(missing)}
 
 
+def measure_setup(src: str, runs: int) -> dict:
+    """Self times in ms of each set-up phase, one entry per set-up, as the
+    benchmark's set-up runs them on the acceptance grid's text."""
+    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
+    import scoperoute as sr
+    import scoperoute.detour
+    import scoperoute.netio
+    import scoperoute.network
+    from workload import network_text
+
+    text = network_text(sr)
+    times = SelfTimes()
+    timed = {}
+    for module_name, name, phase in SETUP_PHASES:
+        module = getattr(scoperoute, module_name)
+        timed[phase] = times.wrap(getattr(module, name), phase)
+        # parse_network calls build_network through its own module's name.
+        setattr(module, name, timed[phase])
+    per_run: dict[str, list[float]] = {phase: [] for *_, phase in SETUP_PHASES}
+    per_run[SETUP] = []
+    for _ in range(runs):
+        gc.collect()
+        times.ms = {}
+        t0 = perf_counter()
+        nf = timed["parse"](text)
+        scope = timed["balance"](nf.network, nf.scope)
+        timed["warm"](nf.network, scope, (), 0, nf.network.vertex_count - 1)
+        per_run[SETUP].append((perf_counter() - t0) * 1000.0)
+        for phase, ms in times.ms.items():
+            per_run[phase].append(ms)
+    return {"ms": per_run, "counts": {}, "missing": []}
+
+
 def summary(values: list[float]) -> dict[str, float]:
     deciles = statistics.quantiles(values, n=10, method="inclusive")
     return {
@@ -319,11 +367,11 @@ def summary(values: list[float]) -> dict[str, float]:
     }
 
 
-def run_side(src: str, workload: str, queries: int, seed: int, route: str) -> dict:
+def run_side(src: str, workload: str, queries: int, seed: int, route: str, setup: bool) -> dict:
     cmd = [
         sys.executable, __file__, "--src", src, "--workload", workload,
         "--queries", str(queries), "--seed", str(seed), "--route", route,
-    ]
+    ] + ["--setup"] * setup
     out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -339,9 +387,13 @@ def main() -> None:
     parser.add_argument("--queries", type=int, default=100)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--setup", action="store_true", help="time the set-up phases, not routes")
     args = parser.parse_args()
     if args.src:
-        print(json.dumps(measure(args.src, args.workload, args.queries, args.seed, args.route)))
+        if args.setup:
+            print(json.dumps(measure_setup(args.src, args.queries)))
+        else:
+            print(json.dumps(measure(args.src, args.workload, args.queries, args.seed, args.route)))
         return
     if not (args.before and args.out):
         parser.error("give --src, or --before and --out")
@@ -355,7 +407,9 @@ def main() -> None:
     missing: dict[str, list[str]] = {}
     for r in range(args.rounds):
         for side in ("before", "after") if r % 2 == 0 else ("after", "before"):
-            measured = run_side(sources[side], args.workload, args.queries, args.seed, args.route)
+            measured = run_side(
+                sources[side], args.workload, args.queries, args.seed, args.route, args.setup
+            )
             for phase, times in measured["ms"].items():
                 sides[side].setdefault(phase, []).extend(times)
                 per_side = rounds.setdefault(phase, {"before": [], "after": []})
@@ -363,12 +417,21 @@ def main() -> None:
             for name, values in measured["counts"].items():
                 counts[side].setdefault(name, []).extend(values)
             missing[side] = measured["missing"]
+    if args.setup:
+        head = {
+            "what": "self time per phase of one benchmark set-up on the acceptance grid's text: parse_network less build_network, build_network, balance_to_proper and the warm-up qc_closure, and the whole set-up, ms per set-up, with each round's mean per phase",
+            "setups": args.queries,
+        }
+    else:
+        head = {
+            "workload": args.workload,
+            "route": args.route,
+            "what": f"self time per phase of one {args.route}_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per route by its static search, per gate run and per d_open run, weights read one by one outside the searches (by derive_closures) per failed static exit, and landmark bounds evaluated per route",
+            "seed": args.seed,
+            "queries": args.queries,
+        }
     report = {
-        "workload": args.workload,
-        "route": args.route,
-        "what": f"self time per phase of one {args.route}_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per route by its static search, per gate run and per d_open run, weights read one by one outside the searches (by derive_closures) per failed static exit, and landmark bounds evaluated per route",
-        "seed": args.seed,
-        "queries": args.queries,
+        **head,
         "rounds": args.rounds,
         "python": platform.python_version(),
         "cores": os.cpu_count(),
@@ -391,7 +454,12 @@ def main() -> None:
     }
     out = Path(args.out)
     reports = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    name = args.workload if args.route == "simple" else f"{args.workload}, {args.route} route"
+    if args.setup:
+        name = "set-up"
+    elif args.route == "simple":
+        name = args.workload
+    else:
+        name = f"{args.workload}, {args.route} route"
     reports[name] = report
     out.write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
     width = max(map(len, report["phases"]))
