@@ -76,11 +76,11 @@ def load_network(path: str) -> NetworkFile:
 def parse_network(text: str) -> NetworkFile:
     """Parse the network file format; the first bad line raises ``ParseError``.
 
-    A vertex or number token is checked once: a token that passed is kept
-    with its value, so a later line with the same token reads the value
-    back, and only a token not seen before runs the checks. The sign and
-    finiteness checks a line's use of a number needs still run on every
-    line.
+    A vertex token is checked once: a token that passed is kept with its
+    vertex, so a later line with the same token reads the vertex back, and
+    only a token not seen before runs the checks. On a routing-connected
+    network every endpoint is on at least two E lines, so each vertex token
+    repeats. Number tokens take their checks on every line.
     """
     vertex_count: int | None = None
     label_nu: dict[str, float] | None = None
@@ -91,7 +91,6 @@ def parse_network(text: str) -> NetworkFile:
     categories: list[str | None] = []
     coordinates: dict[int, tuple[float, float]] = {}
     vertex_of: dict[str, int] = {}  # token -> vertex, for tokens in 0..V-1
-    number_of: dict[str, float] = {}  # token -> number, for tokens _parse_number accepts
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.partition("#")[0].split()
         if not parts:
@@ -110,9 +109,7 @@ def parse_network(text: str) -> NetworkFile:
                 if u >= vertex_count or v >= vertex_count:
                     raise ParseError(line_no, f"endpoint out of range: ({u}, {v})")
                 vertex_of[parts[1]], vertex_of[parts[2]] = u, v
-            weight = number_of.get(parts[3])
-            if weight is None:
-                weight = number_of[parts[3]] = _parse_number(parts[3], line_no)
+            weight = _parse_number(parts[3], line_no)
             if weight < 0:
                 raise ParseError(line_no, f"negative weight {weight}")
             edges.append((u, v))
@@ -133,11 +130,7 @@ def parse_network(text: str) -> NetworkFile:
                 if vertex >= vertex_count:
                     raise ParseError(line_no, f"vertex out of range: {vertex}")
                 vertex_of[parts[1]] = vertex
-            lon, lat = number_of.get(parts[2]), number_of.get(parts[3])
-            if lon is None:
-                lon = number_of[parts[2]] = _parse_number(parts[2], line_no)
-            if lat is None:
-                lat = number_of[parts[3]] = _parse_number(parts[3], line_no)
+            lon, lat = _parse_number(parts[2], line_no), _parse_number(parts[3], line_no)
             if not (math.isfinite(lon) and math.isfinite(lat)):
                 raise ParseError(line_no, f"coordinates must be finite, got {lon} {lat}")
             coordinates[vertex] = (lon, lat)

@@ -236,11 +236,9 @@ class ScopeMapping:
                     f"scope values must be strictly increasing, got {self.nu[i - 1]} then {value}"
                 )
         top = len(self.nu) - 1
-        # Each distinct level is checked; the loop names the first bad edge.
-        if not all(0 <= lv <= top for lv in set(self.level)):
-            for e, lv in enumerate(self.level):
-                if not (0 <= lv <= top):
-                    raise NetworkError(f"edge {e}: level {lv} out of range")
+        for e, lv in enumerate(self.level):
+            if not (0 <= lv <= top):
+                raise NetworkError(f"edge {e}: level {lv} out of range")
 
     @property
     def top(self) -> int:
@@ -284,7 +282,7 @@ def scope_from_labels(edge_labels, label_nu: dict) -> ScopeMapping:
     index = {lbl: i for i, lbl in enumerate(declared)}
     nu = tuple(float(label_nu[lbl]) for lbl in declared)
     try:
-        levels = tuple(map(index.__getitem__, edge_labels))
+        levels = tuple(index[lbl] for lbl in edge_labels)
     except KeyError as exc:
         raise NetworkError(f"edge uses undeclared level label {exc.args[0]!r}") from exc
     return ScopeMapping(levels, nu, tuple(str(lbl) for lbl in declared))

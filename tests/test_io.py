@@ -141,8 +141,9 @@ class TestParseNetwork:
         with pytest.raises(ParseError, match=message):
             parse_network(text)
 
-    # A token accepted on an earlier line is read back without its checks;
-    # a similar token on a later line must still take them and fail there.
+    # A vertex token accepted on an earlier line is read back without its
+    # checks; a similar token on a later line must still take them and fail
+    # there. Number tokens are checked on every line.
     @pytest.mark.parametrize(
         "line, message",
         [
