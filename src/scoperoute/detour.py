@@ -41,10 +41,12 @@ A gate run is read only at the vertices the search settles, so the routes
 run it lazily where that is exact: where the open weights are positive
 integers, each gate run is goal-directed by its direction's bound and
 stepped only until the vertex a search state settles at is final. Its
-labels there are the drained run's (see ``_settle_gate``). Elsewhere, and
-in ``build_detour_context`` and the validators always, the gate runs are
-drained, so a route is checked against labels computed independently of
-its lazy runs. Where the gate runs are lazy, a route first steps them as a
+labels there are the drained run's (see ``_settle_gate``), and the run
+itself marks which labels are final (``ScopeSearchResult.final``), so the
+permit-state search reads a run the certificate stepped as it finds it.
+Elsewhere, and in ``build_detour_context`` and the validators always, the
+gate runs are drained, so a route is checked against labels computed
+independently of its lazy runs. Where the gate runs are lazy, a route first steps them as a
 certificate: when their split minimum equals the plain open-weight
 distance, no walk is cheaper and the split minimum's walk needs no permit,
 so no record is built (``_certificate``); the runs stop at their first
@@ -74,9 +76,11 @@ from .network import (
     RoadNetwork,
     ScopeMapping,
     Walk,
+    _check_endpoints,
     _edge_pack,
     _level_cached,
     _reach,
+    _strongly_connected,
     add_draw,
     check_walk,
     zero_vector,
@@ -325,9 +329,7 @@ def _drained_runs(
 ) -> tuple[ScopeSearchResult, ScopeSearchResult]:
     """The record runs: drained scope-aware runs from ``source`` and,
     reversed, from ``target``, on the record weighting ``weights``."""
-    for vertex, role in ((source, "source"), (target, "target")):
-        if not (0 <= vertex < network.vertex_count):
-            raise NetworkError(f"unknown {role} vertex {vertex}")
+    _check_endpoints(network, source, target)
     fwd = s_dijkstra(network, scope, source, weights)
     return fwd, s_dijkstra(network.reverse(), scope, target, weights)
 
@@ -403,8 +405,8 @@ class _Direction:
     permit-state half of this direction go on filling the same list.
     ``gate`` is the run from the endpoint on the open weighting, read through ``_usable``:
     drained, or lazy while ``steps`` holds the rest of a run goal-directed
-    by ``bound``, in which case a label is final only where ``final`` is
-    set (``_certificate`` hands it on so, and ``_settle_gate`` steps it on).
+    by ``bound``, in which case a label is final only where the run has
+    marked it (``gate.final``; ``_settle_gate`` steps it on).
     """
 
     pack: list[tuple[tuple[int, int, int], ...]]
@@ -413,7 +415,6 @@ class _Direction:
     bound: Callable[[int], float]
     bounds: list[float]
     steps: Iterator[tuple[float, float, int]] | None = None
-    final: bytearray | None = None
     clean: list[int] | None = None
 
 
@@ -431,31 +432,27 @@ def _direction(
     allows it, goal-directed by ``bound`` into ``bounds`` and left for the
     certificate and the permit-state search to step."""
     pack = _edge_pack(network, scope)
-    n = network.vertex_count
-    grant = [0] * n
+    grant = [0] * network.vertex_count
     if not closed.goal:
         gate = s_dijkstra(network, scope, endpoint, closed.open)
         return _Direction(pack, gate, grant, bound, bounds)
     gate, steps = _scope_search(network, scope, endpoint, closed.open, None, bound, bounds)
-    return _Direction(pack, gate, grant, bound, bounds, steps, bytearray(n))
+    return _Direction(pack, gate, grant, bound, bounds, steps)
 
 
 def _settle_gate(direction: _Direction, v: int) -> None:
-    """Step a lazy gate run until ``v`` is final, or to its end.
+    """Step a lazy gate run until it has marked ``v`` final, or to its end.
 
-    ``_scope_steps`` yields a vertex once every tight arrival at it has been
-    relaxed: the weights are positive integers and the potential consistent,
-    so a tail of a tight arrival has no greater key and a smaller distance,
-    and ``(key, d)`` order settles it first. ``dist`` and ``sigma`` are
-    then those of the drained run. A run that ends has settled every vertex
-    it reaches, so every label is final.
+    ``_scope_steps`` marks and yields a vertex once every tight arrival at
+    it has been relaxed: the weights are positive integers and the
+    potential consistent, so a tail of a tight arrival has no greater key
+    and a smaller distance, and ``(key, d)`` order settles it first.
+    ``dist`` and ``sigma`` are then those of the drained run. A run that
+    ends has settled every vertex it reaches and marks every vertex.
     """
-    final = direction.final
     for _key, _d, u in direction.steps:
-        final[u] = 1
         if u == v:
             return
-    final[:] = b"\x01" * len(final)
 
 
 def _certificate(
@@ -487,9 +484,9 @@ def _certificate(
     they stop, and the later yield, on final labels, meets at a sum of at
     most d_open and stops the runs there.
 
-    Otherwise the gate runs are handed on to the permit-state search: every
-    vertex a run settled is marked final, and so is its pending head, whose
-    labels are final once yielded; a run that ended is final everywhere.
+    Otherwise the permit-state search steps the gate runs on from where
+    they stopped. Each run has marked the labels it made final: the
+    vertices it settled and its pending head, or every vertex if it ended.
     """
     d_open = _open_distance(network, scope, forward, backward.gate.source)
     runs = (forward.gate, backward.gate)
@@ -498,17 +495,7 @@ def _certificate(
     heads = _goal_directed_meeting(runs, (forward.steps, backward.steps), d_open, d_open)
     pending = [head[2] for head in heads if head is not None]
     split = _split_minimum(*runs, forward.gate.order + backward.gate.order + pending)
-    if split.cost == d_open:
-        return split
-    for direction, head in zip((forward, backward), heads):
-        final = direction.final
-        if head is None:
-            final[:] = b"\x01" * len(final)
-            continue
-        for v in direction.gate.order:
-            final[v] = 1
-        final[head[2]] = 1
-    return None
+    return split if split.cost == d_open else None
 
 
 def _open_distance(
@@ -736,17 +723,16 @@ class _StateSearch:
     with ``F`` finite levels, ``carried`` the permit levels live on the walk
     and ``owed`` the levels of edges taken on credit that still need a
     matching record ahead. The half relaxes ``own``'s edges and carries its
-    permits; ``other``'s grant and clean masks pay its debts. A negative
-    ``potential`` entry is not evaluated yet and is ``own.bound(v)``. ``label``
-    maps a state to its best ``(cost, permits, parent state, edge,
-    licensed)``, ``licensed`` telling whether the edge took a permit;
-    ``settled`` maps a vertex to the states expanded there, as ``(carried,
-    owed, cost, permits, key)`` tuples.
+    permits; ``other``'s grant and clean masks pay its debts. Its potential
+    is ``own.bounds``, evaluated where it reads it. ``label`` maps a state
+    to its best ``(cost, permits, parent state, edge, licensed)``,
+    ``licensed`` telling whether the edge took a permit; ``settled`` maps
+    a vertex to the states expanded there, as ``(carried, owed, cost,
+    permits, key)`` tuples.
     """
 
     own: _Direction
     other: _Direction
-    potential: list[float]
     heap: list[tuple[float, int, int, int, int, float]]
     label: dict[int, tuple[float, int, int | None, int | None, bool]]
     settled: dict[int, list[tuple[int, int, float, int, int]]] = field(default_factory=dict)
@@ -819,7 +805,7 @@ def _state_search_halves(
         live = own.grant[start]
         heap = [(potential[start], 0, start, live, 0, 0.0)] if potential[start] < INF else []
         label = {(start << vshift) | (live << bits): (0.0, 0, None, None, False)}
-        return _StateSearch(own, other, potential, heap, label)
+        return _StateSearch(own, other, heap, label)
 
     halves = (
         half(ctx.forward, ctx.backward, ctx.source),
@@ -874,10 +860,10 @@ def _state_search_halves(
         debt_grant, debt_clean = other.grant, other.clean
         # _usable's test, with the reach check read once per settled state.
         gate = own.gate
-        if own.final is not None and not own.final[v]:
+        if own.steps is not None and not gate.final[v]:
             _settle_gate(own, v)
         sig = gate.sigma[v] if gate.dist[v] < INF else None
-        potential = search.potential
+        potential = own.bounds
         bound = own.bound
         for e, u, lv in own.pack[v]:
             we = weights[e]
@@ -1113,21 +1099,6 @@ def _recheck_detour(walk: Walk, network: RoadNetwork, scope: ScopeMapping, enhan
     return validate_simple_detour(walk, network, scope, closures, s, t)
 
 
-def _strongly_connected(network: RoadNetwork, scope: ScopeMapping) -> bool:
-    """Whether every vertex reaches every other over the edges of finite
-    base weight: a reach pass from vertex 0 over each direction's edge pack,
-    cached in ``_aux``, as it depends only on the structure and ``weight``."""
-    aux = network._aux
-    strong = aux.get("strongly connected")
-    if strong is None:
-        n = network.vertex_count
-        strong = aux["strongly connected"] = all(
-            len(_reach(_edge_pack(graph, scope), 0, network.weight)[0]) == n
-            for graph in (network, network.reverse())
-        )
-    return strong
-
-
 def _bypassed(network: RoadNetwork, pack, closed: _Weightings) -> bool:
     """Whether the tail of every edge of ``closed.cut`` reaches its head on
     the open weighting, found by searches stopped at the head that together
@@ -1178,13 +1149,12 @@ def qc_closure(
     graph (a bypass), then every base walk becomes an open one by replacing
     each cut edge with its bypass; so in the open graph, too, every vertex
     reaches the target and is reached from the start, and no edge is
-    quasi-closed. Strong connectivity is found once per network; the bypass
+    quasi-closed. Strong connectivity is found once per network, usually by
+    ``balance_to_proper`` (``network._strongly_connected``); the bypass
     searches stop at the cut edge's head, and all of them together expand
     at most as many vertices as one reach pass, else the round runs as above.
     """
-    for vertex, role in ((source, "source"), (target, "target")):
-        if not (0 <= vertex < network.vertex_count):
-            raise NetworkError(f"unknown {role} vertex {vertex}")
+    _check_endpoints(network, source, target)
     derived = derive_closures(network)
     active = derived.hard if closures is None else _active_set(network, closures)
     closed = _weightings(network, active, derived.edges)

@@ -21,10 +21,10 @@ from itertools import chain, combinations, product
 
 from .network import (
     INF,
-    NetworkError,
     RoadNetwork,
     ScopeMapping,
     Walk,
+    _check_endpoints,
     add_draw,
     check_walk,
     inf_vector,
@@ -366,9 +366,7 @@ def brute_force_full_optimum(
     when no accepted walk exists, and raises :class:`SearchBudgetExceeded`
     when enumeration or validation cannot finish within budget.
     """
-    for vertex, role in ((source, "source"), (target, "target")):
-        if not (0 <= vertex < network.vertex_count):
-            raise NetworkError(f"unknown {role} vertex {vertex}")
+    _check_endpoints(network, source, target)
     scope.validate(network)
     active = _active_set(network, closures)
     if hop_bound is None:

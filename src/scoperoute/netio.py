@@ -492,11 +492,9 @@ def parse_closures(text: str, network: RoadNetwork) -> dict[int, float]:
             tail, head, ordinal = map(_canonical_int, bits)
             if tail is None or head is None or ordinal is None:
                 raise ParseError(line_no, "bad edge selector")
-            matching = [
-                e
-                for e in range(network.edge_count)
-                if network.tails[e] == tail and network.heads[e] == head
-            ]
+            matching = []
+            if 0 <= tail < network.vertex_count:
+                matching = [e for e in network.out_edges(tail) if network.heads[e] == head]
             if not (0 <= ordinal < len(matching)):
                 raise ParseError(line_no, f"no edge {tail},{head} ordinal {ordinal}")
             edge = matching[ordinal]

@@ -317,6 +317,14 @@ class Walk:
         return Walk(self.start, self.edges + other.edges)
 
 
+def _check_endpoints(network: RoadNetwork, source: int, target: int) -> None:
+    """Raise ``NetworkError`` naming ``source`` or ``target``, in that
+    order, if it is not a vertex of ``network``."""
+    for vertex, role in ((source, "source"), (target, "target")):
+        if not (0 <= vertex < network.vertex_count):
+            raise NetworkError(f"unknown {role} vertex {vertex}")
+
+
 def check_walk(walk: Walk, network: RoadNetwork) -> None:
     if not (0 <= walk.start < max(network.vertex_count, 1)):
         raise NetworkError(f"walk start {walk.start} out of range")
@@ -468,6 +476,22 @@ def _reach(
     return order, len(order)
 
 
+def _strongly_connected(network: RoadNetwork, scope: ScopeMapping) -> bool:
+    """Whether every vertex reaches every other over the edges of finite
+    base weight (vacuously so without vertices): a reach pass from vertex 0
+    over each direction's edge pack, cached in ``_aux``, as it depends only
+    on the structure and ``weight``."""
+    aux = network._aux
+    strong = aux.get("strongly connected")
+    if strong is None:
+        n = network.vertex_count
+        strong = aux["strongly connected"] = n == 0 or all(
+            len(_reach(_edge_pack(graph, scope), 0, network.weight)[0]) == n
+            for graph in (network, network.reverse())
+        )
+    return strong
+
+
 def _routing_connected(network: RoadNetwork, fwd, bwd, keep) -> bool:
     """Whether the edges finite in ``keep`` are routing-connected, on the
     network's edge pack ``fwd`` and its reversal's ``bwd``.
@@ -528,12 +552,17 @@ def balance_to_proper(network: RoadNetwork, scope: ScopeMapping) -> ScopeMapping
     only when that fails are its pieces found (``_scc_groups``). The passes
     run on the edge packs of ``scope``, cached for the searches that follow;
     a mapping that needs no promotion is returned as it is, so that they
-    find the packs under its level tuple by identity.
+    find the packs under its level tuple by identity. The whole network is
+    first tried for strong connectivity over its edges of finite base
+    weight (``_strongly_connected``, cached for ``qc_closure``), which
+    implies that it is routing-connected.
     """
     scope.validate(network)
     fwd, bwd = _edge_pack(network, scope), _edge_pack(network.reverse(), scope)
     # Levels are finite, so the level tuple keeps every edge.
-    if not _routing_connected(network, fwd, bwd, scope.level):
+    if not (
+        _strongly_connected(network, scope) or _routing_connected(network, fwd, bwd, scope.level)
+    ):
         raise NetworkError("network is not routing-connected; no proper scope mapping exists")
     if network.edge_count == 0:
         return scope

@@ -34,6 +34,7 @@ from .network import (
     RoadNetwork,
     ScopeMapping,
     Walk,
+    _check_endpoints,
     _distance_bound,
     _edge_pack,
     add_draw,
@@ -126,6 +127,10 @@ class ScopeSearchResult(_ParentTree):
     The draw of a concrete predecessor-tree walk, which obstruction states
     are measured from, is summed along that order with the relaxed weights
     ``_weights``.
+
+    ``final`` marks the vertices whose labels the run has made final: those
+    in ``order``, the pending head it has yielded but not settled yet, and,
+    once its queue is empty, every vertex (see ``_scope_steps``).
     """
 
     source: int
@@ -133,6 +138,7 @@ class ScopeSearchResult(_ParentTree):
     parent_edge: list[int | None]
     sigma: list[tuple[float, ...]]
     order: list[int]
+    final: list[bool]
     relaxed_count: int = 0
     _tails: tuple[int, ...] = ()
     _weights: tuple[float, ...] | list[float] = ()
@@ -154,7 +160,9 @@ def _scope_run(
         raise NetworkError(f"unknown source vertex {source}")
     scope.validate(network)
     n = network.vertex_count
-    res = ScopeSearchResult(source, [INF] * n, [None] * n, [inf_vector(scope)] * n, [])
+    res = ScopeSearchResult(
+        source, [INF] * n, [None] * n, [inf_vector(scope)] * n, [], [False] * n
+    )
     res._tails = network.tails
     res._weights = network.weights(weighting) if isinstance(weighting, str) else weighting
     res.dist[source] = 0.0
@@ -180,11 +188,13 @@ def _scope_search(
 def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
     """The scope-aware relaxation loop, one settled vertex per step.
 
-    Each step yields the live queue head, ``(d, u)`` or with a potential
-    ``(key, d, u)``; resuming settles ``u``, appends it to ``res.order`` and
-    relaxes its out-edges at the weights ``res._weights``. Draining the
-    generator is a full run; the relaxed count is written when it finishes
-    or is closed.
+    Each step marks the live queue head in ``res.final`` and yields it,
+    ``(d, u)`` or with a potential ``(key, d, u)``; resuming settles ``u``,
+    appends it to ``res.order`` and relaxes its out-edges at the weights
+    ``res._weights``. Once the queue is empty every vertex is marked: the
+    run has settled all it reaches, and the rest stay unreached. Draining
+    the generator is a full run; the relaxed count is written when it
+    finishes or is closed.
 
     Relaxation of an edge at level ``l`` requires ``sigma[l][tail] <= nu[l]``.
     A strict distance improvement resets the head's draw vector to the new
@@ -205,7 +215,7 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
     dist, parent, sigma = res.dist, res.parent_edge, res.sigma
     settle = res.order.append
     tails, w = res._tails, res._weights
-    done = [False] * len(dist)
+    done = res.final
     goal = potential is not None
     if goal:
         if bounds[res.source] < 0.0:
@@ -225,8 +235,8 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
                 d, u = head
             if done[u] or d > dist[u]:
                 continue
-            yield head
             done[u] = True
+            yield head
             settle(u)
             sig_u = sigma[u]
             for e, v, lv in pack[u]:
@@ -259,6 +269,7 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
                         t = tails[parent[v]]
                         if d < dist[t] or (d == dist[t] and u < t):
                             parent[v] = e
+        done[:] = [True] * len(done)
     finally:
         res.relaxed_count = relaxed
 
@@ -562,9 +573,7 @@ def _bidirectional_search(
     The bounds are ``_landmark_potentials(network, source, target)``'s, so
     a later search on the same table and endpoints may go on filling them.
     """
-    for vertex, role in ((source, "source"), (target, "target")):
-        if not (0 <= vertex < network.vertex_count):
-            raise NetworkError(f"unknown {role} vertex {vertex}")
+    _check_endpoints(network, source, target)
     toward_target, toward_source = _goal_potentials(network, weighting, source, target)
     goal = toward_target is not None
     n = network.vertex_count

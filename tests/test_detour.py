@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 import scoperoute.detour
+import scoperoute.network
 import scoperoute.search
 from scoperoute import (
     NetworkError,
@@ -405,13 +406,13 @@ def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
                 sides = ((fwd, closed, s), (bwd, closed.reverse(), t))
                 for half, network, endpoint in sides:
                     own = half.own
-                    lazy = own.final is not None
+                    lazy = own.steps is not None
                     runs[fractional, lazy] += 1
                     drained = s_dijkstra(network, scope, endpoint, ctx.weights)
                     if lazy:
                         stopped_short += len(own.gate.order) < len(drained.order)
                     for v in half.settled:
-                        assert not lazy or own.final[v], (seed, fractional, v)
+                        assert not lazy or own.gate.final[v], (seed, fractional, v)
                         for lv in range(scope.level_count):
                             got = usable(own.gate, scope.nu, v, lv)
                             assert got == usable(drained, scope.nu, v, lv), (seed, fractional, v, lv)
@@ -461,7 +462,7 @@ def _count_state_searches(monkeypatch) -> list:
 
     def logging(ctx):
         directions = (ctx.forward, ctx.backward)
-        entry = [(bytes(d.final or b""), set(d.gate.order)) for d in directions]
+        entry = [(bytes(d.gate.final), set(d.gate.order)) for d in directions]
         searched.append((ctx, entry))
         return real(ctx)
 
@@ -658,8 +659,8 @@ def test_no_open_walk_returns_without_records(landmarks_at_once, monkeypatch):
 
 
 def test_handed_off_gate_runs_read_as_the_drained_runs(landmarks_at_once, monkeypatch):
-    # A failed certificate hands its stepped gate runs to the permit-state
-    # search: every vertex a run settled is marked final, and so is the head
+    # A failed certificate leaves its stepped gate runs to the permit-state
+    # search: each run has marked final every vertex it settled and the head
     # it has yielded but not settled. Every label final there, before the
     # search and after it, is the drained gate run's of a fresh context with
     # the route's closure set; runs still stop short of draining. Most
@@ -679,7 +680,8 @@ def test_handed_off_gate_runs_read_as_the_drained_runs(landmarks_at_once, monkey
                 fresh = build_detour_context(net, scope, closures, s, t)
                 drained = (fresh.forward.gate, fresh.backward.gate)
                 for direction, run, (marks, order) in zip((ctx.forward, ctx.backward), drained, entry):
-                    gate, final = direction.gate, direction.final
+                    gate = direction.gate
+                    final = gate.final
                     marked = {v for v, mark in enumerate(marks) if mark}
                     if len(marked) < len(marks):  # a run that ended is final everywhere
                         assert order <= marked and len(marked - order) == (1 if order else 0)
@@ -1350,7 +1352,7 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
             yield head
 
     for module, name in ((scoperoute.search, "dijkstra"), (scoperoute.detour, "dijkstra"),
-                         (scoperoute.detour, "_reach")):
+                         (scoperoute.detour, "_reach"), (scoperoute.network, "_reach")):
         monkeypatch.setattr(module, name, quieted(getattr(module, name)))
     monkeypatch.setattr(scoperoute.search, "_scope_steps", quiet_steps)
     monkeypatch.setattr(scoperoute.detour, "_scope_steps", quiet_steps)

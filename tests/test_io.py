@@ -408,6 +408,11 @@ class TestClosureFiles:
         [
             pytest.param("1,2,-1\n", "line 1: no edge 1,2 ordinal -1", id="ordinal-minus-one"),
             pytest.param("3\n1,2,-3\n", "line 2: no edge 1,2 ordinal -3", id="ordinal-below"),
+            # -4 would index vertex 0, whose edge 0 runs to 1.
+            pytest.param("-4,1,0\n", "line 1: no edge -4,1 ordinal 0", id="tail-negative"),
+            pytest.param("0\n4,1,0\n", "line 2: no edge 4,1 ordinal 0", id="tail-past-last-vertex"),
+            # Edges 1 and 4 run from 1 to 2.
+            pytest.param("# comment\n1,2,2\n", "line 2: no edge 1,2 ordinal 2", id="ordinal-past-last"),
             pytest.param(
                 "0 1.5\n", "line 1: edge 0: updated weight 1.5 below base weight 2.0",
                 id="weight-below-base",

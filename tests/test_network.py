@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoperoute import (
+    ClosureSet,
     NetworkError,
     RoadNetwork,
     ScopeMapping,
@@ -19,6 +20,7 @@ from scoperoute import (
     is_proper,
     is_routing_connected,
     make_scope,
+    qc_closure,
     s_draw,
 )
 from scoperoute.network import _scc_groups, _shortest_edge_path_between, scope_from_labels
@@ -481,3 +483,57 @@ def test_raised_edges_recorded_as_the_weights_are_written(data):
     assert built == direct == net and repr(built) == repr(net)
     assert "_raised" not in repr(net)
     assert net.reverse()._raised is net._raised  # passed on, not found again
+
+
+
+def _reference_qc_closure(net, s, t):
+    """The quasi-closure of no closures from ``s`` to ``t`` read off two
+    ``dijkstra`` runs on the base weights, apart from the reach passes and
+    the strong-connectivity proof it checks."""
+    reaches_t = dijkstra(net.reverse(), "base", t).dist
+    from_s = dijkstra(net, "base", s).dist
+    kind = {}
+    for e in range(net.edge_count):
+        if net.weight[e] == INF:
+            continue
+        if reaches_t[net.heads[e]] == INF:
+            kind[e] = "quasi-t"
+        elif from_s[net.tails[e]] == INF:
+            kind[e] = "quasi-s"
+    return ClosureSet(frozenset(kind), frozenset(), kind, 2 if kind else 1)
+
+
+_NOT_STRONG = {
+    # vertex count, edges, base weights, levels
+    "empty": (0, [], [], []),
+    "one-vertex": (1, [], [], []),
+    "isolated-vertex": (3, [(0, 1), (1, 0)], [1, 1], [1, 1]),
+    "infinite-needed-edge": (3, [(0, 1), (1, 2), (2, 0)], [1, 1, INF], [0, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("first", ["balance", "qc"])
+@pytest.mark.parametrize("case", sorted(_NOT_STRONG))
+def test_strong_connectivity_first_then_routing_connectivity(case, first):
+    # balance_to_proper first tries strong connectivity over the edges of
+    # finite base weight and caches the answer for qc_closure. Where there
+    # are no vertices, or the network is routing-connected but not strongly
+    # connected, the results stay those of the references, in either order.
+    n, edges, weights, levels = _NOT_STRONG[case]
+    net = build_network(n, edges, weights)
+    scope = make_scope(levels, [3, INF])
+    queries = [(s, t) for s in range(n) for t in range(n)]
+    if first == "qc":
+        found = [qc_closure(net, scope, None, s, t) for s, t in queries]
+    balanced = balance_to_proper(net, scope)
+    if first == "balance":
+        found = [qc_closure(net, scope, None, s, t) for s, t in queries]
+    assert balanced == _reference_balance(net, scope)
+    assert (balanced is scope) == (case != "infinite-needed-edge")
+    assert is_proper(net, scope) == _reference_is_proper(net, scope)
+    assert is_proper(net, balanced) and _reference_is_proper(net, balanced)
+    assert net._aux["strongly connected"] == (n < 2)
+    assert found == [_reference_qc_closure(net, s, t) for s, t in queries]
+    assert any(closure.edges for closure in found) == (n > 1)
+    with pytest.raises(NetworkError, match="^unknown source vertex 3$"):
+        qc_closure(net, scope, None, 3, 0)

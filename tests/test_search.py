@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import scoperoute.detour
 import scoperoute.search
 from scoperoute import (
     NetworkError,
@@ -13,10 +14,12 @@ from scoperoute import (
     brute_force_optimal_admissible,
     build_network,
     dijkstra,
+    enhanced_detour_route,
     is_saturated,
     make_scope,
     oracle_settled_labels,
     s_dijkstra,
+    simple_detour_route,
     validate_s_admissible,
     validate_split_admissible,
 )
@@ -24,7 +27,7 @@ from scoperoute.netio import generate_synthetic
 from scoperoute.network import balance_to_proper
 from scoperoute.search import _edge_pack, _goal_potentials, _landmark_rows
 
-from conftest import full_split_minimum, random_network
+from conftest import full_split_minimum, random_network, strongly_connected_network
 
 INF = math.inf
 
@@ -526,3 +529,110 @@ def test_edge_pack_follows_the_scope_levels(n1):
     for scope in (other, first):
         levels = {e: lv for row in _edge_pack(n1, scope) for e, _head, lv in row}
         assert levels == dict(enumerate(scope.level))
+
+
+def _marking_runs(monkeypatch, modules):
+    """Wrap ``_scope_search`` as ``modules`` import it so that each run it
+    starts checks its own ``final`` marks against a drained run of the same
+    labels: at each yield the marks are exactly ``order`` and the pending
+    head, each marked vertex has the drained run's ``dist`` and ``sigma``,
+    and a run whose queue empties marks every vertex. Returns a log with
+    one ``[module name, steps, ended]`` entry per run, filled as the run
+    goes."""
+    real = scoperoute.search._scope_search
+    log = []
+
+    def checked(res, steps, drained, entry):
+        def agree(marked):
+            for v in marked:
+                assert (res.dist[v], res.sigma[v]) == (drained.dist[v], drained.sigma[v]), v
+
+        head = None
+        try:
+            for head in steps:
+                marked = {v for v, mark in enumerate(res.final) if mark}
+                assert marked == set(res.order) | {head[-1]}
+                agree(marked)
+                entry[1] += 1
+                yield head
+            entry[2] = True
+            assert all(res.final)
+            agree(range(len(res.final)))
+        finally:
+            steps.close()
+            if not entry[2]:
+                marked = {v for v, mark in enumerate(res.final) if mark}
+                assert set(res.order) <= marked <= set(res.order) | {head[-1]}
+
+    def wrapped(name):
+        def search(network, scope, source, weighting, seed_sigma=None, potential=None, bounds=None):
+            res, steps = real(network, scope, source, weighting, seed_sigma, potential, bounds)
+            drained, rest = real(network, scope, source, weighting, seed_sigma)
+            for _ in rest:
+                pass
+            entry = [name, 0, False]
+            log.append(entry)
+            return res, checked(res, steps, drained, entry)
+
+        return search
+
+    for module in modules:
+        monkeypatch.setattr(module, "_scope_search", wrapped(module.__name__))
+    return log
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["plain", "goal-directed"])
+def test_static_runs_mark_their_final_labels(table, request, monkeypatch):
+    # The plain static search, and with the landmark table the
+    # goal-directed one, leave both runs short of draining, each marking
+    # what it settled and its pending head; drained runs mark everything.
+    if table:
+        request.getfixturevalue("landmarks_at_once")
+    else:
+        monkeypatch.setattr(scoperoute.search, "_PLAIN_SEARCHES", 10**9)
+    log = _marking_runs(monkeypatch, [scoperoute.search])
+    rng = random.Random(f"marks/{table}")
+    for _ in range(300):
+        net, scope = random_network(rng, max_vertices=14)
+        s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+        bidirectional_s_dijkstra(net, scope, s, t)
+        s_dijkstra(net, scope, s)
+        assert ("landmarks" in net._aux) == table
+    stepped = sum(steps for _, steps, _ in log)
+    short = sum(1 for _, steps, ended in log if steps and not ended)
+    ended = sum(1 for *_, ended in log if ended)
+    assert stepped > 2500 and short > 200 and ended > 400, (stepped, short, ended)
+
+
+def test_certificate_gate_runs_mark_their_final_labels(monkeypatch):
+    # The detour routes step their gate runs lazily, first in the
+    # certificate, then where the permit-state search reads them; each run
+    # marks its final labels as it goes, whoever steps it.
+    log = _marking_runs(monkeypatch, [scoperoute.search, scoperoute.detour])
+    certified = []
+    real_certificate = scoperoute.detour._certificate
+
+    def certificate(*args):
+        certified.append(real_certificate(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
+    rng = random.Random("marks/certificate")
+    for _ in range(600):
+        net, scope = strongly_connected_network(rng, max_vertices=14)
+        # Budgets below 6 make failed certificates, whose runs the
+        # permit-state search steps on, common.
+        nu = sorted(rng.sample(range(1, 6), scope.top)) + [INF]
+        scope = make_scope(scope.level, nu)
+        s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+        static = bidirectional_s_dijkstra(net, scope, s, t)
+        if not static.walk or not static.walk.edges:
+            continue
+        closed_edges = {rng.choice(static.walk.edges)} | {rng.randrange(net.edge_count)}
+        closed = net.with_updated_weights({e: INF for e in closed_edges})
+        simple_detour_route(closed, scope, s, t)
+        enhanced_detour_route(closed, scope, s, t)
+    failed = sum(1 for c in certified if c is None)
+    # The detour module starts only the lazy gate runs.
+    short = sum(1 for name, steps, ended in log if name == "scoperoute.detour" and steps and not ended)
+    assert len(certified) > 600 and failed > 30 and short > 250, (len(certified), failed, short)

@@ -32,8 +32,9 @@ exit). "record
 runs" are the two drained record searches (``_drained_runs``). "gate runs" are ``_direction``, which drains a gate run or sets up a
 lazy one, and ``_settle_gate``, which steps a lazy one from inside the
 state search. "certificate" is ``_certificate``: stepping both lazy gate
-runs until their keys pass d_open, their split minimum, and the hand-off
-marks when it fails; "d_open run" is ``_open_distance``, the plain
+runs until their keys pass d_open, and their split minimum (in versions
+before the runs marked their own final labels, also the hand-off marks
+when it fails); "d_open run" is ``_open_distance``, the plain
 goal-directed run from the start that gives d_open. "quasi-closure" is
 ``_quasi_closure``, the enhanced route's growth of the closure set; it
 reads 0 on the simple route.
@@ -48,8 +49,8 @@ after, and each phase's mean in each round, so that a difference smaller
 than the spread between rounds shows as such. It holds the same summary
 figures for five counts: the vertices each route's static search settled
 on both sides (``DetourResult.scanned_static``), the vertices each gate
-run settled (its ``order`` when the route returns; a lazy run's last final
-vertex is not in it yet), the vertices each d_open run settled (the runs of
+run settled (its ``order`` when the route returns; a lazy run's pending
+head, which the run has marked final, is not in it), the vertices each d_open run settled (the runs of
 ``detour._scope_run``), the weights read one by one per route that fails
 the static exit by the outermost calls of ``WEIGHT_READERS`` (counted on an
 untimed replay of each such call with counting weight tuples swapped into
