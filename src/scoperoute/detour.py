@@ -46,13 +46,18 @@ itself marks which labels are final (``ScopeSearchResult.final``), so the
 permit-state search reads a run the certificate stepped as it finds it.
 Elsewhere, and in ``build_detour_context`` and the validators always, the
 gate runs are drained, so a route is checked against labels computed
-independently of its lazy runs. Where the gate runs are lazy, a route first steps them as a
-certificate: when their split minimum equals the plain open-weight
-distance, no walk is cheaper and the split minimum's walk needs no permit,
-so no record is built (``_certificate``); the runs stop at their first
-meeting of that sum, since no meeting can be cheaper. When that distance
-is infinite no walk is accepted at all. The corridor-clean masks are built
-only for the permit-state search.
+independently of its lazy runs. Where the gate runs are lazy, a route
+first tries a certificate (``_certificate``): a walk that needs no permit
+and costs the plain open-weight distance d_open, so that no walk is
+cheaper and no record is built. The plain run that finds d_open leaves a
+tree walk of that cost; when it splits into a prefix and a suffix whose
+edges pass their gates on the walk's own running draws from either end,
+the drained gate runs pass them too, and the gate runs are not stepped.
+Otherwise the gate runs are stepped until their split minimum is d_open,
+stopping at their first meeting of that sum, since no meeting can be
+cheaper, or until it cannot be. When d_open is infinite no walk is
+accepted at all. The corridor-clean masks are built only for the
+permit-state search.
 
 The search explores (vertex, carried-permit mask, owed-permit mask) states
 in both directions, each goal-directed by its direction's bound. A state
@@ -92,6 +97,7 @@ from .search import (
     _goal_directed,
     _goal_directed_meeting,
     _landmark_potentials,
+    _own_draw_flags,
     _scope_run,
     _scope_search,
     _scope_steps,
@@ -457,24 +463,42 @@ def _settle_gate(direction: _Direction, v: int) -> None:
 
 def _certificate(
     network: RoadNetwork, scope: ScopeMapping, forward: _Direction, backward: _Direction
-) -> BidirectionalResult | None:
-    """The gate runs' split minimum U when it costs d_open (see ``_route``),
-    a result with no walk and cost inf when d_open is inf, else ``None``.
+) -> tuple[BidirectionalResult | None, int]:
+    """A detour optimum that needs no permit, when one costs d_open (see
+    ``_route``), or ``None``; and the vertices its searches settled.
 
     When d_open is inf no walk avoids the closed edges, so no walk is
-    accepted; the gate runs are not stepped and the result counts no
-    settled vertex.
+    accepted: the result has no walk and cost inf, the gate runs are not
+    stepped, and the count is 0, as after the static exit.
 
-    The lazy gate runs are stepped as ``bidirectional_s_dijkstra`` steps
-    its goal-directed runs, until both keys pass d_open; U is then d_open
-    if the drained runs' split minimum is. They stop earlier, at their
-    first meeting of sum d_open (``_goal_directed_meeting``'s ``low``):
-    every finite meeting sum is the cost of a walk on the open weighting,
-    so none is below d_open, and U is d_open, met at that vertex or at
-    another of equal sum. U's walk is a tree walk of the gate runs: each
-    prefix edge passes the forward gate at its tail, settled when it
-    relaxed the edge, and each suffix edge the backward gate at its head,
-    so it needs no permit.
+    First P, the d_open run's tree walk to the target
+    (``_open_distance``): when it passes ``_own_draw_split``, P is the
+    result, and the gate runs are not stepped. Every prefix of P is a tree
+    walk of a plain run, so a plain shortest walk, and a scoped distance is
+    never below the plain one on the same weights. The check finds a split
+    such that each edge before it passes its gate on the running draw of
+    P's prefix up to that edge, and each edge after it, reversed, on the
+    running draw of P's reversed suffix from the target. By induction along
+    the prefix, the drained forward gate run then reaches each prefix vertex
+    at P's cost, with a draw no higher than P's own there: the edge into
+    it passes the gate on the drained run's draw at its tail, no higher
+    than P's, and arrives at the plain distance, so it is a tight arrival
+    and its draw bounds the merged one. So each prefix edge is usable from
+    the start (``search._usable``), and likewise each suffix edge usable
+    backwards from the target: P is split-admissible on the open
+    weighting, needs no permit, and costs d_open.
+
+    Else the lazy gate runs are stepped as ``bidirectional_s_dijkstra``
+    steps its goal-directed runs, until both keys pass d_open; U, their
+    split minimum, is then d_open if the drained runs' split minimum is.
+    They stop earlier, at their first meeting of sum d_open
+    (``_goal_directed_meeting``'s ``low``): every finite meeting sum is the
+    cost of a walk on the open weighting, so none is below d_open, and U is
+    d_open, met at that vertex or at another of equal sum. U's walk is a
+    tree walk of the gate runs: each prefix edge passes the forward gate at
+    its tail, settled when it relaxed the edge, and each suffix edge the
+    backward gate at its head, so it needs no permit; U is the result when
+    it costs d_open.
 
     U is scanned over the vertices either run settled and the pending
     heads, the meeting the early stop found among them. Whether U is d_open
@@ -484,31 +508,54 @@ def _certificate(
     they stop, and the later yield, on final labels, meets at a sum of at
     most d_open and stops the runs there.
 
-    Otherwise the permit-state search steps the gate runs on from where
-    they stopped. Each run has marked the labels it made final: the
-    vertices it settled and its pending head, or every vertex if it ended.
+    The count is the vertices the d_open run and the gate runs settled.
+    When U is not d_open the permit-state search steps the gate runs on
+    from where they stopped. Each run has marked the labels it made final:
+    the vertices it settled and its pending head, or every vertex if it
+    ended.
     """
-    d_open = _open_distance(network, scope, forward, backward.gate.source)
+    d_open, plain = _open_distance(network, scope, forward, backward.gate.source)
     runs = (forward.gate, backward.gate)
     if d_open == INF:
-        return BidirectionalResult(None, INF, None, *runs)
+        return BidirectionalResult(None, INF, None, *runs), 0
+    walk = plain.walk_to(backward.gate.source)
+    if _own_draw_split(walk, scope, forward.gate._weights):
+        return BidirectionalResult(walk, d_open, None, *runs), plain.scanned_count
     heads = _goal_directed_meeting(runs, (forward.steps, backward.steps), d_open, d_open)
     pending = [head[2] for head in heads if head is not None]
     split = _split_minimum(*runs, forward.gate.order + backward.gate.order + pending)
-    return split if split.cost == d_open else None
+    scanned = plain.scanned_count + split.scanned_count
+    return (split if split.cost == d_open else None), scanned
+
+
+def _own_draw_split(walk: Walk, scope: ScopeMapping, weights) -> bool:
+    """Whether ``walk`` splits into a prefix whose every edge passes its
+    gate on the prefix's own running draw from the start and a suffix whose
+    every edge passes, reversed, on the reversed suffix's own draw from the
+    end (``search._own_draw_flags``, one scan each way, split by
+    ``search._split_exists``)."""
+    level, nu, zero = scope.level, scope.nu, zero_vector(scope)
+    edges = walk.edges
+    prefix_ok = _own_draw_flags(edges, level, weights, nu, zero)
+    suffix_ok = _own_draw_flags(edges[::-1], level, weights, nu, zero)
+    suffix_ok.reverse()
+    return _split_exists(prefix_ok, suffix_ok)
 
 
 def _open_distance(
     network: RoadNetwork, scope: ScopeMapping, forward: _Direction, target: int
-) -> float:
-    """The plain distance from the forward gate run's source to ``target``
-    on its weights, the open weighting, scope ignored.
+) -> tuple[float, ScopeSearchResult]:
+    """d_open, the plain distance from the forward gate run's source to
+    ``target`` on its weights, the open weighting, scope ignored; and the
+    run that found it, whose tree walk to ``target`` costs d_open.
 
     A run of ``_scope_steps`` with every budget infinite, so no gate ever
     closes, goal-directed by ``forward.bound`` into the shared
     ``forward.bounds``. The bound is consistent and 0 at ``target``, so
     keys never fall and ``target`` would settle at key d_open: the run
-    stops once the head's key reaches ``target``'s distance label.
+    stops once the head's key reaches ``target``'s distance label. Every
+    vertex of the tree walk to ``target`` before it has settled, so each
+    prefix of that walk is a plain shortest walk.
     """
     run = _scope_run(network, scope, forward.gate.source, forward.gate._weights)
     flat = (INF,) * scope.level_count
@@ -516,7 +563,7 @@ def _open_distance(
     for key, _d, _u in _scope_steps(run, forward.pack, flat, forward.bound, forward.bounds):
         if dist[target] <= key:
             break
-    return dist[target]
+    return dist[target], run
 
 
 @dataclass
@@ -921,14 +968,14 @@ class DetourResult:
     ``bidirectional_s_dijkstra`` settled on both sides, on every network
     copy; ``scanned_detour`` the states and ``scanned_detour_vertices`` the
     distinct vertices per side the permit-state search settled (0 after
-    the static exit). A route the certificate answers (see ``_route``)
-    counts in both the vertices its two gate runs settled, which is 0 when
-    d_open is inf and the runs are never stepped. The runs stop at their
-    first meeting of sum d_open (see ``_certificate``), so they settle
-    fewer vertices than runs stepped until both keys pass d_open. Its
-    d_open run is not counted, as the permit-state search's gate and
-    record runs are not, nor the ``dijkstra`` runs that bound the
-    directions without the landmark table.
+    the static exit). A route the certificate answers with a walk (see
+    ``_route``) counts in both the vertices its d_open run and its two gate
+    runs settled: the d_open run's alone when the run's own walk is
+    certified and the gate runs are never stepped. A route whose d_open is
+    inf counts 0, as after the static exit. The permit-state search's gate
+    and record runs are not counted, nor the certificate's runs before it,
+    nor the ``dijkstra`` runs that bound the directions without the
+    landmark table.
     """
 
     walk: Walk | None
@@ -1004,16 +1051,18 @@ def _route(
     (``_certificate``). Every walk the detour relation accepts avoids the
     closed edges, so it costs at least d_open, the plain distance on the
     open weighting (``_open_distance``); the weights are positive integers,
-    so the sums are exact. When U, the gate runs' split minimum, equals
-    d_open, U's walk is a detour optimum that needs no permit, and the
-    route returns it, or the static walk if that is no dearer, without any
-    record run, grant or permit-state search. Among walks of equal cost it
-    can differ from the permit-state search's. With quasi-closures the
-    argument is the same. When d_open is inf no walk avoids the closed
-    edges, so the route returns the static walk, if its updated cost is
-    finite, or nothing, again with no record run or permit-state search.
-    Otherwise the gate runs, stepped that far, go on to the permit-state
-    search.
+    so the sums are exact. A walk of cost d_open that needs no permit is
+    then a detour optimum: first P, the d_open run's own tree walk, when it
+    passes its gates on its own running draws (``_own_draw_split``), else
+    U, the gate runs' split minimum, when it equals d_open. The route
+    returns it, or the static walk if that is no dearer, without any record
+    run, grant or permit-state search, and on P without stepping the gate
+    runs. Among walks of equal cost it can differ from the permit-state
+    search's. With quasi-closures the argument is the same. When d_open is
+    inf no walk avoids the closed edges, so the route returns the static
+    walk, if its updated cost is finite, or nothing, again with no record
+    run or permit-state search. Otherwise the gate runs, stepped that far,
+    go on to the permit-state search.
     """
     active = None if closures is None else _active_set(network, closures)
     res = DetourResult(None, INF, "unreachable")
@@ -1028,9 +1077,9 @@ def _route(
         if res.qc_added:
             closed = _weightings(network, qc.edges, derived.edges)
     directions = _directions(network, scope, closed, source, target, bounds)
-    certified = _certificate(network, scope, *directions) if closed.goal else None
+    certified, scanned = _certificate(network, scope, *directions) if closed.goal else (None, 0)
     if certified is not None:
-        res.scanned_detour = res.scanned_detour_vertices = certified.scanned_count
+        res.scanned_detour = res.scanned_detour_vertices = scanned
         walk, cost, permit_edges = certified.walk, certified.cost, ()
     else:
         ctx = _context(network, scope, closed, source, target, directions)

@@ -552,7 +552,9 @@ def balance_to_proper(network: RoadNetwork, scope: ScopeMapping) -> ScopeMapping
     only when that fails are its pieces found (``_scc_groups``). The passes
     run on the edge packs of ``scope``, cached for the searches that follow;
     a mapping that needs no promotion is returned as it is, so that they
-    find the packs under its level tuple by identity. The whole network is
+    find the packs under its level tuple by identity. After a promotion the
+    packs' rows that hold a promoted edge are rebuilt, and the packs cached
+    under the returned mapping's level tuple instead. The whole network is
     first tried for strong connectivity over its edges of finite base
     weight (``_strongly_connected``, cached for ``qc_closure``), which
     implies that it is routing-connected.
@@ -598,9 +600,18 @@ def balance_to_proper(network: RoadNetwork, scope: ScopeMapping) -> ScopeMapping
                 # Components already linked one-way by >=lv edges; nothing
                 # promotable contradicts the routing-connected precondition.
                 raise NetworkError("cannot balance scope mapping to proper")
-    if tuple(level) == scope.level:
+    promoted = tuple(level)
+    if promoted == scope.level:
         return scope
-    return ScopeMapping(tuple(level), scope.nu, scope.labels)
+    # Only the rows of a promoted edge's tail (forwards) and head (backwards)
+    # change.
+    changed = [e for e, lv in enumerate(scope.level) if promoted[e] != lv]
+    for graph, pack, ends in ((network, fwd, network.tails), (network.reverse(), bwd, network.heads)):
+        rows = list(pack)
+        for v in {ends[e] for e in changed}:
+            rows[v] = tuple((e, u, promoted[e]) for e, u, _lv in rows[v])
+        _level_cached(graph, "pack", promoted, lambda: rows)
+    return ScopeMapping(promoted, scope.nu, scope.labels)
 
 
 def _scc_groups(network: RoadNetwork, edge_ids) -> list[list[int]]:

@@ -680,15 +680,24 @@ def validate_s_admissible(
     if walk.start != source:
         return False
     w = network.weights(weighting) if isinstance(weighting, str) else weighting
-    sigma = list(initial) if initial is not None else [0.0] * scope.level_count
-    for e in walk.edges:
-        lv = scope.level[e]
-        if sigma[lv] > scope.nu[lv]:
-            return False
-        we = w[e]
+    sigma = initial if initial is not None else zero_vector(scope)
+    return all(_own_draw_flags(walk.edges, scope.level, w, scope.nu, sigma))
+
+
+def _own_draw_flags(edges, level, weights, nu, initial) -> list[bool]:
+    """Per edge of ``edges``, in order: whether its level's gate passes on
+    the walk's own running draw, ``initial`` plus the draw of the edges
+    before it (``add_draw`` summed, as ``validate_s_admissible`` reads it).
+    Given a walk's edges reversed, the flags of its reversal from the end."""
+    sigma = list(initial)
+    flags = []
+    for e in edges:
+        lv = level[e]
+        flags.append(sigma[lv] <= nu[lv])
+        we = weights[e]
         for i in range(lv):
             sigma[i] += we
-    return True
+    return flags
 
 
 @dataclass
@@ -741,7 +750,8 @@ def validate_split_admissible(
 
 
 def _split_exists(prefix_ok: list[bool], suffix_ok: list[bool]) -> bool:
-    """The split scan shared by the validators.
+    """The split scan shared by the validators and the certificate's
+    own-draw check (``detour._own_draw_split``).
 
     Given per-edge flags of a walk (may the edge sit in the prefix, may it
     sit in the suffix), true iff some split point ``j`` has every edge

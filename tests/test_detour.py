@@ -30,6 +30,7 @@ from scoperoute import (
     simple_detour_route,
     validate_full_detour,
     validate_simple_detour,
+    validate_split_admissible,
 )
 
 from scoperoute.network import add_draw, zero_vector
@@ -700,7 +701,9 @@ def test_certificate_stops_at_its_first_d_open_meeting(landmarks_at_once, monkey
     # with a key of at most d_open, where the runs once stepped on until
     # both keys passed it, and its walk passes the validator on a fresh
     # context with the route's closure set. A failed certificate still
-    # steps both runs past d_open before it hands them on.
+    # steps both runs past d_open before it hands them on. The own-draw
+    # check on the d_open run's walk rejects here, so that every
+    # certificate steps its gate runs.
     real_meeting = scoperoute.detour._goal_directed_meeting
     real_certificate = scoperoute.detour._certificate
     meetings, certified = [], []
@@ -711,9 +714,11 @@ def test_certificate_stops_at_its_first_d_open_meeting(landmarks_at_once, monkey
         return heads
 
     def certificate(*args):
-        certified.append(real_certificate(*args))
-        return certified[-1]
+        result = real_certificate(*args)
+        certified.append(result[0])
+        return result
 
+    monkeypatch.setattr(scoperoute.detour, "_own_draw_split", lambda *args: False)
     monkeypatch.setattr(scoperoute.detour, "_goal_directed_meeting", meeting)
     monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
     cases = [("tight", case) for case in filter(None, map(_tight_detour_case, range(600)))]
@@ -755,7 +760,9 @@ def test_certificate_scan_agrees_with_a_full_scan_of_its_gate_runs(landmarks_at_
     # over all n vertices, as they stand when it returns, decides the same:
     # a certified route costs the full scan's minimum, met at a vertex whose
     # labels sum to it, and a failed certificate's full scan stays above
-    # d_open. The meeting vertex may differ among those of equal sum.
+    # d_open. The meeting vertex may differ among those of equal sum. The
+    # own-draw check on the d_open run's walk rejects here, so that every
+    # certificate with a finite d_open steps its gate runs.
     real_open = scoperoute.detour._open_distance
     real_certificate = scoperoute.detour._certificate
     d_opens = []
@@ -767,8 +774,8 @@ def test_certificate_scan_agrees_with_a_full_scan_of_its_gate_runs(landmarks_at_
 
     def certificate(network, scope, forward, backward):
         del d_opens[:]
-        result = real_certificate(network, scope, forward, backward)
-        (d_open,) = d_opens
+        result, scanned = real_certificate(network, scope, forward, backward)
+        ((d_open, _run),) = d_opens
         full = full_split_minimum(forward.gate, backward.gate)
         if result is None:
             assert full.cost > d_open
@@ -781,8 +788,9 @@ def test_certificate_scan_agrees_with_a_full_scan_of_its_gate_runs(landmarks_at_
             assert result.cost == full.cost == d_open
             assert forward.gate.dist[meeting] + backward.gate.dist[meeting] == d_open
             tally["certified"] += 1
-        return result
+        return result, scanned
 
+    monkeypatch.setattr(scoperoute.detour, "_own_draw_split", lambda *args: False)
     monkeypatch.setattr(scoperoute.detour, "_open_distance", open_distance)
     monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
     cases = [bypass_network(random.Random(seed)) for seed in range(1500)]
@@ -791,6 +799,76 @@ def test_certificate_scan_agrees_with_a_full_scan_of_its_gate_runs(landmarks_at_
         for route in (simple_detour_route, enhanced_detour_route):
             route(net, scope, s, t)
     assert tally["certified"] >= 700 and min(tally.values()) >= 400, tally
+
+
+def test_own_draw_check_certifies_split_admissible_walks(landmarks_at_once, monkeypatch):
+    # The certificate first checks P, the d_open run's tree walk, on its
+    # own running draws (``_own_draw_split``). Wherever the check accepts
+    # P, P passes the split validator on drained runs on the open
+    # weighting, the route returns P (or the static walk, no dearer), a
+    # returned P passes the validator on a fresh context with the route's
+    # closure set, and the route's cost and class are those of a route
+    # whose check rejects every walk. Where the check rejects P, the gate
+    # runs still certify some walks and fail on others.
+    real_check = scoperoute.detour._own_draw_split
+    real_certificate = scoperoute.detour._certificate
+    checked, certified = [], []
+    disabled = [False]
+
+    def check(walk, scope, weights):
+        accepted = not disabled[0] and real_check(walk, scope, weights)
+        checked.append((walk, weights, accepted))
+        return accepted
+
+    def certificate(*args):
+        result = real_certificate(*args)
+        certified.append(result[0])
+        return result
+
+    monkeypatch.setattr(scoperoute.detour, "_own_draw_split", check)
+    monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
+    cases = [("bypass", bypass_network(random.Random(seed))) for seed in range(1500)]
+    cases += [("random", _closed_random_case(seed)) for seed in range(1500)]
+    cases += [("tight", case) for case in filter(None, map(_tight_detour_case, range(2000)))]
+    nf = generate_synthetic("grid", 50, 3, seed=42)
+    grid, grid_scope = nf.network, balance_to_proper(nf.network, nf.scope)
+    rng = random.Random(27)
+    for query in range(20):
+        walk = None
+        while walk is None or len(walk.edges) < 40:
+            s, t = rng.randrange(grid.vertex_count), rng.randrange(grid.vertex_count)
+            walk = bidirectional_s_dijkstra(grid, grid_scope, s, t).walk
+        updates, _ = place_random_closures(grid, grid_scope, walk, 50, seed=query)
+        cases.append(("grid", (grid.with_updated_weights(updates), grid_scope, s, t)))
+    tally = {}
+    for name, (net, scope, s, t) in cases:
+        for route, enhanced in ((simple_detour_route, False), (enhanced_detour_route, True)):
+            disabled[0] = False
+            del checked[:], certified[:]
+            res = route(net, scope, s, t)
+            if not checked:  # the static exit, no certificate, or d_open is inf
+                continue
+            ((walk, weights, accepted),) = checked
+            (result,) = certified
+            disabled[0] = True
+            plain = route(net, scope, s, t)
+            assert (res.klass, res.cost_updated) == (plain.klass, plain.cost_updated), (name, s, t)
+            if accepted:
+                forward = s_dijkstra(net, scope, s, weights)
+                backward = s_dijkstra(net.reverse(), scope, t, weights)
+                assert validate_split_admissible(walk, net, scope, s, t, weights, forward, backward)
+                assert result.walk == walk and result.cost == walk.cost(net, "updated")
+                if res.klass != "static":
+                    assert res.walk == walk, (name, s, t)
+                    assert scoperoute.detour._recheck_detour(walk, net, scope, enhanced, s, t)
+                outcome = "P"
+            else:
+                outcome = "gate runs" if result is not None else "neither"
+            tally[name, outcome] = tally.get((name, outcome), 0) + 1
+    assert tally.get(("grid", "P"), 0) >= 35 and tally.get(("random", "P"), 0) >= 200, tally
+    assert min(tally.get((name, "P"), 0) for name in ("bypass", "tight")) >= 500, tally
+    assert tally.get(("tight", "gate runs"), 0) >= 50, tally
+    assert min(tally.get((name, "neither"), 0) for name in ("bypass", "tight")) >= 100, tally
 
 
 class TestValidator:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scoperoute.network
 from scoperoute import (
     ClosureSet,
     NetworkError,
@@ -12,6 +13,7 @@ from scoperoute import (
     ScopeMapping,
     Walk,
     balance_to_proper,
+    bidirectional_s_dijkstra,
     build_network,
     contract_degree2_chains,
     derive_closures,
@@ -23,7 +25,13 @@ from scoperoute import (
     qc_closure,
     s_draw,
 )
-from scoperoute.network import _scc_groups, _shortest_edge_path_between, scope_from_labels
+from scoperoute.network import (
+    _edge_pack,
+    _pack,
+    _scc_groups,
+    _shortest_edge_path_between,
+    scope_from_labels,
+)
 
 INF = math.inf
 
@@ -537,3 +545,26 @@ def test_strong_connectivity_first_then_routing_connectivity(case, first):
     assert any(closure.edges for closure in found) == (n > 1)
     with pytest.raises(NetworkError, match="^unknown source vertex 3$"):
         qc_closure(net, scope, None, 3, 0)
+
+
+def test_promoting_balance_leaves_its_packs_for_the_searches(monkeypatch):
+    # A mapping that balance_to_proper must promote gets its two edge packs
+    # built once, in balance, and cached under the returned level tuple with
+    # the promoted edges' rows rebuilt: the first search builds none, and
+    # the cached packs are those a fresh build gives.
+    built = []
+
+    def counting(network, level):
+        built.append(level)
+        return _pack(network, level)
+
+    monkeypatch.setattr(scoperoute.network, "_pack", counting)
+    nf = generate_synthetic("grid", 50, 3, 42, oneway=True)
+    net = nf.network
+    balanced = balance_to_proper(net, nf.scope)
+    assert balanced != nf.scope and len(built) == 2
+    del built[:]
+    bidirectional_s_dijkstra(net, balanced, 0, net.vertex_count - 1)
+    assert built == []
+    for graph in (net, net.reverse()):
+        assert _edge_pack(graph, balanced) == _pack(graph, balanced.level)

@@ -604,18 +604,35 @@ def test_static_runs_mark_their_final_labels(table, request, monkeypatch):
     assert stepped > 2500 and short > 200 and ended > 400, (stepped, short, ended)
 
 
+def test_closing_an_edge_can_lower_a_scoped_distance():
+    # Scoped labels are not monotone in the weights. Edge 0 (0 -> 1) is the
+    # cheapest way to 1, but at level 1 it draws 1 from the level-0 budget
+    # of 0.5, so 1 cannot take its level-0 edge to 2, and 2 is reached only
+    # through 4, at 100. Closing edge 0 leaves 0 -> 3 -> 1 the cheapest way
+    # to 1, at no draw, and 2 is reached at 6.
+    net = build_network(5, [(0, 1), (0, 3), (3, 1), (1, 2), (0, 4), (4, 2)], [1, 2, 3, 1, 50, 50])
+    scope = make_scope([1, 0, 0, 0, 0, 0], [0.5, INF])
+    assert s_dijkstra(net, scope, 0).dist[2] == 100
+    closed = net.with_updated_weights({0: INF})
+    assert s_dijkstra(closed, scope, 0, "updated").dist[2] == 6
+
+
 def test_certificate_gate_runs_mark_their_final_labels(monkeypatch):
     # The detour routes step their gate runs lazily, first in the
     # certificate, then where the permit-state search reads them; each run
-    # marks its final labels as it goes, whoever steps it.
+    # marks its final labels as it goes, whoever steps it. The own-draw
+    # check on the d_open run's walk rejects here, so that every
+    # certificate steps its gate runs.
     log = _marking_runs(monkeypatch, [scoperoute.search, scoperoute.detour])
     certified = []
     real_certificate = scoperoute.detour._certificate
 
     def certificate(*args):
-        certified.append(real_certificate(*args))
-        return certified[-1]
+        result = real_certificate(*args)
+        certified.append(result[0])
+        return result
 
+    monkeypatch.setattr(scoperoute.detour, "_own_draw_split", lambda *args: False)
     monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
     rng = random.Random("marks/certificate")
     for _ in range(600):

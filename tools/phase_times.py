@@ -31,11 +31,14 @@ before it ``_weightings`` built the record weighting on every failed
 exit). "record
 runs" are the two drained record searches (``_drained_runs``). "gate runs" are ``_direction``, which drains a gate run or sets up a
 lazy one, and ``_settle_gate``, which steps a lazy one from inside the
-state search. "certificate" is ``_certificate``: stepping both lazy gate
-runs until their keys pass d_open, and their split minimum (in versions
-before the runs marked their own final labels, also the hand-off marks
-when it fails); "d_open run" is ``_open_distance``, the plain
-goal-directed run from the start that gives d_open. "quasi-closure" is
+state search. "certificate" is ``_certificate``: where the d_open run's
+own walk fails its check, stepping both lazy gate runs until their keys
+pass d_open, and their split minimum (in versions before the runs marked
+their own final labels, also the hand-off marks when it fails; in versions
+before the own-draw check, on every failed exit); "own-draw check" is
+``_own_draw_split``, the check of the d_open run's own walk on its
+running draws from either end; "d_open run" is ``_open_distance``, the
+plain goal-directed run from the start that gives d_open. "quasi-closure" is
 ``_quasi_closure``, the enhanced route's growth of the closure set; it
 reads 0 on the simple route.
 "potentials" are the detour module's ``dijkstra`` runs, the exact open-network
@@ -110,6 +113,7 @@ PHASES = {
     ("detour", "dijkstra"): "potentials",
     ("detour", "_state_search_halves"): "state search",
     ("detour", "_certificate"): "certificate",
+    ("detour", "_own_draw_split"): "own-draw check",
     ("detour", "_open_distance"): "d_open run",
     ("detour", "_quasi_closure"): "quasi-closure",
     ("search", "_build_landmark_rows"): "landmark build",
