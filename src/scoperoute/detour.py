@@ -52,12 +52,18 @@ and costs the plain open-weight distance d_open, so that no walk is
 cheaper and no record is built. The plain run that finds d_open leaves a
 tree walk of that cost; when it splits into a prefix and a suffix whose
 edges pass their gates on the walk's own running draws from either end,
-the drained gate runs pass them too, and the gate runs are not stepped.
-Otherwise the gate runs are stepped until their split minimum is d_open,
-stopping at their first meeting of that sum, since no meeting can be
-cheaper, or until it cannot be. When d_open is infinite no walk is
-accepted at all. The corridor-clean masks are built only for the
+the drained gate runs pass them too, and no gate run or grant list is
+made: the d_open run reads only the forward pack and bound and the open
+weights. Otherwise the gate runs are made and stepped until their split
+minimum is d_open, stopping at their first meeting of that sum, since no
+meeting can be cheaper, or until it cannot be. When d_open is infinite no
+walk is accepted at all. The corridor-clean masks are built only for the
 permit-state search.
+
+A query allocates only what it reads: the open weighting is the
+network's own updated weights wherever those already close every edge
+treated as closed (``_weightings``), and a run's final marks are one byte
+per vertex (``ScopeSearchResult.final``).
 
 The search explores (vertex, carried-permit mask, owed-permit mask) states
 in both directions, each goal-directed by its direction's bound. A state
@@ -290,9 +296,12 @@ def find_obstructed(
 @dataclass(frozen=True)
 class _Weightings:
     """The set treated as closed, ``active``, and what the searches read of
-    it: ``open``, the updated weights with ``active`` at infinity (gate runs,
-    state search, quasi-closure; the record runs read it through
-    ``_record_weighting``); ``goal``, whether searches on ``open`` may be
+    it: ``open``, the updated weights with ``active`` at infinity (d_open
+    run, gate runs, state search, quasi-closure; the record runs read it
+    through ``_record_weighting``), which is the network's own
+    ``weight_updated`` tuple when every edge of ``active`` is already
+    infinite there, as the simple route's always is, and else a copy, so
+    that nothing may write to it; ``goal``, whether searches on ``open`` may be
     goal-directed with exact sums, with or without the landmark table
     (``search._goal_directed``, decided on the base weights as
     ``build_network`` measured them and on the raised edges ``_weightings``
@@ -301,15 +310,17 @@ class _Weightings:
     the raised edges (``None`` without them)."""
 
     active: frozenset[int]
-    open: list[float]
+    open: tuple[float, ...] | list[float]
     goal: bool
     cut: tuple[int, ...] | None
 
 
 def _weightings(network: RoadNetwork, active: frozenset[int], raised=None) -> _Weightings:
-    open_w = list(network.weight_updated)
-    for e in active:
-        open_w[e] = INF
+    open_w = network.weight_updated
+    if any(open_w[e] != INF for e in active):
+        open_w = list(open_w)
+        for e in active:
+            open_w[e] = INF
     if raised is None:
         return _Weightings(active, open_w, False, None)
     goal = _goal_directed(network, [open_w[e] for e in raised])
@@ -321,9 +332,9 @@ def _weightings(network: RoadNetwork, active: frozenset[int], raised=None) -> _W
 
 
 def _record_weighting(network: RoadNetwork, closed: _Weightings) -> list[float]:
-    """The record runs' weights: ``closed.open`` with its closed edges at
-    base weight, built only where records are read."""
-    record = closed.open.copy()
+    """The record runs' weights: a copy of ``closed.open`` with its closed
+    edges at base weight, built only where records are read."""
+    record = list(closed.open)
     base = network.weight
     for e in closed.active:
         record[e] = base[e]
@@ -331,7 +342,7 @@ def _record_weighting(network: RoadNetwork, closed: _Weightings) -> list[float]:
 
 
 def _drained_runs(
-    network: RoadNetwork, scope: ScopeMapping, source: int, target: int, weights: list[float]
+    network: RoadNetwork, scope: ScopeMapping, source: int, target: int, weights
 ) -> tuple[ScopeSearchResult, ScopeSearchResult]:
     """The record runs: drained scope-aware runs from ``source`` and,
     reversed, from ``target``, on the record weighting ``weights``."""
@@ -406,9 +417,12 @@ class _Direction:
     landmark bound, in a route into the list the static search's side of
     this direction filled (see ``search._bidirectional_search``), or
     without the table the exact distance in a route and 0 in
-    ``build_detour_context``, every value evaluated (see ``_directions``).
-    The gate run, the certificate's plain run (forwards) and the
-    permit-state half of this direction go on filling the same list.
+    ``build_detour_context``, every value evaluated (see ``_potentials``).
+    The gate run and the permit-state half of this direction go on
+    filling the list that the certificate's d_open run (forwards) filled
+    before them. A route builds its directions only once it needs a gate
+    run: when the d_open run's own walk fails its check
+    (``_certificate``), or where the gate runs are drained.
     ``gate`` is the run from the endpoint on the open weighting, read through ``_usable``:
     drained, or lazy while ``steps`` holds the rest of a run goal-directed
     by ``bound``, in which case a label is final only where the run has
@@ -462,18 +476,30 @@ def _settle_gate(direction: _Direction, v: int) -> None:
 
 
 def _certificate(
-    network: RoadNetwork, scope: ScopeMapping, forward: _Direction, backward: _Direction
-) -> tuple[BidirectionalResult | None, int]:
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    closed: _Weightings,
+    source: int,
+    target: int,
+    potentials: tuple,
+) -> tuple[BidirectionalResult | None, int, tuple[_Direction, _Direction] | None]:
     """A detour optimum that needs no permit, when one costs d_open (see
-    ``_route``), or ``None``; and the vertices its searches settled.
+    ``_route``), or ``None``; the vertices its searches settled; and the
+    two directions, built only when the gate runs were needed.
+
+    ``potentials`` are the directions' bounds (``_potentials``); the
+    weights must be positive integers (``closed.goal``). The d_open run
+    reads only the forward pack, the forward bound and its list, and the
+    open weights, so the directions, with their gate runs and grant lists,
+    are built only when P fails.
 
     When d_open is inf no walk avoids the closed edges, so no walk is
-    accepted: the result has no walk and cost inf, the gate runs are not
-    stepped, and the count is 0, as after the static exit.
+    accepted: the result has no walk and cost inf, no gate run is made,
+    and the count is 0, as after the static exit.
 
     First P, the d_open run's tree walk to the target
     (``_open_distance``): when it passes ``_own_draw_split``, P is the
-    result, and the gate runs are not stepped. Every prefix of P is a tree
+    result, and no gate run is made. Every prefix of P is a tree
     walk of a plain run, so a plain shortest walk, and a scoped distance is
     never below the plain one on the same weights. The check finds a split
     such that each edge before it passes its gate on the running draw of
@@ -486,9 +512,11 @@ def _certificate(
     and its draw bounds the merged one. So each prefix edge is usable from
     the start (``search._usable``), and likewise each suffix edge usable
     backwards from the target: P is split-admissible on the open
-    weighting, needs no permit, and costs d_open.
+    weighting, needs no permit, and costs d_open. A P result's ``forward``
+    is the d_open run and its ``backward`` is ``None``.
 
-    Else the lazy gate runs are stepped as ``bidirectional_s_dijkstra``
+    Else both directions are built (``_directions``), and their lazy gate
+    runs are stepped as ``bidirectional_s_dijkstra``
     steps its goal-directed runs, until both keys pass d_open; U, their
     split minimum, is then d_open if the drained runs' split minimum is.
     They stop earlier, at their first meeting of sum d_open
@@ -514,18 +542,22 @@ def _certificate(
     the vertices it settled and its pending head, or every vertex if it
     ended.
     """
-    d_open, plain = _open_distance(network, scope, forward, backward.gate.source)
-    runs = (forward.gate, backward.gate)
+    to_target, _to_source, (forward_bounds, _backward_bounds) = potentials
+    d_open, plain = _open_distance(
+        network, scope, source, target, closed.open, to_target, forward_bounds
+    )
     if d_open == INF:
-        return BidirectionalResult(None, INF, None, *runs), 0
-    walk = plain.walk_to(backward.gate.source)
-    if _own_draw_split(walk, scope, forward.gate._weights):
-        return BidirectionalResult(walk, d_open, None, *runs), plain.scanned_count
+        return BidirectionalResult(None, INF, None, plain, None), 0, None
+    walk = plain.walk_to(target)
+    if _own_draw_split(walk, scope, closed.open):
+        return BidirectionalResult(walk, d_open, None, plain, None), plain.scanned_count, None
+    forward, backward = directions = _directions(network, scope, closed, source, target, potentials)
+    runs = (forward.gate, backward.gate)
     heads = _goal_directed_meeting(runs, (forward.steps, backward.steps), d_open, d_open)
     pending = [head[2] for head in heads if head is not None]
     split = _split_minimum(*runs, forward.gate.order + backward.gate.order + pending)
     scanned = plain.scanned_count + split.scanned_count
-    return (split if split.cost == d_open else None), scanned
+    return (split if split.cost == d_open else None), scanned, directions
 
 
 def _own_draw_split(walk: Walk, scope: ScopeMapping, weights) -> bool:
@@ -543,24 +575,30 @@ def _own_draw_split(walk: Walk, scope: ScopeMapping, weights) -> bool:
 
 
 def _open_distance(
-    network: RoadNetwork, scope: ScopeMapping, forward: _Direction, target: int
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    source: int,
+    target: int,
+    weights,
+    bound: Callable[[int], float],
+    bounds: list[float],
 ) -> tuple[float, ScopeSearchResult]:
-    """d_open, the plain distance from the forward gate run's source to
-    ``target`` on its weights, the open weighting, scope ignored; and the
-    run that found it, whose tree walk to ``target`` costs d_open.
+    """d_open, the plain distance from ``source`` to ``target`` on
+    ``weights``, the open weighting, scope ignored; and the run that found
+    it, whose tree walk to ``target`` costs d_open.
 
-    A run of ``_scope_steps`` with every budget infinite, so no gate ever
-    closes, goal-directed by ``forward.bound`` into the shared
-    ``forward.bounds``. The bound is consistent and 0 at ``target``, so
-    keys never fall and ``target`` would settle at key d_open: the run
-    stops once the head's key reaches ``target``'s distance label. Every
-    vertex of the tree walk to ``target`` before it has settled, so each
-    prefix of that walk is a plain shortest walk.
+    A run of ``_scope_steps`` on the forward pack with every budget
+    infinite, so no gate ever closes, goal-directed by the forward
+    direction's ``bound`` into its list ``bounds``. The bound is consistent
+    and 0 at ``target``, so keys never fall and ``target`` would settle at
+    key d_open: the run stops once the head's key reaches ``target``'s
+    distance label. Every vertex of the tree walk to ``target`` before it
+    has settled, so each prefix of that walk is a plain shortest walk.
     """
-    run = _scope_run(network, scope, forward.gate.source, forward.gate._weights)
+    run = _scope_run(network, scope, source, weights)
     flat = (INF,) * scope.level_count
     dist = run.dist
-    for key, _d, _u in _scope_steps(run, forward.pack, flat, forward.bound, forward.bounds):
+    for key, _d, _u in _scope_steps(run, _edge_pack(network, scope), flat, bound, bounds):
         if dist[target] <= key:
             break
     return dist[target], run
@@ -584,7 +622,7 @@ class DetourContext:
     source: int
     target: int
     record_runs: tuple[ScopeSearchResult, ScopeSearchResult]
-    weights: list[float]
+    weights: tuple[float, ...] | list[float]
     forward: _Direction
     backward: _Direction
 
@@ -608,19 +646,19 @@ def build_detour_context(
     return _context(network, scope, closed, source, target)
 
 
-def _directions(
+def _potentials(
     network: RoadNetwork,
-    scope: ScopeMapping,
     closed: _Weightings,
     source: int,
     target: int,
-    bounds: tuple[list[float], list[float]] | None = None,
     exact: bool = True,
-) -> tuple[_Direction, _Direction]:
-    """The forward and the backward direction, each bounded towards its far
-    end. With the landmark table the bounds are its potentials of ``source``
-    and ``target``, into ``bounds``, the static search's two bound lists on
-    them where given, else into fresh lists. Without it they are, if
+) -> tuple[Callable[[int], float], Callable[[int], float], tuple[list[float], list[float]]]:
+    """The forward direction's bound towards ``target``, the backward one's
+    towards ``source``, and the two lists of their values, where a route's
+    static search has not left them (see ``_route``).
+
+    With the landmark table the bounds are its potentials of ``source`` and
+    ``target``, into fresh lists. Without it they are, if
     ``exact``, the exact distances to ``target`` and from ``source`` on the
     open weighting, two whole ``dijkstra`` runs: consistent on it, and
     infinite where the far end cannot be reached. Otherwise they are 0
@@ -636,8 +674,22 @@ def _directions(
         else:
             bounds = ([0.0] * network.vertex_count, [0.0] * network.vertex_count)
         to_target, to_source = bounds[0].__getitem__, bounds[1].__getitem__
-    elif bounds is None:
+    else:
         bounds = ([-1.0] * network.vertex_count, [-1.0] * network.vertex_count)
+    return to_target, to_source, bounds
+
+
+def _directions(
+    network: RoadNetwork,
+    scope: ScopeMapping,
+    closed: _Weightings,
+    source: int,
+    target: int,
+    potentials: tuple,
+) -> tuple[_Direction, _Direction]:
+    """The forward and the backward direction, each bounded towards its far
+    end by ``potentials`` (``_potentials``)."""
+    to_target, to_source, bounds = potentials
     return (
         _direction(network, scope, source, closed, to_target, bounds[0]),
         _direction(network.reverse(), scope, target, closed, to_source, bounds[1]),
@@ -658,7 +710,8 @@ def _context(
     masks."""
     record_runs = _drained_runs(network, scope, source, target, _record_weighting(network, closed))
     forward, backward = directions or _directions(
-        network, scope, closed, source, target, exact=False
+        network, scope, closed, source, target,
+        _potentials(network, closed, source, target, exact=False),
     )
     forward = replace(forward, clean=_clean_masks(network, scope, closed.active))
     backward = replace(backward, clean=_clean_masks(network.reverse(), scope, closed.active))
@@ -971,7 +1024,7 @@ class DetourResult:
     the static exit). A route the certificate answers with a walk (see
     ``_route``) counts in both the vertices its d_open run and its two gate
     runs settled: the d_open run's alone when the run's own walk is
-    certified and the gate runs are never stepped. A route whose d_open is
+    certified and no gate run is made. A route whose d_open is
     inf counts 0, as after the static exit. The permit-state search's gate
     and record runs are not counted, nor the certificate's runs before it,
     nor the ``dijkstra`` runs that bound the directions without the
@@ -1019,19 +1072,20 @@ def _route(
 ) -> DetourResult:
     """The detour steps in order: static result and early exit, the closure
     set and its weightings, grown by the quasi-closure when ``enhanced``
-    (the weightings are built again only if it adds an edge), both
-    directions with their bounds, the certificate where the weights allow
-    it, else record runs, then the rest of the context and the permit-state
-    search. The weights alone choose these steps; the landmark table only
-    tightens the directions' bounds.
+    (the weightings are built again only if it adds an edge), the
+    directions' bounds, the certificate where the weights allow it, else
+    both directions with their gate runs, the record runs, then the rest of
+    the context and the permit-state search. The weights alone choose these
+    steps; the landmark table only tightens the directions' bounds.
 
     A caller's ``closures`` are read once, before the static search, so an
     unknown edge id raises ``NetworkError`` even on the static exit and a
     one-shot iterable is not used up. After a failed exit the raised edges
     the network recorded (``derive_closures``, O(raised)) give the closure
     set and its open weighting (``_weightings``), which everything after
-    reads; the record runs' weighting is built only on the permit path
-    (``_record_weighting``).
+    reads: the network's own updated weights, with no copy, when they
+    already close every edge of the set; the record runs' weighting is
+    built only on the permit path (``_record_weighting``).
 
     The static result comes from ``bidirectional_s_dijkstra``'s search on
     the base weights of every copy, goal-directed once the network has its
@@ -1039,11 +1093,12 @@ def _route(
     drained base-weight runs, walk included, at a fraction of their settled
     vertices; the drained runs follow only a failed exit, as record runs.
     The landmark bounds depend only on the table and the endpoints, so the
-    static search's two per-vertex bound lists go on to the directions
-    (``_directions``): the d_open run, the gate runs and the permit-state
-    halves evaluate only the bounds the static search left unevaluated.
-    Without the table the directions' bounds are the exact open-network
-    distances instead. Where the open weights are positive integers
+    static search's two potentials and per-vertex bound lists go on to the
+    directions: the d_open run, the gate runs and the permit-state halves
+    evaluate only the bounds the static search left unevaluated, and the
+    table's terms are ranked once per route. Without the table the
+    directions' bounds are the exact open-network distances instead
+    (``_potentials``). Where the open weights are positive integers
     (``_Weightings.goal``) the gate runs are lazy, with the drained runs'
     labels wherever the search reads them.
 
@@ -1056,8 +1111,8 @@ def _route(
     passes its gates on its own running draws (``_own_draw_split``), else
     U, the gate runs' split minimum, when it equals d_open. The route
     returns it, or the static walk if that is no dearer, without any record
-    run, grant or permit-state search, and on P without stepping the gate
-    runs. Among walks of equal cost it can differ from the permit-state
+    run, grant or permit-state search, and on P without making a gate run
+    or a grant list. Among walks of equal cost it can differ from the permit-state
     search's. With quasi-closures the argument is the same. When d_open is
     inf no walk avoids the closed edges, so the route returns the static
     walk, if its updated cost is finite, or nothing, again with no record
@@ -1066,7 +1121,7 @@ def _route(
     """
     active = None if closures is None else _active_set(network, closures)
     res = DetourResult(None, INF, "unreachable")
-    static, bounds = _bidirectional_search(network, scope, source, target)
+    static, static_potentials = _bidirectional_search(network, scope, source, target)
     if _static_exit(res, network, static):
         return res
     derived = derive_closures(network)
@@ -1076,12 +1131,17 @@ def _route(
         res.qc_iterations, res.qc_added = qc.iterations, len(qc.edges) - len(closed.active)
         if res.qc_added:
             closed = _weightings(network, qc.edges, derived.edges)
-    directions = _directions(network, scope, closed, source, target, bounds)
-    certified, scanned = _certificate(network, scope, *directions) if closed.goal else (None, 0)
+    potentials = static_potentials or _potentials(network, closed, source, target)
+    certified = directions = None
+    if closed.goal:
+        certified, scanned, directions = _certificate(
+            network, scope, closed, source, target, potentials
+        )
     if certified is not None:
         res.scanned_detour = res.scanned_detour_vertices = scanned
         walk, cost, permit_edges = certified.walk, certified.cost, ()
     else:
+        directions = directions or _directions(network, scope, closed, source, target, potentials)
         ctx = _context(network, scope, closed, source, target, directions)
         fwd, bwd, meeting = _state_search_halves(ctx)
         res.scanned_detour = sum(len(here) for half in (fwd, bwd) for here in half.settled.values())

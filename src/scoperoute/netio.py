@@ -49,13 +49,18 @@ class NetworkFile:
 
 
 def _parse_number(token: str, line_no: int) -> float:
+    """``token`` as a float. Only the token ``inf`` reads as infinite: any
+    other spelling that ``float`` reads as infinite (``Infinity``, ``+inf``,
+    ``-inf``, or one too large, such as ``1e400``) is a bad number, as NaN
+    is, so that a weight written as finite never closes an edge and every
+    value read writes back as it was read."""
     if token == "inf":
         return INF
     try:
         value = float(token)
     except ValueError:
         raise ParseError(line_no, f"bad number {token!r}") from None
-    if math.isnan(value):
+    if not math.isfinite(value):
         raise ParseError(line_no, f"bad number {token!r}")
     return value
 

@@ -128,9 +128,10 @@ class ScopeSearchResult(_ParentTree):
     are measured from, is summed along that order with the relaxed weights
     ``_weights``.
 
-    ``final`` marks the vertices whose labels the run has made final: those
-    in ``order``, the pending head it has yielded but not settled yet, and,
-    once its queue is empty, every vertex (see ``_scope_steps``).
+    ``final``, one byte per vertex, marks with 1 the vertices whose labels
+    the run has made final: those in ``order``, the pending head it has
+    yielded but not settled yet, and, once its queue is empty, every vertex
+    (see ``_scope_steps``).
     """
 
     source: int
@@ -138,7 +139,7 @@ class ScopeSearchResult(_ParentTree):
     parent_edge: list[int | None]
     sigma: list[tuple[float, ...]]
     order: list[int]
-    final: list[bool]
+    final: bytearray
     relaxed_count: int = 0
     _tails: tuple[int, ...] = ()
     _weights: tuple[float, ...] | list[float] = ()
@@ -161,7 +162,7 @@ def _scope_run(
     scope.validate(network)
     n = network.vertex_count
     res = ScopeSearchResult(
-        source, [INF] * n, [None] * n, [inf_vector(scope)] * n, [], [False] * n
+        source, [INF] * n, [None] * n, [inf_vector(scope)] * n, [], bytearray(n)
     )
     res._tails = network.tails
     res._weights = network.weights(weighting) if isinstance(weighting, str) else weighting
@@ -235,7 +236,7 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
                 d, u = head
             if done[u] or d > dist[u]:
                 continue
-            done[u] = True
+            done[u] = 1
             yield head
             settle(u)
             sig_u = sigma[u]
@@ -269,7 +270,7 @@ def _scope_steps(res: ScopeSearchResult, pack, nu, potential=None, bounds=None):
                         t = tails[parent[v]]
                         if d < dist[t] or (d == dist[t] and u < t):
                             parent[v] = e
-        done[:] = [True] * len(done)
+        done[:] = b"\x01" * len(done)
     finally:
         res.relaxed_count = relaxed
 
@@ -298,13 +299,17 @@ def is_saturated(sigma: tuple[float, ...], scope: ScopeMapping) -> bool:
 
 @dataclass
 class BidirectionalResult:
-    """Split-minimal result of a forward and a reverse scope-aware run."""
+    """Split-minimal result of a forward and a reverse scope-aware run.
+
+    The detour certificate also answers from its forward d_open run alone,
+    with ``backward`` ``None`` (see ``detour._certificate``).
+    """
 
     walk: Walk | None
     cost: float
     meeting: int | None
     forward: ScopeSearchResult
-    backward: ScopeSearchResult
+    backward: ScopeSearchResult | None
 
     @property
     def scanned_count(self) -> int:
@@ -383,12 +388,13 @@ _FAR = 2**31 - 1
 
 
 def _landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
-    """Per-vertex landmark rows on the base weights, built once the network
-    has served ``_PLAIN_SEARCHES`` static searches without them.
+    """The landmark table's columns on the base weights (see
+    ``_build_landmark_rows``), built once the network has served
+    ``_PLAIN_SEARCHES`` static searches without them.
 
-    Each call is one static search; the count and the rows are cached in
+    Each call is one static search; the count and the table are cached in
     ``_aux``, which every weight variant of the network shares, as they
-    share ``weight``, the only weights the rows depend on. ``None`` while
+    share ``weight``, the only weights the table depends on. ``None`` while
     the count runs, and for good when the base weights are not positive
     integers or their distances can reach int32's largest value.
     """
@@ -412,15 +418,19 @@ def _landmarks_now(network: RoadNetwork) -> None:
 
 
 def _build_landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
-    """Row ``v``, a tuple, holds ``d(L, v)`` for each landmark ``L``, then
-    ``-d(v, L)``, then a trailing ``0``, which floors every bound read off
-    two rows at 0 (see ``_landmark_potentials``); an unreachable entry is
-    int32's largest value, as ``_FAR`` or ``-_FAR``.
+    """The landmark table, one column per term: a tuple of ``d(L, v)`` over
+    the vertices ``v`` for each landmark ``L``, then one of ``-d(v, L)`` for
+    each, then a column of zeros, which floors every bound at 0 (see
+    ``_landmark_potentials``); an unreachable entry is int32's largest
+    value, as ``_FAR`` or ``-_FAR``.
 
-    Equal entries are one int object: the acceptance grid's rows hold 705
-    distinct values, so its 2500 rows of 49 entries take about 1.1 MB,
-    against about 2.9 MB with an int object per entry (``sys.getsizeof``,
-    CPython 3.11).
+    A query reads 8 terms at each vertex it bounds, so as columns its reads
+    fall in the 8 tuples it chose, where nearby vertex ids share memory,
+    instead of in a whole 49-entry row per vertex. Equal entries are one int object: the acceptance grid's
+    table holds 705 distinct values, so its 49 columns of 2500 entries take
+    about 1.0 MB, and its build peaks at 1.5 MB of allocations
+    (``tracemalloc``, CPython 3.11); as 2500 rows of 49 they took 1.1 MB
+    and peaked at 4.5 MB, and with an int object per entry about 2.9 MB.
 
     The landmarks are chosen farthest-point: each next one maximises the
     smallest round trip to those already chosen.
@@ -430,20 +440,22 @@ def _build_landmark_rows(network: RoadNetwork) -> list[tuple[int, ...]] | None:
         return None
     k = min(_LANDMARKS, n)
     rev = network.reverse()
-    out_columns: list[list[int]] = []
-    back_columns: list[list[int]] = []
+    intern = {}.setdefault
+    out_columns: list[tuple[int, ...]] = []
+    back_columns: list[tuple[int, ...]] = []
     first = dijkstra(network, "base", 0).dist
     landmark = max(range(n), key=lambda v: (first[v] < INF, first[v], -v))
     round_trip = [INF] * n
     for _ in range(k):
         out = dijkstra(network, "base", landmark).dist
         back = dijkstra(rev, "base", landmark).dist
-        out_columns.append([int(x) if x < INF else _FAR for x in out])
-        back_columns.append([-int(x) if x < INF else -_FAR for x in back])
+        column = [int(x) if x < INF else _FAR for x in out]
+        out_columns.append(tuple(map(intern, column, column)))
+        column = [-int(x) if x < INF else -_FAR for x in back]
+        back_columns.append(tuple(map(intern, column, column)))
         round_trip = list(map(min, round_trip, map(add, out, back)))
         landmark = max(range(n), key=lambda v: (round_trip[v], -v))
-    intern = {}.setdefault
-    return [(*map(intern, row, row), 0) for row in zip(*out_columns, *back_columns)]
+    return out_columns + back_columns + [(0,) * n]
 
 
 def _goal_directed(network: RoadNetwork, raised) -> bool:
@@ -487,39 +499,36 @@ def _landmark_potentials(network: RoadNetwork, source: int, target: int):
 
     Reading the table neither counts a static search nor builds it. By the
     triangle inequality, ``d(x, y)`` is at least ``d(L, y) - d(L, x)`` and
-    ``d(x, L) - d(y, L)`` for every landmark ``L``: row ``y`` minus row
-    ``x``, entry by entry (see ``_build_landmark_rows``), each entry a term.
-    Every term is a consistent lower bound, and so is the largest of any of
-    them. A bound reads the ``_TERMS`` terms largest on ``(source,
-    target)``, the earlier one in the row on ties: a term's value there,
-    ``at_t[i] - at_s[i]``, is its bound at the start of either side, so one
-    ranking serves both. A table with fewer terms pads them with its
-    trailing ``0`` term. A bound is the largest of the terms read and 0,
-    so never negative, and an int. Fewer terms give lower bounds away
-    from the start, so the searches settle more vertices than with every
-    term, but each bound costs a fraction; ``bidirectional_s_dijkstra``
-    returns the same on every consistent bound.
+    ``d(x, L) - d(y, L)`` for every landmark ``L``: a column's entry at
+    ``y`` minus its entry at ``x`` (see ``_build_landmark_rows``), each
+    column a term. Every term is a consistent lower bound, and so is the
+    largest of any of them. A bound reads the ``_TERMS`` terms largest on
+    ``(source, target)``, the earlier column on ties: a term's value there,
+    ``col[target] - col[source]``, is its bound at the start of either
+    side, so one ranking serves both. A table with fewer terms pads them
+    with its zero column. A bound is the largest of the terms read and 0,
+    so never negative, and an int. Fewer terms give lower bounds away from
+    the start, so the searches settle more vertices than with every term,
+    but each bound costs a fraction; ``bidirectional_s_dijkstra`` returns
+    the same on every consistent bound.
     """
-    rows = network._aux.get("landmarks")
-    if rows is None:
+    columns = network._aux.get("landmarks")
+    if columns is None:
         return None, None
-    at_t, at_s = rows[target], rows[source]
-    terms = sorted(range(len(at_t)), key=lambda i: at_s[i] - at_t[i])[:_TERMS]
-    terms += [len(at_t) - 1] * (_TERMS - len(terms))
+    terms = sorted(columns, key=lambda col: col[source] - col[target])[:_TERMS]
+    terms += [columns[-1]] * (_TERMS - len(terms))
     # Written out for the _TERMS = 8 terms: about half the time of a map.
-    i0, i1, i2, i3, i4, i5, i6, i7 = terms
-    t0, t1, t2, t3, t4, t5, t6, t7 = (at_t[i] for i in terms)
-    s0, s1, s2, s3, s4, s5, s6, s7 = (at_s[i] for i in terms)
+    c0, c1, c2, c3, c4, c5, c6, c7 = terms
+    t0, t1, t2, t3, t4, t5, t6, t7 = (col[target] for col in terms)
+    s0, s1, s2, s3, s4, s5, s6, s7 = (col[source] for col in terms)
 
     def toward_target(v: int) -> int:
-        r = rows[v]
-        return max(t0 - r[i0], t1 - r[i1], t2 - r[i2], t3 - r[i3],
-                   t4 - r[i4], t5 - r[i5], t6 - r[i6], t7 - r[i7], 0)
+        return max(t0 - c0[v], t1 - c1[v], t2 - c2[v], t3 - c3[v],
+                   t4 - c4[v], t5 - c5[v], t6 - c6[v], t7 - c7[v], 0)
 
     def toward_source(v: int) -> int:
-        r = rows[v]
-        return max(r[i0] - s0, r[i1] - s1, r[i2] - s2, r[i3] - s3,
-                   r[i4] - s4, r[i5] - s5, r[i6] - s6, r[i7] - s7, 0)
+        return max(c0[v] - s0, c1[v] - s1, c2[v] - s2, c3[v] - s3,
+                   c4[v] - s4, c5[v] - s5, c6[v] - s6, c7[v] - s7, 0)
 
     return toward_target, toward_source
 
@@ -564,14 +573,17 @@ def _bidirectional_search(
     source: int,
     target: int,
     weighting: str = "base",
-) -> tuple[BidirectionalResult, tuple[list[float], list[float]] | None]:
+) -> tuple[BidirectionalResult, tuple | None]:
     """``bidirectional_s_dijkstra``'s result and, when it was goal-directed,
-    the per-vertex bound lists of its two sides as ``_scope_steps`` leaves
-    them: the forward one towards ``target``, the backward one towards
-    ``source``, ``-1.0`` where not evaluated. ``None`` for a plain search.
+    its two potentials, the forward one towards ``target`` and the backward
+    one towards ``source``, with the per-vertex bound lists of its two sides
+    as ``_scope_steps`` leaves them, ``-1.0`` where not evaluated:
+    ``(toward_target, toward_source, (forward_bounds, backward_bounds))``.
+    ``None`` for a plain search.
 
-    The bounds are ``_landmark_potentials(network, source, target)``'s, so
-    a later search on the same table and endpoints may go on filling them.
+    The potentials are ``_landmark_potentials(network, source, target)``,
+    so a later search on the same table and endpoints may read them and go
+    on filling the lists, without ranking the table's terms again.
     """
     _check_endpoints(network, source, target)
     toward_target, toward_source = _goal_potentials(network, weighting, source, target)
@@ -604,7 +616,8 @@ def _bidirectional_search(
             heads[side] = next(steps[side], None)
     fwd_steps.close()
     bwd_steps.close()
-    return _split_minimum(fwd, bwd, fwd.order if goal else fwd.order + bwd.order), bounds
+    result = _split_minimum(fwd, bwd, fwd.order if goal else fwd.order + bwd.order)
+    return result, (toward_target, toward_source, bounds) if goal else None
 
 
 def _goal_directed_meeting(runs, steps, cap: float = INF, low: float = -INF):

@@ -434,7 +434,8 @@ def _permit_path(closed, scope, s, t, enhanced: bool, closures=None):
     else:
         active = scoperoute.detour._active_set(closed, closures)
     weightings = scoperoute.detour._weightings(closed, active, derived.edges)
-    directions = scoperoute.detour._directions(closed, scope, weightings, s, t)
+    potentials = scoperoute.detour._potentials(closed, weightings, s, t)
+    directions = scoperoute.detour._directions(closed, scope, weightings, s, t, potentials)
     ctx = scoperoute.detour._context(closed, scope, weightings, s, t, directions)
     return scoperoute.detour._state_search_halves(ctx)
 
@@ -539,15 +540,16 @@ def test_certificate_gives_the_costs_of_the_permit_search(landmarks_at_once, mon
 
 
 def test_a_route_evaluates_each_landmark_bound_once(landmarks_at_once, monkeypatch):
-    # One route evaluates each vertex's landmark bound at most once per
-    # direction: the static search's two bound lists go on to the d_open
-    # run, the gate runs and the permit-state halves, which read exactly
-    # those lists. A route with no permit-state search builds no
-    # corridor-clean mask.
+    # One route ranks the table's terms once and evaluates each vertex's
+    # landmark bound at most once per direction: the static search's two
+    # potentials and bound lists go on to the d_open run, the gate runs and
+    # the permit-state halves, which read exactly those lists. A route with
+    # no permit-state search builds no corridor-clean mask.
     real_potentials = scoperoute.search._landmark_potentials
-    evaluated = []
+    evaluated, ranked = [], []
 
     def counting(network, source, target):
+        ranked.append((source, target))
         to_target, to_source = real_potentials(network, source, target)
         if to_target is None:
             return to_target, to_source
@@ -562,13 +564,13 @@ def test_a_route_evaluates_each_landmark_bound_once(landmarks_at_once, monkeypat
     static_bounds, certified_bounds, cleaned = [], [], []
 
     def static(*args, **kwargs):
-        result, bounds = real_static(*args, **kwargs)
-        static_bounds.append(bounds)
-        return result, bounds
+        result, potentials = real_static(*args, **kwargs)
+        static_bounds.append(potentials and potentials[2])
+        return result, potentials
 
-    def certificate(network, scope, forward, backward):
-        certified_bounds.append((forward.bounds, backward.bounds))
-        return real_certificate(network, scope, forward, backward)
+    def certificate(network, scope, closed, source, target, potentials):
+        certified_bounds.append(potentials[2])
+        return real_certificate(network, scope, closed, source, target, potentials)
 
     def clean(*args, **kwargs):
         cleaned.append(args)
@@ -599,8 +601,9 @@ def test_a_route_evaluates_each_landmark_bound_once(landmarks_at_once, monkeypat
             cases.append((grid.with_updated_weights(updates), grid_scope, s, t))
     for closed, scope, s, t in cases:
         for route in (simple_detour_route, enhanced_detour_route):
-            del evaluated[:], static_bounds[:], certified_bounds[:], cleaned[:], searched[:]
+            del evaluated[:], ranked[:], static_bounds[:], certified_bounds[:], cleaned[:], searched[:]
             res = route(closed, scope, s, t)
+            assert ranked == [(s, t)], (s, t)
             assert len(evaluated) == len(set(evaluated)), (s, t)
             tally["evaluated"] += len(evaluated)
             (bounds,) = static_bounds
@@ -772,11 +775,22 @@ def test_certificate_scan_agrees_with_a_full_scan_of_its_gate_runs(landmarks_at_
         d_opens.append(real_open(*args))
         return d_opens[-1]
 
-    def certificate(network, scope, forward, backward):
+    def certificate(network, scope, closed, source, target, potentials):
         del d_opens[:]
-        result, scanned = real_certificate(network, scope, forward, backward)
+        result, scanned, directions = real_certificate(
+            network, scope, closed, source, target, potentials
+        )
         ((d_open, _run),) = d_opens
-        full = full_split_minimum(forward.gate, backward.gate)
+        if directions is None:
+            # No gate run was made: the full scan is the drained runs'.
+            assert result.walk is None
+            gates = (
+                s_dijkstra(network, scope, source, closed.open),
+                s_dijkstra(network.reverse(), scope, target, closed.open),
+            )
+        else:
+            gates = tuple(direction.gate for direction in directions)
+        full = full_split_minimum(*gates)
         if result is None:
             assert full.cost > d_open
             tally["failed"] += 1
@@ -786,9 +800,9 @@ def test_certificate_scan_agrees_with_a_full_scan_of_its_gate_runs(landmarks_at_
         else:
             meeting = result.meeting
             assert result.cost == full.cost == d_open
-            assert forward.gate.dist[meeting] + backward.gate.dist[meeting] == d_open
+            assert gates[0].dist[meeting] + gates[1].dist[meeting] == d_open
             tally["certified"] += 1
-        return result, scanned
+        return result, scanned, directions
 
     monkeypatch.setattr(scoperoute.detour, "_own_draw_split", lambda *args: False)
     monkeypatch.setattr(scoperoute.detour, "_open_distance", open_distance)
@@ -869,6 +883,132 @@ def test_own_draw_check_certifies_split_admissible_walks(landmarks_at_once, monk
     assert min(tally.get((name, "P"), 0) for name in ("bypass", "tight")) >= 500, tally
     assert tally.get(("tight", "gate runs"), 0) >= 50, tally
     assert min(tally.get((name, "neither"), 0) for name in ("bypass", "tight")) >= 100, tally
+
+
+def _grid_detour_cases(seed, count: int) -> list:
+    """``count`` queries at least 40 edges long on the acceptance grid, each
+    on a copy with 50 closures placed as criterion 7 places them."""
+    nf = generate_synthetic("grid", 50, 3, seed=42)
+    grid, scope = nf.network, balance_to_proper(nf.network, nf.scope)
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        s, t = rng.randrange(grid.vertex_count), rng.randrange(grid.vertex_count)
+        walk = bidirectional_s_dijkstra(grid, scope, s, t).walk
+        if walk is not None and len(walk.edges) >= 40:
+            updates, _ = place_random_closures(grid, scope, walk, 50, seed=len(cases))
+            cases.append((grid.with_updated_weights(updates), scope, s, t))
+    return cases
+
+
+def test_gate_runs_are_made_only_when_p_fails(landmarks_at_once, monkeypatch):
+    # A failed exit whose certificate P answers makes no gate run and no
+    # grant list (no _direction call) and one fresh run, the d_open run; one
+    # where P fails makes exactly one pair of gate runs; one with no
+    # certificate (fractional weights) a pair of drained ones. Cost and
+    # class equal those of a route whose own-draw check rejects every walk,
+    # and where the real check rejects P, so do the walk, the permit edges
+    # and every count: the gate runs made later are stepped as before.
+    real_direction, real_run = scoperoute.detour._direction, scoperoute.detour._scope_run
+    real_check, real_certificate = scoperoute.detour._own_draw_split, scoperoute.detour._certificate
+    made = {"gate runs": 0, "fresh runs": 0, "certificates": 0}
+    checked, reject = [], [False]
+
+    def direction(*args):
+        made["gate runs"] += 1
+        return real_direction(*args)
+
+    def fresh_run(*args):
+        made["fresh runs"] += 1
+        return real_run(*args)
+
+    def certificate(*args):
+        made["certificates"] += 1
+        return real_certificate(*args)
+
+    def check(*args):
+        accepted = not reject[0] and real_check(*args)
+        checked.append(accepted)
+        return accepted
+
+    monkeypatch.setattr(scoperoute.detour, "_direction", direction)
+    monkeypatch.setattr(scoperoute.detour, "_scope_run", fresh_run)
+    monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
+    monkeypatch.setattr(scoperoute.detour, "_own_draw_split", check)
+    cases = [("grid", case) for case in _grid_detour_cases(30, 20)]
+    cases += [("bypass", bypass_network(random.Random(seed))) for seed in range(600)]
+    cases += [("random", _closed_random_case(seed)) for seed in range(1200)]
+    cases += [("fractional", _closed_random_case(seed, True)) for seed in range(300)]
+    fields = ("walk", "permit_edges", "scanned_static", "scanned_detour",
+              "scanned_detour_vertices", "permits_issued", "qc_added", "qc_iterations")
+    tally = {}
+    for name, (net, scope, s, t) in cases:
+        for route in (simple_detour_route, enhanced_detour_route):
+            reject[0] = False
+            for key in made:
+                made[key] = 0
+            del checked[:]
+            res = route(net, scope, s, t)
+            if not _failed_exit(res):
+                assert made == {"gate runs": 0, "fresh runs": 0, "certificates": 0}
+                continue
+            counts, verdicts = dict(made), checked[:]
+            reject[0] = True
+            rejected = route(net, scope, s, t)
+            assert (res.klass, res.cost_updated) == (rejected.klass, rejected.cost_updated)
+            if not counts["certificates"]:
+                outcome, gate_runs = "no certificate", 2
+            elif not verdicts:
+                outcome, gate_runs = "no open walk", 0
+            elif verdicts == [True]:
+                outcome, gate_runs = "P", 0
+            else:
+                outcome, gate_runs = "gate runs", 2
+                assert [getattr(res, f) for f in fields] == [getattr(rejected, f) for f in fields]
+            fresh_runs = 0 if outcome == "no certificate" else 1
+            assert (counts["gate runs"], counts["fresh runs"]) == (gate_runs, fresh_runs), (name, s, t)
+            tally[name, outcome] = tally.get((name, outcome), 0) + 1
+    assert tally.get(("grid", "P"), 0) >= 30 and tally.get(("random", "P"), 0) >= 150, tally
+    assert tally.get(("bypass", "P"), 0) >= 150 and tally.get(("bypass", "gate runs"), 0) >= 120, tally
+    assert tally.get(("random", "no open walk"), 0) >= 500, tally
+    assert tally.get(("fractional", "no certificate"), 0) >= 200, tally
+
+
+def test_open_weighting_is_the_updated_tuple_when_every_closed_edge_is_infinite(monkeypatch):
+    # A failed exit's open weighting is the network's own weight_updated
+    # tuple exactly when every edge treated as closed is already infinite
+    # there; an explicit closure of a finite edge gets a copy with it at
+    # infinity. The tuple is never written, so routes on it succeed and
+    # leave it as it was, and the record weighting is a fresh list.
+    built = []
+    real = scoperoute.detour._weightings
+
+    def weightings(network, active, *args):
+        built.append((network, active, real(network, active, *args)))
+        return built[-1][2]
+
+    monkeypatch.setattr(scoperoute.detour, "_weightings", weightings)
+    tally = {"in place": 0, "copied": 0}
+    for seed in range(400):
+        net, scope, s, t = _closed_random_case(seed, seed % 2 == 1)
+        saved = tuple(net.weight_updated)
+        derived = derive_closures(net)
+        for closures in (None, derived.edges, frozenset(derived.edges) - derived.hard):
+            for route in (simple_detour_route, enhanced_detour_route):
+                del built[:]
+                route(net, scope, s, t, closures)
+                for network, active, closed in built:
+                    updated = network.weight_updated
+                    in_place = all(updated[e] == INF for e in active)
+                    assert (closed.open is updated) == in_place, seed
+                    opened = [INF if e in active else w for e, w in enumerate(saved)]
+                    assert list(closed.open) == opened, seed
+                    record = scoperoute.detour._record_weighting(network, closed)
+                    assert type(record) is list and record is not closed.open
+                    assert list(closed.open) == opened, seed
+                    tally["in place" if in_place else "copied"] += 1
+                assert net.weight_updated == saved, seed
+    assert min(tally.values()) >= 300, tally
 
 
 class TestValidator:
@@ -1398,19 +1538,25 @@ def _logged_weights(values, reads: set, passes: list, quiet: list):
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
 def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request, route, table):
     # Outside the searches a failed static exit reads the weights whole only
-    # to copy the updated weights into its open weighting (_weightings), and
-    # one by one no weight of an unraised edge but those of the closed edges
-    # and the static walk (for its updated cost), with closures None or
-    # given: the closure set comes from the raised edges the network
-    # recorded, and whether the gate runs may be goal-directed from their
-    # weights and the bound build_network measured on the base weights,
-    # with the landmark table or without it. A static exit reads only the
-    # static walk's weights. The searches (scope-aware steps, dijkstra runs,
-    # reach passes) read the weights of what they relax and are left out.
+    # to copy the updated weights into its open weighting (_weightings),
+    # exactly once where a closed edge is finite there and never where every
+    # closed edge is already infinite, which the open weighting then is
+    # itself; then only the permit path copies them once, into the record
+    # weighting (_record_weighting). One by one it reads no weight of an
+    # unraised edge but those of the closed edges, the static walk (for its
+    # updated cost) and the d_open run's walk (for its own-draw check), with
+    # closures None or given: the closure set comes from the raised edges
+    # the network recorded, and whether the gate runs may be goal-directed
+    # from their weights and the bound build_network measured on the base
+    # weights, with the landmark table or without it. A static exit reads
+    # only the static walk's weights. The searches (scope-aware steps,
+    # dijkstra runs, reach passes, the quasi-closure's round of them, the
+    # permit-state search) read the weights of what they relax and are left
+    # out.
     if table:
         request.getfixturevalue("landmarks_at_once")
         bidirectional_s_dijkstra(n1, n1_scope15, 0, 3)  # builds the table
-    reads, passes, quiet, bounded = set(), [], [0], []
+    reads, passes, quiet, bounded, checked, contexts = set(), [], [0], [], set(), []
 
     def quieted(fn):
         def call(*args, **kwargs):
@@ -1430,8 +1576,22 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
             yield head
 
     for module, name in ((scoperoute.search, "dijkstra"), (scoperoute.detour, "dijkstra"),
-                         (scoperoute.detour, "_reach"), (scoperoute.network, "_reach")):
+                         (scoperoute.detour, "_reach"), (scoperoute.network, "_reach"),
+                         (scoperoute.detour, "_quasi_closure"),
+                         (scoperoute.detour, "_state_search_halves")):
         monkeypatch.setattr(module, name, quieted(getattr(module, name)))
+    real_check, real_context = scoperoute.detour._own_draw_split, scoperoute.detour._context
+
+    def check(walk, *args):
+        checked.update(walk.edges)
+        return real_check(walk, *args)
+
+    def context(*args):
+        contexts.append(args)
+        return real_context(*args)
+
+    monkeypatch.setattr(scoperoute.detour, "_own_draw_split", check)
+    monkeypatch.setattr(scoperoute.detour, "_context", context)
     monkeypatch.setattr(scoperoute.search, "_scope_steps", quiet_steps)
     monkeypatch.setattr(scoperoute.detour, "_scope_steps", quiet_steps)
     real_bound = scoperoute.search._distance_bound
@@ -1443,6 +1603,7 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
     monkeypatch.setattr(scoperoute.search, "_distance_bound", bound)
     cases = [({3: INF}, None, 0), ({1: INF}, None, 1), ({1: 30}, None, 1), ({1: 30.5}, None, 1)]
     cases += [({1: 30}, frozenset({1}), 1), ({1: INF, 3: 25}, frozenset({1, 3}), 1)]
+    tally = {}
     for update, closures, failed in cases:
         closed = n1.with_updated_weights(update)
         logged = RoadNetwork(
@@ -1453,17 +1614,28 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
         )
         reads.clear()
         passes.clear()
+        checked.clear()
+        del contexts[:]
         res = route(logged, n1_scope15, 0, 3, closures)
         assert (res.klass == "static") == (not failed), update
         static_walk = set(res.static_walk.edges if res.static_walk else ())
         if not failed:
             assert (reads <= static_walk, passes) == (True, []), update
             continue
-        closed_edges = set(closures or ())
+        # The closed sets _weightings is given: the route's, then the
+        # quasi-closure's if it adds an edge.
+        actives = [set(closures or derive_closures(closed).hard)]
         if route is enhanced_detour_route:
-            closed_edges |= qc_closure(closed, n1_scope15, closures, 0, 3).edges
-        assert reads <= set(update) | closed_edges | static_walk, (update, reads)
-        assert passes and set(passes) == {"_weightings"}, (update, passes)
+            qc = qc_closure(closed, n1_scope15, closures, 0, 3).edges
+            actives += [qc] if qc != actives[0] else []
+        closed_edges = set().union(*actives)
+        assert reads <= set(update) | closed_edges | static_walk | checked, (update, reads)
+        in_place = [all(closed.weight_updated[e] == INF for e in active) for active in actives]
+        expected = ["_weightings"] * in_place.count(False)
+        expected += ["_record_weighting"] if in_place[-1] and contexts else []
+        assert passes == expected, (update, passes)
+        tally[in_place[-1], bool(contexts)] = tally.get((in_place[-1], bool(contexts)), 0) + 1
+    assert len(tally) == 3, tally
     assert ("landmarks" in n1._aux) == table
     assert bounded
     assert all(length < n1.edge_count for length in bounded), bounded

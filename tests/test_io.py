@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -157,7 +158,7 @@ class TestParseNetwork:
             pytest.param("E 7 1 NaN 0", "line 6: bad number 'NaN'", id="nan-spelled"),
             pytest.param("E 7 1 -2 0", "line 6: negative weight -2.0", id="negative"),
             pytest.param("E 7 1 -3 0", "line 6: negative weight -3.0", id="negative-as-coordinate"),
-            pytest.param("E 7 1 -inf 0", "line 6: negative weight -inf", id="minus-inf"),
+            pytest.param("E 7 1 -inf 0", "line 6: bad number '-inf'", id="minus-inf"),
             pytest.param("C 07 1 1", "line 6: expected: C <vertex> <lon> <lat>", id="c-leading-zero"),
             pytest.param("C 10 1 1", "line 6: vertex out of range: 10", id="c-at-v"),
             pytest.param("C 1 inf 1", "line 6: coordinates must be finite, got inf 1.0", id="c-inf"),
@@ -542,3 +543,34 @@ NAN = float("nan")
 def test_nan_weight_or_budget_rejected(n1, call, error, message):
     with pytest.raises(error, match=message):
         call(n1)
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "Infinity", "infinity", "+inf", "-inf", "INF"])
+@pytest.mark.parametrize(
+    "place, line_no",
+    [("edge", 6), ("scope", 3), ("coordinate", 8), ("closure", 2)],
+)
+def test_only_the_token_inf_reads_as_infinite(n1, token, place, line_no):
+    # float() reads each of these tokens as infinite, so a weight written
+    # as finite would close its edge and dump back as "inf". Only the token
+    # "inf" is infinite; every other infinite reading is a bad number at its
+    # line, on edge, scope, coordinate and closure lines alike.
+    if place == "closure":
+        call = lambda: parse_closures(f"2\n0 {token}\n", n1)  # noqa: E731
+    elif place == "edge":
+        call = lambda: parse_network(N1_TEXT.replace("E 2 3 2 0", f"E 2 3 {token} 0"))  # noqa: E731
+    elif place == "scope":
+        call = lambda: parse_network(N1_TEXT.replace("0:5", f"0:{token}"))  # noqa: E731
+    else:
+        call = lambda: parse_network(N1_TEXT + f"C 0 {token} 0\n")  # noqa: E731
+    with pytest.raises(ParseError, match="^" + re.escape(f"line {line_no}: bad number {token!r}") + "$"):
+        call()
+
+
+def test_the_token_inf_still_closes_an_edge(n1):
+    # The one infinite spelling still reads as infinite on edge and closure
+    # lines, and round-trips.
+    nf = parse_network(N1_TEXT.replace("E 2 3 2 0", "E 2 3 inf 0"))
+    assert nf.network.weight[2] == INF
+    assert parse_network(dump_network(nf)).network == nf.network
+    assert parse_closures("2\n0 inf\n", n1) == {2: INF, 0: INF}

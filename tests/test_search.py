@@ -269,25 +269,71 @@ def test_no_goal_direction_past_int32(landmarks_at_once):
     )
 
 
-def _landmark_terms(net, rows):
+def _landmark_terms(net, columns):
     """The table's terms recomputed from ``dijkstra`` distances, in table
     order: ``d(L, y) - d(L, x)`` for each landmark ``L``, then
     ``d(x, L) - d(y, L)``, then 0, each as a function of ``(x, y)``, with
     int32's largest value for an unreachable distance. Landmark ``L`` is the
-    one vertex whose entry ``d(L, L)`` is 0 (the weights are positive)."""
+    one vertex whose entry ``d(L, L)`` is 0 in its column (the weights are
+    positive)."""
     far = scoperoute.search._FAR
     n = net.vertex_count
     k = min(scoperoute.search._LANDMARKS, n)
-    landmarks = [[v for v in range(n) if rows[v][i] == 0] for i in range(k)]
+    landmarks = [[v for v in range(n) if columns[i][v] == 0] for i in range(k)]
     assert all(len(found) == 1 for found in landmarks)
     landmarks = [found[0] for found in landmarks]
-    assert len(set(landmarks)) == k and len(rows[0]) == 2 * k + 1
+    assert len(set(landmarks)) == k and len(columns) == 2 * k + 1
     rev = net.reverse()
     out = [[far if d == INF else int(d) for d in dijkstra(net, "base", L).dist] for L in landmarks]
     back = [[far if d == INF else int(d) for d in dijkstra(rev, "base", L).dist] for L in landmarks]
     terms = [lambda x, y, d=d: d[y] - d[x] for d in out]
     terms += [lambda x, y, d=d: d[x] - d[y] for d in back]
     return terms + [lambda x, y: 0], out + back
+
+
+def _table_from_dijkstra(net):
+    """The landmark table rebuilt from ``dijkstra`` runs: farthest-point
+    landmarks (the first the farthest reached from vertex 0, each next one
+    the largest smallest round trip to those chosen, the lowest vertex on
+    ties), one column of ``d(L, v)`` per landmark, then one of
+    ``-d(v, L)``, then a column of zeros, with int32's largest value for an
+    unreachable distance."""
+    far = scoperoute.search._FAR
+    n = net.vertex_count
+    rev = net.reverse()
+    first = dijkstra(net, "base", 0).dist
+    landmark = max(range(n), key=lambda v: (first[v] < INF, first[v], -v))
+    round_trip = [INF] * n
+    out, back = [], []
+    for _ in range(min(scoperoute.search._LANDMARKS, n)):
+        to, fro = dijkstra(net, "base", landmark).dist, dijkstra(rev, "base", landmark).dist
+        out.append(tuple(far if d == INF else int(d) for d in to))
+        back.append(tuple(-far if d == INF else -int(d) for d in fro))
+        round_trip = [min(r, x + y) for r, x, y in zip(round_trip, to, fro)]
+        landmark = max(range(n), key=lambda v: (round_trip[v], -v))
+    return out + back + [(0,) * n]
+
+
+def test_landmark_columns_are_those_of_dijkstra_distances(acceptance_grid, landmarks_at_once):
+    # The table is one tuple per term, landmark distances out, then negated
+    # distances back, then zeros, equal to the one rebuilt here from
+    # dijkstra runs, on the acceptance grid and on random networks with
+    # unreachable pairs; equal entries are one int object.
+    far = scoperoute.search._FAR
+    rng = random.Random("landmark columns")
+    nets = [acceptance_grid[0]]
+    nets += [random_network(rng, max_vertices=30, max_edges=45)[0] for _ in range(60)]
+    unreachable = 0
+    for net in nets:
+        scoperoute.search._landmarks_now(net)
+        table = _landmark_rows(net)
+        assert len(table) == 2 * min(scoperoute.search._LANDMARKS, net.vertex_count) + 1
+        assert isinstance(table[0], tuple) and len(table[0]) == net.vertex_count
+        assert table == _table_from_dijkstra(net)
+        values = {x for column in table for x in column}
+        assert len({id(x) for column in table for x in column}) == len(values)
+        unreachable += far in values
+    assert unreachable >= 20, unreachable
 
 
 def _selected(terms, s, t):
@@ -350,9 +396,9 @@ def test_landmark_bounds_pad_a_small_table_with_the_zero_term(landmarks_at_once)
     net = build_network(3, [(0, 1), (1, 2), (2, 0), (0, 2)], [2, 3, 4, 9])
     scope = make_scope([1, 1, 1, 1], [5, INF])
     bid = bidirectional_s_dijkstra(net, scope, 0, 2)  # builds the table
-    rows = _landmark_rows(net)
-    assert len(rows[0]) == 7 < scoperoute.search._TERMS
-    terms, _ = _landmark_terms(net, rows)
+    columns = _landmark_rows(net)
+    assert len(columns) == 7 < scoperoute.search._TERMS
+    terms, _ = _landmark_terms(net, columns)
     for s in range(3):
         for t in range(3):
             toward_target, toward_source = scoperoute.search._landmark_potentials(net, s, t)
@@ -365,16 +411,16 @@ def test_landmark_bounds_pad_a_small_table_with_the_zero_term(landmarks_at_once)
 
 def _all_terms_potentials(network, source, target):
     """Bounds of every term of the landmark table, the largest of them and 0."""
-    rows = network._aux.get("landmarks")
-    if rows is None:
+    columns = network._aux.get("landmarks")
+    if columns is None:
         return None, None
-    at_t, at_s = rows[target], rows[source]
+    at_t, at_s = [col[target] for col in columns], [col[source] for col in columns]
 
     def toward_target(v):
-        return max(map(operator.sub, at_t, rows[v]))
+        return max(map(operator.sub, at_t, [col[v] for col in columns]))
 
     def toward_source(v):
-        return max(map(operator.sub, rows[v], at_s))
+        return max(map(operator.sub, [col[v] for col in columns], at_s))
 
     return toward_target, toward_source
 

@@ -1,6 +1,6 @@
 """Per-phase times of detour routing on a benchmark workload's inputs.
 
-    python3 tools/phase_times.py --workload city-detour [--route enhanced] --before OLD/src --after src --out BENCH.json
+    python3 tools/phase_times.py --workload city-detour [--route enhanced] [--cold] --before OLD/src --after src --out BENCH.json
 
 Each side runs in its own interpreter with that side's ``src`` first on the
 path, ``--rounds`` times, the sides alternating which goes first so that
@@ -15,7 +15,17 @@ cold copy with a fresh set of 50
 closures (one on the static optimum), and ``city-incident`` one copy with
 50 closures to each block of 25 queries (one on the block's first static
 optimum). It reports each phase's self time per query: a wrapped call's
-time minus that of the wrapped calls it makes. A phase lists the
+time minus that of the wrapped calls it makes.
+
+With ``--cold`` each route is timed as the first call on its pair, after
+perfbench's calibration kernel (``perfbench/calibrate.py``, a full
+Dijkstra over its own reading of the network text, which reads nothing of
+the program's) has run untimed in between, as it runs before every query
+perfbench times: the static search on the base network runs only where a
+block's closures are placed on its walk, before the kernel. Without it
+each route follows that static search on the same pair at once, with the
+memory it read still warm. The report goes under the workload's name
+followed by ", cold". A phase lists the
 functions of the last two versions it has been measured on, so that they
 can still be compared across a rename; the functions a side lacks are
 named on stderr and under ``missing`` in the output, and a phase none of
@@ -29,9 +39,10 @@ network recorded; a pass over all the weights in versions before that),
 ``_active_set``, ``_weightings`` and ``_record_weighting`` (in versions
 before it ``_weightings`` built the record weighting on every failed
 exit). "record
-runs" are the two drained record searches (``_drained_runs``). "gate runs" are ``_direction``, which drains a gate run or sets up a
-lazy one, and ``_settle_gate``, which steps a lazy one from inside the
-state search. "certificate" is ``_certificate``: where the d_open run's
+runs" are the two drained record searches (``_drained_runs``). "gate runs" are ``_directions`` and
+``_direction``, which drain a gate run or set up a lazy one with its grant
+list, and ``_settle_gate``, which steps a lazy one from inside the state
+search. "certificate" is ``_certificate``: where the d_open run's
 own walk fails its check, stepping both lazy gate runs until their keys
 pass d_open, and their split minimum (in versions before the runs marked
 their own final labels, also the hand-off marks when it fails; in versions
@@ -41,20 +52,23 @@ running draws from either end; "d_open run" is ``_open_distance``, the
 plain goal-directed run from the start that gives d_open. "quasi-closure" is
 ``_quasi_closure``, the enhanced route's growth of the closure set; it
 reads 0 on the simple route.
-"potentials" are the detour module's ``dijkstra`` runs, the exact open-network
-distances that bound the directions without the landmark table; they read
-0 once the network has it. "landmark build" is paid once per network,
+"potentials" are the directions' bounds: ``_potentials`` and the detour
+module's ``_landmark_potentials``, which ranks the table's terms for the
+route's endpoints, and its ``dijkstra`` runs, the exact open-network
+distances that bound the directions without the landmark table, which
+read 0 once the network has it. "landmark build" is paid once per network,
 in its first static search; it is not part of "route, whole" or "route,
 rest".
 
 The output holds the mean, median and p90 per phase in ms, before and
 after, and each phase's mean in each round, so that a difference smaller
 than the spread between rounds shows as such. It holds the same summary
-figures for five counts: the vertices each route's static search settled
-on both sides (``DetourResult.scanned_static``), the vertices each gate
-run settled (its ``order`` when the route returns; a lazy run's pending
-head, which the run has marked final, is not in it), the vertices each d_open run settled (the runs of
-``detour._scope_run``), the weights read one by one per route that fails
+figures for six counts: the vertices each route's static search settled
+on both sides (``DetourResult.scanned_static``), the gate runs each route
+makes (``_direction`` calls) and the vertices they settle together (each
+run's ``order`` when the route returns; a lazy run's pending head, which
+the run has marked final, is not in it), the vertices each d_open run
+settled (the runs of ``detour._scope_run``), the weights read one by one per route that fails
 the static exit by the outermost calls of ``WEIGHT_READERS`` (counted on an
 untimed replay of each such call with counting weight tuples swapped into
 the network it was given: about 2m per call for a pass over all the weights),
@@ -107,10 +121,12 @@ PHASES = {
     ("detour", "_drained_runs"): "record runs",
     ("detour", "_records_from_runs"): "records / grants",
     ("detour", "_record_pass"): "records / grants",
+    ("detour", "_directions"): "gate runs",
     ("detour", "_direction"): "gate runs",
     ("detour", "_settle_gate"): "gate runs",
     ("detour", "_clean_masks"): "clean masks",
     ("detour", "dijkstra"): "potentials",
+    ("detour", "_potentials"): "potentials",
     ("detour", "_state_search_halves"): "state search",
     ("detour", "_certificate"): "certificate",
     ("detour", "_own_draw_split"): "own-draw check",
@@ -122,7 +138,8 @@ PHASES = {
 # searches, whose reads are counted.
 WEIGHT_READERS = (("detour", "derive_closures"),)
 STATIC_SETTLED = "static search, vertices settled"
-GATE_SETTLED = "gate run, vertices settled"
+GATE_RUNS = "gate runs per route"
+GATE_SETTLED = "gate runs, vertices settled per route"
 OPEN_SETTLED = "d_open run, vertices settled"
 READS = "weights read per failed exit"
 BOUNDS = "bound evaluations per route"
@@ -192,19 +209,22 @@ class SelfTimes:
         return timed
 
 
-def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dict:
+def measure(src: str, workload: str, queries: int, seed: int, route: str, cold: bool) -> dict:
     """Per-phase self times in ms, one entry per query, the counts, and the
     functions the sources at ``src`` lack."""
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     import scoperoute as sr
     import scoperoute.detour
     import scoperoute.search
+    from calibrate import adjacency, kernel
     from workload import WORKLOADS, blocks, network_text, place_closures
 
     scoperoute.search._PLAIN_SEARCHES = 0
 
     detour_route = sr.enhanced_detour_route if route == "enhanced" else sr.simple_detour_route
-    nf = sr.parse_network(network_text(sr))
+    text = network_text(sr)
+    kernel_input = adjacency(text)
+    nf = sr.parse_network(text)
     base, scope = nf.network, sr.balance_to_proper(nf.network, nf.scope)
     # Warm the structural caches every network copy shares, as the benchmark's set-up does.
     sr.qc_closure(base, scope, (), 0, base.vertex_count - 1)
@@ -283,8 +303,9 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
 
     scoperoute.search._landmark_potentials = counting_potentials
     if hasattr(scoperoute.detour, "_landmark_potentials"):
-        scoperoute.detour._landmark_potentials = counting_potentials
+        scoperoute.detour._landmark_potentials = times.wrap(counting_potentials, "potentials")
     static_settled: list[float] = []
+    gate_runs: list[float] = []
     gate_settled: list[float] = []
     open_settled: list[float] = []
     weight_reads: list[float] = []
@@ -297,11 +318,14 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
         rng, s, t = next(pairs)
         gc.collect()
         times.ms = {}
-        static = sr.bidirectional_s_dijkstra(base, scope, s, t)
+        if not cold or (q % spec.block_size == 0 and spec.closures):
+            static = sr.bidirectional_s_dijkstra(base, scope, s, t)
         if q % spec.block_size == 0:
             # A block's closures sit on its first static optimum; its queries share one copy.
             updates = place_closures(rng, base, static.walk, top_edges, spec.closures) if spec.closures else {}
             closed = base.with_updated_weights(updates)
+        if cold:
+            kernel(kernel_input)
         built = times.ms.get(BUILD, 0.0)
         reader_calls.clear()
         evaluated[0] = 0
@@ -316,12 +340,14 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str) -> dic
             per_query[p].append(times.ms.get(p, 0.0))
         per_query[ROUTE].append(whole)
         per_query[OTHER].append(whole - sum(ms for p, ms in times.ms.items() if p != BUILD))
-        gate_settled.extend(len(d.gate.order) for d in directions)
+        gate_runs.append(len(directions))
+        gate_settled.append(sum(len(d.gate.order) for d in directions))
         directions.clear()
         open_settled.extend(len(run.order) for run in open_runs)
         open_runs.clear()
     counts = {
         STATIC_SETTLED: static_settled,
+        GATE_RUNS: gate_runs,
         GATE_SETTLED: gate_settled,
         OPEN_SETTLED: open_settled,
         READS: weight_reads,
@@ -372,11 +398,13 @@ def summary(values: list[float]) -> dict[str, float]:
     }
 
 
-def run_side(src: str, workload: str, queries: int, seed: int, route: str, setup: bool) -> dict:
+def run_side(
+    src: str, workload: str, queries: int, seed: int, route: str, setup: bool, cold: bool
+) -> dict:
     cmd = [
         sys.executable, __file__, "--src", src, "--workload", workload,
         "--queries", str(queries), "--seed", str(seed), "--route", route,
-    ] + ["--setup"] * setup
+    ] + ["--setup"] * setup + ["--cold"] * cold
     out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -393,12 +421,18 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--setup", action="store_true", help="time the set-up phases, not routes")
+    parser.add_argument(
+        "--cold", action="store_true",
+        help="time each route as the first call on its pair, after perfbench's calibration kernel",
+    )
     args = parser.parse_args()
     if args.src:
         if args.setup:
             print(json.dumps(measure_setup(args.src, args.queries)))
         else:
-            print(json.dumps(measure(args.src, args.workload, args.queries, args.seed, args.route)))
+            print(json.dumps(
+                measure(args.src, args.workload, args.queries, args.seed, args.route, args.cold)
+            ))
         return
     if not (args.before and args.out):
         parser.error("give --src, or --before and --out")
@@ -413,7 +447,8 @@ def main() -> None:
     for r in range(args.rounds):
         for side in ("before", "after") if r % 2 == 0 else ("after", "before"):
             measured = run_side(
-                sources[side], args.workload, args.queries, args.seed, args.route, args.setup
+                sources[side], args.workload, args.queries, args.seed, args.route, args.setup,
+                args.cold,
             )
             for phase, times in measured["ms"].items():
                 sides[side].setdefault(phase, []).extend(times)
@@ -431,7 +466,9 @@ def main() -> None:
         head = {
             "workload": args.workload,
             "route": args.route,
-            "what": f"self time per phase of one {args.route}_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per route by its static search, per gate run and per d_open run, weights read one by one outside the searches (by derive_closures) per failed static exit, and landmark bounds evaluated per route",
+            "cold": args.cold,
+            "what": f"self time per phase of one {args.route}_detour_route call, and of the landmark build in the static search before it, ms per query, with each round's mean per phase; counts: vertices settled per route by its static search, gate runs made per route and the vertices they settled, vertices settled per d_open run, weights read one by one outside the searches (by derive_closures) per failed static exit, and landmark bounds evaluated per route"
+            + ("; each route timed as the first call on its pair, after perfbench's calibration kernel" if args.cold else ""),
             "seed": args.seed,
             "queries": args.queries,
         }
@@ -461,10 +498,9 @@ def main() -> None:
     reports = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     if args.setup:
         name = "set-up"
-    elif args.route == "simple":
-        name = args.workload
     else:
-        name = f"{args.workload}, {args.route} route"
+        name = args.workload + (f", {args.route} route" if args.route != "simple" else "")
+        name += ", cold" if args.cold else ""
     reports[name] = report
     out.write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
     width = max(map(len, report["phases"]))
