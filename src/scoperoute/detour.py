@@ -91,6 +91,7 @@ from .network import (
     _edge_pack,
     _level_cached,
     _reach,
+    _shortest_edge_path_between,
     _strongly_connected,
     add_draw,
     check_walk,
@@ -106,7 +107,6 @@ from .search import (
     _own_draw_flags,
     _scope_run,
     _scope_search,
-    _scope_steps,
     _split_exists,
     _split_minimum,
     _usable,
@@ -587,20 +587,60 @@ def _open_distance(
     ``weights``, the open weighting, scope ignored; and the run that found
     it, whose tree walk to ``target`` costs d_open.
 
-    A run of ``_scope_steps`` on the forward pack with every budget
-    infinite, so no gate ever closes, goal-directed by the forward
-    direction's ``bound`` into its list ``bounds``. The bound is consistent
-    and 0 at ``target``, so keys never fall and ``target`` would settle at
-    key d_open: the run stops once the head's key reaches ``target``'s
-    distance label. Every vertex of the tree walk to ``target`` before it
-    has settled, so each prefix of that walk is a plain shortest walk.
+    A plain goal-directed run (A* on landmark bounds; Goldberg & Harrelson,
+    SODA 2005) over the forward pack, each triple's level ignored, on fresh
+    labels from ``_scope_run``: the key is ``d + bound(v)``, ``bound`` the
+    forward direction's, evaluated at most once per vertex into its list
+    ``bounds``. It is ``_scope_steps`` with every budget infinite, so that no
+    gate closes, less the draws that nothing reads: the same settle order,
+    ``order``, ``final`` marks, ``relaxed_count``, distances and parent
+    edges, the tie-parent rule included; the run's ``sigma`` is left as
+    ``_scope_run`` made it. The bound is consistent and 0 at ``target``,
+    so keys never fall and ``target`` would settle at key d_open: the run
+    stops once the head's key reaches ``target``'s distance label, that
+    head marked final but not settled. Every vertex of the tree walk to
+    ``target`` before it has settled, so each prefix of that walk is a
+    plain shortest walk.
     """
     run = _scope_run(network, scope, source, weights)
-    flat = (INF,) * scope.level_count
-    dist = run.dist
-    for key, _d, _u in _scope_steps(run, _edge_pack(network, scope), flat, bound, bounds):
+    dist, parent, done, tails = run.dist, run.parent_edge, run.final, run._tails
+    settle = run.order.append
+    pack = _edge_pack(network, scope)
+    if bounds[source] < 0.0:
+        bounds[source] = bound(source)
+    heap = [(bounds[source], 0.0, source)]
+    push, pop = heapq.heappush, heapq.heappop
+    relaxed = 0
+    while heap:
+        key, d, u = pop(heap)
+        if done[u] or d > dist[u]:
+            continue
+        done[u] = 1
         if dist[target] <= key:
             break
+        settle(u)
+        for e, v, _lv in pack[u]:
+            we = weights[e]
+            if we == INF:
+                continue
+            nd = d + we
+            dv = dist[v]
+            if nd < dv:
+                dist[v] = nd
+                parent[v] = e
+                relaxed += 1
+                hv = bounds[v]
+                if hv < 0.0:
+                    hv = bounds[v] = bound(v)
+                push(heap, (nd + hv, nd, v))
+            elif nd == dv and not done[v]:
+                # _scope_steps' tie-parent rule.
+                t = tails[parent[v]]
+                if d < dist[t] or (d == dist[t] and u < t):
+                    parent[v] = e
+    else:
+        done[:] = b"\x01" * len(done)
+    run.relaxed_count = relaxed
     return dist[target], run
 
 
@@ -1047,16 +1087,22 @@ class DetourResult:
 
 
 def _static_exit(res: DetourResult, network: RoadNetwork, static) -> bool:
-    """Record the static result in ``res``; true when it survives the update."""
+    """Record the static result in ``res``; true when it survives the update,
+    that is when none of its walk's edges is raised (O(walk)). Its updated
+    cost is the walk's own left fold, which can differ in the last place
+    from the search's meeting sum on fractional weights, so the two sums
+    are never compared."""
     res.scanned_static = static.scanned_count
-    if static.walk is None:
+    walk = static.walk
+    if walk is None:
         return False
-    res.static_walk = static.walk
+    res.static_walk = walk
     res.static_cost_base = static.cost
-    res.static_cost_updated = static.walk.cost(network, "updated")
-    if res.static_cost_updated != res.static_cost_base:
+    res.static_cost_updated = walk.cost(network, "updated")
+    base, updated = network.weight, network.weight_updated
+    if any(updated[e] != base[e] for e in walk.edges):
         return False
-    res.walk = static.walk
+    res.walk = walk
     res.cost_updated = res.static_cost_updated
     res.klass = "static"
     return True
@@ -1151,11 +1197,12 @@ def _route(
         if meeting is not None:
             # The walk runs along the forward half's parent chain to the
             # meeting vertex, then back along the reverse half's chain.
-            rank, key_f, key_b = meeting
+            _rank, key_f, key_b = meeting
             prefix, prefix_permits = _unwind(fwd.label, key_f)
             suffix, suffix_permits = _unwind(bwd.label, key_b)
             prefix.reverse()
-            walk, cost = Walk(source, tuple(prefix + suffix)), rank[0]
+            walk = Walk(source, tuple(prefix + suffix))
+            cost = walk.cost(network, "updated")
             permit_edges = tuple(sorted(set(prefix_permits + suffix_permits)))
     if cost < res.static_cost_updated:
         res.walk, res.cost_updated, res.permit_edges = walk, cost, permit_edges
@@ -1208,16 +1255,50 @@ def _recheck_detour(walk: Walk, network: RoadNetwork, scope: ScopeMapping, enhan
     return validate_simple_detour(walk, network, scope, closures, s, t)
 
 
+def _bypass_witness(network: RoadNetwork, e: int) -> tuple[int, ...] | None:
+    """A fewest-hop walk from the tail of ``e`` to its head over edges of
+    finite base weight other than ``e`` (``_shortest_edge_path_between``),
+    or ``None`` when there is none; found once per network and edge and
+    kept in ``network._aux["bypass witnesses"]``, which every weight variant
+    shares, so it depends on the structure and ``weight`` alone."""
+    witnesses = network._aux.setdefault("bypass witnesses", {})
+    x, y = network.tails[e], network.heads[e]
+    if x == y:
+        witnesses[e] = ()
+    else:
+        base = network.weight
+        walk = _shortest_edge_path_between(
+            network, (x,), (y,), lambda f: f != e and base[f] != INF
+        )
+        witnesses[e] = None if walk is None else tuple(walk)
+    return witnesses[e]
+
+
 def _bypassed(network: RoadNetwork, pack, closed: _Weightings) -> bool:
     """Whether the tail of every edge of ``closed.cut`` reaches its head on
-    the open weighting, found by searches stopped at the head that together
-    expand at most as many vertices as one reach pass; ``False`` as soon as
-    one fails or the searches would expand more."""
+    the open weighting; ``False`` as soon as one does not.
+
+    An edge's bypass witness (``_bypass_witness``) proves it in
+    O(len(witness)) when every edge of the witness is finite in
+    ``closed.open``; no witness means no walk of base-finite edges around
+    the edge, so no open one either. Otherwise a search stopped at the
+    head decides (``network._reach``), and those searches together expand
+    at most as many vertices as one reach pass: ``False`` once they would
+    expand more."""
     tails, heads = network.tails, network.heads
+    open_w = closed.open
+    witnesses = network._aux.setdefault("bypass witnesses", {})
     budget = network.vertex_count
     for e in closed.cut:
+        witness = witnesses.get(e, False)
+        if witness is False:
+            witness = _bypass_witness(network, e)
+        if witness is None:
+            return False
+        if all(open_w[f] != INF for f in witness):
+            continue
         y = heads[e]
-        bypass, expanded = _reach(pack, tails[e], closed.open, y, budget)
+        bypass, expanded = _reach(pack, tails[e], open_w, y, budget)
         if bypass[-1] != y:
             return False
         budget -= expanded
@@ -1259,9 +1340,14 @@ def qc_closure(
     each cut edge with its bypass; so in the open graph, too, every vertex
     reaches the target and is reached from the start, and no edge is
     quasi-closed. Strong connectivity is found once per network, usually by
-    ``balance_to_proper`` (``network._strongly_connected``); the bypass
-    searches stop at the cut edge's head, and all of them together expand
-    at most as many vertices as one reach pass, else the round runs as above.
+    ``balance_to_proper`` (``network._strongly_connected``). Each bypass is
+    first read off the cut edge's witness, a fewest-hop walk around it over
+    base edges found once per network and edge (``_bypass_witness``), which
+    proves it when the open graph has every edge of it; only a blocked
+    witness leaves the bypass to a search stopped at the head, and all of
+    those together expand at most as many vertices as one reach pass, else
+    the round runs as above (``_bypassed``). An edge without a witness has
+    no bypass, and the round runs.
     """
     _check_endpoints(network, source, target)
     derived = derive_closures(network)

@@ -48,6 +48,9 @@ class RoadNetwork:
     # which they all share, but never on ``weight_updated``. ``build_network``
     # stores ``_distance_bound(weight)`` under "distance bound", and a
     # reversal shares it; without it the base weights count as unbounded.
+    # "bypass witnesses" maps a closed edge's id to a fewest-hop walk
+    # around it over edges of finite base weight, or ``None`` where none
+    # exists (``detour._bypassed``); a reversal has its own under "revaux".
     _aux: dict = field(repr=False, compare=False, default_factory=dict)
     # Not in ``_aux``: every weight variant shares that, and each has its own.
     _raised: tuple[int, ...] | None = field(repr=False, compare=False, default=None)
@@ -639,11 +642,15 @@ def _scc_groups(network: RoadNetwork, edge_ids) -> list[list[int]]:
     return list(groups.values())
 
 
-def _shortest_edge_path_between(network: RoadNetwork, group_a, group_b):
+def _shortest_edge_path_between(network: RoadNetwork, group_a, group_b, keep=None):
     """Fewest-hop edge path from any vertex of group_a to any of group_b.
 
     Multi-source breadth-first search; sources and edges are visited in
-    sorted order, so the result is deterministic.
+    sorted order, so the result is deterministic. With ``keep`` only the
+    edges ``e`` with ``keep(e)`` true are followed (the bypass witnesses of
+    ``detour._bypassed``); without it every edge is, as ``balance_to_proper``
+    needs. ``None`` when no such path leaves a source for a vertex of
+    group_b that is not a source.
     """
     targets = set(group_b)
     sources = sorted(set(group_a))
@@ -656,7 +663,7 @@ def _shortest_edge_path_between(network: RoadNetwork, group_a, group_b):
         for v in frontier:
             for e in sorted(network.out_edges(v)):
                 u = network.heads[e]
-                if u in seen:
+                if u in seen or (keep is not None and not keep(e)):
                     continue
                 seen.add(u)
                 prev[u] = e

@@ -33,7 +33,7 @@ from scoperoute import (
     validate_split_admissible,
 )
 
-from scoperoute.network import add_draw, zero_vector
+from scoperoute.network import add_draw, check_walk, zero_vector
 from conftest import bypass_network, full_split_minimum, random_network
 
 INF = math.inf
@@ -320,6 +320,61 @@ class TestSimpleDetour:
         assert res.klass == "unreachable"
         assert res.walk is None
 
+    def test_fractional_static_walk_survives_when_nothing_is_raised(self):
+        # A two-way path with fractional weights and no raised edge: the
+        # static search's meeting sum is 0.9999999999999999, its walk's own
+        # left fold 1.0. The walk survives the update, as none of its edges
+        # is raised, so both routes take the static exit at the walk's cost.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        net = build_network(5, edges + [(v, u) for u, v in edges], [0.1, 0.2, 0.3, 0.4] * 2)
+        scope = make_scope([1] * 8, [10, INF])
+        assert bidirectional_s_dijkstra(net, scope, 0, 4).cost == 0.9999999999999999
+        for route in (simple_detour_route, enhanced_detour_route):
+            res = route(net, scope, 0, 4)
+            assert (res.klass, res.walk, res.cost_updated) == ("static", Walk(0, (0, 1, 2, 3)), 1.0)
+            assert (res.static_cost_updated, res.scanned_detour) == (1.0, 0)
+
+    def test_fractional_networks_with_nothing_raised_exit_static(self):
+        # The fractional random cases with every raise taken back: each
+        # route with a static walk returns it, at its own updated cost,
+        # from the static exit, also where the meeting sum differs from it.
+        tally = {"static": 0, "sums differ": 0}
+        for seed in range(400):
+            closed, scope, s, t = _closed_random_case(seed, True)
+            net = closed.with_updated_weights({e: closed.weight[e] for e in closed._raised})
+            assert net._raised == ()
+            for route in (simple_detour_route, enhanced_detour_route):
+                res = route(net, scope, s, t)
+                if res.static_walk is None:
+                    assert (res.klass, res.walk) == ("unreachable", None), seed
+                    continue
+                assert (res.klass, res.walk) == ("static", res.static_walk), seed
+                assert res.cost_updated == res.walk.cost(net, "updated"), seed
+                assert (res.scanned_detour, res.qc_iterations) == (0, 0), seed
+                tally["static"] += 1
+                tally["sums differ"] += res.static_cost_base != res.cost_updated
+        assert tally["static"] >= 400 and tally["sums differ"] >= 4, tally
+
+
+def test_every_returned_cost_is_its_walks_own():
+    # A route's cost_updated is the returned walk's own left fold of the
+    # updated weights, whichever path found it: the static exit, the
+    # certificate, or the permit-state search, whose meeting sums can differ
+    # from it in the last place on fractional weights.
+    tally = {}
+    for seed in range(1500):
+        for fractional in (False, True):
+            net, scope, s, t = _closed_random_case(seed, fractional)
+            for route in (simple_detour_route, enhanced_detour_route):
+                res = route(net, scope, s, t)
+                if res.walk is None:
+                    assert res.cost_updated == INF, seed
+                    continue
+                assert res.cost_updated == res.walk.cost(net, "updated"), (seed, fractional)
+                key = (fractional, res.klass)
+                tally[key] = tally.get(key, 0) + 1
+    assert min(tally.get((True, klass), 0) for klass in ("simple-detour", "enhanced-detour")) >= 60, tally
+
 
 def test_permit_edges_follow_the_gates():
     # An edge of a returned detour whose level passes the gate at its tail
@@ -400,7 +455,7 @@ def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
             closed, scope, s, t = _closed_random_case(seed, fractional)
             del searched[:]
             for route in (simple_detour_route, enhanced_detour_route):
-                if _failed_exit(route(closed, scope, s, t)):
+                if _failed_exit(route(closed, scope, s, t), closed):
                     _permit_path(closed, scope, s, t, route is enhanced_detour_route)
             assert ("landmarks" in closed._aux) == table
             for ctx, fwd, bwd in searched:
@@ -447,7 +502,7 @@ def _permit_result(closed, scope, s, t, enhanced: bool, closures=None):
     static walk's, else none."""
     static = bidirectional_s_dijkstra(closed, scope, s, t)
     static_cost = INF if static.walk is None else static.walk.cost(closed, "updated")
-    if static.walk is not None and static_cost == static.cost:
+    if static.walk is not None and _survives(closed, static.walk):
         return "static", static_cost
     meeting = _permit_path(closed, scope, s, t, enhanced, closures)[2]
     cost = INF if meeting is None else meeting[0][0]
@@ -472,8 +527,13 @@ def _count_state_searches(monkeypatch) -> list:
     return searched
 
 
-def _failed_exit(res) -> bool:
-    return res.static_walk is None or res.static_cost_updated != res.static_cost_base
+def _survives(network, walk) -> bool:
+    """Whether ``walk`` survives the weight update: none of its edges is raised."""
+    return all(network.weight_updated[e] == network.weight[e] for e in walk.edges)
+
+
+def _failed_exit(res, network) -> bool:
+    return res.static_walk is None or not _survives(network, res.static_walk)
 
 
 def test_certificate_gives_the_costs_of_the_permit_search(landmarks_at_once, monkeypatch):
@@ -494,12 +554,12 @@ def test_certificate_gives_the_costs_of_the_permit_search(landmarks_at_once, mon
             del searched[:]
             closed = table.with_updated_weights(updates)
             res = route(closed, scope, s, t)
-            certified = _failed_exit(res) and not searched
+            certified = _failed_exit(res, closed) and not searched
             if fractional is not None:
                 qc = qc_closure(closed, scope, None, s, t)
                 if fractional not in (qc.edges if enhanced else qc.hard):
                     assert not certified, (s, t, fractional)
-                    tally["fractional"] += _failed_exit(res)
+                    tally["fractional"] += _failed_exit(res, closed)
             expected = _permit_result(plain.with_updated_weights(updates), scope, s, t, enhanced)
             assert (res.klass, res.cost_updated) == expected, (s, t)
             tally["certified"] += certified
@@ -611,7 +671,7 @@ def test_a_route_evaluates_each_landmark_bound_once(landmarks_at_once, monkeypat
             if certified_bounds:
                 tally["certificates"] += 1
                 assert all(map(operator.is_, certified_bounds[0], bounds))
-            elif _failed_exit(res):
+            elif _failed_exit(res, closed):
                 tally["no certificate"] += 1
             if searched:
                 tally["searches"] += 1
@@ -649,7 +709,7 @@ def test_no_open_walk_returns_without_records(landmarks_at_once, monkeypatch):
             for route, enhanced in ((simple_detour_route, False), (enhanced_detour_route, True)):
                 del drained[:], searched[:]
                 res = route(closed, scope, s, t, closures)
-                if not _failed_exit(res) or dijkstra(closed, opened, s).dist[t] < INF:
+                if not _failed_exit(res, closed) or dijkstra(closed, opened, s).dist[t] < INF:
                     continue
                 assert (drained, searched) == ([], []), seed
                 counts = (res.scanned_detour, res.scanned_detour_vertices, res.permits_issued)
@@ -949,7 +1009,7 @@ def test_gate_runs_are_made_only_when_p_fails(landmarks_at_once, monkeypatch):
                 made[key] = 0
             del checked[:]
             res = route(net, scope, s, t)
-            if not _failed_exit(res):
+            if not _failed_exit(res, net):
                 assert made == {"gate runs": 0, "fresh runs": 0, "certificates": 0}
                 continue
             counts, verdicts = dict(made), checked[:]
@@ -972,6 +1032,61 @@ def test_gate_runs_are_made_only_when_p_fails(landmarks_at_once, monkeypatch):
     assert tally.get(("bypass", "P"), 0) >= 150 and tally.get(("bypass", "gate runs"), 0) >= 120, tally
     assert tally.get(("random", "no open walk"), 0) >= 500, tally
     assert tally.get(("fractional", "no certificate"), 0) >= 200, tally
+
+
+def _reference_open_run(network, scope, source, target, weights, bound, bounds):
+    """The d_open run as a scope-aware run with every budget infinite
+    (``search._scope_steps``), stopped once the head's key reaches the
+    target's label."""
+    run = scoperoute.search._scope_run(network, scope, source, weights)
+    pack = scoperoute.network._edge_pack(network, scope)
+    flat = (INF,) * scope.level_count
+    steps = scoperoute.search._scope_steps(run, pack, flat, bound, bounds)
+    for key, _d, _u in steps:
+        if run.dist[target] <= key:
+            break
+    steps.close()
+    return run.dist[target], run
+
+
+def test_open_distance_is_the_scope_run_with_infinite_budgets(landmarks_at_once, monkeypatch):
+    # The d_open run, a plain goal-directed loop without draws, gives what
+    # the scope-aware loop with every budget infinite gives, on a list of
+    # bounds as it found it: d_open, the walk to the target, the settle
+    # order and final marks, every distance and parent edge, the relaxed
+    # count and the bounds it evaluated; and d_open is dijkstra's distance
+    # on the open weighting.
+    real = scoperoute.detour._open_distance
+    compared = []
+
+    def open_distance(network, scope, source, target, weights, bound, bounds):
+        found = list(bounds)
+        d_open, run = real(network, scope, source, target, weights, bound, bounds)
+        ref_d, ref = _reference_open_run(network, scope, source, target, weights, bound, found)
+        assert d_open == ref_d == dijkstra(network, weights, source).dist[target]
+        assert run.walk_to(target) == ref.walk_to(target)
+        assert (run.order, run.final) == (ref.order, ref.final)
+        assert (run.dist, run.parent_edge) == (ref.dist, ref.parent_edge)
+        assert (run.relaxed_count, bounds) == (ref.relaxed_count, found)
+        compared.append(d_open < INF)
+        return d_open, run
+
+    monkeypatch.setattr(scoperoute.detour, "_open_distance", open_distance)
+    cases = [("grid", case) for case in _grid_detour_cases(31, 20)]
+    cases += [("bypass", bypass_network(random.Random(seed))) for seed in range(600)]
+    cases += [("random", _closed_random_case(seed)) for seed in range(1200)]
+    cases += [("tight", case) for case in filter(None, map(_tight_detour_case, range(600)))]
+    tally = {}
+    for name, (net, scope, s, t) in cases:
+        for route in (simple_detour_route, enhanced_detour_route):
+            del compared[:]
+            route(net, scope, s, t)
+            for reached in compared:
+                key = (name, reached)
+                tally[key] = tally.get(key, 0) + 1
+    assert tally.get(("grid", True), 0) >= 30 and tally.get(("random", False), 0) >= 500, tally
+    assert tally.get(("random", True), 0) >= 150, tally
+    assert min(tally.get((name, True), 0) for name in ("bypass", "tight")) >= 300, tally
 
 
 def test_open_weighting_is_the_updated_tuple_when_every_closed_edge_is_infinite(monkeypatch):
@@ -1328,6 +1443,125 @@ class TestQcClosure:
         assert tally.get(("one-way", "round, not strong"), 0) >= 200, tally
 
 
+def _hops(net, start, keep) -> dict[int, int]:
+    """Fewest hops from ``start`` to each vertex it reaches over the edges
+    ``e`` with ``keep(e)``, by a breadth-first search of its own."""
+    hops = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e in net.out_edges(v):
+                u = net.heads[e]
+                if keep(e) and u not in hops:
+                    hops[u] = hops[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return hops
+
+
+def _bypass_cases():
+    """The quasi-closure test's kinds of input, as (name, network, scope,
+    s, t): one-way random networks with hard closures, two-way ones, the
+    acceptance grid with the criterion-7 placement, a grid square with two
+    of its edges closed, and a one-way bridge."""
+    rng = random.Random(33)
+    cases = []
+    for _ in range(300):
+        net, scope = random_network(rng, max_vertices=10)
+        hard = rng.sample(range(net.edge_count), rng.randint(0, min(4, net.edge_count)))
+        s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+        cases.append(("one-way", net.with_updated_weights({e: INF for e in hard}), scope, s, t))
+    cases += [("two-way", *case) for case in filter(None, map(_tight_detour_case, range(400)))]
+    cases += [("grid", *case) for case in _grid_detour_cases(33, 12)]
+    # Close one grid road and the first road of its witness, both on one
+    # square, so that the witness is blocked and a search finds the bypass.
+    grid, scope = cases[-1][1], cases[-1][2]
+    e = next(e for e in range(grid.edge_count) if grid.tails[e] == 1275)
+    witness = scoperoute.detour._bypass_witness(grid, e)
+    square = grid.with_updated_weights({e: INF, witness[0]: INF})
+    cases.append(("square", square, scope, 0, grid.vertex_count - 1))
+    # A cycle 0 -> 1 -> 2 -> 0 with a chord 2 -> 1: closing 0 -> 1 leaves
+    # 0 no way to 1, and no walk of base-finite edges around it.
+    bridge = build_network(3, [(0, 1), (1, 2), (2, 0), (2, 1)], [1, 1, 1, 1])
+    cases.append(("bridge", bridge.with_updated_weights({0: INF}), make_scope([1] * 4, [5, INF]), 2, 1))
+    return cases
+
+
+def test_cached_bypass_witnesses_are_base_walks_around_their_edge():
+    # Every witness cached on a network is a fewest-hop walk from its
+    # edge's tail to its head over edges of finite base weight, without the
+    # edge; None only where no such walk exists. The cache holds at most one
+    # entry per edge.
+    tally = {"walks": 0, "none": 0}
+    for _name, net, scope, s, t in _bypass_cases():
+        qc_closure(net, scope, None, s, t)
+        witnesses = net._aux.get("bypass witnesses", {})
+        assert len(witnesses) <= net.edge_count
+        for e, witness in witnesses.items():
+            x, y = net.tails[e], net.heads[e]
+            hops = _hops(net, x, lambda f: f != e and net.weight[f] != INF)
+            if witness is None:
+                assert y not in hops, e
+                tally["none"] += 1
+                continue
+            assert e not in witness and all(net.weight[f] != INF for f in witness)
+            assert Walk(x, witness).end(net) == y and len(witness) == hops[y]
+            check_walk(Walk(x, witness), net)
+            tally["walks"] += 1
+    assert tally["walks"] >= 1000 and tally["none"] >= 1, tally
+
+
+def test_bypassed_answers_alike_with_cached_witnesses_or_none(monkeypatch):
+    # _bypassed gives the same answer with the witness cache cleared as
+    # with it filled. It proves every bypass that it claims: each cut edge's
+    # tail reaches its head on the open weighting. Where every witness is
+    # open it answers without a search; a blocked witness leaves the answer
+    # to a search stopped at the head, and a missing one answers False.
+    real_reach = scoperoute.detour._reach
+    searches = []
+
+    def reach(*args):
+        searches.append(args)
+        return real_reach(*args)
+
+    monkeypatch.setattr(scoperoute.detour, "_reach", reach)
+    tally = {}
+    for name, net, scope, s, t in _bypass_cases():
+        derived = derive_closures(net)
+        closed = scoperoute.detour._weightings(net, derived.hard, derived.edges)
+        pack = scoperoute.network._edge_pack(net, scope)
+        net._aux.pop("bypass witnesses", None)
+        del searches[:]
+        cleared = scoperoute.detour._bypassed(net, pack, closed)
+        cleared_searches = len(searches)
+        witnesses = net._aux["bypass witnesses"]
+        assert len(witnesses) <= net.edge_count
+        del searches[:]
+        assert scoperoute.detour._bypassed(net, pack, closed) == cleared, name
+        assert len(searches) == cleared_searches, name
+        opened = closed.open
+        bypasses = [
+            net.heads[e] in _hops(net, net.tails[e], lambda f: opened[f] != INF) for e in closed.cut
+        ]
+        if cleared:
+            assert all(bypasses), name
+        witnessed = [witnesses.get(e) for e in closed.cut]
+        if all(w is not None and all(opened[f] != INF for f in w) for w in witnessed):
+            assert cleared and not searches, name
+        if name in ("square", "bridge"):
+            expected = (True, 1) if name == "square" else (False, 0)
+            assert (cleared, min(len(searches), 1)) == expected, name
+            assert (witnessed[0] is None) == (name == "bridge"), name
+        outcome = "proved" if cleared else "not proved"
+        key = (name, outcome, "searched" if searches else "witnesses")
+        tally[key] = tally.get(key, 0) + 1
+    assert tally.get(("grid", "proved", "witnesses"), 0) >= 1, tally
+    assert tally.get(("two-way", "proved", "witnesses"), 0) >= 100, tally
+    assert tally.get(("two-way", "proved", "searched"), 0) >= 1, tally
+    assert tally.get(("one-way", "not proved", "witnesses"), 0) >= 10, tally
+
+
 class TestEnhancedDetour:
     def test_equal_fixed_point_matches_simple(self, permit_fixture):
         net, scope = permit_fixture
@@ -1544,15 +1778,16 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
     # itself; then only the permit path copies them once, into the record
     # weighting (_record_weighting). One by one it reads no weight of an
     # unraised edge but those of the closed edges, the static walk (for its
-    # updated cost) and the d_open run's walk (for its own-draw check), with
+    # updated cost), the d_open run's walk (for its own-draw check) and, on
+    # the permit path, the returned walk (for its updated cost), with
     # closures None or given: the closure set comes from the raised edges
     # the network recorded, and whether the gate runs may be goal-directed
     # from their weights and the bound build_network measured on the base
     # weights, with the landmark table or without it. A static exit reads
-    # only the static walk's weights. The searches (scope-aware steps,
-    # dijkstra runs, reach passes, the quasi-closure's round of them, the
-    # permit-state search) read the weights of what they relax and are left
-    # out.
+    # only the static walk's weights. The searches (scope-aware steps, the
+    # d_open run, dijkstra runs, reach passes, the quasi-closure's round of
+    # them, the permit-state search) read the weights of what they relax and
+    # are left out.
     if table:
         request.getfixturevalue("landmarks_at_once")
         bidirectional_s_dijkstra(n1, n1_scope15, 0, 3)  # builds the table
@@ -1577,7 +1812,7 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
 
     for module, name in ((scoperoute.search, "dijkstra"), (scoperoute.detour, "dijkstra"),
                          (scoperoute.detour, "_reach"), (scoperoute.network, "_reach"),
-                         (scoperoute.detour, "_quasi_closure"),
+                         (scoperoute.detour, "_quasi_closure"), (scoperoute.detour, "_open_distance"),
                          (scoperoute.detour, "_state_search_halves")):
         monkeypatch.setattr(module, name, quieted(getattr(module, name)))
     real_check, real_context = scoperoute.detour._own_draw_split, scoperoute.detour._context
@@ -1593,7 +1828,6 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
     monkeypatch.setattr(scoperoute.detour, "_own_draw_split", check)
     monkeypatch.setattr(scoperoute.detour, "_context", context)
     monkeypatch.setattr(scoperoute.search, "_scope_steps", quiet_steps)
-    monkeypatch.setattr(scoperoute.detour, "_scope_steps", quiet_steps)
     real_bound = scoperoute.search._distance_bound
 
     def bound(weights, vertex_count):
@@ -1629,7 +1863,10 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
             qc = qc_closure(closed, n1_scope15, closures, 0, 3).edges
             actives += [qc] if qc != actives[0] else []
         closed_edges = set().union(*actives)
-        assert reads <= set(update) | closed_edges | static_walk | checked, (update, reads)
+        # The permit path reads its own walk's weights, for its updated cost.
+        returned = set(res.walk.edges) if contexts and res.walk else set()
+        allowed = set(update) | closed_edges | static_walk | checked | returned
+        assert reads <= allowed, (update, reads)
         in_place = [all(closed.weight_updated[e] == INF for e in active) for active in actives]
         expected = ["_weightings"] * in_place.count(False)
         expected += ["_record_weighting"] if in_place[-1] and contexts else []

@@ -1,6 +1,6 @@
 """Per-phase times of detour routing on a benchmark workload's inputs.
 
-    python3 tools/phase_times.py --workload city-detour [--route enhanced] [--cold] --before OLD/src --after src --out BENCH.json
+    python3 tools/phase_times.py --workload city-detour [--route enhanced] [--cold] [--network grid:100] [--scale 1.1] --before OLD/src --after src --out BENCH.json
 
 Each side runs in its own interpreter with that side's ``src`` first on the
 path, ``--rounds`` times, the sides alternating which goes first so that
@@ -50,8 +50,9 @@ before the own-draw check, on every failed exit); "own-draw check" is
 ``_own_draw_split``, the check of the d_open run's own walk on its
 running draws from either end; "d_open run" is ``_open_distance``, the
 plain goal-directed run from the start that gives d_open. "quasi-closure" is
-``_quasi_closure``, the enhanced route's growth of the closure set; it
-reads 0 on the simple route.
+``_quasi_closure``, the enhanced route's growth of the closure set, and
+``_bypass_witness``, the search for a closed edge's bypass witness that
+it makes once per network and edge; it reads 0 on the simple route.
 "potentials" are the directions' bounds: ``_potentials`` and the detour
 module's ``_landmark_potentials``, which ranks the table's terms for the
 route's endpoints, and its ``dijkstra`` runs, the exact open-network
@@ -91,6 +92,18 @@ acceptance grid's text (``parse_network``, less the ``build_network`` it
 calls), ``build_network``, ``balance_to_proper`` and the warm-up
 ``qc_closure`` that builds the shared caches, each in ms per set-up, and
 the whole set-up; the report goes under "set-up".
+
+``--network KIND:SIZE[:subdivisions=K][:oneway]`` runs the routes on
+``generate_synthetic(KIND, SIZE, 3, seed=42, subdivisions=K, oneway=...)``
+balanced to a proper scope mapping, instead of the acceptance grid parsed
+from perfbench's text; ``--scale F`` multiplies every base weight and
+every finite budget by ``F`` (``F`` = 1.1 gives fractional weights). The
+workload's rule for queries and closures is kept: a pair is long when it
+spans at least 0.8 SIZE grid cells (40 on the 50x50 grid, as perfbench
+has it); a network without coordinates (kind ``random``) draws its pairs
+uniformly. The calibration kernel of ``--cold`` still reads the acceptance
+grid. Each network and scale gets its own entry, its name followed by the
+spec and the scale.
 
 ``--src SRC`` runs one side and prints its per-query (or per-set-up)
 times and per-run counts as JSON.
@@ -132,6 +145,7 @@ PHASES = {
     ("detour", "_own_draw_split"): "own-draw check",
     ("detour", "_open_distance"): "d_open run",
     ("detour", "_quasi_closure"): "quasi-closure",
+    ("detour", "_bypass_witness"): "quasi-closure",
     ("search", "_build_landmark_rows"): "landmark build",
 }
 # Functions of the detour module that read weights one by one outside the
@@ -209,13 +223,59 @@ class SelfTimes:
         return timed
 
 
-def measure(src: str, workload: str, queries: int, seed: int, route: str, cold: bool) -> dict:
+def network_spec(spec: str) -> str:
+    """``spec`` checked as ``KIND:SIZE[:subdivisions=K][:oneway]``."""
+    parse_spec(spec)
+    return spec
+
+
+def parse_spec(spec: str) -> tuple[str, int, int, bool]:
+    """``generate_synthetic``'s kind, size, subdivisions and oneway from a spec."""
+    kind, size, *options = spec.split(":")
+    subdivisions, oneway = 0, False
+    for option in options:
+        if option == "oneway":
+            oneway = True
+        elif option.startswith("subdivisions="):
+            subdivisions = int(option.removeprefix("subdivisions="))
+        else:
+            raise argparse.ArgumentTypeError(f"unknown network option {option!r}")
+    return kind, int(size), subdivisions, oneway
+
+
+def load_network(sr, text: str, network: str | None, scale: float):
+    """The network, its scope mapping before balancing, its coordinates and
+    the least span of a long pair: the acceptance grid parsed from ``text``
+    as perfbench parses it, or the synthetic network of the spec
+    ``network``; base weights and finite budgets times ``scale``."""
+    if network is None:
+        nf, span = sr.parse_network(text), None
+    else:
+        kind, size, subdivisions, oneway = parse_spec(network)
+        nf = sr.generate_synthetic(kind, size, 3, 42, subdivisions, oneway)
+        span = round(0.8 * size)
+    net, scope, coordinates = nf.network, nf.scope, nf.coordinates
+    if not coordinates:
+        # Every pair spans 0 cells: pairs are drawn uniformly.
+        coordinates, span = {v: (0.0, 0.0) for v in range(net.vertex_count)}, 0
+    if scale != 1.0:
+        edges = [net.edge(e) for e in range(net.edge_count)]
+        net = sr.build_network(net.vertex_count, edges, [w * scale for w in net.weight])
+        scope = sr.ScopeMapping(scope.level, tuple(nu * scale for nu in scope.nu), scope.labels)
+    return net, scope, coordinates, span
+
+
+def measure(
+    src: str, workload: str, queries: int, seed: int, route: str, cold: bool,
+    network: str | None = None, scale: float = 1.0,
+) -> dict:
     """Per-phase self times in ms, one entry per query, the counts, and the
     functions the sources at ``src`` lack."""
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     import scoperoute as sr
     import scoperoute.detour
     import scoperoute.search
+    import workload as perf_workload
     from calibrate import adjacency, kernel
     from workload import WORKLOADS, blocks, network_text, place_closures
 
@@ -224,8 +284,10 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str, cold: 
     detour_route = sr.enhanced_detour_route if route == "enhanced" else sr.simple_detour_route
     text = network_text(sr)
     kernel_input = adjacency(text)
-    nf = sr.parse_network(text)
-    base, scope = nf.network, sr.balance_to_proper(nf.network, nf.scope)
+    base, scope, coordinates, span = load_network(sr, text, network, scale)
+    if span is not None:
+        perf_workload.MIN_SPAN = span
+    scope = sr.balance_to_proper(base, scope)
     # Warm the structural caches every network copy shares, as the benchmark's set-up does.
     sr.qc_closure(base, scope, (), 0, base.vertex_count - 1)
     top_edges = [e for e in range(base.edge_count) if scope.level[e] == scope.top]
@@ -313,7 +375,7 @@ def measure(src: str, workload: str, queries: int, seed: int, route: str, cold: 
     phases = sorted(set(PHASES.values()))
     per_query: dict[str, list[float]] = {p: [] for p in phases + [ROUTE, OTHER]}
     spec = WORKLOADS[workload]
-    pairs = ((rng, s, t) for rng, block in blocks(spec, seed, nf.coordinates) for s, t in block)
+    pairs = ((rng, s, t) for rng, block in blocks(spec, seed, coordinates) for s, t in block)
     for q in range(queries):
         rng, s, t = next(pairs)
         gc.collect()
@@ -399,12 +461,13 @@ def summary(values: list[float]) -> dict[str, float]:
 
 
 def run_side(
-    src: str, workload: str, queries: int, seed: int, route: str, setup: bool, cold: bool
+    src: str, workload: str, queries: int, seed: int, route: str, setup: bool, cold: bool,
+    network: str | None, scale: float,
 ) -> dict:
     cmd = [
         sys.executable, __file__, "--src", src, "--workload", workload,
-        "--queries", str(queries), "--seed", str(seed), "--route", route,
-    ] + ["--setup"] * setup + ["--cold"] * cold
+        "--queries", str(queries), "--seed", str(seed), "--route", route, "--scale", str(scale),
+    ] + ["--setup"] * setup + ["--cold"] * cold + ["--network", network] * (network is not None)
     out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -425,14 +488,26 @@ def main() -> None:
         "--cold", action="store_true",
         help="time each route as the first call on its pair, after perfbench's calibration kernel",
     )
+    parser.add_argument(
+        "--network", type=network_spec,
+        help="route on generate_synthetic's KIND:SIZE[:subdivisions=K][:oneway], not the acceptance grid",
+    )
+    parser.add_argument(
+        "--scale", type=float, default=1.0, help="multiply the base weights and finite budgets"
+    )
     args = parser.parse_args()
+    if args.scale <= 0:
+        parser.error("--scale must be positive")
+    if args.setup and (args.network or args.scale != 1.0):
+        parser.error("--setup times the acceptance grid's set-up only")
     if args.src:
         if args.setup:
             print(json.dumps(measure_setup(args.src, args.queries)))
         else:
-            print(json.dumps(
-                measure(args.src, args.workload, args.queries, args.seed, args.route, args.cold)
-            ))
+            print(json.dumps(measure(
+                args.src, args.workload, args.queries, args.seed, args.route, args.cold,
+                args.network, args.scale,
+            )))
         return
     if not (args.before and args.out):
         parser.error("give --src, or --before and --out")
@@ -448,7 +523,7 @@ def main() -> None:
         for side in ("before", "after") if r % 2 == 0 else ("after", "before"):
             measured = run_side(
                 sources[side], args.workload, args.queries, args.seed, args.route, args.setup,
-                args.cold,
+                args.cold, args.network, args.scale,
             )
             for phase, times in measured["ms"].items():
                 sides[side].setdefault(phase, []).extend(times)
@@ -471,6 +546,8 @@ def main() -> None:
             + ("; each route timed as the first call on its pair, after perfbench's calibration kernel" if args.cold else ""),
             "seed": args.seed,
             "queries": args.queries,
+            "network": args.network or "acceptance grid (grid:50, parsed)",
+            "scale": args.scale,
         }
     report = {
         **head,
@@ -501,6 +578,8 @@ def main() -> None:
     else:
         name = args.workload + (f", {args.route} route" if args.route != "simple" else "")
         name += ", cold" if args.cold else ""
+        name += f", {args.network}" if args.network else ""
+        name += f", x{args.scale:g}" if args.scale != 1.0 else ""
     reports[name] = report
     out.write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
     width = max(map(len, report["phases"]))
