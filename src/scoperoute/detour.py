@@ -31,11 +31,11 @@ same pass only when asked for (``find_obstructed``, ``DetourContext.records``).
 
 Each direction has one consistent lower bound on the open-network
 distance to its far end, which its gate run, the certificate and the
-permit-state search all read: the landmark bounds of the static search
-once the network has its landmark table, each evaluated once per vertex
-and direction in a route, else in a route the exact open-network
-distances, and 0 in ``build_detour_context``, whose readers read no bound.
-The table only tightens the bound; the weights alone choose the steps.
+permit-state search all read: in a route, the landmark bounds of the
+static search once the network has its landmark table, each evaluated
+once per vertex and direction, and otherwise 0, as always in
+``build_detour_context``, whose readers read no bound. The table only
+tightens the bound; the weights alone choose the steps.
 
 A gate run is read only at the vertices the search settles, so the routes
 run it lazily where that is exact: where the open weights are positive
@@ -46,17 +46,19 @@ itself marks which labels are final (``ScopeSearchResult.final``), so the
 permit-state search reads a run the certificate stepped as it finds it.
 Elsewhere, and in ``build_detour_context`` and the validators always, the
 gate runs are drained, so a route is checked against labels computed
-independently of its lazy runs. Where the gate runs are lazy, a route
-first tries a certificate (``_certificate``): a walk that needs no permit
-and costs the plain open-weight distance d_open, so that no walk is
-cheaper and no record is built. The plain run that finds d_open leaves a
-tree walk of that cost; when it splits into a prefix and a suffix whose
-edges pass their gates on the walk's own running draws from either end,
-the drained gate runs pass them too, and no gate run or grant list is
-made: the d_open run reads only the forward pack and bound and the open
-weights. Otherwise the gate runs are made and stepped until their split
-minimum is d_open, stopping at their first meeting of that sum, since no
-meeting can be cheaper, or until it cannot be. When d_open is infinite no
+independently of its lazy runs. On every weighting a route first tries a
+certificate (``_certificate``): a walk that needs no permit and costs the
+plain open-weight distance d_open, so that no walk is cheaper and no
+record is built. The plain run that finds d_open leaves a tree walk of
+that cost; when it splits into a prefix and a suffix whose edges pass
+their gates on the walk's own running draws from either end (off positive
+integer weights, when the whole walk is such a prefix), the drained gate
+runs pass them too, and no gate run or grant list is made: the d_open run
+reads only the forward pack and bound and the open weights. Otherwise the
+gate runs are made: drained, where they decide at once whether the walk
+needs a permit, or lazy, where they are stepped until their split minimum
+is d_open, stopping at their first meeting of that sum, since no meeting
+can be cheaper, or until it cannot be. When d_open is infinite no
 walk is accepted at all. The corridor-clean masks are built only for the
 permit-state search.
 
@@ -103,16 +105,15 @@ from .search import (
     _bidirectional_search,
     _goal_directed,
     _goal_directed_meeting,
-    _landmark_potentials,
     _own_draw_flags,
     _scope_run,
     _scope_search,
     _split_exists,
     _split_minimum,
     _usable,
-    dijkstra,
     is_saturated,
     s_dijkstra,
+    validate_split_admissible,
 )
 
 
@@ -305,7 +306,9 @@ class _Weightings:
     goal-directed with exact sums, with or without the landmark table
     (``search._goal_directed``, decided on the base weights as
     ``build_network`` measured them and on the raised edges ``_weightings``
-    is given; false without them); ``cut``, the edges of
+    is given; false without them), which also decides whether the
+    certificate's d_open run reads the landmark bound, its own-draw check
+    reads the suffix side and its gate runs are lazy; ``cut``, the edges of
     finite base weight that ``open`` closes, listed from ``active`` and
     the raised edges (``None`` without them)."""
 
@@ -415,14 +418,13 @@ class _Direction:
     a consistent lower bound on the open-network distance to the far end
     and ``bounds`` its values, ``-1.0`` where not evaluated yet: the
     landmark bound, in a route into the list the static search's side of
-    this direction filled (see ``search._bidirectional_search``), or
-    without the table the exact distance in a route and 0 in
-    ``build_detour_context``, every value evaluated (see ``_potentials``).
-    The gate run and the permit-state half of this direction go on
-    filling the list that the certificate's d_open run (forwards) filled
-    before them. A route builds its directions only once it needs a gate
-    run: when the d_open run's own walk fails its check
-    (``_certificate``), or where the gate runs are drained.
+    this direction filled (see ``search._bidirectional_search``), or 0
+    without the table and in ``build_detour_context``, every value
+    evaluated (``_zero_potentials``). The gate run and the permit-state
+    half of this direction go on filling the list that the certificate's
+    d_open run (forwards, where it reads the bound) filled before them. A
+    route builds its directions only once it needs a gate run: when the
+    d_open run's own walk fails its check (``_certificate``).
     ``gate`` is the run from the endpoint on the open weighting, read through ``_usable``:
     drained, or lazy while ``steps`` holds the rest of a run goal-directed
     by ``bound``, in which case a label is final only where the run has
@@ -487,9 +489,11 @@ def _certificate(
     ``_route``), or ``None``; the vertices its searches settled; and the
     two directions, built only when the gate runs were needed.
 
-    ``potentials`` are the directions' bounds (``_potentials``); the
-    weights must be positive integers (``closed.goal``). The d_open run
-    reads only the forward pack, the forward bound and its list, and the
+    ``potentials`` are the directions' bounds (see ``_directions``). The
+    d_open run reads the forward one only where the open weights are
+    positive integers (``closed.goal``), and elsewhere runs on bound 0,
+    since keys that add a bound to a float sum are not exact (ROADMAP item
+    4). It reads only the forward pack, that bound and its list, and the
     open weights, so the directions, with their gate runs and grant lists,
     are built only when P fails.
 
@@ -515,6 +519,43 @@ def _certificate(
     weighting, needs no permit, and costs d_open. A P result's ``forward``
     is the d_open run and its ``backward`` is ``None``.
 
+    Off positive integer weights the check reads the prefix side alone:
+    P passes when every edge of it passes its gate on P's own running draw
+    from the start. A float sum rounds, but rounding is monotone and never
+    takes a sum below its first term, so a plain label is the least left
+    fold of the weights over the walks to its vertex, and a scoped label
+    the left fold of its own tree walk, never below it; ``add_draw`` and
+    ``_own_draw_flags`` add a draw in the same order. A weight of 0, which
+    ``build_network`` accepts (or one a sum absorbs), leaves plateaus of
+    equal labels, where the drained gate run G can settle a head, relax its
+    out-edges, and only then merge a tight arrival that lowers its draw. So
+    the induction claims that G settles each prefix vertex v_i at P's cost
+    with a draw no higher than P's own at settle time. When v_(i-1)
+    settles, P's edge out of it passes and gives v_i those labels; it
+    remains that G does not settle v_i first. Both G and the d_open run R
+    settle in (label, vertex id) order, R's settled labels are least folds,
+    so never above G's, and R relaxes every edge G does. Say G settles a
+    vertex a before a prefix vertex b = v_j, while R settles b before a;
+    take the first such a in G's order. The arrival that gave a its label
+    in G came from a vertex G settled earlier, which by the choice of a R
+    settled before b, so R holds a at a label no higher when it settles b:
+    a's label is b's, and its id is larger. So when G settled a, b was not
+    yet at that label, else it would have gone first; it gets it from P's
+    edge out of v_(j-1) at the latest, which G therefore settles after a,
+    and R before b. So a and v_(j-1) are such a pair too, and so on back
+    to the start, which G settles first. The
+    suffix side has no such argument: a rounded sum can put P's reversed
+    suffix above the least reverse fold, and a plateau of the backward run
+    follows no plain run's order, and either can make a walk that passes
+    the two-sided check fail the validator
+    (``test_own_draw_suffix_is_not_certified_off_integer_weights``). Where
+    P fails there, the directions are built with drained gate runs, and P
+    is the result exactly where it passes their split check
+    (``search.validate_split_admissible``), the validator's own test
+    without permits: then it needs no permit and costs d_open. Else the
+    result is ``None``; U is not tried, since its meeting sums are not
+    exact.
+
     Else both directions are built (``_directions``), and their lazy gate
     runs are stepped as ``bidirectional_s_dijkstra``
     steps its goal-directed runs, until both keys pass d_open; U, their
@@ -536,23 +577,31 @@ def _certificate(
     they stop, and the later yield, on final labels, meets at a sum of at
     most d_open and stops the runs there.
 
-    The count is the vertices the d_open run and the gate runs settled.
+    The count is the vertices the d_open run and the gate runs settled,
+    drained or stepped.
     When U is not d_open the permit-state search steps the gate runs on
     from where they stopped. Each run has marked the labels it made final:
     the vertices it settled and its pending head, or every vertex if it
     ended.
     """
-    to_target, _to_source, (forward_bounds, _backward_bounds) = potentials
+    to_target, _to_source, (forward_bounds, _backward_bounds) = (
+        potentials if closed.goal else _zero_potentials(network.vertex_count)
+    )
     d_open, plain = _open_distance(
         network, scope, source, target, closed.open, to_target, forward_bounds
     )
     if d_open == INF:
         return BidirectionalResult(None, INF, None, plain, None), 0, None
     walk = plain.walk_to(target)
-    if _own_draw_split(walk, scope, closed.open):
-        return BidirectionalResult(walk, d_open, None, plain, None), plain.scanned_count, None
+    certified = BidirectionalResult(walk, d_open, None, plain, None)
+    if _own_draw_split(walk, scope, closed.open, closed.goal):
+        return certified, plain.scanned_count, None
     forward, backward = directions = _directions(network, scope, closed, source, target, potentials)
     runs = (forward.gate, backward.gate)
+    if not closed.goal:
+        scanned = plain.scanned_count + forward.gate.scanned_count + backward.gate.scanned_count
+        admitted = validate_split_admissible(walk, network, scope, source, target, closed.open, *runs)
+        return (certified if admitted else None), scanned, directions
     heads = _goal_directed_meeting(runs, (forward.steps, backward.steps), d_open, d_open)
     pending = [head[2] for head in heads if head is not None]
     split = _split_minimum(*runs, forward.gate.order + backward.gate.order + pending)
@@ -560,15 +609,18 @@ def _certificate(
     return (split if split.cost == d_open else None), scanned, directions
 
 
-def _own_draw_split(walk: Walk, scope: ScopeMapping, weights) -> bool:
+def _own_draw_split(walk: Walk, scope: ScopeMapping, weights, suffix: bool = True) -> bool:
     """Whether ``walk`` splits into a prefix whose every edge passes its
     gate on the prefix's own running draw from the start and a suffix whose
     every edge passes, reversed, on the reversed suffix's own draw from the
     end (``search._own_draw_flags``, one scan each way, split by
-    ``search._split_exists``)."""
+    ``search._split_exists``); without ``suffix``, whether the whole walk
+    is such a prefix."""
     level, nu, zero = scope.level, scope.nu, zero_vector(scope)
     edges = walk.edges
     prefix_ok = _own_draw_flags(edges, level, weights, nu, zero)
+    if not suffix:
+        return all(prefix_ok)
     suffix_ok = _own_draw_flags(edges[::-1], level, weights, nu, zero)
     suffix_ok.reverse()
     return _split_exists(prefix_ok, suffix_ok)
@@ -587,10 +639,11 @@ def _open_distance(
     ``weights``, the open weighting, scope ignored; and the run that found
     it, whose tree walk to ``target`` costs d_open.
 
-    A plain goal-directed run (A* on landmark bounds; Goldberg & Harrelson,
-    SODA 2005) over the forward pack, each triple's level ignored, on fresh
-    labels from ``_scope_run``: the key is ``d + bound(v)``, ``bound`` the
-    forward direction's, evaluated at most once per vertex into its list
+    A goal-directed run (A*; Goldberg & Harrelson, SODA 2005) over the
+    forward pack, each triple's level ignored, on fresh labels from
+    ``_scope_run``: the key is ``d + bound(v)``, ``bound`` the forward
+    direction's landmark bound, or 0 everywhere for a plain run (see
+    ``_certificate``), evaluated at most once per vertex into its list
     ``bounds``. It is ``_scope_steps`` with every budget infinite, so that no
     gate closes, less the draws that nothing reads: the same settle order,
     ``order``, ``final`` marks, ``relaxed_count``, distances and parent
@@ -599,8 +652,9 @@ def _open_distance(
     so keys never fall and ``target`` would settle at key d_open: the run
     stops once the head's key reaches ``target``'s distance label, that
     head marked final but not settled. Every vertex of the tree walk to
-    ``target`` before it has settled, so each prefix of that walk is a
-    plain shortest walk.
+    ``target`` before it has settled, since only a settled vertex relaxes
+    an edge, so each prefix of that walk is a plain shortest walk, zero
+    weights included.
     """
     run = _scope_run(network, scope, source, weights)
     dist, parent, done, tails = run.dist, run.parent_edge, run.final, run._tails
@@ -686,37 +740,13 @@ def build_detour_context(
     return _context(network, scope, closed, source, target)
 
 
-def _potentials(
-    network: RoadNetwork,
-    closed: _Weightings,
-    source: int,
-    target: int,
-    exact: bool = True,
-) -> tuple[Callable[[int], float], Callable[[int], float], tuple[list[float], list[float]]]:
-    """The forward direction's bound towards ``target``, the backward one's
-    towards ``source``, and the two lists of their values, where a route's
-    static search has not left them (see ``_route``).
-
-    With the landmark table the bounds are its potentials of ``source`` and
-    ``target``, into fresh lists. Without it they are, if
-    ``exact``, the exact distances to ``target`` and from ``source`` on the
-    open weighting, two whole ``dijkstra`` runs: consistent on it, and
-    infinite where the far end cannot be reached. Otherwise they are 0
-    everywhere, also consistent: a context for the validators, whose gate
-    runs are drained and which read no bound, makes no run for them."""
-    to_target, to_source = _landmark_potentials(network, source, target)
-    if to_target is None:
-        if exact:
-            bounds = (
-                dijkstra(network.reverse(), closed.open, target).dist,
-                dijkstra(network, closed.open, source).dist,
-            )
-        else:
-            bounds = ([0.0] * network.vertex_count, [0.0] * network.vertex_count)
-        to_target, to_source = bounds[0].__getitem__, bounds[1].__getitem__
-    else:
-        bounds = ([-1.0] * network.vertex_count, [-1.0] * network.vertex_count)
-    return to_target, to_source, bounds
+def _zero_potentials(n: int) -> tuple:
+    """Bounds of 0 everywhere, consistent on every weighting, as a
+    potentials triple (see ``_directions``): two bound functions and their
+    two n-lists of values, every value evaluated, so neither function is
+    called."""
+    bounds = ([0.0] * n, [0.0] * n)
+    return bounds[0].__getitem__, bounds[1].__getitem__, bounds
 
 
 def _directions(
@@ -728,7 +758,9 @@ def _directions(
     potentials: tuple,
 ) -> tuple[_Direction, _Direction]:
     """The forward and the backward direction, each bounded towards its far
-    end by ``potentials`` (``_potentials``)."""
+    end by ``potentials``: the forward bound, the backward one and their two
+    value lists, those the static search left (``_bidirectional_search``)
+    or ``_zero_potentials``."""
     to_target, to_source, bounds = potentials
     return (
         _direction(network, scope, source, closed, to_target, bounds[0]),
@@ -746,12 +778,11 @@ def _context(
 ) -> DetourContext:
     """``build_detour_context`` on ``closed``: the record runs, then the
     grant masks set in ``directions``, which ``_directions`` builds after
-    the record runs where not given, without exact bounds, and their clean
+    the record runs on zero bounds where not given, and their clean
     masks."""
     record_runs = _drained_runs(network, scope, source, target, _record_weighting(network, closed))
     forward, backward = directions or _directions(
-        network, scope, closed, source, target,
-        _potentials(network, closed, source, target, exact=False),
+        network, scope, closed, source, target, _zero_potentials(network.vertex_count)
     )
     forward = replace(forward, clean=_clean_masks(network, scope, closed.active))
     backward = replace(backward, clean=_clean_masks(network.reverse(), scope, closed.active))
@@ -900,9 +931,7 @@ def _state_search_halves(
     end, each value evaluated once and shared through ``_Direction.bounds``
     with its gate run and, in a route, the static search's side of that
     direction. Every walk a half can extend to a meeting also runs in the
-    open network, so keys never fall along a walk. A state at a vertex of
-    infinite potential (without the landmark table, one that cannot reach
-    the far end) is never queued: no partner can meet it.
+    open network, so keys never fall along a walk.
 
     An edge whose level the gate at its tail does not pass takes a permit,
     and owes its level unless a carried permit covers it. A half reads its
@@ -943,7 +972,7 @@ def _state_search_halves(
         if potential[start] < 0.0:
             potential[start] = own.bound(start)
         live = own.grant[start]
-        heap = [(potential[start], 0, start, live, 0, 0.0)] if potential[start] < INF else []
+        heap = [(potential[start], 0, start, live, 0, 0.0)]
         label = {(start << vshift) | (live << bits): (0.0, 0, None, None, False)}
         return _StateSearch(own, other, heap, label)
 
@@ -1024,8 +1053,6 @@ def _state_search_halves(
             hu = potential[u]
             if hu < 0.0:
                 hu = potential[u] = bound(u)
-            elif hu == INF:
-                continue
             nlive = grant[u] | (live & clean[u])
             nkey = (u << vshift) | (nlive << bits) | new_debt
             ncost = d + we
@@ -1066,9 +1093,7 @@ class DetourResult:
     runs settled: the d_open run's alone when the run's own walk is
     certified and no gate run is made. A route whose d_open is
     inf counts 0, as after the static exit. The permit-state search's gate
-    and record runs are not counted, nor the certificate's runs before it,
-    nor the ``dijkstra`` runs that bound the directions without the
-    landmark table.
+    and record runs are not counted, nor the certificate's runs before it.
     """
 
     walk: Walk | None
@@ -1119,10 +1144,10 @@ def _route(
     """The detour steps in order: static result and early exit, the closure
     set and its weightings, grown by the quasi-closure when ``enhanced``
     (the weightings are built again only if it adds an edge), the
-    directions' bounds, the certificate where the weights allow it, else
-    both directions with their gate runs, the record runs, then the rest of
-    the context and the permit-state search. The weights alone choose these
-    steps; the landmark table only tightens the directions' bounds.
+    directions' bounds, the certificate, else both directions with their
+    gate runs, the record runs, then the rest of the context and the
+    permit-state search. The weights alone choose these steps; the landmark
+    table only tightens the directions' bounds.
 
     A caller's ``closures`` are read once, before the static search, so an
     unknown edge id raises ``NetworkError`` even on the static exit and a
@@ -1143,27 +1168,28 @@ def _route(
     directions: the d_open run, the gate runs and the permit-state halves
     evaluate only the bounds the static search left unevaluated, and the
     table's terms are ranked once per route. Without the table the
-    directions' bounds are the exact open-network distances instead
-    (``_potentials``). Where the open weights are positive integers
-    (``_Weightings.goal``) the gate runs are lazy, with the drained runs'
-    labels wherever the search reads them.
+    directions' bounds are 0 (``_zero_potentials``). Where the open weights
+    are positive integers (``_Weightings.goal``) the gate runs are lazy,
+    with the drained runs' labels wherever the search reads them.
 
-    Under the same condition a failed exit first tries a certificate
-    (``_certificate``). Every walk the detour relation accepts avoids the
-    closed edges, so it costs at least d_open, the plain distance on the
-    open weighting (``_open_distance``); the weights are positive integers,
-    so the sums are exact. A walk of cost d_open that needs no permit is
-    then a detour optimum: first P, the d_open run's own tree walk, when it
-    passes its gates on its own running draws (``_own_draw_split``), else
-    U, the gate runs' split minimum, when it equals d_open. The route
-    returns it, or the static walk if that is no dearer, without any record
-    run, grant or permit-state search, and on P without making a gate run
-    or a grant list. Among walks of equal cost it can differ from the permit-state
-    search's. With quasi-closures the argument is the same. When d_open is
-    inf no walk avoids the closed edges, so the route returns the static
-    walk, if its updated cost is finite, or nothing, again with no record
-    run or permit-state search. Otherwise the gate runs, stepped that far,
-    go on to the permit-state search.
+    A failed exit first tries a certificate (``_certificate``). Every walk
+    the detour relation accepts avoids the closed edges, so its cost, the
+    left fold of its weights, is at least d_open, the least such fold on
+    the open weighting (``_open_distance``), exact where the weights are
+    positive integers. A walk of cost d_open that needs no permit is then a
+    detour optimum: first P, the d_open run's own tree walk, when it passes
+    its gates on its own running draws (``_own_draw_split``), else, where
+    the weights are positive integers, U, the gate runs' split minimum,
+    when it equals d_open, and elsewhere P again, when the drained gate
+    runs admit it. The route returns it, or the static walk if that
+    is no dearer, without any record run, grant or permit-state search,
+    and on P without making a gate run or a grant list. Among walks of
+    equal cost it can differ from the permit-state search's. With
+    quasi-closures the argument is the same. When d_open is inf no walk
+    avoids the closed edges, so the route returns the static walk, if its
+    updated cost is finite, or nothing, again with no record run or
+    permit-state search. Otherwise the gate runs the certificate made,
+    stepped that far or drained, go on to the permit-state search.
     """
     active = None if closures is None else _active_set(network, closures)
     res = DetourResult(None, INF, "unreachable")
@@ -1177,17 +1203,12 @@ def _route(
         res.qc_iterations, res.qc_added = qc.iterations, len(qc.edges) - len(closed.active)
         if res.qc_added:
             closed = _weightings(network, qc.edges, derived.edges)
-    potentials = static_potentials or _potentials(network, closed, source, target)
-    certified = directions = None
-    if closed.goal:
-        certified, scanned, directions = _certificate(
-            network, scope, closed, source, target, potentials
-        )
+    potentials = static_potentials or _zero_potentials(network.vertex_count)
+    certified, scanned, directions = _certificate(network, scope, closed, source, target, potentials)
     if certified is not None:
         res.scanned_detour = res.scanned_detour_vertices = scanned
         walk, cost, permit_edges = certified.walk, certified.cost, ()
     else:
-        directions = directions or _directions(network, scope, closed, source, target, potentials)
         ctx = _context(network, scope, closed, source, target, directions)
         fwd, bwd, meeting = _state_search_halves(ctx)
         res.scanned_detour = sum(len(here) for half in (fwd, bwd) for here in half.settled.values())

@@ -645,8 +645,9 @@ def _scc_groups(network: RoadNetwork, edge_ids) -> list[list[int]]:
 def _shortest_edge_path_between(network: RoadNetwork, group_a, group_b, keep=None):
     """Fewest-hop edge path from any vertex of group_a to any of group_b.
 
-    Multi-source breadth-first search; sources and edges are visited in
-    sorted order, so the result is deterministic. With ``keep`` only the
+    Multi-source breadth-first search; sources are visited in sorted
+    order and each vertex's edges in id order, as ``build_network`` lists
+    them in every row, so the result is deterministic. With ``keep`` only the
     edges ``e`` with ``keep(e)`` true are followed (the bypass witnesses of
     ``detour._bypassed``); without it every edge is, as ``balance_to_proper``
     needs. ``None`` when no such path leaves a source for a vertex of
@@ -661,7 +662,7 @@ def _shortest_edge_path_between(network: RoadNetwork, group_a, group_b, keep=Non
     while frontier and found is None:
         nxt = []
         for v in frontier:
-            for e in sorted(network.out_edges(v)):
+            for e in network.out_edges(v):
                 u = network.heads[e]
                 if u in seen or (keep is not None and not keep(e)):
                     continue

@@ -494,8 +494,8 @@ def _goal_potentials(network: RoadNetwork, weighting, source: int, target: int):
 
 def _landmark_potentials(network: RoadNetwork, source: int, target: int):
     """Landmark lower bounds on the base-weight distance from a vertex to
-    ``target`` and from ``source`` to a vertex, or ``(None, None)`` while
-    the network has no landmark table.
+    ``target`` and from ``source`` to a vertex, on a network that has its
+    landmark table.
 
     Reading the table neither counts a static search nor builds it. By the
     triangle inequality, ``d(x, y)`` is at least ``d(L, y) - d(L, x)`` and
@@ -512,9 +512,7 @@ def _landmark_potentials(network: RoadNetwork, source: int, target: int):
     but each bound costs a fraction; ``bidirectional_s_dijkstra`` returns
     the same on every consistent bound.
     """
-    columns = network._aux.get("landmarks")
-    if columns is None:
-        return None, None
+    columns = network._aux["landmarks"]
     terms = sorted(columns, key=lambda col: col[source] - col[target])[:_TERMS]
     terms += [columns[-1]] * (_TERMS - len(terms))
     # Written out for the _TERMS = 8 terms: about half the time of a map.

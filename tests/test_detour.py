@@ -481,7 +481,8 @@ def test_lazy_gate_bits_are_the_drained_runs(monkeypatch, request, table):
 
 def _permit_path(closed, scope, s, t, enhanced: bool, closures=None):
     """The permit-state search of a failed exit from ``s`` to ``t`` as a
-    route runs it, with the route's closure set, but with no certificate
+    route runs it, with the route's closure set and bounds (the static
+    search's landmark potentials, else zero), but with no certificate
     first: on directions fresh from ``_directions``."""
     derived = derive_closures(closed)
     if enhanced:
@@ -489,7 +490,8 @@ def _permit_path(closed, scope, s, t, enhanced: bool, closures=None):
     else:
         active = scoperoute.detour._active_set(closed, closures)
     weightings = scoperoute.detour._weightings(closed, active, derived.edges)
-    potentials = scoperoute.detour._potentials(closed, weightings, s, t)
+    potentials = scoperoute.search._bidirectional_search(closed, scope, s, t)[1]
+    potentials = potentials or scoperoute.detour._zero_potentials(closed.vertex_count)
     directions = scoperoute.detour._directions(closed, scope, weightings, s, t, potentials)
     ctx = scoperoute.detour._context(closed, scope, weightings, s, t, directions)
     return scoperoute.detour._state_search_halves(ctx)
@@ -544,10 +546,12 @@ def test_certificate_gives_the_costs_of_the_permit_search(landmarks_at_once, mon
     # on bypass networks. A certified walk passes the validator on a fresh
     # context with the route's closure set. Some bypass detours still take
     # a permit, so the permit path stays reached. A fractional raise on an
-    # edge the route leaves open keeps every failed exit off the certificate.
+    # edge the route leaves open leaves the open weights fractional, where
+    # the certificate takes only P, when it needs no permit on drained
+    # gate runs.
     searched = _count_state_searches(monkeypatch)
     routes = ((simple_detour_route, False), (enhanced_detour_route, True))
-    tally = {"certified": 0, "searched": 0, "permits": 0, "fractional": 0}
+    tally = {"certified": 0, "searched": 0, "permits": 0, "fractional": 0, "fractional P": 0}
 
     def compare(table, plain, scope, s, t, updates, fractional=None):
         for route, enhanced in routes:
@@ -557,8 +561,13 @@ def test_certificate_gives_the_costs_of_the_permit_search(landmarks_at_once, mon
             certified = _failed_exit(res, closed) and not searched
             if fractional is not None:
                 qc = qc_closure(closed, scope, None, s, t)
-                if fractional not in (qc.edges if enhanced else qc.hard):
-                    assert not certified, (s, t, fractional)
+                active = qc.edges if enhanced else qc.hard
+                if fractional not in active:
+                    if certified and res.klass != "static":
+                        opened = [INF if e in active else w for e, w in enumerate(closed.weight_updated)]
+                        assert res.permit_edges == ()
+                        assert validate_split_admissible(res.walk, closed, scope, s, t, opened)
+                        tally["fractional P"] += 1
                     tally["fractional"] += _failed_exit(res, closed)
             expected = _permit_result(plain.with_updated_weights(updates), scope, s, t, enhanced)
             assert (res.klass, res.cost_updated) == expected, (s, t)
@@ -595,7 +604,7 @@ def test_certificate_gives_the_costs_of_the_permit_search(landmarks_at_once, mon
         raised = rng.choice([e for e in range(table.edge_count) if table.weight_updated[e] < INF])
         compare(table, plain, scope, s, t, {raised: table.weight[raised] + 0.5}, raised)
     assert tally["certified"] >= 500 and tally["searched"] >= 500, tally
-    assert tally["fractional"] >= 500, tally
+    assert tally["fractional"] >= 500 and tally["fractional P"] >= 100, tally
     assert tally["permits"] - grid_permits >= 100, tally
 
 
@@ -603,16 +612,16 @@ def test_a_route_evaluates_each_landmark_bound_once(landmarks_at_once, monkeypat
     # One route ranks the table's terms once and evaluates each vertex's
     # landmark bound at most once per direction: the static search's two
     # potentials and bound lists go on to the d_open run, the gate runs and
-    # the permit-state halves, which read exactly those lists. A route with
-    # no permit-state search builds no corridor-clean mask.
+    # the permit-state halves, which read exactly those lists. Every failed
+    # exit tries the certificate; off positive integer open weights its
+    # d_open run is plain and it evaluates no bound. A route with no
+    # permit-state search builds no corridor-clean mask.
     real_potentials = scoperoute.search._landmark_potentials
-    evaluated, ranked = [], []
+    evaluated, ranked, plain = [], [], []
 
     def counting(network, source, target):
         ranked.append((source, target))
         to_target, to_source = real_potentials(network, source, target)
-        if to_target is None:
-            return to_target, to_source
         return (
             lambda v: evaluated.append(("t", v)) or to_target(v),
             lambda v: evaluated.append(("s", v)) or to_source(v),
@@ -630,25 +639,29 @@ def test_a_route_evaluates_each_landmark_bound_once(landmarks_at_once, monkeypat
 
     def certificate(network, scope, closed, source, target, potentials):
         certified_bounds.append(potentials[2])
-        return real_certificate(network, scope, closed, source, target, potentials)
+        before = len(evaluated)
+        result = real_certificate(network, scope, closed, source, target, potentials)
+        if not closed.goal:
+            assert len(evaluated) == before, (source, target)
+            plain.append(closed)
+        return result
 
     def clean(*args, **kwargs):
         cleaned.append(args)
         return real_clean(*args, **kwargs)
 
     monkeypatch.setattr(scoperoute.search, "_landmark_potentials", counting)
-    monkeypatch.setattr(scoperoute.detour, "_landmark_potentials", counting)
     monkeypatch.setattr(scoperoute.detour, "_bidirectional_search", static)
     monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
     monkeypatch.setattr(scoperoute.detour, "_clean_masks", clean)
     searched = _count_state_searches(monkeypatch)
-    tally = {"certificates": 0, "searches": 0, "no certificate": 0, "evaluated": 0}
+    tally = {"certificates": 0, "searches": 0, "plain certificates": 0, "evaluated": 0}
     rng = random.Random(19)
     cases = [bypass_network(random.Random(seed)) for seed in range(600)]
     cases += [_closed_random_case(seed) for seed in range(600)]
     for net, scope, s, t in cases[:]:
         # A fractional raise on an open edge leaves the gate runs drained
-        # and the certificate untried.
+        # and the d_open run plain.
         raised = rng.choice([e for e in range(net.edge_count) if net.weight_updated[e] < INF])
         cases.append((net.with_updated_weights({raised: net.weight_updated[raised] + 0.5}), scope, s, t))
     nf = generate_synthetic("grid", 50, 3, seed=42)
@@ -662,6 +675,7 @@ def test_a_route_evaluates_each_landmark_bound_once(landmarks_at_once, monkeypat
     for closed, scope, s, t in cases:
         for route in (simple_detour_route, enhanced_detour_route):
             del evaluated[:], ranked[:], static_bounds[:], certified_bounds[:], cleaned[:], searched[:]
+            del plain[:]
             res = route(closed, scope, s, t)
             assert ranked == [(s, t)], (s, t)
             assert len(evaluated) == len(set(evaluated)), (s, t)
@@ -670,9 +684,10 @@ def test_a_route_evaluates_each_landmark_bound_once(landmarks_at_once, monkeypat
             assert bounds is not None
             if certified_bounds:
                 tally["certificates"] += 1
+                tally["plain certificates"] += len(plain)
                 assert all(map(operator.is_, certified_bounds[0], bounds))
-            elif _failed_exit(res, closed):
-                tally["no certificate"] += 1
+            else:
+                assert not _failed_exit(res, closed), (s, t)
             if searched:
                 tally["searches"] += 1
                 ctx = searched[0][0]
@@ -889,8 +904,8 @@ def test_own_draw_check_certifies_split_admissible_walks(landmarks_at_once, monk
     checked, certified = [], []
     disabled = [False]
 
-    def check(walk, scope, weights):
-        accepted = not disabled[0] and real_check(walk, scope, weights)
+    def check(walk, scope, weights, *suffix):
+        accepted = not disabled[0] and real_check(walk, scope, weights, *suffix)
         checked.append((walk, weights, accepted))
         return accepted
 
@@ -962,10 +977,10 @@ def _grid_detour_cases(seed, count: int) -> list:
 
 
 def test_gate_runs_are_made_only_when_p_fails(landmarks_at_once, monkeypatch):
-    # A failed exit whose certificate P answers makes no gate run and no
-    # grant list (no _direction call) and one fresh run, the d_open run; one
-    # where P fails makes exactly one pair of gate runs; one with no
-    # certificate (fractional weights) a pair of drained ones. Cost and
+    # Every failed exit tries the certificate once. One whose certificate P
+    # answers makes no gate run and no grant list (no _direction call) and
+    # one fresh run, the d_open run; one where P fails makes exactly one
+    # pair of gate runs, lazy or, on fractional weights, drained. Cost and
     # class equal those of a route whose own-draw check rejects every walk,
     # and where the real check rejects P, so do the walk, the permit edges
     # and every count: the gate runs made later are stepped as before.
@@ -1016,22 +1031,21 @@ def test_gate_runs_are_made_only_when_p_fails(landmarks_at_once, monkeypatch):
             reject[0] = True
             rejected = route(net, scope, s, t)
             assert (res.klass, res.cost_updated) == (rejected.klass, rejected.cost_updated)
-            if not counts["certificates"]:
-                outcome, gate_runs = "no certificate", 2
-            elif not verdicts:
+            assert counts["certificates"] == 1, (name, s, t)
+            if not verdicts:
                 outcome, gate_runs = "no open walk", 0
             elif verdicts == [True]:
                 outcome, gate_runs = "P", 0
             else:
                 outcome, gate_runs = "gate runs", 2
                 assert [getattr(res, f) for f in fields] == [getattr(rejected, f) for f in fields]
-            fresh_runs = 0 if outcome == "no certificate" else 1
-            assert (counts["gate runs"], counts["fresh runs"]) == (gate_runs, fresh_runs), (name, s, t)
+            assert (counts["gate runs"], counts["fresh runs"]) == (gate_runs, 1), (name, s, t)
             tally[name, outcome] = tally.get((name, outcome), 0) + 1
     assert tally.get(("grid", "P"), 0) >= 30 and tally.get(("random", "P"), 0) >= 150, tally
     assert tally.get(("bypass", "P"), 0) >= 150 and tally.get(("bypass", "gate runs"), 0) >= 120, tally
     assert tally.get(("random", "no open walk"), 0) >= 500, tally
-    assert tally.get(("fractional", "no certificate"), 0) >= 200, tally
+    assert tally.get(("fractional", "P"), 0) >= 40, tally
+    assert tally.get(("fractional", "no open walk"), 0) >= 200, tally
 
 
 def _reference_open_run(network, scope, source, target, weights, bound, bounds):
@@ -1087,6 +1101,130 @@ def test_open_distance_is_the_scope_run_with_infinite_budgets(landmarks_at_once,
     assert tally.get(("grid", True), 0) >= 30 and tally.get(("random", False), 0) >= 500, tally
     assert tally.get(("random", True), 0) >= 150, tally
     assert min(tally.get((name, True), 0) for name in ("bypass", "tight")) >= 300, tally
+
+
+def _zero_weight_case(seed: int):
+    """A small random network whose weights are 0, 0.5, 1, 2 or 3, with hard
+    and soft closures, and a query on it: its sums are exact, but a weight
+    of 0 keeps the open weights off positive integers."""
+    rng = random.Random(seed)
+    net, scope = random_network(rng)
+    weights = [rng.choice([0.0, 0.5, 1.0, 2.0, 3.0]) for _ in net.weight]
+    net = build_network(net.vertex_count, [net.edge(e) for e in range(net.edge_count)], weights)
+    updates = {
+        e: INF if rng.random() < 0.7 else net.weight[e] + rng.choice([0.5, 1.0, 2.0])
+        for e in rng.sample(range(net.edge_count), rng.randint(1, net.edge_count // 4 + 1))
+    }
+    closed = net.with_updated_weights(updates)
+    return closed, scope, rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
+
+
+def test_certificate_off_integer_weights_answers_validated_optima(monkeypatch):
+    # Off positive integer open weights (fractional cases, zeros among their
+    # weights, and zero-weight ones) the d_open run is the scope-aware loop
+    # with every budget infinite on bound 0: settle order, final marks,
+    # labels, parent edges and relaxed count. Every walk the certificate
+    # returns passes the validator on a fresh context with the route's
+    # closure set, costs dijkstra's distance on the open weighting and its
+    # own left fold, and no meeting of the permit-state search on the same
+    # weighting is more than 1e-12 relative below it.
+    real_open, real_certificate = scoperoute.detour._open_distance, scoperoute.detour._certificate
+    certified = []
+
+    def open_distance(network, scope, source, target, weights, bound, bounds):
+        found = list(bounds)
+        d_open, run = real_open(network, scope, source, target, weights, bound, bounds)
+        ref_d, ref = _reference_open_run(network, scope, source, target, weights, bound, found)
+        assert (d_open, run.order, run.final) == (ref_d, ref.order, ref.final)
+        assert (run.dist, run.parent_edge, run.relaxed_count) == (ref.dist, ref.parent_edge, ref.relaxed_count)
+        return d_open, run
+
+    def certificate(network, scope, closed, source, target, potentials):
+        result = real_certificate(network, scope, closed, source, target, potentials)
+        certified.append((closed, result[0]))
+        return result
+
+    monkeypatch.setattr(scoperoute.detour, "_open_distance", open_distance)
+    monkeypatch.setattr(scoperoute.detour, "_certificate", certificate)
+    cases = [("fractional", _closed_random_case(seed, True)) for seed in range(1500)]
+    cases += [("zero weights", _zero_weight_case(seed)) for seed in range(4000)]
+    tally = {"fractional": 0, "zero weights": 0, "below": 0}
+    for name, (net, scope, s, t) in cases:
+        for route, enhanced in ((simple_detour_route, False), (enhanced_detour_route, True)):
+            del certified[:]
+            route(net, scope, s, t)
+            for closed, result in certified:
+                if closed.goal or result is None or result.walk is None:
+                    continue
+                walk, cost = result.walk, result.cost
+                assert scoperoute.detour._recheck_detour(walk, net, scope, enhanced, s, t), (name, s, t)
+                assert cost == dijkstra(net, closed.open, s).dist[t] == walk.cost(net, "updated")
+                meeting = _permit_path(net, scope, s, t, enhanced)[2]
+                assert meeting is not None and meeting[0][0] >= cost - 1e-12 * cost, (name, s, t)
+                tally[name] += 1
+                tally["below"] += meeting[0][0] < cost
+    assert tally["fractional"] >= 200 and tally["zero weights"] >= 500, tally
+    assert tally["below"] >= 1, tally
+
+
+def _own_draw_suffix_cases():
+    """Two failed exits off positive integer weights whose P passes the
+    two-sided own-draw check but not the one-sided one, and which the
+    validator rejects on drained runs, each with the permit edges the
+    permit-state search gives it: ``(network, scope, s, t, permit_edges)``.
+
+    In the first, 10.1 + 0.2 rounds below 10 + 0.3, so P runs 0 -> 1 -> 2
+    -> 3 -> 4, but 0.2 + 0.1 rounds above 0.3, so the backward gate run
+    reaches 2 over the level-2 edge 2 -> 4 at a draw that shuts the gate of
+    1 -> 2. In the second the backward gate run settles vertex 2 at label
+    1 from vertex 1, with the draw of the level-2 edges 5 -> 4 and 1 -> 5,
+    before vertex 3 brings the same label with draw 0: 2's gate towards 7
+    is shut when it relaxes, and 7 stays unreached."""
+    rounding = build_network(
+        5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (0, 4)], [5, 5, 0.1, 0.2, 0.3, 1]
+    ).with_updated_weights({5: INF})
+    plateau_edges = [(0, 6), (6, 7), (7, 2), (2, 3), (3, 4), (2, 1), (1, 5), (5, 4), (0, 4)]
+    plateau = build_network(
+        8, plateau_edges, [5, 1, 1, 0, 1, 0, 0.5, 0.5, 1]
+    ).with_updated_weights({8: INF})
+    return [
+        (rounding, make_scope([1, 0, 0, 0, 2, 0], [0.2, 1, INF]), 0, 4, (1, 2)),
+        (plateau, make_scope([1, 0, 0, 0, 0, 2, 2, 2, 0], [0.2, 1, INF]), 0, 4, (1,)),
+    ]
+
+
+def test_own_draw_suffix_is_not_certified_off_integer_weights(monkeypatch):
+    # The suffix side of the own-draw check holds only on exact sums with no
+    # plateau: in each case P passes it, yet fails the split validator on
+    # drained runs. So off positive integer weights the certificate reads
+    # the prefix side alone and then asks the drained gate runs: here P
+    # fails, and the routes return the permit-state search's walk, which is
+    # P with the permits it needs. On a path whose P the drained runs admit
+    # from its suffix side, the routes return P with no permit and no
+    # record run.
+    real, drained = scoperoute.detour._drained_runs, []
+    monkeypatch.setattr(scoperoute.detour, "_drained_runs", lambda *args: drained.append(args) or real(*args))
+    path = build_network(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [5, 1.5, 1, 1]).with_updated_weights({3: INF})
+    path_scope = make_scope([1, 0, 0, 0], [0.2, 1, INF])
+    for net, scope, s, t, permits in _own_draw_suffix_cases() + [(path, path_scope, 0, 3, ())]:
+        closed = scoperoute.detour._weightings(net, derive_closures(net).hard, derive_closures(net).edges)
+        assert not closed.goal
+        d_open, run = scoperoute.detour._open_distance(
+            net, scope, s, t, closed.open, None, [0.0] * net.vertex_count
+        )
+        walk = run.walk_to(t)
+        assert scoperoute.detour._own_draw_split(walk, scope, closed.open)
+        assert not scoperoute.detour._own_draw_split(walk, scope, closed.open, False)
+        forward = s_dijkstra(net, scope, s, closed.open)
+        backward = s_dijkstra(net.reverse(), scope, t, closed.open)
+        admitted = validate_split_admissible(walk, net, scope, s, t, closed.open, forward, backward)
+        assert admitted == (permits == ())
+        for route, enhanced in ((simple_detour_route, False), (enhanced_detour_route, True)):
+            del drained[:]
+            res = route(net, scope, s, t)
+            assert (res.walk, res.cost_updated, res.permit_edges) == (walk, d_open, permits)
+            assert bool(drained) == (not admitted)
+            assert scoperoute.detour._recheck_detour(res.walk, net, scope, enhanced, s, t)
 
 
 def test_open_weighting_is_the_updated_tuple_when_every_closed_edge_is_infinite(monkeypatch):
@@ -1705,23 +1843,25 @@ def test_failed_exit_without_the_table_drains_as_with_it(
     # No landmark table: a failed exit drains what it drains with the table
     # (see the next test). On n1 a hard or a soft closure of edge 1 leaves
     # the permit-free walk 0 -> 1 -> 3 at the open distance, so the
-    # certificate returns it after the static search and nothing drains. A
-    # fractional raise of edge 3 leaves the open weights fractional: no
-    # certificate, and the two gate runs drain on the open weighting, then
-    # the two record runs on the record weighting. On the permit fixture
-    # the certificate fails on its stepped gate runs, and exactly the two
-    # record runs drain.
-    for update, drained in (({1: INF}, False), ({1: 30}, False), ({1: INF, 3: 20.5}, True)):
+    # certificate returns it after the static search and nothing drains,
+    # also where a fractional raise of edge 3 leaves the open weights
+    # fractional. On the permit fixture the certificate fails on its
+    # stepped gate runs, and exactly the two record runs drain. A
+    # fractional raise of its edge 0 leaves P failing with no gate run to
+    # step: the two gate runs drain on the open weighting, then the two
+    # record runs on the record weighting.
+    for update in ({1: INF}, {1: 30}, {1: INF, 3: 20.5}):
         calls, record, opened, res = _failed_exit_searches(n1, n1_scope15, monkeypatch, route, update)
         assert "landmarks" not in n1._aux
-        runs = [(0, opened), (3, opened), (0, record), (3, record)] if drained else []
-        assert calls == [("static", 0, 3)] + runs, update
+        assert calls == [("static", 0, 3)], update
         assert (res.walk, res.permit_edges) == (Walk(0, (0, 3)), ())
     net, scope = permit_fixture
-    calls, record, _opened, res = _failed_exit_searches(net, scope, monkeypatch, route, {1: INF})
-    assert "landmarks" not in net._aux
-    assert calls == [("static", 0, 3), (0, record), (3, record)]
-    assert (res.walk, res.permit_edges) == (Walk(0, (0, 3, 2)), (3,))
+    for update, drained in (({1: INF}, False), ({0: 10.5}, True)):
+        calls, record, opened, res = _failed_exit_searches(net, scope, monkeypatch, route, update)
+        assert "landmarks" not in net._aux
+        gate_runs = [(0, opened), (3, opened)] if drained else []
+        assert calls == [("static", 0, 3)] + gate_runs + [(0, record), (3, record)], update
+        assert (res.walk, res.permit_edges) == (Walk(0, (0, 3, 2)), (3,))
 
 
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
@@ -1731,22 +1871,24 @@ def test_failed_exit_with_the_table_drains_only_the_record_runs(
     # With the landmark table and positive integer open weights the gate
     # runs are stepped, never drained. On n1 the walk 0 -> 1 -> 3 needs no
     # permit and costs the open distance, so the certificate returns it
-    # after the static search and no drained run follows. A soft raise to a
-    # fractional weight leaves the open weights fractional: no certificate,
-    # and the gate runs drain after the record runs.
-    for update, drained in (({1: INF}, False), ({1: 30}, False), ({1: 30.5}, True)):
+    # after the static search and no drained run follows, also where a soft
+    # raise to a fractional weight leaves the open weights fractional.
+    for update in ({1: INF}, {1: 30}, {1: 30.5}):
         calls, record, opened, res = _failed_exit_searches(n1, n1_scope15, monkeypatch, route, update)
         assert n1._aux["landmarks"] is not None
-        runs = [(0, record), (3, record), (0, opened), (3, opened)] if drained else []
-        assert calls == [("static", 0, 3)] + runs, update
+        assert calls == [("static", 0, 3)], update
         assert (res.walk, res.cost_updated, res.permit_edges) == (Walk(0, (0, 3)), 22.0, ())
     # The permit fixture's only detour takes a permit: the certificate fails
-    # on its stepped gate runs, and exactly the two record runs drain.
+    # on its stepped gate runs, and exactly the two record runs drain. With
+    # a fractional raise of its edge 0, P fails and no gate run is stepped:
+    # the two gate runs drain on the open weighting before the record runs.
     net, scope = permit_fixture
-    calls, record, _opened, res = _failed_exit_searches(net, scope, monkeypatch, route, {1: INF})
-    assert net._aux["landmarks"] is not None
-    assert calls == [("static", 0, 3), (0, record), (3, record)]
-    assert (res.walk, res.permit_edges) == (Walk(0, (0, 3, 2)), (3,))
+    for update, drained in (({1: INF}, False), ({0: 10.5}, True)):
+        calls, record, opened, res = _failed_exit_searches(net, scope, monkeypatch, route, update)
+        assert net._aux["landmarks"] is not None
+        gate_runs = [(0, opened), (3, opened)] if drained else []
+        assert calls == [("static", 0, 3)] + gate_runs + [(0, record), (3, record)], update
+        assert (res.walk, res.permit_edges) == (Walk(0, (0, 3, 2)), (3,))
 
 
 def _logged_weights(values, reads: set, passes: list, quiet: list):
@@ -1770,7 +1912,9 @@ def _logged_weights(values, reads: set, passes: list, quiet: list):
 
 @pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
 @pytest.mark.parametrize("route", [simple_detour_route, enhanced_detour_route])
-def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request, route, table):
+def test_failed_exit_reads_the_weights_once(
+    n1, n1_scope15, permit_fixture, monkeypatch, request, route, table
+):
     # Outside the searches a failed static exit reads the weights whole only
     # to copy the updated weights into its open weighting (_weightings),
     # exactly once where a closed edge is finite there and never where every
@@ -1785,9 +1929,9 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
     # from their weights and the bound build_network measured on the base
     # weights, with the landmark table or without it. A static exit reads
     # only the static walk's weights. The searches (scope-aware steps, the
-    # d_open run, dijkstra runs, reach passes, the quasi-closure's round of
-    # them, the permit-state search) read the weights of what they relax and
-    # are left out.
+    # d_open run on every weighting, dijkstra runs, reach passes, the
+    # quasi-closure's round of them, the permit-state search) read the
+    # weights of what they relax and are left out.
     if table:
         request.getfixturevalue("landmarks_at_once")
         bidirectional_s_dijkstra(n1, n1_scope15, 0, 3)  # builds the table
@@ -1810,7 +1954,7 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
         while (head := quieted(next)(steps, None)) is not None:
             yield head
 
-    for module, name in ((scoperoute.search, "dijkstra"), (scoperoute.detour, "dijkstra"),
+    for module, name in ((scoperoute.search, "dijkstra"),
                          (scoperoute.detour, "_reach"), (scoperoute.network, "_reach"),
                          (scoperoute.detour, "_quasi_closure"), (scoperoute.detour, "_open_distance"),
                          (scoperoute.detour, "_state_search_halves")):
@@ -1835,11 +1979,17 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
         return real_bound(weights, vertex_count)
 
     monkeypatch.setattr(scoperoute.search, "_distance_bound", bound)
+    # In the last n1 case P fails its own-draw check on fractional weights,
+    # passes on drained gate runs and is the static walk; the permit
+    # fixture's fractional case takes the permit path.
     cases = [({3: INF}, None, 0), ({1: INF}, None, 1), ({1: 30}, None, 1), ({1: 30.5}, None, 1)]
     cases += [({1: 30}, frozenset({1}), 1), ({1: INF, 3: 25}, frozenset({1, 3}), 1)]
+    cases += [({1: 30.5, 3: INF}, None, 1)]
+    cases = [(n1, n1_scope15, *case) for case in cases]
+    cases += [(*permit_fixture, {0: 10.5}, None, 1)]
     tally = {}
-    for update, closures, failed in cases:
-        closed = n1.with_updated_weights(update)
+    for net, scope, update, closures, failed in cases:
+        closed = net.with_updated_weights(update)
         logged = RoadNetwork(
             closed.vertex_count, closed.tails, closed.heads,
             _logged_weights(closed.weight, reads, passes, quiet),
@@ -1850,8 +2000,8 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
         passes.clear()
         checked.clear()
         del contexts[:]
-        res = route(logged, n1_scope15, 0, 3, closures)
-        assert (res.klass == "static") == (not failed), update
+        res = route(logged, scope, 0, 3, closures)
+        assert _failed_exit(res, closed) == bool(failed), update
         static_walk = set(res.static_walk.edges if res.static_walk else ())
         if not failed:
             assert (reads <= static_walk, passes) == (True, []), update
@@ -1860,7 +2010,7 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
         # quasi-closure's if it adds an edge.
         actives = [set(closures or derive_closures(closed).hard)]
         if route is enhanced_detour_route:
-            qc = qc_closure(closed, n1_scope15, closures, 0, 3).edges
+            qc = qc_closure(closed, scope, closures, 0, 3).edges
             actives += [qc] if qc != actives[0] else []
         closed_edges = set().union(*actives)
         # The permit path reads its own walk's weights, for its updated cost.
@@ -1878,21 +2028,20 @@ def test_failed_exit_reads_the_weights_once(n1, n1_scope15, monkeypatch, request
     assert all(length < n1.edge_count for length in bounded), bounded
 
 
-def test_landmark_potentials_give_the_routes_of_dijkstra_potentials(
-    landmarks_at_once, monkeypatch
-):
+def test_landmark_potentials_give_the_routes_of_zero_potentials(landmarks_at_once, monkeypatch):
     # A failed exit's directions take their bounds from the landmark table
-    # when the network has one, and from two open-network dijkstra runs
-    # without it. Both are consistent lower bounds, so cost and class agree
-    # (the walk may differ among equal-cost ones).
-    real = scoperoute.detour.dijkstra
-    potential_runs = []
+    # when the network has one, and are 0 without it. Both are consistent
+    # lower bounds, so cost and class agree (the walk may differ among
+    # equal-cost ones). No route runs dijkstra, with the table once built or
+    # without it.
+    real = scoperoute.search.dijkstra
+    runs = []
 
     def counting(*args, **kwargs):
-        potential_runs.append(args[2])
+        runs.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scoperoute.detour, "dijkstra", counting)
+    monkeypatch.setattr(scoperoute.search, "dijkstra", counting)
     rng = random.Random(29)
     searched = {"hard": 0, "soft": 0}
     # With the table, a hard closure often leaves no open walk at all, which
@@ -1900,7 +2049,7 @@ def test_landmark_potentials_give_the_routes_of_dijkstra_potentials(
     for _ in range(700):
         net, scope = random_network(rng)
         s, t = rng.randrange(net.vertex_count), rng.randrange(net.vertex_count)
-        static = bidirectional_s_dijkstra(net, scope, s, t)
+        static = bidirectional_s_dijkstra(net, scope, s, t)  # builds the table
         if not static.walk or not static.walk.edges:
             continue
         kind = rng.choice(["hard", "soft"])
@@ -1914,11 +2063,11 @@ def test_landmark_potentials_give_the_routes_of_dijkstra_potentials(
                 net._aux["landmarks"] = None  # as for weights with no table
             assert (net._aux["landmarks"] is not None) == table
             for route in (simple_detour_route, enhanced_detour_route):
-                del potential_runs[:]
+                del runs[:]
                 res = route(net.with_updated_weights(updates), scope, s, t)
                 results.append((res.klass, res.cost_updated))
+                assert runs == []
                 if res.scanned_detour:
-                    assert len(potential_runs) == (0 if table else 2)
                     searched[kind] += table
         assert results[:2] == results[2:]
     assert min(searched.values()) >= 100, searched
@@ -1939,16 +2088,16 @@ def test_state_search_neither_counts_nor_builds_the_table(permit_fixture, landma
 def test_detour_context_makes_no_bound_runs(permit_fixture, monkeypatch, request, table):
     # build_detour_context's readers (validate_simple_detour, _recheck_detour
     # and so the CLI's re-check) read no direction bound, so it makes no
-    # dijkstra run for one, with the landmark table or without it. A route's
-    # permit path without the table keeps its two exact-distance runs.
+    # dijkstra run for one, with the landmark table or without it; nor does
+    # a route, on its permit path too, whose bounds are 0 without the table.
     runs = []
-    real = scoperoute.detour.dijkstra
+    real = scoperoute.search.dijkstra
 
     def counting(*args, **kwargs):
         runs.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scoperoute.detour, "dijkstra", counting)
+    monkeypatch.setattr(scoperoute.search, "dijkstra", counting)
     if table:
         request.getfixturevalue("landmarks_at_once")
     nf = generate_synthetic("grid", 12, 3, seed=3)
@@ -1958,14 +2107,13 @@ def test_detour_context_makes_no_bound_runs(permit_fixture, monkeypatch, request
         if table:
             bidirectional_s_dijkstra(closed, scope, 0, t)  # builds the table
         assert ("landmarks" in closed._aux) == table
-        res = simple_detour_route(closed, scope, 0, t)
         del runs[:]
+        res = simple_detour_route(closed, scope, 0, t)
         build_detour_context(closed, scope, None, 0, t)
         assert validate_simple_detour(res.walk, closed, scope, None, 0, t)
         assert scoperoute.detour._recheck_detour(res.walk, closed, scope, True, 0, t)
-        assert runs == []
         _permit_path(closed, scope, 0, t, False)
-        assert runs == ([] if table else [t, 0])
+        assert runs == []
 
 
 def test_closed_copy_freed_by_reference_counting(permit_fixture):

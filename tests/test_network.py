@@ -352,6 +352,27 @@ def test_balance_gives_the_reference_scopes_on_synthetic_networks(kind, size, le
         assert _reference_is_proper(nf.network, balanced)
 
 
+@pytest.mark.parametrize(
+    "kind, size, options",
+    [("grid", 6, {}), ("grid", 7, {"oneway": True}), ("grid", 5, {"subdivisions": 2}), ("random", 25, {})],
+)
+def test_generated_networks_list_each_row_in_edge_id_order(kind, size, options):
+    # _shortest_edge_path_between follows each out-edge row as it stands, so
+    # it visits a vertex's edges in id order, as its walks assume, only if
+    # every row lists them in increasing id order: build_network appends
+    # them in that order, and a reversal, a weight variant and a
+    # contraction share or build their rows the same way.
+    def increasing(rows):
+        return all(a < b for row in rows for a, b in zip(row, row[1:]))
+
+    for seed in range(10):
+        nf = generate_synthetic(kind, size, 3, seed, **options)
+        closed = nf.network.with_updated_weights({0: INF})
+        contracted = contract_degree2_chains(nf.network, nf.scope).network
+        for net in (nf.network, closed, closed.reverse(), contracted, contracted.reverse()):
+            assert increasing(net._out) and increasing(net._in), seed
+
+
 class TestContraction:
     def test_path_contracts_to_single_edge(self):
         net = build_network(4, [(0, 1), (1, 2), (2, 3)], [1, 2, 3])

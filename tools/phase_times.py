@@ -53,11 +53,14 @@ plain goal-directed run from the start that gives d_open. "quasi-closure" is
 ``_quasi_closure``, the enhanced route's growth of the closure set, and
 ``_bypass_witness``, the search for a closed edge's bypass witness that
 it makes once per network and edge; it reads 0 on the simple route.
-"potentials" are the directions' bounds: ``_potentials`` and the detour
-module's ``_landmark_potentials``, which ranks the table's terms for the
-route's endpoints, and its ``dijkstra`` runs, the exact open-network
-distances that bound the directions without the landmark table, which
-read 0 once the network has it. "landmark build" is paid once per network,
+"potentials" are the directions' bounds where no goal-directed static
+search left them: ``_zero_potentials``, the zero bounds of a route
+without the landmark table and of the d_open run off positive integer
+weights; in versions before it, ``_potentials`` and the detour module's
+``_landmark_potentials``, which ranks the table's terms for the route's
+endpoints, and its ``dijkstra`` runs, the exact open-network distances
+that bounded the directions without the table, which read 0 once the
+network has it. "landmark build" is paid once per network,
 in its first static search; it is not part of "route, whole" or "route,
 rest".
 
@@ -138,6 +141,7 @@ PHASES = {
     ("detour", "_direction"): "gate runs",
     ("detour", "_settle_gate"): "gate runs",
     ("detour", "_clean_masks"): "clean masks",
+    ("detour", "_zero_potentials"): "potentials",
     ("detour", "dijkstra"): "potentials",
     ("detour", "_potentials"): "potentials",
     ("detour", "_state_search_halves"): "state search",
